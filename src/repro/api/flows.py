@@ -110,8 +110,8 @@ class HiDaPFlow(BaseFlow):
                                   referee_backend=referee_backend,
                                   **config_kwargs)
 
-    def _run_hidap(self, prepared: PreparedDesign,
-                   config: HiDaPConfig) -> MacroPlacement:
+    def _run_hidap(self, prepared: PreparedDesign, config: HiDaPConfig,
+                   curves=None) -> MacroPlacement:
         placer = HiDaP(config)
         # The cached gseq is only reusable when it was built with this
         # config's min_bits; gnet is threshold-independent and always
@@ -122,7 +122,7 @@ class HiDaPFlow(BaseFlow):
                                  prepared.die_h,
                                  flow_name=self.flow_label,
                                  gnet=prepared.gnet, gseq=gseq,
-                                 tree=prepared.tree)
+                                 tree=prepared.tree, curves=curves)
         # Keep the run record so referee counters can join the
         # pipeline's own eval counters (observer surface).
         self.artifacts = placer.artifacts
@@ -158,17 +158,25 @@ class HiDaPBest3Flow(HiDaPFlow):
 
     def _sweep(self, prepared: PreparedDesign, clock_period: float
                ) -> Tuple[FlowMetrics, MacroPlacement]:
-        best: Optional[Tuple[FlowMetrics, MacroPlacement]] = None
+        """Run every λ; keep the best row, placement and artifacts.
+
+        Shape curves do not depend on λ (``shapegen_config()`` never
+        reads it), so the first run's curves serve every later one.
+        """
+        best = None
+        curves = None
         for lam in self.lambdas:
             # Carry every configured knob (min_bits, flipping, ...)
             # into the sweep; only λ varies.
             config = dataclasses.replace(self.config, lam=lam)
-            placement = self._run_hidap(prepared, config)
+            placement = self._run_hidap(prepared, config, curves)
+            curves = self.artifacts.curves
             metrics = self._referee(prepared, placement, clock_period)
             metrics.lam = lam
             if best is None or metrics.wl_meters < best[0].wl_meters:
-                best = (metrics, placement)
-        return best
+                best = (metrics, placement, self.artifacts)
+        metrics, placement, self.artifacts = best
+        return metrics, placement
 
     def place(self, prepared: PreparedDesign) -> MacroPlacement:
         clock = default_clock_period(prepared.die_w, prepared.die_h)

@@ -13,7 +13,8 @@ stages::
 
 Stages skip work whose product is already present on the artifacts
 (e.g. a cached ``flat``/``gnet``/``gseq`` injected from a
-:class:`~repro.api.prepared.PreparedDesign`).
+:class:`~repro.api.prepared.PreparedDesign`, or the shape curves of an
+earlier run over the same tree and shape-search configuration).
 """
 
 from __future__ import annotations
@@ -151,6 +152,8 @@ def _merge_eval_counters(artifacts: RunArtifacts, stats) -> None:
 
 
 def _stage_shape_curves(artifacts: RunArtifacts) -> None:
+    if artifacts.curves is not None:
+        return
     flat = artifacts.flat
     config = artifacts.config
 

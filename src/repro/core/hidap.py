@@ -75,7 +75,9 @@ class HiDaP:
 
     def place(self, design: Union[Design, FlatDesign], die_width: float,
               die_height: float, flow_name: str = "hidap",
-              gnet=None, gseq=None, tree=None) -> MacroPlacement:
+              gnet=None, gseq=None, tree=None,
+              curves: Optional[Dict[str, ShapeCurve]] = None
+              ) -> MacroPlacement:
         """Place all macros of ``design`` on a die of the given size.
 
         ``gnet``/``gseq``/``tree`` may be passed to reuse pre-built
@@ -83,6 +85,9 @@ class HiDaP:
         :class:`repro.api.prepared.PreparedDesign` cache); the graphs
         stage then skips reconstruction.  Callers are responsible for
         passing a ``gseq`` built with the configured ``min_bits``.
+        Likewise ``curves`` (the ``curves`` of an earlier run on the
+        same ``tree`` whose config had an equal ``shapegen_config()``)
+        makes the shape-curves stage skip its search.
         """
         from repro.api.artifacts import RunArtifacts
         from repro.api.pipeline import build_hidap_pipeline
@@ -93,7 +98,7 @@ class HiDaP:
         artifacts = RunArtifacts(
             die=die, config=self.config, flow_name=flow_name,
             design=design.design if flat is not None else design,
-            flat=flat, gnet=gnet, gseq=gseq, tree=tree)
+            flat=flat, gnet=gnet, gseq=gseq, tree=tree, curves=curves)
 
         pipeline = build_hidap_pipeline(observers=self.observers)
         # Expose the record before running so partially filled

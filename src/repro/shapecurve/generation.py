@@ -13,8 +13,10 @@ default (``ShapeGenConfig.incremental``): one
 :class:`~repro.slicing.tree.SubtreeCache` per node search — shared by
 every aspect-ratio pass, which anneal over the same child curves —
 reuses composed subtree curves, and a per-pass transposition table
-short-circuits re-proposed expressions.  Results are bit-identical to
-full re-evaluation under a fixed seed.
+short-circuits re-proposed expressions.  The search needs only each
+expression's root curve, so a lookup walks the token tuple top-down
+and stops at the first cached subtree (:func:`_root_curve`).  Results
+are bit-identical to full re-evaluation under a fixed seed.
 """
 
 from __future__ import annotations
@@ -22,19 +24,17 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, Hashable, List, Optional, Sequence
+from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.memo import BoundedStore
 from repro.shapecurve.curve import ShapeCurve, compose_many
 from repro.slicing.anneal import AnnealConfig, Annealer
-from repro.slicing.polish import PolishExpression
+from repro.slicing.polish import H, PolishExpression, Token, is_operator
 from repro.slicing.tree import (
     EvalStats,
     SubtreeCache,
-    annotate_cached,
     annotate_curves,
     build_tree,
-    compute_signatures,
 )
 
 
@@ -76,6 +76,55 @@ def _curve_area_score(curve: ShapeCurve, log_target: float,
     return best if best < math.inf else 1e30
 
 
+def _right_start(tokens: Tuple[Token, ...], lo: int, hi: int) -> int:
+    """Start of the right operand of the subexpression ``tokens[lo:hi]``.
+
+    ``tokens[hi - 1]`` is the subexpression's operator; walking back
+    from it, the right operand is complete once its operands outnumber
+    its operators by one.
+    """
+    need = 1
+    k = hi - 1
+    while need:
+        k -= 1
+        need += 1 if is_operator(tokens[k]) else -1
+    return k
+
+
+def _root_curve(tokens: Tuple[Token, ...], leaf_curves: List[ShapeCurve],
+                limit: int, cache: SubtreeCache) -> ShapeCurve:
+    """The root curve of the slicing tree ``tokens`` encodes, via ``cache``.
+
+    Equivalent to ``annotate_cached(build_tree(...), ...)`` for a caller
+    that needs only the root curve: the walk goes top-down over token
+    slices — a slice is exactly a subtree's signature — and stops at the
+    first cached subtree instead of visiting its descendants.  Entries
+    keep the cache's ``(curve, area_min, area_target)`` form (the shape
+    search has no areas, so both are ``0.0``), and every miss composes
+    through the cache's :class:`ComposeCache`, so the curve is
+    bit-identical to full evaluation.
+    """
+    def visit(lo: int, hi: int) -> ShapeCurve:
+        signature = tokens[lo:hi]
+        entry = cache.get(signature)
+        if entry is not None:
+            cache.hits += 1
+            return entry[0]
+        cache.misses += 1
+        if hi - lo == 1:
+            curve = leaf_curves[tokens[lo]]
+        else:
+            split = _right_start(tokens, lo, hi)
+            left = visit(lo, split)
+            right = visit(split, hi - 1)
+            curve = cache.compose.compose(
+                left, right, horizontal=(tokens[hi - 1] != H), limit=limit)
+        cache.put(signature, (curve, 0.0, 0.0))
+        return curve
+
+    return visit(0, len(tokens))
+
+
 def _area_cost(leaf_curves: List[ShapeCurve], ar_target: float,
                limit: int, penalty: float,
                cache: Optional[SubtreeCache] = None,
@@ -96,24 +145,20 @@ def _area_cost(leaf_curves: List[ShapeCurve], ar_target: float,
         if stats is not None:
             stats.cost_evals += 1
             stats.layout_nodes_total += n_nodes
-        if memo is not None:
-            key = tuple(expr.tokens)
-            cached = memo.get(key)
-            if cached is not None:
-                if stats is not None:
-                    stats.cost_cache_hits += 1
-                return cached
-        root = build_tree(expr)
-        if cache is not None:
-            compute_signatures(root)
-            curve = annotate_cached(root, leaf_curves, limit, cache)
-        else:
-            curve = annotate_curves(root, leaf_curves, limit)
+        if cache is None:
+            curve = annotate_curves(build_tree(expr), leaf_curves, limit)
             if stats is not None:
                 stats.layout_nodes_expanded += n_nodes
+            return _curve_area_score(curve, log_target, penalty)
+        key = tuple(expr.tokens)
+        cached = memo.get(key)
+        if cached is not None:
+            if stats is not None:
+                stats.cost_cache_hits += 1
+            return cached
+        curve = _root_curve(key, leaf_curves, limit, cache)
         value = _curve_area_score(curve, log_target, penalty)
-        if memo is not None:
-            memo.put(key, value)
+        memo.put(key, value)
         return value
 
     return cost
@@ -125,6 +170,13 @@ def _chunked(curves: List[ShapeCurve], size: int) -> List[List[ShapeCurve]]:
 
 def _flush_cache_counters(cache: Optional[SubtreeCache],
                           stats: Optional[EvalStats]) -> None:
+    """Move one search's cache counters into ``stats`` and reset them.
+
+    :func:`_root_curve` stops at the first cached subtree, so
+    ``subtree_hits`` counts lookups that ended on a hit (the hit
+    subtree's descendants are not visited, hence not counted), while
+    ``subtree_misses`` counts every subtree actually composed.
+    """
     if cache is None or stats is None:
         return
     stats.subtree_hits += cache.hits
@@ -179,13 +231,12 @@ def curve_for_macros(curves: Sequence[ShapeCurve],
         annealer = Annealer(cost_fn, config.anneal)
         initial = PolishExpression.initial(len(real), rng)
         result = annealer.run(initial)
-        root = build_tree(result.best)
         if cache is not None:
-            compute_signatures(root)
-            curve = annotate_cached(root, list(real),
-                                    config.compose_limit, cache)
+            curve = _root_curve(tuple(result.best.tokens), real,
+                                config.compose_limit, cache)
         else:
-            curve = annotate_curves(root, list(real), config.compose_limit)
+            curve = annotate_curves(build_tree(result.best), real,
+                                    config.compose_limit)
         points.extend(curve.points)
 
     _flush_cache_counters(cache, stats)

@@ -158,7 +158,10 @@ class EvalStats:
       nodes a full evaluator would have expanded into budgeted
       rectangles vs. the nodes actually expanded;
     * ``subtree_hits`` / ``subtree_misses`` — per-subtree curve+area
-      annotation reuse;
+      annotation reuse.  The layout engine visits every node, so its
+      hits include the descendants of a cached subtree; the shape-curve
+      search needs only the root curve and stops at the first cached
+      subtree, so each of its hits stands for a whole subtree;
     * ``curve_compose_hits`` / ``curve_compose_misses`` — memoized
       pairwise shape-curve compositions.
     """

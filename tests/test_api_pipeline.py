@@ -160,3 +160,53 @@ class TestBest3ConfigKwargs:
             assert config.flipping is False
             assert config.min_bits == 4
             assert config.lam == lam
+
+
+def _row_key(row):
+    return (row.design, row.flow, row.wl_meters, row.grc_percent,
+            row.wns_percent, row.tns, row.macro_overlap, row.lam)
+
+
+class TestBest3Sweep:
+    """Seed 2 on tiny c1: λ=0.2 wins, so the winner is not the last run."""
+
+    @pytest.fixture(scope="class")
+    def prepared(self):
+        from repro.api import prepare_suite_design
+        return prepare_suite_design("c1", "tiny")
+
+    def test_keeps_winner_artifacts(self, prepared):
+        flow = get_flow("hidap-best3", seed=2, effort="fast")
+        assert flow.place(prepared) is flow.artifacts.placement
+        assert flow.artifacts.config.lam == 0.2
+
+    def test_one_shape_curve_search_per_sweep(self, prepared,
+                                              monkeypatch):
+        from repro.api import pipeline
+        calls = []
+        search = pipeline.generate_shape_curves
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs["config"])
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "generate_shape_curves", counting)
+        flow = get_flow("hidap-best3", seed=2, effort="fast")
+        assert len(flow.lambdas) == 3
+        flow.place(prepared)
+        assert len(calls) == 1
+
+    def test_shape_search_ignores_lambda(self):
+        assert (HiDaPConfig(lam=0.2).shapegen_config()
+                == HiDaPConfig(lam=0.8).shapegen_config())
+
+    def test_rows_equal_best_of_independent_runs(self, prepared):
+        best3 = get_flow("hidap-best3", seed=2,
+                         effort="fast").evaluate(prepared)
+        best = None
+        for lam in (0.2, 0.5, 0.8):
+            row = get_flow(f"hidap:lam={lam}", seed=2,
+                           effort="fast").evaluate(prepared)
+            if best is None or row.wl_meters < best.wl_meters:
+                best = row
+        assert _row_key(best3) == _row_key(best)

@@ -1,12 +1,21 @@
 """Tests for corner placement and the flipping post-pass."""
 
-import pytest
+import copy
+import random
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.api import prepare_suite_design
+from repro.core.config import Effort, HiDaPConfig
 from repro.core.corners import corner_candidates, place_single_macro
-from repro.core.flipping import flip_macros
+from repro.core.flipping import _flip_macros_loop, flip_macros
+from repro.core.hidap import HiDaP
 from repro.core.result import MacroPlacement, PlacedMacro
+from repro.gen.designs import build_design, suite_specs
 from repro.geometry.orientation import Orientation
 from repro.geometry.rect import Point, Rect
+from repro.netlist.flatten import FlatNet, flatten
 
 
 class TestCornerCandidates:
@@ -117,3 +126,84 @@ class TestFlipping:
         # Mirroring about Y moves a west-edge pin to the east edge.
         assert west.x == pytest.approx(placed.rect.x)
         assert east.x == pytest.approx(placed.rect.x2)
+
+
+def _flip_both(flat, placement, port_positions):
+    """``(flips, orientations)`` of the array pass and of the loop oracle,
+    each run on its own copy of ``placement``."""
+    outcomes = []
+    for flip in (flip_macros, _flip_macros_loop):
+        copied = copy.deepcopy(placement)
+        flips = flip(flat, copied, port_positions)
+        outcomes.append((flips, [(i, copied.macros[i].orientation)
+                                 for i in sorted(copied.macros)]))
+    return outcomes
+
+
+class TestFlipEquivalence:
+    """The array pass makes exactly the loop oracle's decisions."""
+
+    @pytest.mark.parametrize("name", ["c1", "c2", "c3", "c4", "c5"])
+    def test_suite_design_pre_flip_placement(self, name):
+        prepared = prepare_suite_design(name, "tiny")
+        placer = HiDaP(HiDaPConfig(seed=1, effort=Effort.FAST,
+                                   flipping=False))
+        placement = placer.place(prepared.flat, prepared.die_w,
+                                 prepared.die_h, gnet=prepared.gnet,
+                                 gseq=prepared.gseq, tree=prepared.tree)
+        array, loop = _flip_both(prepared.flat, placement,
+                                 placer.artifacts.port_positions)
+        assert array == loop
+        assert array[0] > 0
+
+    @pytest.fixture(scope="class")
+    def generated(self):
+        """Tiny c1 plus three hand-made nets: several pins of one macro
+        with a standard cell, macro pins only (no static point), and two
+        pins of one macro alone."""
+        design, _truth = build_design(suite_specs("tiny")[0])
+        flat = flatten(design)
+        m0, m1, m2 = (cell.index for cell in flat.macros()[:3])
+        std = next(cell.index for cell in flat.cells if not cell.is_macro)
+        for endpoints in (
+                [(m0, "din", 0), (m0, "dout", 0), (m0, "din", 1),
+                 (std, "a", 0)],
+                [(m0, "dout", 1), (m1, "din", 1)],
+                [(m2, "din", 2), (m2, "dout", 2)]):
+            flat.nets.append(FlatNet(len(flat.nets), "extra", endpoints))
+        return flat
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    def test_random_placements(self, generated, seed):
+        flat = generated
+        rng = random.Random(seed)
+
+        def coord():
+            # Half-integer grids make equal-cost ties common.
+            value = rng.uniform(0.0, 300.0)
+            return round(value * 2) / 2 if rng.random() < 0.5 else value
+
+        placement = MacroPlacement("c1", "test", Rect(0, 0, 300, 300))
+        macros = flat.macros()
+        unplaced = {macros[3].index}
+        unplaced.update(cell.index for cell in macros
+                        if rng.random() < 0.15)
+        for cell in macros:
+            if cell.index in unplaced:
+                continue
+            orient = rng.choice(list(Orientation))
+            w, h = orient.footprint(cell.ctype.width, cell.ctype.height)
+            placement.macros[cell.index] = PlacedMacro(
+                cell.index, cell.path, Rect(coord(), coord(), w, h),
+                orient)
+        for path in sorted({cell.module_path for cell in flat.cells}):
+            if rng.random() < 0.6:
+                placement.block_rects[path] = Rect(
+                    coord(), coord(), rng.uniform(1.0, 80.0),
+                    rng.uniform(1.0, 80.0))
+        ports = {name: Point(coord(), coord())
+                 for name in sorted(flat.design.top.ports)
+                 if rng.random() < 0.7}
+        array, loop = _flip_both(flat, placement, ports)
+        assert array == loop

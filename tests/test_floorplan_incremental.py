@@ -103,16 +103,53 @@ class TestEngineEquivalence:
                             cache=LayoutCache())
 
 
+def _child_curves(rng: random.Random, n: int):
+    """``n`` macro curves, some multi-point, plus trivial children."""
+    curves = []
+    for _ in range(n):
+        w, h = rng.uniform(2, 9), rng.uniform(2, 9)
+        if rng.random() < 0.3:
+            curves.append(ShapeCurve([(w, h), (w * 1.6, h * 0.55),
+                                      (w * 0.7, h * 1.5)]))
+        else:
+            curves.append(ShapeCurve.for_rect(w, h))
+    for _ in range(2):
+        curves.insert(rng.randrange(len(curves) + 1), ShapeCurve.trivial())
+    return curves
+
+
 class TestShapeGenEquivalence:
     def test_curve_for_macros_identical(self):
-        rng = random.Random(11)
-        curves = [ShapeCurve.for_rect(rng.uniform(2, 9), rng.uniform(2, 9))
-                  for _ in range(7)]
-        inc = curve_for_macros(curves,
-                               ShapeGenConfig(seed=5, incremental=True))
-        full = curve_for_macros(curves,
-                                ShapeGenConfig(seed=5, incremental=False))
-        assert inc.points == full.points
+        # (rng seed, search seed, macros, max_leaves); the last two
+        # groups exceed max_leaves and are searched in chunks.
+        for rng_seed, seed, n, max_leaves in (
+                (11, 5, 7, 24), (1, 0, 2, 24), (2, 9, 3, 24),
+                (3, 4, 12, 24), (4, 7, 11, 4), (6, 2, 9, 3)):
+            curves = _child_curves(random.Random(rng_seed), n)
+            inc = curve_for_macros(curves, ShapeGenConfig(
+                seed=seed, max_leaves=max_leaves, incremental=True))
+            full = curve_for_macros(curves, ShapeGenConfig(
+                seed=seed, max_leaves=max_leaves, incremental=False))
+            assert inc.points == full.points, (rng_seed, n, max_leaves)
+
+    def test_root_curve_matches_full_annotation(self):
+        """The root-only lookup over one shared cache returns the
+        uncached root curve for every expression of a random walk."""
+        from repro.shapecurve.generation import _root_curve
+        from repro.slicing.moves import perturb
+        from repro.slicing.polish import PolishExpression
+        from repro.slicing.tree import (SubtreeCache, annotate_curves,
+                                        build_tree)
+        rng = random.Random(3)
+        leaves = [c for c in _child_curves(rng, 9) if not c.is_trivial]
+        cache = SubtreeCache()
+        expr = PolishExpression.initial(len(leaves), rng)
+        for _ in range(300):
+            perturb(expr, rng)
+            full = annotate_curves(build_tree(expr), leaves, 10)
+            root = _root_curve(tuple(expr.tokens), leaves, 10, cache)
+            assert root.points == full.points
+        assert cache.hits > 0
 
     def test_stats_accumulate(self):
         rng = random.Random(11)
