@@ -21,8 +21,9 @@ lint:
 
 # Determinism & backend-contract static analyzer (rules REP001-REP012;
 # see ROADMAP "Static analysis contracts").  Self-hosts over src/,
-# benchmarks/ and tools/; per-file results are cached under .cache/
-# keyed by content hash, so warm runs re-analyze only changed files.
+# benchmarks/, tools/ and perfbench/; per-file results are cached
+# under .cache/ keyed by content hash, so warm runs re-analyze only
+# changed files.
 # Exits 1 on any unbaselined finding or (--strict-suppressions) any
 # stale noqa; the JSON report (findings + per-phase timings + cache
 # hit/miss counts) is uploaded by CI next to BENCH_*.json.

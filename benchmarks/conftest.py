@@ -17,8 +17,8 @@ import os
 
 import pytest
 
+from repro.api import RunOptions, run_suite
 from repro.core.config import Effort
-from repro.api import run_suite
 
 SCALE = os.environ.get("REPRO_SCALE", "tiny")
 EFFORT = Effort(os.environ.get("REPRO_EFFORT", "fast"))
@@ -28,7 +28,8 @@ SEED = int(os.environ.get("REPRO_SEED", "1"))
 @pytest.fixture(scope="session")
 def suite_result():
     """The three-flow comparison over all eight circuits."""
-    return run_suite(scale=SCALE, seed=SEED, effort=EFFORT)
+    return run_suite(scale=SCALE,
+                     options=RunOptions(seed=SEED, effort=EFFORT))
 
 
 @pytest.fixture(scope="session")

@@ -8,7 +8,7 @@ margin, and no single λ dominates by construction).
 """
 
 from benchmarks.conftest import EFFORT, SCALE, SEED, pedantic
-from repro.api import prepare_design, run_flow
+from repro.api import RunOptions, prepare_design, run_flow
 from repro.gen.designs import suite_specs
 
 LAMBDAS = (0.2, 0.5, 0.8)
@@ -26,7 +26,8 @@ def test_ablation_lambda_sweep(benchmark):
                                           prepared.die_w, prepared.die_h)
             for lam in LAMBDAS:
                 metrics = run_flow(flat, truth, f"hidap-l{lam}", die_w,
-                                   die_h, seed=SEED, effort=EFFORT)
+                                   die_h, options=RunOptions(
+                                       seed=SEED, effort=EFFORT))
                 results[(name, lam)] = metrics.wl_meters
         return results
 

@@ -17,14 +17,14 @@ This package is the single front door for every placement run:
 * **single runs** — :func:`run_flow` / :func:`evaluate_placement`, with
   every knob carried by one :class:`RunOptions` record shared by all
   entry points.
-* **parallel suite** — :func:`run_suite` fans (design, flow) pairs over
-  worker processes with ``workers=N``, row-for-row identical to serial;
-  ``store=DIR`` persists compiled designs so repeated runs skip every
-  compile.
+* **suite** — :func:`run_suite` submits every (design, flow) pair to a
+  :class:`PlacementService`: inline by default, over worker processes
+  with ``workers=N``, row-for-row identical either way; ``store=DIR``
+  persists compiled designs so repeated runs skip every compile.
 * **placement service** — :class:`PlacementService` (from
   :mod:`repro.service`, re-exported here) is the submit/poll/stream job
-  front end over the same engine, with a
-  :class:`CompiledDesignStore` and shared-memory array handoff.
+  front end, with a :class:`CompiledDesignStore` and shared-memory
+  array handoff.
 * **tables** — :func:`format_table2` / :func:`format_table3` /
   :func:`normalize_to_handfp` / :func:`geomean` turn rows into the
   paper's tables.
@@ -91,21 +91,18 @@ from repro.eval.tables import (
     geomean,
     normalize_to_handfp,
 )
-
-#: Service-layer names resolved lazily (PEP 562) so ``import repro.api``
-#: does not pull in multiprocessing/shared-memory machinery until a
-#: client actually reaches for the service.
-_SERVICE_EXPORTS = (
-    "CompiledDesignStore",
-    "JobEvent",
-    "JobHandle",
-    "JobStatus",
-    "PlacementService",
-    "store_version",
+from repro.service import (
+    CompiledDesignStore,
+    JobEvent,
+    JobHandle,
+    JobStatus,
+    PlacementService,
+    store_version,
 )
 
 __all__ = [
     "BaseFlow",
+    "CompiledDesignStore",
     "DEFAULT_FLOWS",
     "Effort",
     "FlowError",
@@ -117,8 +114,12 @@ __all__ = [
     "HiDaPBest3Flow",
     "HiDaPFlow",
     "IndEDAFlow",
+    "JobEvent",
+    "JobHandle",
+    "JobStatus",
     "Pipeline",
     "PipelineObserver",
+    "PlacementService",
     "Placer",
     "PreparedDesign",
     "RunArtifacts",
@@ -143,19 +144,7 @@ __all__ = [
     "run_flow",
     "run_suite",
     "split_flow_specs",
+    "store_version",
     "unregister_flow",
-    *_SERVICE_EXPORTS,
 ]
 
-
-def __getattr__(name):
-    if name in _SERVICE_EXPORTS:
-        import repro.service as _service
-
-        return getattr(_service, name)
-    raise AttributeError(
-        f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__():
-    return sorted(set(globals()) | set(__all__))

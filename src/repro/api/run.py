@@ -1,9 +1,7 @@
 """Single-run entry point: ``run_flow``, the shared referee, RunOptions.
 
-This module holds the implementation that historically lived in
-``repro.eval.flow`` (that module is now a deprecation shim re-exporting
-these names).  It also defines :class:`RunOptions`, the one knob record
-shared by every placement entry point — ``run_flow``, ``run_suite`` and
+:class:`RunOptions` is the one knob record shared by every placement
+entry point — ``run_flow``, ``run_suite`` and
 :class:`repro.service.PlacementService` all accept the same options
 object, so a configuration travels unchanged from a one-off run to a
 suite to a service job.
@@ -25,8 +23,7 @@ Tracing never changes placements, rows or RNG streams (asserted in
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, MutableMapping, Optional, Union
 
@@ -52,13 +49,10 @@ TraceSpec = Union[bool, str, Path, None]
 class RunOptions:
     """Per-run knobs shared by every placement entry point.
 
-    One frozen record replaces the ``seed``/``effort``/
-    ``referee_backend``/``trace`` keyword tails that ``run_flow`` and
-    ``run_suite`` used to grow independently;
-    :class:`repro.service.PlacementService` accepts the same object, so
-    client code configures a run once regardless of how it is executed.
-    The legacy keywords still work on every entry point but emit a
-    :class:`DeprecationWarning`.
+    ``run_flow``, ``run_suite`` and
+    :class:`repro.service.PlacementService` all take this one frozen
+    record, so client code configures a run once regardless of how it
+    is executed.
     """
 
     seed: int = 1
@@ -82,35 +76,6 @@ class RunOptions:
         if isinstance(self.trace, (str, Path)):
             return Path(self.trace)
         return None
-
-
-def resolve_options(options: Optional[RunOptions] = None, *,
-                    seed: Optional[int] = None,
-                    effort=None,
-                    referee_backend: Optional[str] = None,
-                    trace: TraceSpec = None,
-                    _stacklevel: int = 3) -> RunOptions:
-    """Merge legacy keyword arguments into a :class:`RunOptions`.
-
-    Every entry point funnels through this shim: passing any of the
-    legacy ``seed``/``effort``/``referee_backend``/``trace`` keywords
-    emits one :class:`DeprecationWarning` naming them, and the values
-    override the corresponding ``options`` fields (so existing call
-    sites keep their exact behaviour while they migrate).
-    """
-    legacy = {k: v for k, v in (("seed", seed), ("effort", effort),
-                                ("referee_backend", referee_backend),
-                                ("trace", trace))
-              if v is not None}
-    if legacy:
-        warnings.warn(
-            "pass RunOptions(...) instead of the legacy keyword(s) "
-            + ", ".join(sorted(legacy)),
-            DeprecationWarning, stacklevel=_stacklevel)
-    resolved = options if options is not None else RunOptions()
-    if legacy:
-        resolved = replace(resolved, **legacy)
-    return resolved
 
 
 @dataclass
@@ -234,11 +199,7 @@ def run_flow(flat: FlatDesign, truth: Optional[GroundTruth],
              flow: str, die_w: float, die_h: float,
              options: Optional[RunOptions] = None,
              clock_period: Optional[float] = None,
-             gseq=None,
-             seed: Optional[int] = None,
-             effort=None,
-             referee_backend: Optional[str] = None,
-             trace: TraceSpec = None) -> FlowMetrics:
+             gseq=None) -> FlowMetrics:
     """Place with ``flow`` and evaluate with the shared referee.
 
     A thin shim over the flow registry (:mod:`repro.api.registry`):
@@ -250,15 +211,12 @@ def run_flow(flat: FlatDesign, truth: Optional[GroundTruth],
 
     ``options`` carries the run knobs (:class:`RunOptions`: seed,
     effort, referee backend, trace — see the module docstring for the
-    one trace semantics).  The legacy ``seed``/``effort``/
-    ``referee_backend``/``trace`` keywords still work but emit a
-    :class:`DeprecationWarning`.
+    one trace semantics).
     """
     from repro.api import get_flow
     from repro.api.prepared import PreparedDesign
 
-    opts = resolve_options(options, seed=seed, effort=effort,
-                           referee_backend=referee_backend, trace=trace)
+    opts = options if options is not None else RunOptions()
     prepared = PreparedDesign.from_flat(flat, die_w=die_w, die_h=die_h,
                                         truth=truth, gseq=gseq)
     placer = get_flow(flow, seed=opts.seed, effort=opts.effort,

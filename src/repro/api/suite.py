@@ -1,42 +1,34 @@
 """Suite runner: the c1..c8 comparison behind Tables II and III.
 
-``run_suite`` is a thin client of the placement service layer
-(:mod:`repro.service`): serial runs execute cells inline through
-:func:`repro.service.engine.execute_cell`; ``workers=N`` runs submit
-every (design, flow) pair to a :class:`repro.service.PlacementService`
-pool.  Rows are returned in deterministic serial order — design order
-of ``suite_specs``, then flow order — so a parallel run is row-for-row
-identical to a serial one.
+``run_suite`` is a client of :class:`repro.service.PlacementService`
+in every mode: ``workers=None`` (or 1) runs an inline service, whose
+jobs execute in this process as they are submitted; ``workers=N``
+submits every (design, flow) pair to a pool of ``N`` workers.  Rows
+are returned in deterministic serial order — design order of
+``suite_specs``, then flow order — so a pooled run is row-for-row
+identical to an inline one.
 
 ``store=`` names a :class:`repro.service.CompiledDesignStore` (or a
 directory for one): designs are then compiled at most once, ever — a
 warm store skips every ``prepare.*`` compile, and pooled workers
 attach the compiled arrays through shared memory instead of
-rebuilding.  Without a store the legacy behaviour is preserved
-exactly: every worker process rebuilds and recompiles per process.
+rebuilding.  Without a store every process builds its designs itself.
 """
 
 from __future__ import annotations
 
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, TYPE_CHECKING, Tuple
+from typing import Any, Dict, List, Optional, Sequence, TYPE_CHECKING
 
-from repro.api.prepared import prepare_design
-from repro.api.run import RunOptions, TraceSpec, resolve_options
+from repro.api.run import RunOptions
+from repro.eval.tables import normalize_to_handfp
 from repro.gen.designs import suite_specs
-from repro.obs import (
-    NULL_TRACER,
-    Tracer,
-    perf_seconds,
-    use_tracer,
-    write_chrome_trace,
-)
-from repro.service import engine
+from repro.obs import Tracer, perf_seconds, use_tracer, write_chrome_trace
+from repro.service.jobs import PlacementService, iter_completed
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.api.run import FlowMetrics
-    from repro.service.store import CompiledDesignStore
 
 DEFAULT_FLOWS = ("indeda", "hidap-best3", "handfp")
 
@@ -48,58 +40,34 @@ class SuiteResult:
     rows: List["FlowMetrics"] = field(default_factory=list)
     design_info: Dict[str, str] = field(default_factory=dict)
     total_seconds: float = 0.0
-    #: Tracer payloads (one per traced process, serial task order)
-    #: when ``run_suite(trace=...)`` was used; ``None`` otherwise.
-    #: Timing-only — excluded from every row/table comparison.
+    #: Tracer payloads (the main process first, then one per pooled
+    #: cell in serial task order) when ``options.trace`` was set;
+    #: ``None`` otherwise.  Timing-only — excluded from every
+    #: row/table comparison.
     trace: Optional[List[Dict[str, Any]]] = None
 
     def rows_for(self, design: str) -> List["FlowMetrics"]:
         return [r for r in self.rows if r.design == design]
 
 
-# Compatibility aliases: the worker plumbing moved to
-# repro.service.engine (shared with PlacementService); these names stay
-# importable here for existing callers and tests.
-_PREPARED_CACHE = engine._PREPARED_CACHE
-_portable_flow_entries = engine.portable_flow_entries
-_portable_backend_entries = engine.portable_backend_entries
-_init_suite_worker = engine.init_worker
-_suite_task = engine.run_cell
-
-
-def _resolve_store(store) -> Optional["CompiledDesignStore"]:
-    if store is None:
-        return None
-    from repro.service.store import CompiledDesignStore
-
-    if isinstance(store, CompiledDesignStore):
-        return store
-    return CompiledDesignStore(store)
-
-
 def run_suite(scale: str = "bench",
               flows: Sequence[str] = DEFAULT_FLOWS,
               designs: Optional[Sequence[str]] = None,
-              seed: Optional[int] = None,
-              effort=None,
               verbose: bool = False,
               workers: Optional[int] = None,
-              referee_backend: Optional[str] = None,
-              trace: TraceSpec = None,
               options: Optional[RunOptions] = None,
               store=None) -> SuiteResult:
     """Run every flow on every (selected) suite design.
 
-    ``workers=None`` (or 1) runs serially in-process; ``workers=N``
-    submits the (design, flow) pairs to a
+    ``workers=None`` (or 1) runs the cells inline, one after another;
+    ``workers=N`` submits them to a
     :class:`repro.service.PlacementService` pool of ``N`` workers.
-    Both modes produce identical rows in identical order.
+    Both modes produce identical rows in identical order.  With
+    ``verbose`` each row is printed as soon as its cell finishes.
 
     ``options`` carries the run knobs (:class:`RunOptions`: seed,
     effort, referee backend, trace — see :mod:`repro.api.run` for the
-    one trace semantics shared by every entry point).  The legacy
-    ``seed``/``effort``/``referee_backend``/``trace`` keywords still
-    work but emit a :class:`DeprecationWarning`.
+    one trace semantics shared by every entry point).
 
     ``store`` (a directory path or a
     :class:`repro.service.CompiledDesignStore`) persists compiled
@@ -110,75 +78,51 @@ def run_suite(scale: str = "bench",
     zero ``prepare.*`` compile spans.  Rows are bit-identical with and
     without a store.
 
-    Tracing records the main process plus every (design, flow) cell —
-    including cells inside pool workers, whose span trees ride back on
-    the pool's result path.  Payloads land on ``SuiteResult.trace`` in
-    serial task order, main process first.  Tracing never changes rows
-    (asserted in ``tests/test_obs_determinism.py``).
+    Tracing records the main process plus every (design, flow) cell,
+    each under a ``suite.task`` span.  Inline cells record into the
+    main payload; pooled cells' span trees ride back on the pool's
+    result path.  Payloads land on ``SuiteResult.trace``, main
+    process first.  Tracing never changes rows (asserted in
+    ``tests/test_obs_determinism.py``).
     """
-    from repro.eval.tables import normalize_to_handfp
-
-    opts = resolve_options(options, seed=seed, effort=effort,
-                           referee_backend=referee_backend, trace=trace)
+    opts = options if options is not None else RunOptions()
     start = perf_seconds()
-    tracing = opts.tracing
-    tracer = Tracer("main") if tracing else None
+    tracer = Tracer("main") if opts.tracing else None
     result = SuiteResult()
-    specs = [spec for spec in suite_specs(scale)
+    names = [spec.name for spec in suite_specs(scale)
              if designs is None or spec.name in designs]
     flows = tuple(flows)
-    tasks = [(spec.name, flow) for spec in specs for flow in flows]
-    payloads: Dict[Tuple[str, str], Dict[str, Any]] = {}
+    tasks = [(name, flow) for name in names for flow in flows]
+    if len(tasks) <= 1:
+        workers = None
 
-    if workers is not None and workers > 1 and len(tasks) > 1:
-        from repro.service.jobs import PlacementService, iter_completed
-
-        with use_tracer(tracer) if tracing else nullcontext():
-            with PlacementService(scale=scale,
-                                  designs=[s.name for s in specs],
-                                  store=store, workers=workers,
-                                  options=opts) as service:
-                handles = {(name, flow): service.submit(name, flow)
-                           for name, flow in tasks}
+    with use_tracer(tracer) if tracer is not None else nullcontext():
+        with PlacementService(scale=scale, designs=names, store=store,
+                              workers=workers,
+                              options=opts) as service:
+            # A generator of submits: an inline job runs inside its
+            # submit, so its row prints before the next cell starts.
+            finished = []
+            for handle in iter_completed(service.submit(name, flow)
+                                         for name, flow in tasks):
+                metrics = handle.result()
                 if verbose:
-                    for handle in iter_completed(handles.values()):
-                        print(handle.result().row(), flush=True)
-                for name, flow in tasks:           # serial row order
-                    handle = handles[(name, flow)]
-                    metrics = handle.result()
-                    result.design_info.setdefault(
-                        name, handle.design_info)
-                    result.rows.append(metrics)
-                    if handle.trace_payload is not None:
-                        payloads[(name, flow)] = handle.trace_payload
-    else:
-        suite_store = _resolve_store(store)
-        with use_tracer(tracer) if tracing else nullcontext():
-            active = tracer if tracing else NULL_TRACER
-            for spec in specs:
-                if suite_store is not None:
-                    prepared = suite_store.ensure_spec(
-                        spec).materialize()
-                else:
-                    prepared = prepare_design(spec)
-                result.design_info[spec.name] = prepared.info()
-                for flow in flows:
-                    with active.span("suite.task", design=spec.name,
-                                     flow=flow):
-                        metrics = engine.execute_cell(prepared, flow,
-                                                      opts)
-                    result.rows.append(metrics)
-                    if verbose:
-                        print(metrics.row(), flush=True)
+                    print(metrics.row(), flush=True)
+                finished.append(handle)
+    handles = sorted(finished, key=lambda h: h.job_id)  # serial order
+    for handle in handles:
+        result.design_info.setdefault(handle.design, handle.design_info)
+        result.rows.append(handle.result())
 
     normalize_to_handfp(result.rows)
     result.total_seconds = perf_seconds() - start
-    if tracing:
+    if tracer is not None:
         tracer.metrics.gauge("suite.total_seconds",
                              result.total_seconds)
         tracer.metrics.label("suite.scale", scale)
         result.trace = [tracer.payload()] + [
-            payloads[key] for key in tasks if key in payloads]
+            h.trace_payload for h in handles
+            if h.trace_payload is not None]
         if opts.trace_path is not None:
             write_chrome_trace(opts.trace_path, result.trace)
     return result

@@ -23,9 +23,9 @@ into batched array kernels:
 
 Selecting a backend::
 
-    hidap suite --referee python            # CLI
-    run_suite(referee_backend="python")    # API
-    HiDaPConfig(referee_backend="python")  # flow config / flow spec
+    hidap suite --referee python                              # CLI
+    run_suite(options=RunOptions(referee_backend="python"))  # API
+    HiDaPConfig(referee_backend="python")    # flow config / flow spec
     hidap place c1 --flow hidap:referee_backend=python
 
 ``evaluate_placement(..., backend="...")`` and

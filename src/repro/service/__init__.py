@@ -1,7 +1,6 @@
 """Placement-as-a-service: compiled-design store, warm pool, job API.
 
-The suite runner's scaling problem (ROADMAP: ``run_suite(workers=4)``
-at 0.956x of serial) is recompilation: every worker process rebuilds
+Without a store, every worker process of a pooled suite rebuilds
 ``flat``/``gnet``/``gseq`` and recompiles
 :class:`~repro.metrics.netarrays.NetArrays` /
 :class:`~repro.metrics.stdcell_kernel.StdcellArrays` /
@@ -18,8 +17,9 @@ package is the amortization layer:
   segment per design; workers attach read-only views instead of
   recompiling.
 * :class:`PlacementService` — a submit/poll/stream job front end
-  (``submit(design, flow) -> JobHandle``) over a warm worker pool;
-  ``run_flow``/``run_suite`` are thin clients of the same engine.
+  (``submit(design, flow) -> JobHandle``) over a warm worker pool or
+  inline in the caller's process; ``run_suite`` is its client in
+  every mode.
 
 Determinism contract: rows are bit-identical cold vs warm store,
 serial vs pooled, and via ``PlacementService.submit`` (asserted on

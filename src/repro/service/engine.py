@@ -1,11 +1,12 @@
-"""The shared placement-execution engine behind suite and service.
+"""The placement-execution engine behind the service.
 
-One (design, flow) cell executes identically whether it was submitted
-by ``run_suite`` (serial or pooled) or by
-:class:`~repro.service.jobs.PlacementService`: resolve a prepared
-design (worker-local cache → shared-memory handoff → rebuild), run the
-flow through the registry, collapse the paper's hidap labels.  Both
-front ends are thin clients of :func:`run_cell`.
+One (design, flow) cell executes identically in every
+:class:`~repro.service.jobs.PlacementService` mode: :func:`execute_cell`
+runs the flow through the registry and collapses the paper's hidap
+labels.  Inline jobs call it directly on the service's own prepared
+design; pooled jobs go through :func:`run_cell`, which first resolves
+a worker-local prepared design (worker cache → shared-memory handoff
+→ rebuild).
 
 Worker bootstrap lives here too: :func:`init_worker` replays
 third-party flow/backend registrations into spawn-mode workers, and

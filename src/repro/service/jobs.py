@@ -4,8 +4,9 @@
 a :class:`~repro.service.store.CompiledDesignStore` (compile each
 design once, ever), shared-memory handoffs (ship compiled arrays to
 workers zero-copy), and a worker pool (place many jobs concurrently).
-``run_suite(workers=N)`` is a thin client of this class; interactive
-clients use it directly::
+``run_suite`` is a client of this class in every mode (inline for
+``workers`` <= 1, pooled otherwise); interactive clients use it
+directly::
 
     from repro.api import PlacementService, RunOptions
 
@@ -17,7 +18,7 @@ clients use it directly::
         for event in handle.stream_events():
             print(event.name)            # job.queued, job.running, job.done
         row = handle.result()            # FlowMetrics, bit-identical to
-                                         # a serial run_flow
+                                         # an inline run_suite row
 
 Determinism contract: rows obtained through ``submit`` are
 bit-identical to serial ``run_suite`` rows for the same
@@ -216,7 +217,13 @@ class JobHandle:
 
 def iter_completed(handles: Iterable[JobHandle]
                    ) -> Iterator[JobHandle]:
-    """Yield handles as their jobs finish (inline handles first)."""
+    """Yield handles as their jobs finish.
+
+    ``handles`` is consumed lazily: an inline handle is yielded as soon
+    as it arrives, so over a generator of submits each inline job is
+    seen before the next one starts.  Pooled handles are all collected
+    (queued) first, then yielded in completion order.
+    """
     pending: Dict[object, JobHandle] = {}
     for handle in handles:
         if handle._future is None:
@@ -244,8 +251,8 @@ class PlacementService:
         compiled entries are also exported to shared memory so workers
         attach instead of recompiling.
     store:
-        ``None`` (no persistence — workers rebuild, the legacy suite
-        behaviour), a directory path, or a
+        ``None`` (no persistence — every process builds its designs
+        itself), a directory path, or a
         :class:`~repro.service.store.CompiledDesignStore`.
     workers:
         ``None``/``0``/``1`` → inline mode (submit executes
@@ -254,8 +261,9 @@ class PlacementService:
     options:
         Default :class:`~repro.api.run.RunOptions` for every job;
         ``submit`` can override per job.  ``options.trace`` truthiness
-        controls worker span recording (the payloads land on each
-        handle's ``trace_payload``).
+        controls pooled workers' span recording (the payloads land on
+        each handle's ``trace_payload``); inline jobs always record
+        into the caller's current tracer.
     """
 
     def __init__(self, scale: str = "bench",
@@ -286,19 +294,24 @@ class PlacementService:
         self._next_job = 0
         self._closed = False
 
-        if self.store is not None:
-            for name, spec in self._specs.items():
-                self._entries[name] = self.store.ensure_spec(spec)
-        if workers is not None and workers > 1:
-            for name, entry in self._entries.items():
-                self._owners[name] = export_entry(entry)
-            backend_entries, default_backend = (
-                engine.portable_backend_entries())
-            self._pool = ProcessPoolExecutor(
-                max_workers=workers,
-                initializer=engine.init_worker,
-                initargs=(engine.portable_flow_entries(),
-                          backend_entries, default_backend))
+        try:
+            if self.store is not None:
+                for name, spec in self._specs.items():
+                    self._entries[name] = self.store.ensure_spec(spec)
+            if workers is not None and workers > 1:
+                for name, entry in self._entries.items():
+                    self._owners[name] = export_entry(entry)
+                backend_entries, default_backend = (
+                    engine.portable_backend_entries())
+                self._pool = ProcessPoolExecutor(
+                    max_workers=workers,
+                    initializer=engine.init_worker,
+                    initargs=(engine.portable_flow_entries(),
+                              backend_entries, default_backend))
+        except BaseException:
+            # Unlink the segments already exported.
+            self.close()
+            raise
 
     @property
     def designs(self) -> Tuple[str, ...]:
@@ -367,29 +380,22 @@ class PlacementService:
         return handle
 
     def _run_inline(self, handle: JobHandle, opts: RunOptions) -> None:
-        """Execute a job synchronously in this process (workers <= 1)."""
+        """Execute a job synchronously in this process (workers <= 1).
+
+        The cell records into the caller's current tracer under the
+        ``suite.task`` span that pooled workers use.
+        """
         handle._note_running()
         try:
-            prepared = self._prepared_inline(handle.design)
-            if opts.trace:
-                import os
-
-                from repro.obs import Tracer, use_tracer
-
-                tracer = Tracer(f"job-{os.getpid()}")
-                with use_tracer(tracer):
-                    with tracer.span("job.running", job=handle.job_id,
-                                     design=handle.design,
-                                     flow=handle.flow):
-                        metrics = engine.execute_cell(
-                            prepared, handle.flow, opts)
-                handle.trace_payload = tracer.payload()
-            else:
+            with current_tracer().span("suite.task",
+                                       design=handle.design,
+                                       flow=handle.flow):
+                prepared = self._prepared_inline(handle.design)
                 metrics = engine.execute_cell(prepared, handle.flow,
                                               opts)
             handle.design_info = prepared.info()
             handle._finish(metrics, None)
-        except BaseException as exc:  # noqa: BLE001 - job error surface
+        except Exception as exc:  # noqa: BLE001 - job error surface
             handle._finish(None, exc)
 
     def _prepared_inline(self, design: str):

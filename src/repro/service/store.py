@@ -18,16 +18,14 @@ rebuild per process and placement-independent for a design:
 
 Keying and versioning
 ---------------------
-Entries are keyed by content hash: for a generated suite design, the
-SHA-256 of its canonical :class:`~repro.gen.spec.DesignSpec` JSON (the
-spec fully determines the generated netlist); for an arbitrary design,
-the SHA-256 of its canonical :func:`~repro.netlist.jsonio.design_to_json`
-form — the :func:`repro.metrics.netarrays._fingerprint` seam then
-re-validates the cheap (cells, nets, rows) shape at install time.
-Every key is salted with :func:`store_version`, a digest of the
-compiler/generator sources, so changing any compile-relevant module
-silently invalidates old entries (they become unreachable keys, never
-wrong answers).
+Entries are keyed by content hash: the SHA-256 of a suite design's
+canonical :class:`~repro.gen.spec.DesignSpec` JSON (the spec fully
+determines the generated netlist) — the
+:func:`repro.metrics.netarrays._fingerprint` seam then re-validates
+the cheap (cells, nets, rows) shape at install time.  Every key is
+salted with :func:`store_version`, a digest of the compiler/generator
+sources, so changing any compile-relevant module silently invalidates
+old entries (they become unreachable keys, never wrong answers).
 
 Writes are atomic (temp directory + ``os.replace``), so concurrent
 writers of the same key are safe: last-write-wins with both writes
@@ -283,20 +281,9 @@ class CompiledDesignStore:
         """Content key for a generated suite design (spec-determined)."""
         canon = json.dumps(asdict(spec), sort_keys=True,
                            separators=(",", ":"))
-        return self._digest("spec", canon, min_bits)
-
-    def key_for_design(self, design,
-                       min_bits: int = DEFAULT_MIN_BITS) -> str:
-        """Content key for an arbitrary in-memory design."""
-        from repro.netlist.jsonio import design_to_json
-        canon = json.dumps(design_to_json(design), sort_keys=True,
-                           separators=(",", ":"))
-        return self._digest("design", canon, min_bits)
-
-    def _digest(self, kind: str, canon: str, min_bits: int) -> str:
         digest = hashlib.sha256()
         digest.update(store_version().encode())
-        digest.update(f"|{kind}|min_bits={min_bits}|".encode())
+        digest.update(f"|spec|min_bits={min_bits}|".encode())
         digest.update(canon.encode())
         return digest.hexdigest()
 
@@ -409,30 +396,5 @@ class CompiledDesignStore:
         with tracer.span("store.compile", key=key[:12],
                          design=spec.name):
             prepared = prepare_design(spec)
-            compile_prepared(prepared)
-        return self.save(key, prepared)
-
-    def ensure_prepared(self, prepared: PreparedDesign) -> StoreEntry:
-        """Store an arbitrary prepared design by content hash.
-
-        Uses the design-JSON content key (slower to compute than a spec
-        key but valid for designs that did not come from a generator
-        spec).
-        """
-        min_bits = (prepared.min_bits if prepared.min_bits is not None
-                    else DEFAULT_MIN_BITS)
-        key = self.key_for_design(prepared.design, min_bits)
-        entry = self.load(key)
-        tracer = current_tracer()
-        if entry is not None:
-            with tracer.span("store.hit", key=key[:12],
-                             design=prepared.name):
-                pass
-            return entry
-        with tracer.span("store.miss", key=key[:12],
-                         design=prepared.name):
-            pass
-        with tracer.span("store.compile", key=key[:12],
-                         design=prepared.name):
             compile_prepared(prepared)
         return self.save(key, prepared)

@@ -1,12 +1,10 @@
-"""RunOptions, the legacy-keyword shims, and the repro.eval shims."""
+"""RunOptions: the one knob record of run_flow and run_suite."""
 
 import json
-import warnings
 
 import pytest
 
 from repro.api import RunOptions, run_flow, run_suite
-from repro.api.run import resolve_options
 from repro.core.config import Effort
 from repro.gen.designs import build_design, die_for, suite_specs
 from repro.netlist.flatten import flatten
@@ -49,52 +47,12 @@ class TestRunOptions:
             RunOptions().seed = 2
 
 
-class TestResolveOptions:
-    def test_no_legacy_kwargs_no_warning(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            opts = resolve_options(RunOptions(seed=5))
-        assert opts.seed == 5
-
-    def test_legacy_kwargs_warn_and_override(self):
-        base = RunOptions(seed=5, effort=Effort.HIGH)
-        with pytest.warns(DeprecationWarning, match="seed"):
-            opts = resolve_options(base, seed=9)
-        assert opts.seed == 9
-        assert opts.effort is Effort.HIGH    # untouched fields survive
-
-    def test_warning_names_every_keyword(self):
-        with pytest.warns(DeprecationWarning,
-                          match="effort, referee_backend, seed"):
-            resolve_options(None, seed=1, effort=Effort.FAST,
-                            referee_backend="python")
-
-
 class TestEntryPointShims:
     def test_run_flow_accepts_options(self):
         flat, truth, die_w, die_h = _flat_and_die()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            metrics = run_flow(flat, truth, "indeda", die_w, die_h,
-                               options=RunOptions(seed=1,
-                                                  effort=Effort.FAST))
+        metrics = run_flow(flat, truth, "indeda", die_w, die_h,
+                           options=RunOptions(seed=1, effort=Effort.FAST))
         assert metrics.design == "c1"
-
-    def test_run_flow_legacy_kwargs_warn_but_match(self):
-        flat, truth, die_w, die_h = _flat_and_die()
-        opts_row = run_flow(flat, truth, "indeda", die_w, die_h,
-                            options=RunOptions(seed=1,
-                                               effort=Effort.FAST))
-        with pytest.warns(DeprecationWarning):
-            legacy_row = run_flow(flat, truth, "indeda", die_w, die_h,
-                                  seed=1, effort=Effort.FAST)
-        assert (legacy_row.wl_meters, legacy_row.tns) \
-            == (opts_row.wl_meters, opts_row.tns)
-
-    def test_run_suite_legacy_kwargs_warn(self):
-        with pytest.warns(DeprecationWarning, match="effort"):
-            run_suite(scale="tiny", designs=["c1"], flows=("indeda",),
-                      effort=Effort.FAST)
 
     def test_trace_path_writes_chrome_trace(self, tmp_path):
         flat, truth, die_w, die_h = _flat_and_die()
@@ -117,50 +75,14 @@ class TestEntryPointShims:
 
 
 class TestEvalShims:
-    def test_eval_flow_names_warn_and_match(self):
-        import repro.api.run as run_mod
-        import repro.eval.flow as shim
-
-        for name in ("FlowMetrics", "HIDAP_LAMBDAS",
-                     "evaluate_placement", "run_flow"):
-            with pytest.warns(DeprecationWarning, match=name):
-                value = getattr(shim, name)
-            assert value is getattr(run_mod, name)
-
-    def test_eval_suite_names_warn_and_match(self):
-        import repro.api.suite as suite_mod
-        import repro.eval.suite as shim
-
-        for name in ("DEFAULT_FLOWS", "SuiteResult", "run_suite"):
-            with pytest.warns(DeprecationWarning, match=name):
-                value = getattr(shim, name)
-            assert value is getattr(suite_mod, name)
-
-    def test_eval_suite_prepare_design_keeps_tuple_shape(self):
-        import repro.eval.suite as shim
-
-        with pytest.warns(DeprecationWarning, match="prepare_design"):
-            legacy = shim.prepare_design
-        spec = next(s for s in suite_specs("tiny")
-                    if s.name == "c1")
-        flat, truth, die_w, die_h = legacy(spec)
-        assert flat.design.name == "c1"
-        assert die_w > 0 and die_h > 0
-
-    def test_unknown_shim_attribute_raises(self):
-        import repro.eval.flow as shim
-
-        with pytest.raises(AttributeError):
-            shim.does_not_exist
-
     def test_repro_eval_package_is_warning_free(self):
-        # The package re-exports through repro.api, not the shims.
+        # repro.eval keeps only the table helpers.
         import subprocess
         import sys
 
         proc = subprocess.run(
             [sys.executable, "-W", "error::DeprecationWarning", "-c",
-             "import repro.eval; repro.eval.run_flow; "
-             "repro.eval.run_suite"],
+             "import repro.eval; repro.eval.format_table3; "
+             "repro.eval.normalize_to_handfp"],
             capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr

@@ -80,19 +80,15 @@ class TestPipelineRun:
         assert placer.artifacts.total_seconds >= 0.0
 
     def test_legacy_attributes_view_artifacts(self, run):
+        # The last run's products live on the artifacts record only.
         placer, _placement, _recorder = run
-        assert placer.flat is placer.artifacts.flat
-        assert placer.tree is placer.artifacts.tree
-        assert placer.gnet is placer.artifacts.gnet
-        assert placer.gseq is placer.artifacts.gseq
-        assert placer.curves is placer.artifacts.curves
-        assert placer.port_positions is placer.artifacts.port_positions
+        for name in ("flat", "tree", "gnet", "gseq", "curves",
+                     "port_positions"):
+            assert getattr(placer.artifacts, name) is not None, name
+            assert not hasattr(placer, name), name
 
     def test_legacy_attributes_none_before_any_run(self):
-        placer = HiDaP()
-        assert placer.artifacts is None
-        assert placer.flat is None
-        assert placer.gseq is None
+        assert HiDaP().artifacts is None
 
     def test_placement_is_legal(self, run):
         _placer, placement, _recorder = run
@@ -120,14 +116,14 @@ class TestPreparedCaching:
         placer = HiDaP(HiDaPConfig(seed=2, effort=Effort.FAST))
         placer.place(prepared.flat, 40.0, 40.0, gnet=gnet, gseq=gseq,
                      tree=tree)
-        assert placer.gnet is gnet
-        assert placer.gseq is gseq
-        assert placer.tree is tree
+        assert placer.artifacts.gnet is gnet
+        assert placer.artifacts.gseq is gseq
+        assert placer.artifacts.tree is tree
 
     def test_pipeline_skips_preset_flat(self, two_stage_flat):
         placer = HiDaP(HiDaPConfig(seed=2, effort=Effort.FAST))
         placer.place(two_stage_flat, 40.0, 40.0)
-        assert placer.flat is two_stage_flat
+        assert placer.artifacts.flat is two_stage_flat
 
 
 class TestLegalizeStage:

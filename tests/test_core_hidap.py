@@ -18,7 +18,7 @@ def placed_tiny_c1(tiny_c1):
 class TestEndToEnd:
     def test_all_macros_placed(self, placed_tiny_c1):
         placer, placement = placed_tiny_c1
-        assert len(placement.macros) == len(placer.flat.macros()) == 32
+        assert len(placement.macros) == len(placer.artifacts.flat.macros()) == 32
 
     def test_macros_inside_die(self, placed_tiny_c1):
         _placer, placement = placed_tiny_c1
@@ -66,22 +66,23 @@ class TestEndToEnd:
         placer, placement = placed_tiny_c1
         assert "" in placement.block_rects
         # Subsystem rects exist for all three c1 subsystems.
-        subsystems = [c.path for c in placer.tree.root.children]
+        subsystems = [c.path for c in placer.artifacts.tree.root.children]
         for path in subsystems:
             assert path in placement.block_rects
 
     def test_artifacts_exposed(self, placed_tiny_c1):
-        placer, _placement = placed_tiny_c1
-        assert placer.gseq is not None
-        assert placer.curves is not None
-        assert placer.port_positions
-        assert not placer.curves[""].is_trivial     # root holds macros
+        artifacts = placed_tiny_c1[0].artifacts
+        assert artifacts.gseq is not None
+        assert artifacts.curves is not None
+        assert artifacts.port_positions
+        assert not artifacts.curves[""].is_trivial  # root holds macros
 
     def test_region_of_cell_fallback(self, placed_tiny_c1):
         placer, placement = placed_tiny_c1
         # Any cell resolves to some recorded region inside the die.
-        for cell in placer.flat.cells[:50]:
-            region = placement.region_of_cell(placer.flat, cell.index)
+        flat = placer.artifacts.flat
+        for cell in flat.cells[:50]:
+            region = placement.region_of_cell(flat, cell.index)
             assert placement.die.contains_rect(region, tol=1e-6)
 
 

@@ -3,7 +3,12 @@
 
 from repro.baselines.indeda import place_indeda
 from repro.core.config import Effort
-from repro.api import HIDAP_LAMBDAS, evaluate_placement, run_flow
+from repro.api import (
+    HIDAP_LAMBDAS,
+    RunOptions,
+    evaluate_placement,
+    run_flow,
+)
 
 
 class TestRefereeDeterminism:
@@ -20,10 +25,11 @@ class TestRefereeDeterminism:
 
     def test_run_flow_seeded_reproducible(self, tiny_c1_flat, tiny_c1):
         _design, truth, die_w, die_h = tiny_c1
+        opts = RunOptions(seed=7, effort=Effort.FAST)
         a = run_flow(tiny_c1_flat, truth, "hidap-l0.5", die_w, die_h,
-                     seed=7, effort=Effort.FAST)
+                     options=opts)
         b = run_flow(tiny_c1_flat, truth, "hidap-l0.5", die_w, die_h,
-                     seed=7, effort=Effort.FAST)
+                     options=opts)
         assert a.wl_meters == b.wl_meters
 
 
@@ -32,9 +38,10 @@ class TestBestOfThree:
                                                 tiny_c1):
         """The paper's protocol: best WL over λ ∈ {0.2, 0.5, 0.8}."""
         _design, truth, die_w, die_h = tiny_c1
+        opts = RunOptions(seed=1, effort=Effort.FAST)
         best3 = run_flow(tiny_c1_flat, truth, "hidap-best3", die_w,
-                         die_h, seed=1, effort=Effort.FAST)
+                         die_h, options=opts)
         single = run_flow(tiny_c1_flat, truth, "hidap-l0.5", die_w,
-                          die_h, seed=1, effort=Effort.FAST)
+                          die_h, options=opts)
         assert best3.lam in HIDAP_LAMBDAS
         assert best3.wl_meters <= single.wl_meters + 1e-12

@@ -9,6 +9,7 @@ from repro.core.config import Effort
 from repro.api import (
     evaluate_placement,
     format_table2,
+    RunOptions,
     format_table3,
     run_suite,
 )
@@ -53,7 +54,7 @@ class TestSuiteRunner:
     def test_subset_suite(self):
         result = run_suite(scale="tiny", designs=["c1"],
                            flows=("indeda", "handfp-strip"),
-                           effort=Effort.FAST)
+                           options=RunOptions(effort=Effort.FAST))
         assert len(result.rows) == 2
         assert {r.flow for r in result.rows} == {"indeda", "handfp"}
         handfp_rows = [r for r in result.rows if r.flow == "handfp"]
@@ -63,7 +64,7 @@ class TestSuiteRunner:
     def test_tables_render_from_suite(self):
         result = run_suite(scale="tiny", designs=["c1"],
                            flows=("indeda", "handfp-strip"),
-                           effort=Effort.FAST)
+                           options=RunOptions(effort=Effort.FAST))
         t2 = format_table2(result.rows)
         t3 = format_table3(result.rows, result.design_info)
         assert "indeda" in t2

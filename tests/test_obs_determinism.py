@@ -8,7 +8,7 @@ every comparison here.
 
 import pytest
 
-from repro.api import prepare_suite_design, run_suite
+from repro.api import RunOptions, prepare_suite_design, run_suite
 from repro.core.config import Effort
 from repro.api import run_flow
 from repro.gen.designs import build_design, die_for, suite_specs
@@ -17,6 +17,8 @@ from repro.obs import Tracer, iter_spans, use_tracer
 
 DESIGNS = ("c1", "c2", "c3")
 FLOWS = ("indeda", "handfp-strip")
+OPTS = RunOptions(seed=1, effort=Effort.FAST)
+TRACE_OPTS = RunOptions(seed=1, effort=Effort.FAST, trace=True)
 
 
 def _placement_key(placement):
@@ -68,9 +70,9 @@ class TestPlacementBitIdentity:
     def test_traced_run_flow_rows_match(self, name):
         flat, truth, die_w, die_h = _flat_and_die(name)
         plain = run_flow(flat, truth, "indeda", die_w, die_h,
-                         seed=1, effort=Effort.FAST)
+                         options=OPTS)
         traced = run_flow(flat, truth, "indeda", die_w, die_h,
-                          seed=1, effort=Effort.FAST, trace=True)
+                          options=TRACE_OPTS)
         assert _key_row(traced) == _key_row(plain)
         payloads = traced.trace
         assert payloads and payloads[0]["spans"]
@@ -83,19 +85,18 @@ class TestSuiteTraceParity:
     @pytest.fixture(scope="class")
     def serial(self):
         return run_suite(scale="tiny", designs=["c1", "c2"],
-                         flows=list(FLOWS), effort=Effort.FAST,
-                         trace=True)
+                         flows=list(FLOWS), options=TRACE_OPTS)
 
     @pytest.fixture(scope="class")
     def parallel(self):
         return run_suite(scale="tiny", designs=["c1", "c2"],
-                         flows=list(FLOWS), effort=Effort.FAST,
-                         workers=2, trace=True)
+                         flows=list(FLOWS), options=TRACE_OPTS,
+                         workers=2)
 
     @pytest.fixture(scope="class")
     def untraced(self):
         return run_suite(scale="tiny", designs=["c1", "c2"],
-                         flows=list(FLOWS), effort=Effort.FAST)
+                         flows=list(FLOWS), options=OPTS)
 
     def test_traced_rows_match_untraced(self, serial, untraced):
         assert _key_rows(serial) == _key_rows(untraced)

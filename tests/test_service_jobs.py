@@ -195,6 +195,29 @@ class TestShmHandoff:
         owner.unlink()
 
 
+class TestServiceConstruction:
+    def test_failed_export_unlinks_earlier_segments(self, store_dir,
+                                                     monkeypatch):
+        from repro.service import jobs
+        from repro.service.shm import _attach
+
+        exported = []
+
+        def export_once(entry):
+            if exported:
+                raise RuntimeError("export failed")
+            exported.append(export_entry(entry))
+            return exported[-1]
+
+        monkeypatch.setattr(jobs, "export_entry", export_once)
+        with pytest.raises(RuntimeError, match="export failed"):
+            PlacementService(scale="tiny", designs=("c1", "c2"),
+                             store=store_dir, workers=2)
+        assert len(exported) == 1
+        with pytest.raises(FileNotFoundError):
+            _attach(exported[0].handoff.segment)
+
+
 class TestJobLifecycle:
     def test_event_order_inline(self, store_dir):
         with PlacementService(scale="tiny", designs=("c1",),

@@ -46,7 +46,7 @@ from tools.analyze.rules import (Finding, SuppressionTable, all_rules,
 REPO = Path(__file__).resolve().parent.parent.parent
 DEFAULT_BASELINE = Path(__file__).resolve().parent / "baseline.json"
 #: CLI analysis roots: the gate self-hosts over its own sources.
-DEFAULT_TARGETS = ("src", "benchmarks", "tools")
+DEFAULT_TARGETS = ("src", "benchmarks", "tools", "perfbench")
 
 
 def _ensure_importable() -> None:

@@ -29,7 +29,7 @@ from typing import Dict, List, Tuple
 
 REPO = Path(__file__).resolve().parent.parent.parent
 #: Directories ``make lint`` checks (mirrors the ruff invocation).
-TARGETS = ("src", "tests", "benchmarks", "examples", "tools")
+TARGETS = ("src", "tests", "benchmarks", "examples", "tools", "perfbench")
 
 _DEFAULTS = {
     "line_length": 88,
