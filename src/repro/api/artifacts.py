@@ -52,32 +52,22 @@ class RunArtifacts:
     placement: Optional[MacroPlacement] = None
 
     # Bookkeeping.
-    stage_seconds: Dict[str, float] = field(default_factory=dict)
     flipped_macros: int = 0
     legalizer_moves: int = 0
     #: Evaluation-work counters of the two annealing stages
     #: (shape-curves and floorplan), accumulated as plain ints:
     #: ``cost_evals``, ``cost_cache_hits``, ``layout_nodes_total``,
     #: ``layout_nodes_expanded``, ``subtree_hits``/``subtree_misses``,
-    #: ``curve_compose_hits``/``curve_compose_misses``.  Observers read
-    #: them in ``on_stage_end`` to report incremental-evaluation reuse
-    #: (see :class:`repro.slicing.tree.EvalStats`).  After the shared
-    #: referee scores the run's placement, flows additionally merge in
-    #: ``referee_backend`` (a string) and the per-metric
-    #: ``referee_{stdcell,locate,hpwl,congestion,timing}_us``
-    #: wall-clock counters (integer microseconds; ``locate`` only on
-    #: array backends).
-    eval_counters: Dict[str, object] = field(default_factory=dict)
-
-    @property
-    def total_seconds(self) -> float:
-        """Wall-clock total over all recorded stages."""
-        return sum(self.stage_seconds.values())
+    #: ``curve_compose_hits``/``curve_compose_misses`` (see
+    #: :class:`repro.slicing.tree.EvalStats`).  Observers read them in
+    #: ``on_stage_end`` to report incremental-evaluation reuse; a traced
+    #: run records the same sums as tracer counters.  Stage timings
+    #: live in the stage spans, referee facts in the ``referee`` span.
+    eval_counters: Dict[str, int] = field(default_factory=dict)
 
     def require_placement(self) -> MacroPlacement:
         """The final placement, or a clear error if the run is partial."""
         if self.placement is None:
             raise RuntimeError(
-                "pipeline has not produced a placement yet "
-                f"(stages run: {sorted(self.stage_seconds) or 'none'})")
+                "pipeline has not produced a placement yet")
         return self.placement

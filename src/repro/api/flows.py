@@ -23,6 +23,7 @@ from repro.core.config import Effort, HiDaPConfig
 from repro.core.hidap import HiDaP
 from repro.core.result import MacroPlacement
 from repro.api.run import HIDAP_LAMBDAS, FlowMetrics, evaluate_placement
+from repro.obs import current_tracer
 from repro.timing.sta import default_clock_period
 
 
@@ -49,11 +50,9 @@ class BaseFlow:
     (``None`` → the :mod:`repro.metrics` registry default); it reaches
     every stage of :func:`~repro.api.run.evaluate_placement` — the
     quadratic stdcell system, HPWL, congestion and the timing analysis
-    — and, for HiDaP flows, the layout cost model.  The referee records
-    its backend and per-metric timings (``referee_{stdcell,locate,hpwl,
-    congestion,timing}_us``) on the returned row's ``eval_counters``
-    and, when the flow kept run artifacts, merges them into
-    ``RunArtifacts.eval_counters`` for observers.
+    — and, for HiDaP flows, the layout cost model.  The returned row
+    names the backend in ``referee_backend``; under a tracer the
+    referee's step timings are its ``referee.*`` spans.
     """
 
     name = "base"
@@ -76,13 +75,10 @@ class BaseFlow:
     def _referee(self, prepared: PreparedDesign,
                  placement: MacroPlacement,
                  clock_period: float) -> FlowMetrics:
-        """Run the shared referee and surface its counters."""
-        metrics = evaluate_placement(prepared.flat, placement,
-                                     prepared.gseq, clock_period,
-                                     backend=self.referee_backend)
-        if self.artifacts is not None:
-            self.artifacts.eval_counters.update(metrics.eval_counters)
-        return metrics
+        """Score ``placement`` with the shared referee."""
+        return evaluate_placement(prepared.flat, placement,
+                                  prepared.gseq, clock_period,
+                                  backend=self.referee_backend)
 
     def evaluate(self, prepared: PreparedDesign,
                  clock_period: Optional[float] = None) -> FlowMetrics:
@@ -123,8 +119,7 @@ class HiDaPFlow(BaseFlow):
                                  flow_name=self.flow_label,
                                  gnet=prepared.gnet, gseq=gseq,
                                  tree=prepared.tree, curves=curves)
-        # Keep the run record so referee counters can join the
-        # pipeline's own eval counters (observer surface).
+        # Keep the run record for observers and callers.
         self.artifacts = placer.artifacts
         return placement
 
@@ -203,11 +198,15 @@ class IndEDAFlow(BaseFlow):
 
     def place(self, prepared: PreparedDesign) -> MacroPlacement:
         from repro.baselines.indeda import place_indeda
-        return place_indeda(prepared.flat, prepared.die_w,
-                            prepared.die_h,
-                            refinement_passes=self.refinement_passes,
-                            gnet=prepared.gnet,
-                            gseq=_baseline_gseq(prepared))
+        # Build the cached graphs first: their prepare.* spans are not
+        # placement time.
+        flat, gnet, gseq = (prepared.flat, prepared.gnet,
+                            _baseline_gseq(prepared))
+        with current_tracer().span("place", design=prepared.name,
+                                   flow=self.name):
+            return place_indeda(flat, prepared.die_w, prepared.die_h,
+                                refinement_passes=self.refinement_passes,
+                                gnet=gnet, gseq=gseq)
 
 
 class HandFPStripFlow(BaseFlow):
@@ -226,12 +225,14 @@ class HandFPStripFlow(BaseFlow):
         if prepared.truth is None:
             raise FlowError(
                 "handfp requires ground truth (a generated design)")
-        return place_handfp(prepared.flat, prepared.truth,
-                            prepared.die_w, prepared.die_h,
-                            refinement_passes=self.refinement_passes,
-                            gnet=prepared.gnet,
-                            gseq=_baseline_gseq(prepared),
-                            tree=prepared.tree)
+        flat, gnet, gseq, tree = (prepared.flat, prepared.gnet,
+                                  _baseline_gseq(prepared), prepared.tree)
+        with current_tracer().span("place", design=prepared.name,
+                                   flow=self.name):
+            return place_handfp(flat, prepared.truth, prepared.die_w,
+                                prepared.die_h,
+                                refinement_passes=self.refinement_passes,
+                                gnet=gnet, gseq=gseq, tree=tree)
 
 
 class HandFPFlow(HandFPStripFlow):

@@ -112,9 +112,6 @@ class Pipeline:
                 start = perf_seconds()
                 stage.run(artifacts)
                 seconds = perf_seconds() - start
-            artifacts.stage_seconds[stage.name] = seconds
-            tracer.metrics.observe(f"stage.{stage.name}.seconds",
-                                   seconds)
             self._notify("on_stage_end", stage, artifacts, seconds)
         return artifacts
 
@@ -142,13 +139,12 @@ def _stage_graphs(artifacts: RunArtifacts) -> None:
 
 
 def _merge_eval_counters(artifacts: RunArtifacts, stats) -> None:
-    counters = stats.as_dict()
-    for name, value in counters.items():
+    """Add a stage's :class:`EvalStats` to the run and to the trace."""
+    metrics = current_tracer().metrics
+    for name, value in stats.as_dict().items():
         artifacts.eval_counters[name] = (
             artifacts.eval_counters.get(name, 0) + value)
-    # Mirror the legacy counters into the active trace's registry so
-    # trace artifacts carry them without a second bookkeeping path.
-    current_tracer().metrics.absorb(counters)
+        metrics.counter(name, value)
 
 
 def _stage_shape_curves(artifacts: RunArtifacts) -> None:

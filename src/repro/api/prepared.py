@@ -166,8 +166,10 @@ class PreparedDesign:
 
 def prepare_design(spec: DesignSpec) -> PreparedDesign:
     """Build one suite design, size its die, wrap it for caching."""
-    with current_tracer().span("prepare.design", design=spec.name):
-        design, truth = build_design(spec)
+    tracer = current_tracer()
+    with tracer.span("prepare.design", design=spec.name):
+        with tracer.span("prepare.generate"):
+            design, truth = build_design(spec)
         die_w, die_h = die_for(design, utilization=spec.utilization)
     return PreparedDesign(design=design, die_w=die_w, die_h=die_h,
                           truth=truth, spec=spec)

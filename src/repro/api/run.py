@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, MutableMapping, Optional, Union
+from typing import Any, Dict, List, Optional, Union
 
 from repro.core.config import Effort
 from repro.core.ports import assign_port_positions
@@ -34,7 +34,7 @@ from repro.gen.spec import GroundTruth
 from repro.hiergraph.gnet import build_gnet
 from repro.hiergraph.gseq import build_gseq
 from repro.netlist.flatten import FlatDesign
-from repro.obs import current_tracer, perf_seconds
+from repro.obs import current_tracer
 from repro.placement.stdcell import PlacerConfig, place_cells
 from repro.timing.sta import analyze_timing
 
@@ -92,10 +92,13 @@ class FlowMetrics:
     wl_norm: float = 0.0          # vs handFP; filled by the suite runner
     macro_overlap: float = 0.0
     lam: Optional[float] = None   # λ actually used (HiDaP flows)
-    #: Referee observability: ``referee_backend`` plus per-metric
-    #: ``referee_*_us`` wall-clock counters (see
-    #: :func:`evaluate_placement`); empty on rows built by hand.
-    eval_counters: Dict[str, Any] = field(default_factory=dict)
+    #: Name of the referee backend that scored the row (see
+    #: :func:`evaluate_placement`); ``None`` on rows built by hand.
+    referee_backend: Optional[str] = field(default=None, compare=False)
+    #: Tracer payloads of a traced :func:`run_flow`; ``None`` otherwise.
+    trace: Optional[List[Dict[str, Any]]] = field(default=None,
+                                                  compare=False,
+                                                  repr=False)
 
     def row(self) -> str:
         return (f"{self.design:4s} {self.flow:8s} "
@@ -107,9 +110,7 @@ class FlowMetrics:
 def evaluate_placement(flat: FlatDesign, placement: MacroPlacement,
                        gseq=None, clock_period: Optional[float] = None,
                        placer_config: Optional[PlacerConfig] = None,
-                       backend: Optional[str] = None,
-                       counters: Optional[MutableMapping[str, Any]] = None
-                       ) -> FlowMetrics:
+                       backend: Optional[str] = None) -> FlowMetrics:
     """The shared referee: cell placement + WL + congestion + timing.
 
     ``backend`` selects the referee backend by name (``None`` → the
@@ -121,18 +122,16 @@ def evaluate_placement(flat: FlatDesign, placement: MacroPlacement,
     netlist's :class:`~repro.metrics.stdcell_kernel.StdcellArrays`, the
     sequential graph's
     :class:`~repro.metrics.timing_kernel.TimingArrays`), so repeated
-    evaluations share one compile.  When ``counters`` is given, the
-    backend name and per-metric wall-clock (``referee_stdcell_us``,
-    ``referee_hpwl_us``, ``referee_congestion_us``,
-    ``referee_timing_us``, integer microseconds) are recorded into it;
-    the same record lands on the returned row's ``eval_counters``.
+    evaluations share one compile.  The row's ``referee_backend``
+    names the backend used.
+
+    Under an active tracer the call records one ``referee`` span (with
+    ``design``, ``flow`` and ``backend`` attributes) holding one span
+    per step: ``referee.stdcell``, ``referee.locate`` (array backends
+    only), ``referee.hpwl``, ``referee.congestion`` and
+    ``referee.timing``.
     """
-    from repro.metrics import (
-        get_backend,
-        locate_endpoints,
-        net_arrays_for,
-        traced_backend,
-    )
+    from repro.metrics import get_backend, locate_endpoints, net_arrays_for
 
     die = placement.die
     port_positions = assign_port_positions(flat.design, die)
@@ -140,49 +139,33 @@ def evaluate_placement(flat: FlatDesign, placement: MacroPlacement,
         gseq = build_gseq(build_gnet(flat), flat)
 
     tracer = current_tracer()
-    resolved = traced_backend(get_backend(backend), tracer)
+    resolved = get_backend(backend)
     arrays = net_arrays_for(flat) if resolved.uses_net_arrays else None
-    counters = counters if counters is not None else {}
-    counters["referee_backend"] = resolved.name
-
-    def timed(key, fn):
-        # The obs clock feeds the referee_*_us observability counters
-        # only — it never reaches a metric value or an RNG stream.
-        start = perf_seconds()
-        result = fn()
-        counters[key] = counters.get(key, 0) + int(
-            1e6 * (perf_seconds() - start))
-        return result
 
     with tracer.span("referee", design=flat.design.name,
                      flow=placement.flow_name, backend=resolved.name):
-        cells = timed("referee_stdcell_us",
-                      lambda: place_cells(flat, placement, port_positions,
-                                          config=placer_config,
-                                          backend=resolved))
+        with tracer.span("referee.stdcell"):
+            cells = place_cells(flat, placement, port_positions,
+                                config=placer_config, backend=resolved)
         # Locate every endpoint once; both array kernels share the
         # result.
         coords = None
         if arrays is not None:
             with tracer.span("referee.locate"):
-                coords = timed(
-                    "referee_locate_us",
-                    lambda: locate_endpoints(arrays, placement, cells,
-                                             port_positions))
-        wl = timed("referee_hpwl_us",
-                   lambda: resolved.hpwl(flat, placement, cells,
-                                         port_positions, arrays=arrays,
-                                         coords=coords))
-        congestion = timed("referee_congestion_us",
-                           lambda: resolved.congestion(
-                               flat, placement, cells, port_positions,
-                               arrays=arrays, coords=coords))
-        timing = timed("referee_timing_us",
-                       lambda: analyze_timing(flat, gseq, placement,
-                                              cells, port_positions,
-                                              clock_period=clock_period,
-                                              backend=resolved))
-    tracer.metrics.absorb(counters)
+                coords = locate_endpoints(arrays, placement, cells,
+                                          port_positions)
+        with tracer.span("referee.hpwl"):
+            wl = resolved.hpwl(flat, placement, cells, port_positions,
+                               arrays=arrays, coords=coords)
+        with tracer.span("referee.congestion"):
+            congestion = resolved.congestion(flat, placement, cells,
+                                             port_positions,
+                                             arrays=arrays, coords=coords)
+        with tracer.span("referee.timing"):
+            timing = analyze_timing(flat, gseq, placement, cells,
+                                    port_positions,
+                                    clock_period=clock_period,
+                                    backend=resolved)
     return FlowMetrics(
         design=flat.design.name,
         flow=placement.flow_name,
@@ -192,7 +175,7 @@ def evaluate_placement(flat: FlatDesign, placement: MacroPlacement,
         tns=timing.tns,
         placer_seconds=placement.runtime_seconds,
         macro_overlap=placement.macro_overlap_area(),
-        eval_counters=dict(counters))
+        referee_backend=resolved.name)
 
 
 def run_flow(flat: FlatDesign, truth: Optional[GroundTruth],

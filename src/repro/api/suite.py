@@ -24,7 +24,13 @@ from typing import Any, Dict, List, Optional, Sequence, TYPE_CHECKING
 from repro.api.run import RunOptions
 from repro.eval.tables import normalize_to_handfp
 from repro.gen.designs import suite_specs
-from repro.obs import Tracer, perf_seconds, use_tracer, write_chrome_trace
+from repro.obs import (
+    Tracer,
+    current_tracer,
+    perf_seconds,
+    use_tracer,
+    write_chrome_trace,
+)
 from repro.service.jobs import PlacementService, iter_completed
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -78,10 +84,11 @@ def run_suite(scale: str = "bench",
     zero ``prepare.*`` compile spans.  Rows are bit-identical with and
     without a store.
 
-    Tracing records the main process plus every (design, flow) cell,
-    each under a ``suite.task`` span.  Inline cells record into the
-    main payload; pooled cells' span trees ride back on the pool's
-    result path.  Payloads land on ``SuiteResult.trace``, main
+    Tracing records the main process under one ``suite`` span (its
+    ``scale`` attribute names the suite scale) plus every (design,
+    flow) cell, each under a ``suite.task`` span.  Inline cells record
+    into the main payload; pooled cells' span trees ride back on the
+    pool's result path.  Payloads land on ``SuiteResult.trace``, main
     process first.  Tracing never changes rows (asserted in
     ``tests/test_obs_determinism.py``).
     """
@@ -97,9 +104,10 @@ def run_suite(scale: str = "bench",
         workers = None
 
     with use_tracer(tracer) if tracer is not None else nullcontext():
-        with PlacementService(scale=scale, designs=names, store=store,
-                              workers=workers,
-                              options=opts) as service:
+        with current_tracer().span("suite", scale=scale), \
+                PlacementService(scale=scale, designs=names, store=store,
+                                 workers=workers,
+                                 options=opts) as service:
             # A generator of submits: an inline job runs inside its
             # submit, so its row prints before the next cell starts.
             finished = []
@@ -117,9 +125,6 @@ def run_suite(scale: str = "bench",
     normalize_to_handfp(result.rows)
     result.total_seconds = perf_seconds() - start
     if tracer is not None:
-        tracer.metrics.gauge("suite.total_seconds",
-                             result.total_seconds)
-        tracer.metrics.label("suite.scale", scale)
         result.trace = [tracer.payload()] + [
             h.trace_payload for h in handles
             if h.trace_payload is not None]

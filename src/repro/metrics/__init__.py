@@ -37,13 +37,11 @@ from repro.metrics.backends import (
     MetricsBackendError,
     PythonBackend,
     RefereeBackend,
-    TracedBackend,
     available_backends,
     default_backend_name,
     get_backend,
     register_backend,
     set_default_backend,
-    traced_backend,
     unregister_backend,
 )
 from repro.metrics.netarrays import (
@@ -85,7 +83,6 @@ __all__ = [
     "RefereeBackend",
     "StdcellArrays",
     "TimingArrays",
-    "TracedBackend",
     "available_backends",
     "compile_net_arrays",
     "compile_stdcell_arrays",
@@ -107,6 +104,5 @@ __all__ = [
     "timing_arrays_for",
     "timing_arrays_from_buffers",
     "timing_arrays_to_buffers",
-    "traced_backend",
     "unregister_backend",
 ]

@@ -205,62 +205,6 @@ class PythonBackend(RefereeBackend):
         return total
 
 
-class TracedBackend(RefereeBackend):
-    """A span-recording proxy around any referee backend.
-
-    Subclasses :class:`RefereeBackend` (not just duck-types it) so the
-    :func:`get_backend` instance passthrough accepts it anywhere a
-    backend name is accepted — ``place_cells`` and ``analyze_timing``
-    resolve their ``backend=`` argument through that path.  Each kernel
-    call becomes one ``referee.<kernel>`` span on the wrapped tracer;
-    results are forwarded untouched, so tracing can never perturb a
-    metric value.  Never registered: built per-evaluation by
-    :func:`traced_backend` when a tracer is active.
-    """
-
-    def __init__(self, inner: RefereeBackend, tracer) -> None:
-        self._inner = inner
-        self._tracer = tracer
-        self.name = inner.name
-        self.uses_net_arrays = inner.uses_net_arrays
-
-    def stdcell_system(self, *args, **kwargs):
-        with self._tracer.span("referee.stdcell_system"):
-            return self._inner.stdcell_system(*args, **kwargs)
-
-    def timing(self, *args, **kwargs):
-        with self._tracer.span("referee.timing"):
-            return self._inner.timing(*args, **kwargs)
-
-    def hpwl(self, *args, **kwargs):
-        with self._tracer.span("referee.hpwl"):
-            return self._inner.hpwl(*args, **kwargs)
-
-    def congestion(self, *args, **kwargs):
-        with self._tracer.span("referee.congestion"):
-            return self._inner.congestion(*args, **kwargs)
-
-    def affinity_distance(self, *args, **kwargs):
-        with self._tracer.span("referee.affinity_distance"):
-            return self._inner.affinity_distance(*args, **kwargs)
-
-    def __repr__(self) -> str:
-        return f"<TracedBackend {self.name!r}>"
-
-
-def traced_backend(backend: RefereeBackend, tracer) -> RefereeBackend:
-    """Wrap ``backend`` in kernel spans when ``tracer`` is enabled.
-
-    With the null tracer (tracing off) the backend is returned as-is,
-    so the referee's hot path carries no proxy indirection by default.
-    """
-    if not getattr(tracer, "enabled", False):
-        return backend
-    if isinstance(backend, TracedBackend):
-        return backend
-    return TracedBackend(backend, tracer)
-
-
 _BACKENDS: Dict[str, RefereeBackend] = {}
 _DEFAULT: Optional[str] = None
 

@@ -1,10 +1,10 @@
-"""Unified metrics registry: counters, gauges, labels, histograms.
+"""Metrics registry: named counters for one traced run.
 
-The registry absorbs the repo's legacy ``eval_counters`` mapping
-(numeric values become counters, strings become labels) and re-exports
-it unchanged through :meth:`MetricsRegistry.as_eval_counters`, so
-observers and tests written against the old dict keep working while
-new instrumentation records structured metrics.
+Counters are the effort facts a run reports next to its spans — the
+annealing work the pipeline stages did (``cost_evals``,
+``subtree_hits``, ...).  Timings are not counters: every duration
+lives in exactly one span, and string facts (a backend name, a suite
+scale) are span attributes.
 
 Registries are plain dict-of-float state — picklable, mergeable, and
 deterministic to serialize — so suite workers can ship theirs back
@@ -13,99 +13,30 @@ through the existing ``ProcessPoolExecutor`` result path.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Union
+from typing import Dict, Mapping, Union
 
 Number = Union[int, float]
 
 
 class MetricsRegistry:
-    """Named counters/gauges/labels/histograms for one traced run."""
+    """Named counters for one traced run."""
 
-    __slots__ = ("counters", "gauges", "labels", "histograms")
+    __slots__ = ("counters",)
 
     def __init__(self) -> None:
         self.counters: Dict[str, float] = {}
-        self.gauges: Dict[str, float] = {}
-        self.labels: Dict[str, str] = {}
-        # name -> [count, total, min, max]
-        self.histograms: Dict[str, List[float]] = {}
 
-    # -- recording ----------------------------------------------------
     def counter(self, name: str, value: Number = 1) -> None:
         """Add ``value`` to the running total for ``name``."""
         self.counters[name] = self.counters.get(name, 0) + value
 
-    def gauge(self, name: str, value: Number) -> None:
-        """Record the latest value for ``name`` (last write wins)."""
-        self.gauges[name] = float(value)
-
-    def label(self, name: str, value: str) -> None:
-        """Record a string-valued fact (e.g. the referee backend name)."""
-        self.labels[name] = str(value)
-
-    def observe(self, name: str, value: Number) -> None:
-        """Fold ``value`` into the histogram summary for ``name``."""
-        value = float(value)
-        hist = self.histograms.get(name)
-        if hist is None:
-            self.histograms[name] = [1, value, value, value]
-        else:
-            hist[0] += 1
-            hist[1] += value
-            hist[2] = min(hist[2], value)
-            hist[3] = max(hist[3], value)
-
-    # -- legacy eval_counters bridge ----------------------------------
-    def absorb(self, mapping: Mapping[str, object]) -> None:
-        """Fold a legacy ``eval_counters``-style dict into the registry.
-
-        Numeric values accumulate as counters, everything else becomes
-        a label — the exact inverse of :meth:`as_eval_counters`, so a
-        round trip reproduces the original mapping (with numeric sums
-        where a key was absorbed twice, matching the old merge
-        semantics in ``RunArtifacts.eval_counters``).
-        """
-        for key, value in mapping.items():
-            if isinstance(value, bool):
-                self.counter(key, int(value))
-            elif isinstance(value, (int, float)):
-                self.counter(key, value)
-            else:
-                self.label(key, str(value))
-
-    def as_eval_counters(self) -> Dict[str, object]:
-        """Back-compat view: the flat dict observers/tests expect."""
-        out: Dict[str, object] = {}
-        out.update(self.counters)
-        out.update(self.labels)
-        return out
-
-    # -- serialization ------------------------------------------------
     def to_dict(self) -> Dict[str, object]:
-        return {
-            "counters": dict(self.counters),
-            "gauges": dict(self.gauges),
-            "labels": dict(self.labels),
-            "histograms": {k: list(v) for k, v in self.histograms.items()},
-        }
+        return {"counters": dict(self.counters)}
 
     def merge(self, payload: Mapping[str, object]) -> None:
         """Merge a :meth:`to_dict` payload (e.g. from a suite worker)."""
         for name, value in payload.get("counters", {}).items():
             self.counter(name, value)
-        for name, value in payload.get("gauges", {}).items():
-            self.gauge(name, value)
-        for name, value in payload.get("labels", {}).items():
-            self.label(name, value)
-        for name, hist in payload.get("histograms", {}).items():
-            mine = self.histograms.get(name)
-            if mine is None:
-                self.histograms[name] = list(hist)
-            else:
-                mine[0] += hist[0]
-                mine[1] += hist[1]
-                mine[2] = min(mine[2], hist[2])
-                mine[3] = max(mine[3], hist[3])
 
 
 class _NullRegistry(MetricsRegistry):
@@ -114,18 +45,6 @@ class _NullRegistry(MetricsRegistry):
     __slots__ = ()
 
     def counter(self, name: str, value: Number = 1) -> None:
-        pass
-
-    def gauge(self, name: str, value: Number) -> None:
-        pass
-
-    def label(self, name: str, value: str) -> None:
-        pass
-
-    def observe(self, name: str, value: Number) -> None:
-        pass
-
-    def absorb(self, mapping: Mapping[str, object]) -> None:
         pass
 
 

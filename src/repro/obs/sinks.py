@@ -28,8 +28,20 @@ def iter_spans(payload: Payload) -> Iterator[Tuple[int, Dict[str, object]]]:
             stack.append((depth + 1, child))
 
 
+def _merged_counters(payloads: Sequence[Payload]) -> Dict[str, float]:
+    """The counters of every payload's registry, summed by name."""
+    merged = MetricsRegistry()
+    for payload in payloads:
+        merged.merge(payload.get("metrics") or {})
+    return merged.counters
+
+
 def chrome_trace(payloads: Sequence[Payload]) -> Dict[str, object]:
-    """Build a Chrome trace-event document from tracer payloads."""
+    """Build a Chrome trace-event document from tracer payloads.
+
+    The merged counters of all payloads ride in the document's
+    ``otherData.counters``, which trace viewers keep as metadata.
+    """
     events: List[Dict[str, object]] = []
     for payload in payloads:
         pid = int(payload.get("pid", 0))
@@ -78,7 +90,8 @@ def chrome_trace(payloads: Sequence[Payload]) -> Dict[str, object]:
             if instant.get("attrs"):
                 event["args"] = dict(instant["attrs"])
             events.append(event)
-    return {"traceEvents": events, "displayTimeUnit": "ms"}
+    return {"traceEvents": events, "displayTimeUnit": "ms",
+            "otherData": {"counters": _merged_counters(payloads)}}
 
 
 def write_chrome_trace(path, payloads: Sequence[Payload]) -> None:
@@ -174,17 +187,9 @@ def render_summary(payloads: Sequence[Payload],
 
     emit(_merge_tree(payloads), 0)
 
-    merged = MetricsRegistry()
-    for payload in payloads:
-        metrics = payload.get("metrics")
-        if metrics:
-            merged.merge(metrics)
-    if merged.counters or merged.labels:
+    counters = _merged_counters(payloads)
+    if counters:
         lines.append("counters:")
-        for name in sorted(merged.counters):
-            value = merged.counters[name]
-            text = f"{value:g}"
-            lines.append(f"  {name} = {text}")
-        for name in sorted(merged.labels):
-            lines.append(f"  {name} = {merged.labels[name]}")
+        for name in sorted(counters):
+            lines.append(f"  {name} = {counters[name]:g}")
     return "\n".join(lines)

@@ -5,10 +5,21 @@ returns a context manager that times its block with the obs clock and
 attaches itself to the enclosing span, producing a tree like::
 
     place
+    ├── shape-curves
     └── floorplan
-        ├── restart[0]
-        ├── restart[1]
-        └── referee.hpwl
+        └── layout
+            ├── restart (index=0)
+            └── restart (index=1)
+    referee
+    ├── referee.stdcell
+    ├── referee.locate
+    ├── referee.hpwl
+    ├── referee.congestion
+    └── referee.timing
+
+Each fact has one record: a duration is a span, a string fact (the
+referee backend, the suite scale) is a span attribute, and an effort
+count is a counter in :attr:`Tracer.metrics`.
 
 The active tracer is carried in a :class:`~contextvars.ContextVar`
 (:func:`current_tracer` / :func:`use_tracer`) so deeply nested code —

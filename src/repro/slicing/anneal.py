@@ -201,7 +201,7 @@ class Annealer:
             # disabled-mode overhead gate in benchmarks/bench_anneal.py
             # only holds because the inner accept/reject loop stays
             # untraced.
-            with tracer.span(f"restart[{restart}]") as span:
+            with tracer.span("restart", index=restart) as span:
                 result = self._run_once(initial, rng)
                 span.set(moves=result.moves_tried,
                          accepted=result.moves_accepted)

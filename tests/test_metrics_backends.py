@@ -5,6 +5,7 @@ import pytest
 from repro.api import FlowError, get_flow
 from repro.core.config import HiDaPConfig
 from repro.api import evaluate_placement
+from repro.obs import Tracer, iter_spans, use_tracer
 from repro.metrics import (
     MetricsBackendError,
     PythonBackend,
@@ -154,53 +155,66 @@ class TestObservability:
         return PreparedDesign(design=design, die_w=die_w, die_h=die_h,
                               truth=truth)
 
+    @staticmethod
+    def _traced(flow, prepared):
+        """``flow.evaluate`` under a tracer: (row, referee spans)."""
+        tracer = Tracer("test")
+        with use_tracer(tracer):
+            metrics = flow.evaluate(prepared)
+        referees = [span for _d, span in iter_spans(tracer.payload())
+                    if span["name"] == "referee"]
+        return metrics, referees
+
+    @staticmethod
+    def _steps(referee):
+        return [child["name"] for child in referee.get("children", [])]
+
     def test_referee_counters_on_metrics(self, prepared):
-        flow = get_flow("indeda", seed=1)
-        metrics = flow.evaluate(prepared)
-        counters = metrics.eval_counters
-        assert counters["referee_backend"] == "numpy"
-        for key in ("referee_stdcell_us", "referee_hpwl_us",
-                    "referee_congestion_us", "referee_timing_us"):
-            assert isinstance(counters[key], int)
-            assert counters[key] >= 0
+        """The referee's timings are its step spans; the row names the
+        backend."""
+        metrics, referees = self._traced(get_flow("indeda", seed=1),
+                                         prepared)
+        assert metrics.referee_backend == "numpy"
+        assert len(referees) == 1
+        assert referees[0]["attrs"]["backend"] == "numpy"
+        assert self._steps(referees[0]) == [
+            "referee.stdcell", "referee.locate", "referee.hpwl",
+            "referee.congestion", "referee.timing"]
+        assert all(child["t1"] >= child["t0"]
+                   for child in referees[0]["children"])
 
     def test_backend_name_follows_selection(self, prepared):
         flow = get_flow("indeda", seed=1, referee_backend="python")
         metrics = flow.evaluate(prepared)
-        assert metrics.eval_counters["referee_backend"] == "python"
+        assert metrics.referee_backend == "python"
 
-    def test_counters_sink_argument(self, prepared):
-        placement = get_flow("indeda", seed=1).place(prepared)
-        sink = {}
-        metrics = evaluate_placement(prepared.flat, placement,
-                                     prepared.gseq, counters=sink)
-        assert sink["referee_backend"] == "numpy"
-        assert metrics.eval_counters == sink
-
-    def test_hidap_artifacts_carry_referee_counters(self, prepared):
+    def test_hidap_artifacts_hold_only_eval_stats(self, prepared):
+        """The run record keeps the annealing counters; the referee's
+        facts stay on the row and in its span."""
         from repro.core.config import Effort
+        from repro.slicing.tree import EvalStats
 
         flow = get_flow("hidap", seed=1, effort=Effort.FAST)
-        flow.evaluate(prepared)
+        metrics, referees = self._traced(flow, prepared)
         counters = flow.artifacts.eval_counters
-        assert counters["referee_backend"] == "numpy"
-        assert "referee_hpwl_us" in counters
-        # The annealing counters from the pipeline stages coexist.
-        assert counters.get("cost_evals", 0) > 0
+        assert set(counters) == set(EvalStats().as_dict())
+        assert counters["cost_evals"] > 0
+        assert metrics.referee_backend == "numpy"
+        assert [r["attrs"]["backend"] for r in referees] == ["numpy"]
 
     @pytest.mark.parametrize("backend", ["python", "numpy"])
     def test_stdcell_and_timing_counters_both_backends(self, prepared,
                                                        backend):
-        """Satellite: the PR 4 kernel stages are observable on both
-        backends, in FlowMetrics and in RunArtifacts."""
+        """The stdcell and timing kernel stages are observable on both
+        backends: one span each under the referee span."""
         from repro.core.config import Effort
 
         flow = get_flow("hidap", seed=1, effort=Effort.FAST,
                         referee_backend=backend)
-        metrics = flow.evaluate(prepared)
-        for counters in (metrics.eval_counters,
-                         flow.artifacts.eval_counters):
-            assert counters["referee_backend"] == backend
-            for key in ("referee_stdcell_us", "referee_timing_us"):
-                assert isinstance(counters[key], int)
-                assert counters[key] >= 0
+        metrics, referees = self._traced(flow, prepared)
+        assert metrics.referee_backend == backend
+        (referee,) = referees
+        assert referee["attrs"]["backend"] == backend
+        steps = self._steps(referee)
+        for step in ("referee.stdcell", "referee.timing"):
+            assert steps.count(step) == 1

@@ -106,7 +106,7 @@ class TestSuiteRows:
                              round(m.grc_percent, 9),
                              round(m.wns_percent, 9),
                              round(m.tns, 9))
-            assert m.eval_counters["referee_backend"] == backend
+            assert m.referee_backend == backend
         assert rows["python"] == rows["numpy"]
 
     @pytest.mark.parametrize("name", SUITE_DESIGNS[:2])

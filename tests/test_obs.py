@@ -32,48 +32,19 @@ class TestMetricsRegistry:
         reg.counter("n", 4)
         assert reg.counters["n"] == 5
 
-    def test_gauge_last_write_wins(self):
-        reg = MetricsRegistry()
-        reg.gauge("g", 1.0)
-        reg.gauge("g", 2.5)
-        assert reg.gauges["g"] == 2.5
-
-    def test_observe_histogram_summary(self):
-        reg = MetricsRegistry()
-        for value in (3.0, 1.0, 2.0):
-            reg.observe("h", value)
-        assert reg.histograms["h"] == [3, 6.0, 1.0, 3.0]
-
-    def test_absorb_roundtrips_eval_counters(self):
-        legacy = {"cost_evals": 120, "referee_backend": "numpy",
-                  "subtree_hits": 7}
-        reg = MetricsRegistry()
-        reg.absorb(legacy)
-        assert reg.as_eval_counters() == legacy
-
-    def test_absorb_twice_sums_numerics(self):
-        reg = MetricsRegistry()
-        reg.absorb({"cost_evals": 10})
-        reg.absorb({"cost_evals": 5})
-        assert reg.as_eval_counters()["cost_evals"] == 15
-
     def test_merge_folds_worker_payload(self):
         a, b = MetricsRegistry(), MetricsRegistry()
         a.counter("n", 1)
-        a.observe("h", 2.0)
         b.counter("n", 2)
-        b.observe("h", 5.0)
+        b.counter("m", 5)
         a.merge(b.to_dict())
-        assert a.counters["n"] == 3
-        assert a.histograms["h"] == [2, 7.0, 2.0, 5.0]
+        assert a.counters == {"n": 3, "m": 5}
+        assert a.to_dict() == {"counters": {"n": 3, "m": 5}}
 
     def test_null_registry_records_nothing(self):
         NULL_REGISTRY.counter("n")
-        NULL_REGISTRY.gauge("g", 1)
-        NULL_REGISTRY.observe("h", 1)
-        NULL_REGISTRY.absorb({"x": 1})
+        NULL_REGISTRY.merge({"counters": {"n": 1}})
         assert NULL_REGISTRY.counters == {}
-        assert NULL_REGISTRY.as_eval_counters() == {}
 
 
 # -- tracer -----------------------------------------------------------------
@@ -170,6 +141,12 @@ class TestSinks:
         write_chrome_trace(path, _sample_payloads())
         doc = json.loads(path.read_text())
         assert "traceEvents" in doc
+
+    def test_chrome_trace_carries_merged_counters(self):
+        payloads = _sample_payloads()
+        payloads[1]["metrics"]["counters"]["cost_evals"] = 4
+        doc = chrome_trace(payloads)
+        assert doc["otherData"]["counters"] == {"cost_evals": 7}
 
     def test_write_jsonl(self, tmp_path):
         path = tmp_path / "trace.jsonl"

@@ -6,14 +6,17 @@ worker processes.  Span *timings* are wall-clock and excluded from
 every comparison here.
 """
 
+import json
+
 import pytest
 
 from repro.api import RunOptions, prepare_suite_design, run_suite
-from repro.core.config import Effort
+from repro.api.prepared import prepare_design
+from repro.core.config import Effort, HiDaPConfig
 from repro.api import run_flow
 from repro.gen.designs import build_design, die_for, suite_specs
 from repro.netlist.flatten import flatten
-from repro.obs import Tracer, iter_spans, use_tracer
+from repro.obs import Tracer, chrome_trace, iter_spans, use_tracer
 
 DESIGNS = ("c1", "c2", "c3")
 FLOWS = ("indeda", "handfp-strip")
@@ -64,7 +67,13 @@ class TestPlacementBitIdentity:
         names = {span["name"]
                  for _d, span in iter_spans(tracer.payload())}
         assert "place" in names
-        assert any(n.startswith("restart[") for n in names)
+        assert "restart" in names
+        restarts = HiDaPConfig(seed=1, effort=Effort.FAST
+                               ).layout_config().anneal.restarts
+        indices = {span["attrs"]["index"]
+                   for _d, span in iter_spans(tracer.payload())
+                   if span["name"] == "restart"}
+        assert indices == set(range(restarts))
 
     @pytest.mark.parametrize("name", DESIGNS)
     def test_traced_run_flow_rows_match(self, name):
@@ -78,7 +87,74 @@ class TestPlacementBitIdentity:
         assert payloads and payloads[0]["spans"]
         names = {span["name"] for payload in payloads
                  for _d, span in iter_spans(payload)}
-        assert {"flow.place", "referee", "referee.hpwl"} <= names
+        assert {"flow.place", "place", "referee", "referee.hpwl"} <= names
+
+
+def _span_names(payload, root):
+    """Names of the spans beneath every ``root`` span, per root."""
+    out = []
+    for _depth, span in iter_spans(payload):
+        if span["name"] == root:
+            out.append(sorted(c["name"] for c in span.get("children", [])))
+    return out
+
+
+class TestRunFlowTrace:
+    """What a single traced ``run_flow`` records, and where."""
+
+    def test_untraced_row_has_no_trace(self):
+        flat, truth, die_w, die_h = _flat_and_die("c1")
+        row = run_flow(flat, truth, "indeda", die_w, die_h, options=OPTS)
+        assert row.trace is None
+
+    @pytest.mark.parametrize("backend", ["python", "numpy"])
+    def test_one_span_per_referee_step(self, backend):
+        flat, truth, die_w, die_h = _flat_and_die("c1")
+        opts = RunOptions(seed=1, effort=Effort.FAST, trace=True,
+                          referee_backend=backend)
+        row = run_flow(flat, truth, "indeda", die_w, die_h, options=opts)
+        assert row.referee_backend == backend
+        steps = ["referee.congestion", "referee.hpwl", "referee.stdcell",
+                 "referee.timing"]
+        if backend == "numpy":
+            steps = sorted(steps + ["referee.locate"])
+        assert _span_names(row.trace[0], "referee") == [steps]
+        referee = next(span for _d, span in iter_spans(row.trace[0])
+                       if span["name"] == "referee")
+        assert referee["attrs"]["backend"] == backend
+
+    def test_baseline_place_span_holds_the_placement(self):
+        flat, truth, die_w, die_h = _flat_and_die("c2")
+        row = run_flow(flat, truth, "indeda", die_w, die_h,
+                       options=TRACE_OPTS)
+        places = [span for _d, span in iter_spans(row.trace[0])
+                  if span["name"] == "place"]
+        assert len(places) == 1
+        assert places[0]["attrs"] == {"design": "c2", "flow": "indeda"}
+        # The cached graphs are built before the placement starts.
+        inside = {span["name"]
+                  for _d, span in iter_spans({"spans": places})}
+        assert not any(name.startswith("prepare.") for name in inside)
+
+    def test_hidap_counters_reach_the_chrome_trace(self, tmp_path):
+        flat, truth, die_w, die_h = _flat_and_die("c1")
+        path = tmp_path / "trace.json"
+        row = run_flow(flat, truth, "hidap", die_w, die_h,
+                       options=RunOptions(seed=1, effort=Effort.FAST,
+                                          trace=str(path)))
+        doc = json.loads(path.read_text())
+        assert doc["otherData"]["counters"]["cost_evals"] > 0
+        # The payload's registry holds counters and nothing else.
+        assert set(row.trace[0]["metrics"]) == {"counters"}
+        assert chrome_trace(row.trace)["otherData"] == doc["otherData"]
+
+    def test_prepare_design_spans_generation(self):
+        spec = next(s for s in suite_specs("tiny") if s.name == "c1")
+        tracer = Tracer("test")
+        with use_tracer(tracer):
+            prepare_design(spec)
+        assert _span_names(tracer.payload(), "prepare.design") == [
+            ["prepare.generate"]]
 
 
 class TestSuiteTraceParity:
@@ -133,6 +209,13 @@ class TestSuiteTraceParity:
             assert any(n.startswith("prepare.") for n in names), (
                 f"worker payload {payload['label']} has no prepare "
                 f"spans: {sorted(names)}")
+
+    def test_one_suite_span_holds_the_main_process(self, serial,
+                                                   parallel):
+        for result in (serial, parallel):
+            roots = result.trace[0]["spans"]
+            assert [span["name"] for span in roots] == ["suite"]
+            assert roots[0]["attrs"] == {"scale": "tiny"}
 
     def test_untraced_suite_has_no_trace_payload(self, untraced):
         assert untraced.trace is None

@@ -322,8 +322,7 @@ class TestWorkerBootstrap:
             result = run_suite(scale="tiny", designs=["c1"],
                                flows=("indeda",), options=OPTS,
                                workers=2)
-            assert result.rows[0].eval_counters["referee_backend"] \
-                == "python"
+            assert result.rows[0].referee_backend == "python"
         finally:
             set_default_backend(baseline)
 

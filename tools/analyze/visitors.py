@@ -34,8 +34,6 @@ ORDERED_CONSUMERS = {"list", "tuple", "sum", "enumerate", "iter",
 SET_METHODS = {"union", "intersection", "difference",
                "symmetric_difference", "copy"}
 
-#: RunArtifacts bookkeeping fields designed for accumulation by flows.
-MUTABLE_ARTIFACT_FIELDS = {"eval_counters", "stage_seconds"}
 #: Conventional names bound to frozen artifact records.
 ARTIFACT_NAMES = {"artifacts", "run_artifacts", "prepared",
                   "prepared_design"}
@@ -410,14 +408,14 @@ class Rep005FrozenArtifactMutation(Rule):
                 "its owning module (RunArtifacts/PreparedDesign fields "
                 "are read-only views once the pipeline fills them)"))
 
-        def field_write_target(target: ast.AST):
-            """(base, field) when target writes ``artifact.field``."""
+        def field_write_target(target: ast.AST) -> Optional[str]:
+            """The field name when target writes ``artifact.field``."""
             node = target
             if isinstance(node, ast.Subscript):
                 node = node.value
             if isinstance(node, ast.Attribute) \
                     and self._artifact_base(node.value, artifact_names):
-                return node.value, node.attr
+                return node.attr
             return None
 
         for node in ast.walk(tree):
@@ -425,15 +423,9 @@ class Rep005FrozenArtifactMutation(Rule):
                 targets = (node.targets if isinstance(node, ast.Assign)
                            else [node.target])
                 for target in targets:
-                    hit = field_write_target(target)
-                    if hit is None:
-                        continue
-                    _base, fieldname = hit
-                    subscripted = isinstance(target, ast.Subscript)
-                    if subscripted \
-                            and fieldname in MUTABLE_ARTIFACT_FIELDS:
-                        continue
-                    flag(node, f"assignment to .{fieldname}")
+                    fieldname = field_write_target(target)
+                    if fieldname is not None:
+                        flag(node, f"assignment to .{fieldname}")
             elif isinstance(node, ast.Delete):
                 for target in node.targets:
                     if field_write_target(target) is not None:
@@ -445,8 +437,6 @@ class Rep005FrozenArtifactMutation(Rule):
                 if isinstance(owner, ast.Attribute) \
                         and self._artifact_base(owner.value,
                                                 artifact_names):
-                    if owner.attr in MUTABLE_ARTIFACT_FIELDS:
-                        continue
                     flag(node,
                          f".{owner.attr}.{node.func.attr}(...)")
         return findings
