@@ -21,16 +21,14 @@ lint:
 
 # Determinism & backend-contract static analyzer (rules REP001-REP012;
 # see ROADMAP "Static analysis contracts").  Self-hosts over src/,
-# benchmarks/, tools/ and perfbench/; per-file results are cached
-# under .cache/ keyed by content hash, so warm runs re-analyze only
-# changed files.
-# Exits 1 on any unbaselined finding or (--strict-suppressions) any
-# stale noqa; the JSON report (findings + per-phase timings + cache
-# hit/miss counts) is uploaded by CI next to BENCH_*.json.
+# benchmarks/, tools/ and perfbench/.
+# Exits 1 on any finding, a stale noqa included; the JSON report
+# (findings + per-phase timings) is uploaded by CI next to
+# BENCH_*.json.
 # ANALYZE_FLAGS adds CLI flags (CI passes --format github for inline
 # PR annotations).
 analyze:
-	python -m tools.analyze --strict-suppressions $(ANALYZE_FLAGS) \
+	python -m tools.analyze $(ANALYZE_FLAGS) \
 	    --json-out benchmarks/artifacts/ANALYZE_findings.json
 
 # One verification entry point for builders and CI (the ci.yml "check"

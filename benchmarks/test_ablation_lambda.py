@@ -25,7 +25,7 @@ def test_ablation_lambda_sweep(benchmark):
             flat, truth, die_w, die_h = (prepared.flat, prepared.truth,
                                           prepared.die_w, prepared.die_h)
             for lam in LAMBDAS:
-                metrics = run_flow(flat, truth, f"hidap-l{lam}", die_w,
+                metrics = run_flow(flat, truth, f"hidap:lam={lam}", die_w,
                                    die_h, options=RunOptions(
                                        seed=SEED, effort=EFFORT))
                 results[(name, lam)] = metrics.wl_meters

@@ -17,7 +17,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Optional, Tuple
 
-from repro.api.prepared import PreparedDesign
+from repro.api.prepared import DEFAULT_MIN_BITS, PreparedDesign
 from repro.api.registry import FlowError, register_flow
 from repro.core.config import Effort, HiDaPConfig
 from repro.core.hidap import HiDaP
@@ -31,16 +31,15 @@ def _coerce_effort(effort) -> Effort:
     return effort if isinstance(effort, Effort) else Effort(effort)
 
 
-def _baseline_gseq(prepared: PreparedDesign):
-    """The cached gseq, if built with the baselines' default threshold.
+def _cached_gseq(prepared: PreparedDesign, min_bits: int):
+    """``prepared.gseq`` if it was built with ``min_bits``, else ``None``.
 
-    Baselines always used ``build_gseq``'s default ``min_bits``; a
-    cache of different or unknown provenance makes them rebuild their
-    own, preserving pre-registry behaviour.
+    A placer handed ``None`` builds its own gseq.  ``prepared.min_bits
+    is None`` marks a caller-supplied gseq of unknown provenance, which
+    never equals a threshold and so always forces a rebuild.  gnet is
+    threshold-independent and always shareable.
     """
-    from repro.api.prepared import DEFAULT_MIN_BITS
-    return (prepared.gseq if prepared.min_bits == DEFAULT_MIN_BITS
-            else None)
+    return prepared.gseq if prepared.min_bits == min_bits else None
 
 
 class BaseFlow:
@@ -109,15 +108,12 @@ class HiDaPFlow(BaseFlow):
     def _run_hidap(self, prepared: PreparedDesign, config: HiDaPConfig,
                    curves=None) -> MacroPlacement:
         placer = HiDaP(config)
-        # The cached gseq is only reusable when it was built with this
-        # config's min_bits; gnet is threshold-independent and always
-        # shareable.
-        gseq = (prepared.gseq if config.min_bits == prepared.min_bits
-                else None)
         placement = placer.place(prepared.flat, prepared.die_w,
                                  prepared.die_h,
                                  flow_name=self.flow_label,
-                                 gnet=prepared.gnet, gseq=gseq,
+                                 gnet=prepared.gnet,
+                                 gseq=_cached_gseq(prepared,
+                                                   config.min_bits),
                                  tree=prepared.tree, curves=curves)
         # Keep the run record for observers and callers.
         self.artifacts = placer.artifacts
@@ -201,7 +197,7 @@ class IndEDAFlow(BaseFlow):
         # Build the cached graphs first: their prepare.* spans are not
         # placement time.
         flat, gnet, gseq = (prepared.flat, prepared.gnet,
-                            _baseline_gseq(prepared))
+                            _cached_gseq(prepared, DEFAULT_MIN_BITS))
         with current_tracer().span("place", design=prepared.name,
                                    flow=self.name):
             return place_indeda(flat, prepared.die_w, prepared.die_h,
@@ -226,7 +222,8 @@ class HandFPStripFlow(BaseFlow):
             raise FlowError(
                 "handfp requires ground truth (a generated design)")
         flat, gnet, gseq, tree = (prepared.flat, prepared.gnet,
-                                  _baseline_gseq(prepared), prepared.tree)
+                                  _cached_gseq(prepared, DEFAULT_MIN_BITS),
+                                  prepared.tree)
         with current_tracer().span("place", design=prepared.name,
                                    flow=self.name):
             return place_handfp(flat, prepared.truth, prepared.die_w,
@@ -260,11 +257,10 @@ class HandFPFlow(HandFPStripFlow):
             config = HiDaPConfig(seed=expert_seed, lam=lam,
                                  effort=expert_effort,
                                  referee_backend=self.referee_backend)
-            gseq = (prepared.gseq
-                    if config.min_bits == prepared.min_bits else None)
             candidate = HiDaP(config).place(
                 prepared.flat, prepared.die_w, prepared.die_h,
-                flow_name="handfp", gnet=prepared.gnet, gseq=gseq,
+                flow_name="handfp", gnet=prepared.gnet,
+                gseq=_cached_gseq(prepared, config.min_bits),
                 tree=prepared.tree)
             metrics = self._referee(prepared, candidate, clock_period)
             total_time += metrics.placer_seconds

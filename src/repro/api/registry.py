@@ -14,8 +14,7 @@ after which ``hidap place c1 --flow myflow`` and
 internals.
 
 Flow *specs* may carry parameters: ``"hidap:lam=0.8,seed=3"`` resolves
-the ``hidap`` factory and calls it with ``lam=0.8, seed=3``.  The
-legacy spellings ``hidap-l<λ>`` are still accepted.
+the ``hidap`` factory and calls it with ``lam=0.8, seed=3``.
 """
 
 from __future__ import annotations
@@ -134,22 +133,12 @@ def _parse_value(text: str) -> Any:
 
 
 def parse_flow_spec(spec: str) -> Tuple[str, Dict[str, Any]]:
-    """Split ``"name:key=value,..."`` into name and parameter dict.
-
-    Legacy spellings are normalised: ``hidap-l0.8`` means
-    ``hidap:lam=0.8``.
-    """
+    """Split ``"name:key=value,..."`` into name and parameter dict."""
     spec = spec.strip()
     if not spec:
         raise FlowError("empty flow spec")
     name, _, tail = spec.partition(":")
     params: Dict[str, Any] = {}
-    if name.startswith("hidap-l") and name not in _REGISTRY:
-        try:
-            params["lam"] = float(name[len("hidap-l"):])
-            name = "hidap"
-        except ValueError:
-            pass
     if tail:
         for item in tail.split(","):
             key, eq, value = item.partition("=")

@@ -189,8 +189,7 @@ def run_flow(flat: FlatDesign, truth: Optional[GroundTruth],
     ``flow`` is any registered name or parameterized spec —
     ``indeda``, ``handfp``, ``hidap`` (λ=0.5), ``hidap:lam=<λ>``,
     ``hidap-best3`` (the paper's best-WL-of-three protocol), a flow
-    you registered yourself... — with the legacy ``hidap-l<λ>``
-    spelling still accepted.
+    you registered yourself...
 
     ``options`` carries the run knobs (:class:`RunOptions`: seed,
     effort, referee backend, trace — see the module docstring for the

@@ -3,18 +3,21 @@
 The fixtures under ``tests/analyze_fixtures/`` each violate exactly one
 rule (plus a clean file and a suppressed file); the tests run the
 analyzer over them with ``context="all"`` so path scoping does not get
-in the way, and exercise the suppression table, the baseline round-trip,
-the JSON report, the REP004 registry introspection (by deliberately
-registering an incomplete backend) and the shared lint configuration.
+in the way, and exercise the suppression table (a stale noqa is a
+REP000 finding), the JSON report, the REP004 registry introspection (by
+deliberately registering an incomplete backend) and the shared lint
+configuration.
 """
 
 import ast
 import json
 from pathlib import Path
 
+import pytest
+
 from tools.analyze import analyze_paths, check_backend, check_registry
 from tools.analyze.driver import REPO, main
-from tools.analyze.effects import ModuleSummary, summarize_module
+from tools.analyze.effects import summarize_module
 from tools.analyze.lintrules import load_lint_config
 from tools.analyze.reporting import to_json_dict
 from tools.analyze.rules import RULES
@@ -123,12 +126,15 @@ def test_clean_fixture_has_no_findings():
     assert not report.suppressed
 
 
-def test_inline_suppression_and_unused_warning():
+def test_inline_suppression_and_stale_noqa_finding():
+    # suppressed.py carries one used (REP001) and one stale (REP003)
+    # noqa; only the stale one becomes a finding.
     report = analyze_fixture("suppressed.py")
-    assert report.ok
+    assert not report.ok
     assert [finding.rule for finding in report.suppressed] == ["REP001"]
-    assert [(line, code) for _path, line, code
-            in report.unused_suppressions] == [(5, "REP003")]
+    assert [finding.rule for finding in report.findings] == ["REP000"]
+    assert report.findings[0].line == 5
+    assert "REP003" in report.findings[0].message
 
 
 # -- REP004: backend-contract introspection ---------------------------------
@@ -167,7 +173,6 @@ def test_rep004_builtin_registry_is_contract_complete():
 def test_src_tree_is_analyzer_clean():
     report = analyze_paths(("src",), context="auto", contracts=True)
     assert report.ok, [finding.location() for finding in report.findings]
-    assert not report.unused_suppressions
 
 
 def test_every_rule_is_registered():
@@ -176,47 +181,12 @@ def test_every_rule_is_registered():
                           "REP009", "REP010", "REP011", "REP012"}
 
 
-# -- baseline round-trip through the CLI ------------------------------------
-
-def test_baseline_roundtrip(tmp_path, capsys):
-    fixture = str(FIXTURES / "rep001_bad.py")
-    baseline = tmp_path / "baseline.json"
-    argv = [fixture, "--context", "all", "--no-contracts", "--no-cache",
-            "--baseline", str(baseline)]
-
-    assert main(argv) == 1          # unbaselined findings gate
-    assert main(argv + ["--write-baseline"]) == 0
-    assert main(argv) == 0          # same findings now grandfathered
-    capsys.readouterr()
-
-    report = analyze_fixture("rep001_bad.py", baseline_path=baseline)
-    assert report.ok
-    assert len(report.baselined) == 2
-
-
-def test_baseline_survives_line_shift(tmp_path):
-    source = (FIXTURES / "rep001_bad.py").read_text()
-    moved = tmp_path / "moved.py"
-    moved.write_text(source)
-    baseline = tmp_path / "baseline.json"
-    assert main([str(moved), "--context", "all", "--no-contracts",
-                 "--no-cache", "--baseline", str(baseline),
-                 "--write-baseline"]) == 0
-
-    # Content-keyed entries: inserting lines above must not resurface.
-    moved.write_text("# shifted\n# shifted again\n" + source)
-    report = analyze_paths([str(moved)], context="all", contracts=False,
-                           baseline_path=baseline)
-    assert report.ok
-    assert len(report.baselined) == 2
-
-
 # -- machine-readable report ------------------------------------------------
 
 def test_json_report_schema(tmp_path):
     out = tmp_path / "report.json"
     assert main([str(FIXTURES / "rep003_bad.py"), "--context", "all",
-                 "--no-contracts", "--no-cache", "--json", "--json-out",
+                 "--no-contracts", "--format", "json", "--json-out",
                  str(out)]) == 1
     data = json.loads(out.read_text())
     assert data["tool"] == "repro-analyze"
@@ -376,26 +346,6 @@ def test_rep010_fires_when_the_shm_pin_is_deleted(tmp_path):
     assert intact.ok, [finding.location() for finding in intact.findings]
 
 
-def test_strict_suppressions_turn_stale_noqas_into_findings():
-    # suppressed.py carries one used (REP001) and one stale (REP003)
-    # noqa; strict mode converts only the stale one into a finding.
-    relaxed = analyze_fixture("suppressed.py")
-    assert relaxed.ok
-    strict = analyze_fixture("suppressed.py", strict_suppressions=True)
-    assert not strict.ok
-    assert [finding.rule for finding in strict.findings] == ["REP000"]
-    assert strict.findings[0].line == 5
-    assert "REP003" in strict.findings[0].message
-
-
-def test_strict_suppressions_cli_flag_gates(tmp_path, capsys):
-    fixture = str(FIXTURES / "suppressed.py")
-    argv = [fixture, "--context", "all", "--no-contracts", "--no-cache"]
-    assert main(argv) == 0
-    assert main(argv + ["--strict-suppressions"]) == 1
-    capsys.readouterr()
-
-
 def test_json_report_carries_phase_timings():
     report = analyze_fixture("interproc_rep012")
     data = to_json_dict(report)
@@ -411,76 +361,23 @@ def test_multiline_statement_suppression_matches_span():
     report = analyze_fixture("suppressed_multiline.py")
     assert report.ok
     assert [finding.rule for finding in report.suppressed] == ["REP001"]
-    assert not report.unused_suppressions
 
 
-# -- effect summaries and the incremental cache -----------------------------
+# -- the CLI -----------------------------------------------------------------
 
-def test_effect_summary_json_roundtrip():
-    source = (FIXTURES / "interproc_rep008" / "helpers.py").read_text()
-    summary = summarize_module(ast.parse(source), "helpers.py")
-    assert summary.functions["accumulate"].mutations
-    rehydrated = ModuleSummary.from_dict(
-        json.loads(json.dumps(summary.to_dict())))
-    assert rehydrated.to_dict() == summary.to_dict()
-
-
-def test_cache_roundtrip_serves_identical_findings(tmp_path):
-    cache_path = tmp_path / "cache.json"
-    cold = analyze_fixture("interproc_rep009", cache_path=cache_path)
-    warm = analyze_fixture("interproc_rep009", cache_path=cache_path)
-    assert cold.cache_hits == 0
-    assert cold.cache_misses == len(cold.files)
-    assert warm.cache_hits == len(warm.files)
-    assert warm.cache_misses == 0
-    assert ([finding.to_dict() for finding in warm.findings]
-            == [finding.to_dict() for finding in cold.findings])
-
-
-def test_warm_cli_run_is_byte_identical(tmp_path):
-    fixture = str(FIXTURES / "interproc_rep007")
-    cache = tmp_path / "cache.json"
-    argv = [fixture, "--context", "all", "--no-contracts",
-            "--cache", str(cache), "--json"]
-    outs = []
-    for out in (tmp_path / "cold.json", tmp_path / "warm.json"):
-        assert main(argv + ["--json-out", str(out)]) == 1
-        outs.append(json.loads(out.read_text()))
-    cold, warm = outs
-    assert warm["cache"]["hits"] > 0
-    assert cold["cache"] == {"enabled": True, "hits": 0,
-                             "misses": cold["counts"]["files"]}
-    # ``cache`` and ``perf`` are the only run-dependent keys.
-    for report in (cold, warm):
-        report.pop("cache")
-        report.pop("perf")
-    assert json.dumps(cold) == json.dumps(warm)
-
-
-def test_cache_invalidates_on_content_change(tmp_path):
-    source = tmp_path / "module.py"
-    source.write_text("import random\n\n"
-                      "def fresh():\n"
-                      "    return random.Random()\n")
-    cache_path = tmp_path / "cache.json"
-    first = analyze_paths([str(source)], context="all", contracts=False,
-                          cache_path=cache_path)
-    assert rules_hit(first) == {"REP007"}
-    source.write_text("import random\n\n"
-                      "def fresh(seed):\n"
-                      "    return random.Random(seed)\n")
-    second = analyze_paths([str(source)], context="all",
-                           contracts=False, cache_path=cache_path)
-    assert second.cache_misses == 1 and second.cache_hits == 0
-    assert second.ok
+def test_missing_target_is_a_usage_error(capsys):
+    # A mistyped path must not pass the gate as "0 files, 0 findings".
+    with pytest.raises(SystemExit) as exit_info:
+        main(["no/such/dir"])
+    assert exit_info.value.code == 2
+    assert "no/such/dir" in capsys.readouterr().err
 
 
 # -- the github annotation format -------------------------------------------
 
 def test_github_format_emits_workflow_annotations(capsys):
     assert main([str(FIXTURES / "rep001_bad.py"), "--context", "all",
-                 "--no-contracts", "--no-cache",
-                 "--format", "github"]) == 1
+                 "--no-contracts", "--format", "github"]) == 1
     output = capsys.readouterr().out
     assert "::error file=" in output
     assert "title=REP001::" in output

@@ -165,6 +165,26 @@ class TestBest3ConfigKwargs:
             assert config.lam == lam
 
 
+class TestCachedGseq:
+    """One rule for reusing ``prepared.gseq``: built with this min_bits."""
+
+    def test_matching_threshold_reuses_the_cache(self, two_stage_flat):
+        from repro.api.flows import _cached_gseq
+        prepared = PreparedDesign.from_flat(two_stage_flat, 40.0, 40.0)
+        assert _cached_gseq(prepared, prepared.min_bits) is prepared.gseq
+        assert _cached_gseq(prepared, prepared.min_bits + 1) is None
+
+    def test_unknown_provenance_forces_a_rebuild(self, two_stage_flat):
+        from repro.api.flows import _cached_gseq
+        from repro.api.prepared import DEFAULT_MIN_BITS
+        supplied = PreparedDesign.from_flat(two_stage_flat, 40.0,
+                                            40.0).gseq
+        prepared = PreparedDesign.from_flat(two_stage_flat, 40.0, 40.0,
+                                            gseq=supplied)
+        assert prepared.min_bits is None
+        assert _cached_gseq(prepared, DEFAULT_MIN_BITS) is None
+
+
 def _row_key(row):
     return (row.design, row.flow, row.wl_meters, row.grc_percent,
             row.wns_percent, row.tns, row.macro_overlap, row.lam)

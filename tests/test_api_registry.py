@@ -59,7 +59,8 @@ class TestSpecParsing:
                          "affinity_mode": "pseudonet"}
 
     def test_legacy_hidap_lambda_spelling(self):
-        assert parse_flow_spec("hidap-l0.2") == ("hidap", {"lam": 0.2})
+        with pytest.raises(UnknownFlowError):
+            get_flow("hidap-l0.2")
 
     def test_bad_parameter_rejected(self):
         with pytest.raises(FlowError):

@@ -82,7 +82,7 @@ class TestRunFlow:
 
     def test_hidap_single_lambda(self, ctx):
         flat, truth, w, h = ctx
-        metrics = run_flow(flat, truth, "hidap-l0.5", w, h,
+        metrics = run_flow(flat, truth, "hidap:lam=0.5", w, h,
                            options=RunOptions(seed=1, effort=Effort.FAST))
         assert metrics.lam == 0.5
         assert metrics.wl_meters > 0

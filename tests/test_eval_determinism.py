@@ -26,9 +26,9 @@ class TestRefereeDeterminism:
     def test_run_flow_seeded_reproducible(self, tiny_c1_flat, tiny_c1):
         _design, truth, die_w, die_h = tiny_c1
         opts = RunOptions(seed=7, effort=Effort.FAST)
-        a = run_flow(tiny_c1_flat, truth, "hidap-l0.5", die_w, die_h,
+        a = run_flow(tiny_c1_flat, truth, "hidap:lam=0.5", die_w, die_h,
                      options=opts)
-        b = run_flow(tiny_c1_flat, truth, "hidap-l0.5", die_w, die_h,
+        b = run_flow(tiny_c1_flat, truth, "hidap:lam=0.5", die_w, die_h,
                      options=opts)
         assert a.wl_meters == b.wl_meters
 
@@ -41,7 +41,7 @@ class TestBestOfThree:
         opts = RunOptions(seed=1, effort=Effort.FAST)
         best3 = run_flow(tiny_c1_flat, truth, "hidap-best3", die_w,
                          die_h, options=opts)
-        single = run_flow(tiny_c1_flat, truth, "hidap-l0.5", die_w,
+        single = run_flow(tiny_c1_flat, truth, "hidap:lam=0.5", die_w,
                           die_h, options=opts)
         assert best3.lam in HIDAP_LAMBDAS
         assert best3.wl_meters <= single.wl_meters + 1e-12

@@ -42,13 +42,12 @@ introspection pass:
 
 REP007-REP012 run over a whole-program call graph assembled from
 per-function effect summaries (:mod:`tools.analyze.effects`,
-:mod:`tools.analyze.callgraph`, :mod:`tools.analyze.dataflow`), with
-per-file products cached by content hash
-(:mod:`tools.analyze.cache`).
+:mod:`tools.analyze.callgraph`, :mod:`tools.analyze.dataflow`).
 
-Run it as ``python -m tools.analyze`` or ``make analyze``; suppress an
-intentional finding inline with ``# repro: noqa[REPxxx] why``; the
-committed ``baseline.json`` grandfathers transitional debt.  The
+Run it as ``python -m tools.analyze`` or ``make analyze``; any finding
+fails the gate.  Suppress an intentional finding inline with
+``# repro: noqa[REPxxx] why``; a noqa that matches no finding is itself
+a REP000 finding.  The
 :mod:`tools.analyze.lintrules` module also hosts the builtin lint
 fallback shared with ``tools/lint.py`` (one rule source of truth:
 ``pyproject.toml``).

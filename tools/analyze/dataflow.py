@@ -1,8 +1,8 @@
 """Fixed-point propagation of effect summaries over the call graph.
 
-Three engines, one worklist discipline each, all deterministic (the
+Four engines, one worklist discipline each, all deterministic (the
 worklists are seeded and drained in :meth:`Program.sorted_functions`
-order so warm-cache and cold runs emit byte-identical findings):
+order so repeated runs emit byte-identical findings):
 
 * :func:`propagate_param_taint` — forward taint from a root function's
   parameters through argument aliasing; surfaces every direct array

@@ -1,7 +1,7 @@
 """Per-function effect summaries: the analyzer's interprocedural atoms.
 
 :func:`summarize_module` walks one parsed file and produces a
-serializable :class:`ModuleSummary`: for every function (including
+plain-data :class:`ModuleSummary`: for every function (including
 methods and nested functions) a :class:`FunctionSummary` records
 
 * **array mutations of parameters** — subscript stores, augmented
@@ -21,9 +21,6 @@ methods and nested functions) a :class:`FunctionSummary` records
   provenance per argument, ``.submit`` payloads) for
   :mod:`tools.analyze.dataflow` to propagate all of the above through
   the call graph to a fixed point.
-
-Summaries are pure data (``to_dict``/``from_dict`` round-trip), so the
-incremental cache can persist them per file keyed by content hash.
 """
 
 from __future__ import annotations
@@ -140,21 +137,6 @@ class ArgInfo:
     #: locals, which is what resource/view tracking needs.
     base: Optional[str] = None
 
-    def to_dict(self):
-        return {"alias": self.alias, "seed": self.seed,
-                "callable_ref": list(self.callable_ref)
-                if self.callable_ref else None,
-                "is_lambda": self.is_lambda, "base": self.base}
-
-    @classmethod
-    def from_dict(cls, data):
-        ref = data.get("callable_ref")
-        return cls(alias=data.get("alias"),
-                   seed=data.get("seed", "opaque"),
-                   callable_ref=tuple(ref) if ref else None,
-                   is_lambda=bool(data.get("is_lambda")),
-                   base=data.get("base"))
-
 
 @dataclass
 class CallSite:
@@ -172,24 +154,6 @@ class CallSite:
     #: Assignment target of the call result (``"owner"``,
     #: ``"self._shm"``), when the call is bound to one.
     bind: Optional[str] = None
-
-    def to_dict(self):
-        return {"target": list(self.target), "line": self.line,
-                "col": self.col,
-                "args": [a.to_dict() for a in self.args],
-                "kwargs": {k: v.to_dict()
-                           for k, v in self.kwargs.items()},
-                "recv_alias": self.recv_alias, "bind": self.bind}
-
-    @classmethod
-    def from_dict(cls, data):
-        return cls(target=tuple(data["target"]), line=data["line"],
-                   col=data["col"],
-                   args=[ArgInfo.from_dict(a) for a in data["args"]],
-                   kwargs={k: ArgInfo.from_dict(v)
-                           for k, v in data["kwargs"].items()},
-                   recv_alias=data.get("recv_alias"),
-                   bind=data.get("bind"))
 
 
 @dataclass
@@ -248,44 +212,6 @@ class FunctionSummary:
     def is_method(self) -> bool:
         return bool(self.params) and self.params[0] in _SELFISH
 
-    def to_dict(self):
-        return {"qualname": self.qualname, "params": self.params,
-                "line": self.line, "col": self.col,
-                "mutations": self.mutations,
-                "global_writes": self.global_writes,
-                "clock_reads": self.clock_reads, "rng": self.rng,
-                "calls": [c.to_dict() for c in self.calls],
-                "submits": self.submits,
-                "resources": self.resources,
-                "releases": self.releases, "pins": self.pins,
-                "patches": self.patches, "binds": self.binds,
-                "views": self.views, "flips": self.flips,
-                "returns": self.returns, "skeleton": self.skeleton}
-
-    @classmethod
-    def from_dict(cls, data):
-        return cls(qualname=data["qualname"], params=data["params"],
-                   line=data["line"], col=data["col"],
-                   mutations=[list(m) for m in data["mutations"]],
-                   global_writes=[list(w)
-                                  for w in data["global_writes"]],
-                   clock_reads=[list(r) for r in data["clock_reads"]],
-                   rng=[list(r) for r in data["rng"]],
-                   calls=[CallSite.from_dict(c)
-                          for c in data["calls"]],
-                   submits=[list(s) for s in data["submits"]],
-                   resources=[list(r)
-                              for r in data.get("resources", [])],
-                   releases=[list(r)
-                             for r in data.get("releases", [])],
-                   pins=[list(p) for p in data.get("pins", [])],
-                   patches=[list(p) for p in data.get("patches", [])],
-                   binds=[list(b) for b in data.get("binds", [])],
-                   views=[list(v) for v in data.get("views", [])],
-                   flips=[list(f) for f in data.get("flips", [])],
-                   returns=[list(r) for r in data.get("returns", [])],
-                   skeleton=data.get("skeleton", []))
-
 
 @dataclass
 class ModuleSummary:
@@ -299,27 +225,6 @@ class ModuleSummary:
     #: class name -> resolved (dotted where possible) base names.
     classes: Dict[str, List[str]] = field(default_factory=dict)
     module_level_names: List[str] = field(default_factory=list)
-
-    def to_dict(self):
-        return {"module": self.module, "relpath": self.relpath,
-                "modules_map": self.modules_map,
-                "names_map": self.names_map,
-                "functions": {q: f.to_dict()
-                              for q, f in self.functions.items()},
-                "classes": self.classes,
-                "module_level_names": self.module_level_names}
-
-    @classmethod
-    def from_dict(cls, data):
-        return cls(module=data["module"], relpath=data["relpath"],
-                   modules_map=dict(data["modules_map"]),
-                   names_map=dict(data["names_map"]),
-                   functions={q: FunctionSummary.from_dict(f)
-                              for q, f in data["functions"].items()},
-                   classes={k: list(v)
-                            for k, v in data["classes"].items()},
-                   module_level_names=list(
-                       data["module_level_names"]))
 
 
 def module_name_for(relpath: str) -> str:

@@ -6,7 +6,7 @@ Each rule is a :class:`~tools.analyze.rules.Rule` with
 :class:`~tools.analyze.callgraph.Program` and hands it to
 :meth:`Rule.check_program` once per invocation.  Findings anchor to the
 file/line where the offending construct lives, so the normal per-file
-suppression and baseline machinery applies unchanged.
+suppression machinery applies unchanged.
 """
 
 from __future__ import annotations

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 from tools.analyze.rules import RULES, Finding
 
@@ -17,21 +17,10 @@ class Report:
     files: List[str] = field(default_factory=list)
     context: str = "auto"
     findings: List[Finding] = field(default_factory=list)
-    baselined: List[Finding] = field(default_factory=list)
     suppressed: List[Finding] = field(default_factory=list)
-    #: ``(path, line, code)`` of ``# repro: noqa[...]`` entries that
-    #: matched no finding.
-    unused_suppressions: List[Tuple[str, int, str]] = \
-        field(default_factory=list)
-    #: Incremental-cache accounting (zeros when the cache is off).
-    cache_enabled: bool = False
-    cache_hits: int = 0
-    cache_misses: int = 0
     #: Wall-clock seconds per analysis phase (parse / effects /
     #: interproc), for cost-regression tracking in the CI artifact.
     phase_seconds: Dict[str, float] = field(default_factory=dict)
-    #: ``--strict-suppressions``: unused noqas become findings.
-    strict_suppressions: bool = False
 
     @property
     def ok(self) -> bool:
@@ -40,32 +29,21 @@ class Report:
     def counts(self) -> Dict[str, int]:
         return {"files": len(self.files),
                 "findings": len(self.findings),
-                "baselined": len(self.baselined),
-                "suppressed": len(self.suppressed),
-                "unused_suppressions": len(self.unused_suppressions)}
+                "suppressed": len(self.suppressed)}
 
 
 def to_json_dict(report: Report) -> Dict[str, object]:
     return {
         "tool": "repro-analyze",
-        "version": 1,
+        "version": 2,
         "targets": report.targets,
         "context": report.context,
         "rules": {code: RULES[code].title for code in sorted(RULES)},
         "counts": report.counts(),
         "ok": report.ok,
         "findings": [f.to_dict() for f in report.findings],
-        "baselined": [f.to_dict() for f in report.baselined],
         "suppressed": [f.to_dict() for f in report.suppressed],
-        "unused_suppressions": [
-            {"path": path, "line": line, "rule": code}
-            for path, line, code in report.unused_suppressions],
-        # Kept in its own key so warm/cold runs stay byte-identical
-        # everywhere else (compare the dict minus ``cache``).
-        "cache": {"enabled": report.cache_enabled,
-                  "hits": report.cache_hits,
-                  "misses": report.cache_misses},
-        # Likewise timing-dependent: its own key, never in findings.
+        # Timing-dependent: its own key, never in findings.
         "perf": {"phase_seconds": {
             phase: round(seconds, 6)
             for phase, seconds in sorted(
@@ -77,25 +55,13 @@ def render_json(report: Report) -> str:
     return json.dumps(to_json_dict(report), indent=1)
 
 
-def render_human(report: Report, show_baselined: bool = False) -> str:
+def render_human(report: Report) -> str:
     lines: List[str] = []
     for finding in report.findings:
         lines.append(f"{finding.location()}: {finding.rule} "
                      f"{finding.message}")
-    if show_baselined:
-        for finding in report.baselined:
-            lines.append(f"{finding.location()}: {finding.rule} "
-                         f"{finding.message} [baselined]")
-    for path, line, code in report.unused_suppressions:
-        lines.append(f"{path}:{line}: warning: unused suppression "
-                     f"repro: noqa[{code}]")
     counts = report.counts()
     label = "finding" if counts["findings"] == 1 else "findings"
-    cache = (f", cache {report.cache_hits} hit"
-             f"{'s' if report.cache_hits != 1 else ''}/"
-             f"{report.cache_misses} miss"
-             f"{'es' if report.cache_misses != 1 else ''}"
-             if report.cache_enabled else "")
     phases = ""
     if report.phase_seconds:
         phases = ", " + " ".join(
@@ -103,8 +69,8 @@ def render_human(report: Report, show_baselined: bool = False) -> str:
             in sorted(report.phase_seconds.items()))
     lines.append(
         f"repro-analyze: {counts['findings']} {label} "
-        f"({counts['baselined']} baselined, {counts['suppressed']} "
-        f"suppressed) across {counts['files']} files{cache}{phases}")
+        f"({counts['suppressed']} suppressed) across "
+        f"{counts['files']} files{phases}")
     return "\n".join(lines)
 
 
@@ -122,10 +88,6 @@ def render_github(report: Report) -> str:
             f"::error file={finding.path},line={finding.line},"
             f"col={finding.col},title={finding.rule}::"
             f"{_annotation_escape(finding.message)}")
-    for path, line, code in report.unused_suppressions:
-        lines.append(
-            f"::warning file={path},line={line},title={code}::"
-            f"unused suppression repro: noqa[{code}]")
     counts = report.counts()
     lines.append(
         f"repro-analyze: {counts['findings']} findings across "

@@ -17,7 +17,7 @@ The bracket lists one or more comma-separated rule codes; everything
 after the bracket is the (expected) one-line justification.  A bare
 ``# repro: noqa`` without codes is intentionally *not* honoured — every
 suppression names the contract it waives.  Suppressions that match no
-finding are reported as warnings so stale waivers cannot accumulate.
+finding are REP000 findings, so stale waivers cannot accumulate.
 """
 
 from __future__ import annotations
