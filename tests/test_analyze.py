@@ -126,12 +126,21 @@ def test_clean_fixture_has_no_findings():
     assert not report.suppressed
 
 
-def test_inline_suppression_and_stale_noqa_finding():
+def test_inline_suppression_and_unused_warning():
+    # The used REP001 noqa suppresses its finding; the unused REP003
+    # noqa is no longer a warning but a finding that fails the gate.
+    report = analyze_fixture("suppressed.py")
+    assert [finding.rule for finding in report.suppressed] == ["REP001"]
+    assert not report.ok
+    assert [(finding.line, finding.rule) for finding in report.findings] \
+        == [(5, "REP000")]
+
+
+def test_strict_suppressions_turn_stale_noqas_into_findings():
     # suppressed.py carries one used (REP001) and one stale (REP003)
-    # noqa; only the stale one becomes a finding.
+    # noqa; only the stale one becomes a finding, with no switch needed.
     report = analyze_fixture("suppressed.py")
     assert not report.ok
-    assert [finding.rule for finding in report.suppressed] == ["REP001"]
     assert [finding.rule for finding in report.findings] == ["REP000"]
     assert report.findings[0].line == 5
     assert "REP003" in report.findings[0].message
