@@ -2,7 +2,7 @@
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 .PHONY: test test-benchmarks lint analyze smoke-api smoke-trace \
-	smoke-service bench-suite bench-anneal bench-referee check flows
+	smoke-service bench-anneal bench-referee check flows
 
 # Tier-1 verification: the full unit-test suite.
 test:
@@ -69,11 +69,6 @@ smoke-trace:
 # bit-identical rows.
 smoke-service:
 	python tools/smoke_service.py
-
-# Serial-vs-parallel-vs-store suite wall-clock (cold and warm store
-# phases); writes benchmarks/artifacts/BENCH_suite.json.
-bench-suite:
-	python benchmarks/bench_suite_runtime.py
 
 # Incremental-vs-full annealing cost evaluation; verifies bit-identical
 # placements and writes benchmarks/artifacts/BENCH_anneal.json.

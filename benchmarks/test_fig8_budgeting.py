@@ -12,11 +12,10 @@ import pytest
 
 from benchmarks.conftest import pedantic
 from repro.floorplan.blocks import Block
-from repro.floorplan.budget import budgeted_layout
+from repro.floorplan.budget import block_subtrees, budgeted_layout
 from repro.geometry.rect import Rect
 from repro.shapecurve.curve import ShapeCurve
 from repro.slicing.polish import H, PolishExpression, V
-from repro.slicing.tree import annotate_areas, annotate_curves, build_tree
 from repro.viz.ascii_art import ascii_floorplan
 
 #: Five leaves with the 3x3 = 9 area units of the figure.
@@ -30,12 +29,8 @@ def test_fig8_budgeted_layout(benchmark):
     region = Rect(0, 0, 3, 3)
 
     def run():
-        expr = PolishExpression(EXPRESSION)
-        root = build_tree(expr)
-        annotate_curves(root, [b.curve for b in blocks])
-        annotate_areas(root, [b.area_min for b in blocks],
-                       [b.area_target for b in blocks])
-        return budgeted_layout(root, region, blocks)
+        return budgeted_layout(PolishExpression(EXPRESSION), region, blocks,
+                               block_subtrees(blocks))
 
     report = pedantic(benchmark, run)
 
@@ -65,12 +60,8 @@ def test_fig8_budgeted_layout(benchmark):
                    else ShapeCurve.trivial(),
                    t, t, macro_count=1 if i == 0 else 0)
              for i, t in enumerate(TARGETS)]
-    expr = PolishExpression(EXPRESSION)
-    root = build_tree(expr)
-    annotate_curves(root, [b.curve for b in rigid])
-    annotate_areas(root, [b.area_min for b in rigid],
-                   [b.area_target for b in rigid])
-    repaired = budgeted_layout(root, region, rigid)
+    repaired = budgeted_layout(PolishExpression(EXPRESSION), region, rigid,
+                               block_subtrees(rigid))
     rect0 = repaired.leaf_rects[0]
     assert rect0.w >= 2 - 1e-9 or rect0.h >= 2 - 1e-9 \
         or repaired.macro_deficit > 0

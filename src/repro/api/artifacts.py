@@ -57,12 +57,16 @@ class RunArtifacts:
     #: Evaluation-work counters of the two annealing stages
     #: (shape-curves and floorplan), accumulated as plain ints:
     #: ``cost_evals``, ``cost_cache_hits``, ``layout_nodes_total``,
-    #: ``layout_nodes_expanded``, ``subtree_hits``/``subtree_misses``,
+    #: ``layout_nodes_expanded``, ``subtree_hits``/``subtree_misses``
+    #: (slice lookups that ended on a cached subtree vs. subtrees
+    #: annotated — the same meaning in both stages),
     #: ``curve_compose_hits``/``curve_compose_misses`` (see
-    #: :class:`repro.slicing.tree.EvalStats`).  Observers read them in
+    #: :class:`repro.slicing.tree.EvalStats`).  The caches count into
+    #: the stage's record directly.  Observers read them in
     #: ``on_stage_end`` to report incremental-evaluation reuse; a traced
     #: run records the same sums as tracer counters.  Stage timings
-    #: live in the stage spans, referee facts in the ``referee`` span.
+    #: live in the stage spans, referee facts in the ``referee`` span;
+    #: ``legalizer_moves`` is also the ``legalize_moves`` counter.
     eval_counters: Dict[str, int] = field(default_factory=dict)
 
     def require_placement(self) -> MacroPlacement:

@@ -197,6 +197,8 @@ def _stage_legalize(artifacts: RunArtifacts) -> None:
     if artifacts.config.legalize:
         artifacts.legalizer_moves = legalize_macros(
             artifacts.require_placement())
+        current_tracer().metrics.counter("legalize_moves",
+                                         artifacts.legalizer_moves)
 
 
 #: The canonical stage order of the HiDaP flow.

@@ -12,7 +12,6 @@ moving area between siblings at increasing penalty severity
 from repro.floorplan.blocks import Block, Terminal
 from repro.floorplan.budget import (
     BudgetReport,
-    LayoutCache,
     SubLayout,
     budgeted_layout,
 )
@@ -27,7 +26,6 @@ from repro.floorplan.engine import (
 __all__ = [
     "Block",
     "BudgetReport",
-    "LayoutCache",
     "SubLayout",
     "CostModel",
     "CostWeights",

@@ -9,14 +9,17 @@ curve Γ), area is moved from the sibling, and the move is penalized by
 the kind of area the sibling yielded — target slack (cheapest), minimum
 area, or macro area (infeasible, most severe).
 
-The expansion of one subtree depends only on the subtree's structure
-(curve/area annotations, which the signature determines) and the
-rectangle it receives, so sub-layouts are memoizable: a
-:class:`LayoutCache` keyed by ``(signature, rect)`` lets the annealing
-engine reuse the budgeted layout of every subtree a perturbation did
-not touch.  Violation accounting is kept as per-node contribution
-sequences and folded left-to-right in depth-first order at the end, so
-cached and full evaluation produce bit-identical deficits.
+The expansion walks the Polish expression's token slices (a subtree is
+the slice ``tokens[lo:hi]``, see :mod:`repro.slicing.tree`) and asks a
+:class:`~repro.slicing.tree.SubtreeCache` for the children's 〈Γ, a_m,
+a_t〉 at each split; the root's own curve is never needed.  The
+expansion of one subtree depends only on its slice and the rectangle it
+receives, so sub-layouts are memoizable: a memo keyed by ``(slice,
+rect)`` lets the annealing engine reuse the budgeted layout of every
+subtree a perturbation did not touch.  Violation accounting is kept as
+per-node contribution sequences and folded left-to-right in depth-first
+order at the end, so memoized and full evaluation produce bit-identical
+deficits.
 """
 
 from __future__ import annotations
@@ -25,10 +28,11 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.floorplan.blocks import Block
-from repro.memo import DEFAULT_MAX_ENTRIES, BoundedStore
 from repro.geometry.rect import Rect
-from repro.slicing.polish import H
-from repro.slicing.tree import SlicingNode
+from repro.memo import BoundedStore
+from repro.shapecurve.curve import MAX_POINTS, ShapeCurve
+from repro.slicing.polish import H, PolishExpression, Token
+from repro.slicing.tree import EvalStats, SubtreeCache, right_start
 
 
 @dataclass
@@ -66,8 +70,6 @@ class SubLayout:
     folds bit-identical to full evaluation.  ``centers`` caches each
     leaf rectangle's ``(block, cx, cy)`` center so repeated cost
     evaluations (and the distance kernel) never recompute it.
-    ``nodes`` counts the slicing-tree nodes in the subtree (for
-    cache-saving accounting).
     """
 
     rects: Tuple[Tuple[int, Rect], ...]
@@ -76,54 +78,28 @@ class SubLayout:
     min_contribs: Tuple[float, ...]
     macro_contribs: Tuple[float, ...]
     repairs: int
-    nodes: int
 
 
-class LayoutCache:
-    """Memoized :class:`SubLayout` records keyed by (signature, rect).
-
-    Valid for one evaluation context (fixed blocks and annotation
-    limit).  ``nodes_expanded`` counts subtree nodes actually computed;
-    ``nodes_saved`` counts the nodes inside cache-hit subtrees that a
-    full evaluator would have expanded.  Requires signatures on the
-    tree (:func:`repro.slicing.tree.compute_signatures`).  Bounded by
-    a :class:`repro.memo.BoundedStore`.
-    """
-
-    __slots__ = ("hits", "misses", "nodes_expanded", "nodes_saved",
-                 "_store")
-
-    def __init__(self, max_entries: int = DEFAULT_MAX_ENTRIES):
-        self._store = BoundedStore(max_entries)
-        self.hits = 0
-        self.misses = 0
-        self.nodes_expanded = 0
-        self.nodes_saved = 0
-
-    def __len__(self) -> int:
-        return len(self._store)
-
-    def clear(self) -> None:
-        self._store.clear()
-
-    def get(self, key: tuple) -> Optional[SubLayout]:
-        return self._store.get(key)
-
-    def put(self, key: tuple, sub: SubLayout) -> None:
-        self._store.put(key, sub)
+def block_subtrees(blocks: List[Block], limit: int = MAX_POINTS,
+                   stats: Optional[EvalStats] = None) -> SubtreeCache:
+    """A :class:`SubtreeCache` over ``blocks``' curves and a_m / a_t."""
+    return SubtreeCache([b.curve for b in blocks], limit,
+                        area_min=[b.area_min for b in blocks],
+                        area_target=[b.area_target for b in blocks],
+                        stats=stats)
 
 
-def _min_side(node: SlicingNode, across: float, horizontal_split: bool
+def _min_side(curve: ShapeCurve, across: float, horizontal_split: bool
               ) -> float:
-    """Minimum width (or height) the subtree needs given the other side.
+    """Minimum width (or height) a subtree needs given the other side.
 
     ``across`` is the fixed perpendicular dimension; for a vertical cut
-    we ask the composed curve for the minimum width at height ``across``
-    and vice versa.  Returns 0 when the subtree holds no macros and
-    ``inf`` when not even the most elongated curve point fits.
+    we ask the subtree's composed curve for the minimum width at height
+    ``across`` and vice versa.  Returns 0 when the subtree holds no
+    macros and ``inf`` when not even the most elongated curve point
+    fits.
     """
-    curve = node.curve
-    if curve is None or curve.is_trivial:
+    if curve.is_trivial:
         return 0.0
     if horizontal_split:
         needed = curve.min_width_for_height(across)
@@ -132,30 +108,29 @@ def _min_side(node: SlicingNode, across: float, horizontal_split: bool
     return float("inf") if needed is None else needed
 
 
-def _area_violation(node: SlicingNode, got_area: float
+def _area_violation(area_min: float, area_target: float, got_area: float
                     ) -> Tuple[float, float]:
-    """Classify a shrunken subtree's area against its a_t / a_m.
+    """Classify a shrunken block's area against its a_t / a_m.
 
     Returns ``(target_contrib, min_contrib)``.
     """
-    if got_area >= node.area_target - 1e-9:
+    if got_area >= area_target - 1e-9:
         return 0.0, 0.0
-    if got_area >= node.area_min - 1e-9:
-        if node.area_target > 0:
-            return ((node.area_target - got_area) / node.area_target, 0.0)
+    if got_area >= area_min - 1e-9:
+        if area_target > 0:
+            return ((area_target - got_area) / area_target, 0.0)
         return 0.0, 0.0
     target = 0.0
     minimum = 0.0
-    if node.area_target > 0:
-        target = (node.area_target - node.area_min) / node.area_target
-    if node.area_min > 0:
-        minimum = (node.area_min - got_area) / node.area_min
+    if area_target > 0:
+        target = (area_target - area_min) / area_target
+    if area_min > 0:
+        minimum = (area_min - got_area) / area_min
     return target, minimum
 
 
-def _leaf_layout(node: SlicingNode, rect: Rect,
-                 blocks: List[Block]) -> SubLayout:
-    block = blocks[node.block]
+def _leaf_layout(index: int, rect: Rect, blocks: List[Block]) -> SubLayout:
+    block = blocks[index]
     macro = ()
     if not block.curve.feasible(rect.w, rect.h):
         # Relative shortfall of the best curve point vs the rect.
@@ -168,43 +143,45 @@ def _leaf_layout(node: SlicingNode, rect: Rect,
         if block.curve.is_trivial:
             best = 0.0
         macro = (min(best, 4.0),)
-    target, minimum = _area_violation(node, rect.area)
+    target, minimum = _area_violation(block.area_min, block.area_target,
+                                      rect.area)
     return SubLayout(
-        rects=((node.block, rect),),
-        centers=((node.block, rect.x + rect.w / 2.0,
-                  rect.y + rect.h / 2.0),),
+        rects=((index, rect),),
+        centers=((index, rect.x + rect.w / 2.0, rect.y + rect.h / 2.0),),
         target_contribs=(target,) if target else (),
         min_contribs=(minimum,) if minimum else (),
         macro_contribs=macro,
-        repairs=0, nodes=1)
+        repairs=0)
 
 
-def _expand(node: SlicingNode, rect: Rect, blocks: List[Block],
-            cache: Optional[LayoutCache]) -> SubLayout:
-    """Expand one subtree into its rectangle, memoized when cached."""
-    if cache is not None:
-        key = (node.signature, rect.x, rect.y, rect.w, rect.h)
-        cached = cache.get(key)
+def _expand(tokens: Tuple[Token, ...], lo: int, hi: int, rect: Rect,
+            blocks: List[Block], subtrees: SubtreeCache,
+            memo: Optional[BoundedStore], stats: EvalStats) -> SubLayout:
+    """Expand the subtree ``tokens[lo:hi]`` into ``rect``, memoized."""
+    if memo is not None:
+        key = (tokens[lo:hi], rect.x, rect.y, rect.w, rect.h)
+        cached = memo.get(key)
         if cached is not None:
-            cache.hits += 1
-            cache.nodes_saved += cached.nodes
             return cached
-        cache.misses += 1
+    stats.layout_nodes_expanded += 1
 
-    if node.is_leaf:
-        sub = _leaf_layout(node, rect, blocks)
+    if hi - lo == 1:
+        sub = _leaf_layout(tokens[lo], rect, blocks)
     else:
-        horizontal_split = node.op != H   # V cut -> children side by side
-        total_target = max(node.left.area_target + node.right.area_target,
-                           1e-12)
+        split = right_start(tokens, lo, hi)
+        left_curve, _, left_target = subtrees.annotation(tokens, lo, split)
+        right_curve, _, right_target = subtrees.annotation(
+            tokens, split, hi - 1)
+        horizontal_split = tokens[hi - 1] != H  # V cut -> side by side
+        total_target = max(left_target + right_target, 1e-12)
         if horizontal_split:
             span, across = rect.w, rect.h
         else:
             span, across = rect.h, rect.w
 
-        left_share = span * node.left.area_target / total_target
-        left_min = _min_side(node.left, across, horizontal_split)
-        right_min = _min_side(node.right, across, horizontal_split)
+        left_share = span * left_target / total_target
+        left_min = _min_side(left_curve, across, horizontal_split)
+        right_min = _min_side(right_curve, across, horizontal_split)
 
         own_macro: Tuple[float, ...] = ()
         repairs = 0
@@ -222,9 +199,9 @@ def _expand(node: SlicingNode, rect: Rect, blocks: List[Block],
             denom = max(lm + rm, 1e-12)
             left_share = span * (lm / denom)
         else:
-            lo = left_min
-            hi = span - right_min
-            clamped = min(max(left_share, lo), hi)
+            low = left_min
+            high = span - right_min
+            clamped = min(max(left_share, low), high)
             if abs(clamped - left_share) > 1e-12:
                 repairs = 1
             left_share = clamped
@@ -241,8 +218,10 @@ def _expand(node: SlicingNode, rect: Rect, blocks: List[Block],
             right_rect = Rect(rect.x, rect.y + left_share,
                               rect.w, right_share)
 
-        left = _expand(node.left, left_rect, blocks, cache)
-        right = _expand(node.right, right_rect, blocks, cache)
+        left = _expand(tokens, lo, split, left_rect, blocks, subtrees,
+                       memo, stats)
+        right = _expand(tokens, split, hi - 1, right_rect, blocks,
+                        subtrees, memo, stats)
         sub = SubLayout(
             rects=left.rects + right.rects,
             centers=left.centers + right.centers,
@@ -250,36 +229,35 @@ def _expand(node: SlicingNode, rect: Rect, blocks: List[Block],
             min_contribs=left.min_contribs + right.min_contribs,
             macro_contribs=(own_macro + left.macro_contribs
                             + right.macro_contribs),
-            repairs=repairs + left.repairs + right.repairs,
-            nodes=1 + left.nodes + right.nodes)
+            repairs=repairs + left.repairs + right.repairs)
 
-    if cache is not None:
-        cache.nodes_expanded += 1
-        cache.put(key, sub)
+    if memo is not None:
+        memo.put(key, sub)
     return sub
 
 
-def budgeted_layout(root: SlicingNode, region: Rect, blocks: List[Block],
-                    cache: Optional[LayoutCache] = None) -> BudgetReport:
+def budgeted_layout(expr: PolishExpression, region: Rect,
+                    blocks: List[Block], subtrees: SubtreeCache,
+                    memo: Optional[BoundedStore] = None,
+                    stats: Optional[EvalStats] = None) -> BudgetReport:
     """Assign every leaf block a rectangle inside ``region``.
 
-    ``root`` must already be annotated with composed curves and areas
-    (``annotate_curves`` / ``annotate_areas``).  The returned report
-    carries the leaf rectangles and the violation accounting used by the
-    cost model; rectangles always tile ``region`` exactly.
+    ``subtrees`` (see :func:`block_subtrees`) supplies the composed
+    〈Γ, a_m, a_t〉 of each split's children; the root's own annotation
+    is never requested.  The returned report carries the leaf rectangles
+    and the violation accounting used by the cost model; rectangles
+    always tile ``region`` exactly.  Each expanded node counts into
+    ``stats.layout_nodes_expanded``.
 
-    With a :class:`LayoutCache` (requires subtree signatures), unchanged
-    subtrees reuse their previous expansion; the report is bit-identical
-    to the uncached one (``sum`` folds the contributions left-to-right
-    in depth-first order, the historical accumulation order).
+    With a ``memo`` (a :class:`~repro.memo.BoundedStore` kept for one
+    evaluation context), unchanged subtrees reuse their previous
+    expansion; the report is bit-identical to the unmemoized one
+    (``sum`` folds the contributions left-to-right in depth-first order,
+    the historical accumulation order).
     """
-    if cache is not None and root.signature is None:
-        raise ValueError(
-            "budgeted_layout(cache=...) needs subtree signatures — run "
-            "repro.slicing.tree.compute_signatures(root) first (without "
-            "them every subtree would share the cache key None and "
-            "collide)")
-    sub = _expand(root, region, blocks, cache)
+    tokens = tuple(expr.tokens)
+    sub = _expand(tokens, 0, len(tokens), region, blocks, subtrees, memo,
+                  stats if stats is not None else EvalStats())
     return BudgetReport(
         target_deficit=sum(sub.target_contribs),
         min_deficit=sum(sub.min_contribs),

@@ -9,14 +9,16 @@ a direct assignment.
 Cost evaluation is **incremental** by default (``LayoutConfig.incremental``):
 a whole-expression transposition table short-circuits re-proposed
 candidates, a :class:`~repro.slicing.tree.SubtreeCache` reuses the
-composed shape curves and area annotations of every subtree a
-perturbation did not touch, and a
-:class:`~repro.floorplan.budget.LayoutCache` reuses their budgeted
-sub-layouts.  All three caches return exactly what full re-evaluation
-would compute, so results are bit-identical under a fixed seed — the
-``incremental=False`` fallback exists for cross-checking, not because
-the answers differ.  :class:`~repro.slicing.tree.EvalStats` counters on
-the :class:`LayoutResult` report how much work was saved.
+composed shape curves and area annotations of every token slice
+(subtree) a perturbation did not touch, and a ``(slice, rect)`` memo
+reuses their budgeted sub-layouts.  The expression's token tuple is the
+tree: nothing is built per move.  All three caches return exactly what
+full re-evaluation would compute, so results are bit-identical under a
+fixed seed — the ``incremental=False`` fallback, which starts every
+evaluation from a fresh subtree cache and no memo, exists for
+cross-checking, not because the answers differ.
+:class:`~repro.slicing.tree.EvalStats` counters on the
+:class:`LayoutResult` report how much work was saved.
 """
 
 from __future__ import annotations
@@ -25,22 +27,18 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro.floorplan.blocks import Block, Terminal
-from repro.memo import BoundedStore
-from repro.floorplan.budget import BudgetReport, LayoutCache, budgeted_layout
+from repro.floorplan.budget import (
+    BudgetReport,
+    block_subtrees,
+    budgeted_layout,
+)
 from repro.floorplan.cost import CostModel, CostWeights
 from repro.geometry.rect import Rect
+from repro.memo import BoundedStore
 from repro.obs import current_tracer
 from repro.slicing.anneal import AnnealConfig, Annealer
 from repro.slicing.polish import H, PolishExpression, V
-from repro.slicing.tree import (
-    EvalStats,
-    SubtreeCache,
-    annotate_areas,
-    annotate_cached,
-    annotate_curves,
-    build_tree,
-    compute_signatures,
-)
+from repro.slicing.tree import EvalStats
 
 
 def _chain(n_blocks: int, operators) -> PolishExpression:
@@ -117,9 +115,9 @@ class LayoutEvaluator:
 
     One evaluator serves one (problem, curve limit) context.  In
     incremental mode it keeps three cooperating caches — a
-    whole-expression cost transposition table, the per-subtree
-    curve/area annotations and the per-(subtree, rect) budgeted
-    sub-layouts — and records their effect in ``stats``.  All cached
+    whole-expression cost transposition table, the per-slice
+    curve/area annotations and the per-(slice, rect) budgeted
+    sub-layouts — which count their effect into ``stats``.  All cached
     values equal what full evaluation computes, so the two modes yield
     bit-identical costs and layouts.
     """
@@ -130,83 +128,40 @@ class LayoutEvaluator:
         self.problem = problem
         self.model = model
         self.curve_limit = curve_limit
-        self.incremental = incremental
         self.stats = stats if stats is not None else EvalStats()
-        self._leaf_curves = [b.curve for b in problem.blocks]
-        self._area_min = [b.area_min for b in problem.blocks]
-        self._area_target = [b.area_target for b in problem.blocks]
         self._n_nodes = max(1, 2 * len(problem.blocks) - 1)
+        self._subtrees = self._layouts = self._costs = None
         if incremental:
-            self._subtrees = SubtreeCache()
-            self._layouts = LayoutCache()
-            self._costs: Optional[BoundedStore] = BoundedStore()
-        else:
-            self._subtrees = None
-            self._layouts = None
-            self._costs = None
-
-    # -- internals ----------------------------------------------------------
-
-    def _annotate(self, expr: PolishExpression):
-        root = build_tree(expr)
-        if self.incremental:
-            compute_signatures(root)
-            annotate_cached(root, self._leaf_curves, self.curve_limit,
-                            self._subtrees, minimum=self._area_min,
-                            target=self._area_target)
-        else:
-            annotate_curves(root, self._leaf_curves, self.curve_limit)
-            annotate_areas(root, self._area_min, self._area_target)
-        return root
-
-    def _account_nodes(self) -> None:
-        """Book one full-expansion equivalent against the counters."""
-        self.stats.layout_nodes_total += self._n_nodes
-        if not self.incremental:
-            self.stats.layout_nodes_expanded += self._n_nodes
-
-    # -- evaluation ---------------------------------------------------------
+            self._subtrees = block_subtrees(problem.blocks, curve_limit,
+                                            self.stats)
+            self._layouts = BoundedStore()
+            self._costs = BoundedStore()
 
     def report(self, expr: PolishExpression) -> BudgetReport:
         """The full budget report for one expression (no cost memo)."""
         self.stats.cost_evals += 1
-        self._account_nodes()
-        root = self._annotate(expr)
-        return budgeted_layout(root, self.problem.region,
-                               self.problem.blocks, cache=self._layouts)
+        self.stats.layout_nodes_total += self._n_nodes
+        subtrees = self._subtrees
+        if subtrees is None:
+            subtrees = block_subtrees(self.problem.blocks, self.curve_limit)
+        return budgeted_layout(expr, self.problem.region,
+                               self.problem.blocks, subtrees,
+                               self._layouts, self.stats)
 
     def cost(self, expr: PolishExpression) -> float:
         """The annealing objective; memoized per expression."""
-        self.stats.cost_evals += 1
-        self._account_nodes()
-        key = None
+        key = tuple(expr.tokens)
         if self._costs is not None:
-            key = tuple(expr.tokens)
             cached = self._costs.get(key)
             if cached is not None:
+                self.stats.cost_evals += 1
+                self.stats.layout_nodes_total += self._n_nodes
                 self.stats.cost_cache_hits += 1
                 return cached
-        root = self._annotate(expr)
-        report = budgeted_layout(root, self.problem.region,
-                                 self.problem.blocks, cache=self._layouts)
-        value = self.model.cost(report)
-        if key is not None:
+        value = self.model.cost(self.report(expr))
+        if self._costs is not None:
             self._costs.put(key, value)
         return value
-
-    def flush_counters(self) -> None:
-        """Fold the cache-level counters into ``stats`` (idempotent via
-        zeroing the sources)."""
-        if not self.incremental:
-            return
-        self.stats.subtree_hits += self._subtrees.hits
-        self.stats.subtree_misses += self._subtrees.misses
-        self.stats.curve_compose_hits += self._subtrees.compose.hits
-        self.stats.curve_compose_misses += self._subtrees.compose.misses
-        self.stats.layout_nodes_expanded += self._layouts.nodes_expanded
-        self._subtrees.hits = self._subtrees.misses = 0
-        self._subtrees.compose.hits = self._subtrees.compose.misses = 0
-        self._layouts.nodes_expanded = 0
 
 
 def _result_from(report: BudgetReport, model: CostModel,
@@ -224,8 +179,10 @@ def generate_layout(problem: LayoutProblem,
                     config: Optional[LayoutConfig] = None) -> LayoutResult:
     """Find block coordinates for one floorplanning instance."""
     config = config or LayoutConfig()
-    with current_tracer().span("layout", blocks=len(problem.blocks)):
-        return _generate_layout(problem, config)
+    with current_tracer().span("layout", blocks=len(problem.blocks)) as span:
+        result = _generate_layout(problem, config)
+        span.set(penalty=result.penalty, is_legal=result.is_legal)
+        return result
 
 
 def _generate_layout(problem: LayoutProblem,
@@ -262,7 +219,6 @@ def _generate_layout(problem: LayoutProblem,
     result = annealer.run(best)
     if result.best_cost <= scored[0][0]:
         best = result.best
-    sa_eval.flush_counters()
 
     report = final_eval.report(best)
     return _result_from(report, model, best, stats)

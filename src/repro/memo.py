@@ -2,7 +2,7 @@
 
 Every incremental-evaluation cache (pairwise curve composition, subtree
 annotations, budgeted sub-layouts, whole-expression transposition
-tables) wraps this store.  It is a plain dict with one policy: when
+tables) is or wraps this store.  It is a plain dict with one policy: when
 ``max_entries`` is reached the store is cleared wholesale.  Unlike LRU
 eviction, a full clear cannot make results depend on lookup order, so
 cached and uncached runs stay bit-identical — the property the whole

@@ -28,8 +28,10 @@ sources, so changing any compile-relevant module silently invalidates
 old entries (they become unreachable keys, never wrong answers).
 
 Writes are atomic (temp directory + ``os.replace``), so concurrent
-writers of the same key are safe: last-write-wins with both writes
-being bit-identical by the determinism contract.
+writers of the same key are safe: the first complete write wins and
+later ones, bit-identical by the determinism contract, are dropped.
+An existing entry that does not load (a truncated or missing file) is
+replaced by the fresh write with a ``RuntimeWarning``.
 """
 
 from __future__ import annotations
@@ -38,7 +40,9 @@ import hashlib
 import json
 import os
 import pickle
+import shutil
 import tempfile
+import warnings
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Dict, Optional, Tuple, Union
@@ -358,20 +362,29 @@ class CompiledDesignStore:
                 }
                 (tmp / "meta.json").write_text(
                     json.dumps(meta, indent=1, sort_keys=True))
-                if path.exists():
+                if not path.exists():
+                    os.replace(tmp, path)
+                elif self.load(key) is not None:
                     # Concurrent writer won the race with bit-identical
                     # content; keep theirs.
-                    import shutil
                     shutil.rmtree(tmp, ignore_errors=True)
                 else:
+                    # A corrupted entry (truncated or missing file):
+                    # move it aside, install the fresh one, drop it.
+                    warnings.warn(
+                        f"store entry {key} does not load; replacing it "
+                        "with a fresh compile", RuntimeWarning,
+                        stacklevel=2)
+                    stale = tmp.with_name(tmp.name + "-stale")
+                    os.replace(path, stale)
                     os.replace(tmp, path)
+                    shutil.rmtree(stale, ignore_errors=True)
             except BaseException:
-                import shutil
                 shutil.rmtree(tmp, ignore_errors=True)
                 raise
         entry = self.load(key)
-        if entry is None:  # pragma: no cover - racing deleter
-            raise OSError(f"store entry {key} vanished after save")
+        if entry is None:
+            raise OSError(f"store entry {key} does not load after save")
         return entry
 
     # -- the one-call front door -------------------------------------------

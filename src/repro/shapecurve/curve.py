@@ -9,9 +9,12 @@ however small, is feasible for it.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple
 
 from repro.memo import DEFAULT_MAX_ENTRIES, BoundedStore
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.slicing.tree import EvalStats
 
 Pointwh = Tuple[float, float]
 
@@ -260,24 +263,23 @@ class ComposeCache:
     Curves are immutable and hashable, so a composition is fully
     determined by the operand point tuples, the cut direction and the
     downsampling limit; a hit returns the exact ``ShapeCurve`` object an
-    uncached composition would have produced.  Annealing engines share
-    one cache per search so that re-evaluating a perturbed slicing tree
-    only recomposes the curves along the perturbed root path.  Bounded
-    by a :class:`repro.memo.BoundedStore`.
+    uncached composition would have produced.  Each
+    :class:`~repro.slicing.tree.SubtreeCache` composes through its own
+    cache, so re-evaluating a perturbed slicing tree only recomposes
+    the curves along the perturbed root path.  Hits and misses count
+    into ``stats`` (an :class:`~repro.slicing.tree.EvalStats`).
+    Bounded by a :class:`repro.memo.BoundedStore`.
     """
 
-    __slots__ = ("hits", "misses", "_store")
+    __slots__ = ("stats", "_store")
 
-    def __init__(self, max_entries: int = DEFAULT_MAX_ENTRIES):
+    def __init__(self, stats: "EvalStats",
+                 max_entries: int = DEFAULT_MAX_ENTRIES):
+        self.stats = stats
         self._store = BoundedStore(max_entries)
-        self.hits = 0
-        self.misses = 0
 
     def __len__(self) -> int:
         return len(self._store)
-
-    def clear(self) -> None:
-        self._store.clear()
 
     def compose(self, left: ShapeCurve, right: ShapeCurve,
                 horizontal: bool, limit: int = MAX_POINTS) -> ShapeCurve:
@@ -289,9 +291,9 @@ class ComposeCache:
         key = (left._points, right._points, horizontal, limit)
         cached = self._store.get(key)
         if cached is not None:
-            self.hits += 1
+            self.stats.curve_compose_hits += 1
             return cached
-        self.misses += 1
+        self.stats.curve_compose_misses += 1
         if horizontal:
             curve = left.compose_horizontal(right, limit)
         else:

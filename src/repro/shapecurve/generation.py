@@ -14,9 +14,10 @@ default (``ShapeGenConfig.incremental``): one
 every aspect-ratio pass, which anneal over the same child curves —
 reuses composed subtree curves, and a per-pass transposition table
 short-circuits re-proposed expressions.  The search needs only each
-expression's root curve, so a lookup walks the token tuple top-down
-and stops at the first cached subtree (:func:`_root_curve`).  Results
-are bit-identical to full re-evaluation under a fixed seed.
+expression's root curve, so a lookup walks the token slices top-down
+and stops at the first cached subtree.  Full re-evaluation starts every
+evaluation from a fresh cache; results are bit-identical under a fixed
+seed.
 """
 
 from __future__ import annotations
@@ -24,18 +25,13 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Hashable, List, Optional, Sequence
 
 from repro.memo import BoundedStore
 from repro.shapecurve.curve import ShapeCurve, compose_many
 from repro.slicing.anneal import AnnealConfig, Annealer
-from repro.slicing.polish import H, PolishExpression, Token, is_operator
-from repro.slicing.tree import (
-    EvalStats,
-    SubtreeCache,
-    annotate_curves,
-    build_tree,
-)
+from repro.slicing.polish import PolishExpression
+from repro.slicing.tree import EvalStats, SubtreeCache
 
 
 @dataclass
@@ -76,89 +72,42 @@ def _curve_area_score(curve: ShapeCurve, log_target: float,
     return best if best < math.inf else 1e30
 
 
-def _right_start(tokens: Tuple[Token, ...], lo: int, hi: int) -> int:
-    """Start of the right operand of the subexpression ``tokens[lo:hi]``.
-
-    ``tokens[hi - 1]`` is the subexpression's operator; walking back
-    from it, the right operand is complete once its operands outnumber
-    its operators by one.
-    """
-    need = 1
-    k = hi - 1
-    while need:
-        k -= 1
-        need += 1 if is_operator(tokens[k]) else -1
-    return k
-
-
-def _root_curve(tokens: Tuple[Token, ...], leaf_curves: List[ShapeCurve],
-                limit: int, cache: SubtreeCache) -> ShapeCurve:
-    """The root curve of the slicing tree ``tokens`` encodes, via ``cache``.
-
-    Equivalent to ``annotate_cached(build_tree(...), ...)`` for a caller
-    that needs only the root curve: the walk goes top-down over token
-    slices — a slice is exactly a subtree's signature — and stops at the
-    first cached subtree instead of visiting its descendants.  Entries
-    keep the cache's ``(curve, area_min, area_target)`` form (the shape
-    search has no areas, so both are ``0.0``), and every miss composes
-    through the cache's :class:`ComposeCache`, so the curve is
-    bit-identical to full evaluation.
-    """
-    def visit(lo: int, hi: int) -> ShapeCurve:
-        signature = tokens[lo:hi]
-        entry = cache.get(signature)
-        if entry is not None:
-            cache.hits += 1
-            return entry[0]
-        cache.misses += 1
-        if hi - lo == 1:
-            curve = leaf_curves[tokens[lo]]
-        else:
-            split = _right_start(tokens, lo, hi)
-            left = visit(lo, split)
-            right = visit(split, hi - 1)
-            curve = cache.compose.compose(
-                left, right, horizontal=(tokens[hi - 1] != H), limit=limit)
-        cache.put(signature, (curve, 0.0, 0.0))
-        return curve
-
-    return visit(0, len(tokens))
-
-
 def _area_cost(leaf_curves: List[ShapeCurve], ar_target: float,
-               limit: int, penalty: float,
-               cache: Optional[SubtreeCache] = None,
-               stats: Optional[EvalStats] = None
+               limit: int, penalty: float, stats: EvalStats,
+               subtrees: Optional[SubtreeCache] = None
                ) -> Callable[[PolishExpression], float]:
     """Cost = smallest root-curve area, softly biased toward ``ar_target``.
 
-    With a :class:`SubtreeCache` the evaluation is incremental: a
-    transposition table short-circuits repeated expressions and subtree
-    compositions are reused across evaluations (and across the cost
-    functions of other aspect targets sharing the same cache).
+    With the search's shared ``subtrees`` cache the evaluation is
+    incremental: a transposition table short-circuits repeated
+    expressions and subtree compositions are reused across evaluations
+    (and across the cost functions of other aspect targets).  Without
+    it every evaluation walks a fresh cache.
     """
     log_target = math.log(ar_target)
     n_nodes = max(1, 2 * len(leaf_curves) - 1)
-    memo = BoundedStore() if cache is not None else None
+    memo = BoundedStore() if subtrees is not None else None
 
     def cost(expr: PolishExpression) -> float:
-        if stats is not None:
-            stats.cost_evals += 1
-            stats.layout_nodes_total += n_nodes
-        if cache is None:
-            curve = annotate_curves(build_tree(expr), leaf_curves, limit)
-            if stats is not None:
-                stats.layout_nodes_expanded += n_nodes
-            return _curve_area_score(curve, log_target, penalty)
+        stats.cost_evals += 1
+        stats.layout_nodes_total += n_nodes
         key = tuple(expr.tokens)
-        cached = memo.get(key)
-        if cached is not None:
-            if stats is not None:
+        if memo is not None:
+            cached = memo.get(key)
+            if cached is not None:
                 stats.cost_cache_hits += 1
-            return cached
-        curve = _root_curve(key, leaf_curves, limit, cache)
+                return cached
+        walk = subtrees
+        if walk is None:
+            walk = SubtreeCache(leaf_curves, limit)
+        # The search has no budgeting step: the subtrees it composed
+        # are its expansion work.
+        composed = walk.stats.subtree_misses
+        curve = walk.curve(key)
+        stats.layout_nodes_expanded += walk.stats.subtree_misses - composed
         value = _curve_area_score(curve, log_target, penalty)
-        memo.put(key, value)
+        if memo is not None:
+            memo.put(key, value)
         return value
 
     return cost
@@ -166,28 +115,6 @@ def _area_cost(leaf_curves: List[ShapeCurve], ar_target: float,
 
 def _chunked(curves: List[ShapeCurve], size: int) -> List[List[ShapeCurve]]:
     return [curves[i:i + size] for i in range(0, len(curves), size)]
-
-
-def _flush_cache_counters(cache: Optional[SubtreeCache],
-                          stats: Optional[EvalStats]) -> None:
-    """Move one search's cache counters into ``stats`` and reset them.
-
-    :func:`_root_curve` stops at the first cached subtree, so
-    ``subtree_hits`` counts lookups that ended on a hit (the hit
-    subtree's descendants are not visited, hence not counted), while
-    ``subtree_misses`` counts every subtree actually composed.
-    """
-    if cache is None or stats is None:
-        return
-    stats.subtree_hits += cache.hits
-    stats.subtree_misses += cache.misses
-    stats.curve_compose_hits += cache.compose.hits
-    stats.curve_compose_misses += cache.compose.misses
-    # The shape search has no budgeting step; count the composed
-    # internal nodes actually recomputed as its expansion work.
-    stats.layout_nodes_expanded += cache.misses
-    cache.hits = cache.misses = 0
-    cache.compose.hits = cache.compose.misses = 0
 
 
 def curve_for_macros(curves: Sequence[ShapeCurve],
@@ -202,6 +129,7 @@ def curve_for_macros(curves: Sequence[ShapeCurve],
     accumulates evaluation-work counters when provided.
     """
     config = config or ShapeGenConfig()
+    stats = stats if stats is not None else EvalStats()
     real = [c for c in curves if not c.is_trivial]
     if not real:
         return ShapeCurve.trivial()
@@ -222,24 +150,21 @@ def curve_for_macros(curves: Sequence[ShapeCurve],
 
     # One cache for all aspect-target passes: they share child curves
     # and compose limit, so subtree compositions transfer across passes.
-    cache = SubtreeCache() if config.incremental else None
+    subtrees = None
+    if config.incremental:
+        subtrees = SubtreeCache(real, config.compose_limit, stats=stats)
 
     for ar_target in config.aspect_targets:
-        cost_fn = _area_cost(list(real), ar_target,
-                             config.compose_limit, config.aspect_penalty,
-                             cache=cache, stats=stats)
+        cost_fn = _area_cost(real, ar_target, config.compose_limit,
+                             config.aspect_penalty, stats, subtrees)
         annealer = Annealer(cost_fn, config.anneal)
         initial = PolishExpression.initial(len(real), rng)
         result = annealer.run(initial)
-        if cache is not None:
-            curve = _root_curve(tuple(result.best.tokens), real,
-                                config.compose_limit, cache)
-        else:
-            curve = annotate_curves(build_tree(result.best), real,
-                                    config.compose_limit)
-        points.extend(curve.points)
+        walk = subtrees
+        if walk is None:
+            walk = SubtreeCache(real, config.compose_limit)
+        points.extend(walk.curve(tuple(result.best.tokens)).points)
 
-    _flush_cache_counters(cache, stats)
     return ShapeCurve(points)
 
 

@@ -15,9 +15,7 @@ from repro.slicing.tree import (
     EvalStats,
     SlicingNode,
     SubtreeCache,
-    annotate_cached,
     build_tree,
-    compute_signatures,
 )
 
 __all__ = [
@@ -25,8 +23,6 @@ __all__ = [
     "EvalStats",
     "Move",
     "SubtreeCache",
-    "annotate_cached",
-    "compute_signatures",
     "Annealer",
     "AnnealResult",
     "PolishExpression",

@@ -15,9 +15,9 @@ record naming the move kind and the token positions that changed, so a
 caller can log or undo it — or tell which subtrees of the slicing tree
 survived the perturbation: every subtree whose token span avoids
 ``move.positions`` is structurally unchanged.  (The incremental
-evaluators in :mod:`repro.floorplan.engine` recover the same
-information from subtree signatures, which also catch structure
-repeated across unrelated expressions.)
+evaluators do not read ``positions``: they key their caches by token
+slice — see :class:`repro.slicing.tree.SubtreeCache` — which also
+catches structure repeated across unrelated expressions.)
 """
 
 from __future__ import annotations

@@ -1,18 +1,27 @@
-"""Slicing trees built from Polish expressions.
+"""Slicing trees as Polish token slices.
 
-The tree is the structural view the layout generator walks top-down; the
-Polish expression is the flat view the annealer perturbs.  ``build_tree``
-converts the latter into the former with a standard postfix evaluation.
+A valid Polish expression *is* its slicing tree: every subtree is a
+contiguous token slice ``tokens[lo:hi]`` ending in the subtree's
+operator (or holding a single block), and :func:`right_start` finds
+where its right operand begins.  Both annealing problems — shape-curve
+generation (Sect. IV-A) and the budgeted layout (Sect. IV-E) — walk
+these slices through one :class:`SubtreeCache`, whose key is the slice
+itself, so a subtree shared by two expressions is annotated once.
+
+:func:`build_tree`, :func:`annotate_curves` and :func:`annotate_areas`
+build and annotate an explicit node tree instead.  No evaluator uses
+them; they are the independent reference the slice walk is tested
+against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.memo import DEFAULT_MAX_ENTRIES, BoundedStore
-from repro.shapecurve.curve import ComposeCache, ShapeCurve
-from repro.slicing.polish import H, PolishExpression, is_operator
+from repro.shapecurve.curve import MAX_POINTS, ComposeCache, ShapeCurve
+from repro.slicing.polish import H, PolishExpression, Token, is_operator
 
 
 class SlicingNode:
@@ -20,17 +29,12 @@ class SlicingNode:
 
     Leaves carry a ``block`` index; internal nodes carry an operator
     (``'H'`` stacked / ``'V'`` side-by-side) and exactly two children.
-    Composite block characterizations 〈Γ, a_m, a_t〉 are annotated onto
-    nodes by the floorplan engine (see ``repro.floorplan``).
-
-    ``signature`` — the subtree's own Polish token tuple — identifies
-    the subtree structurally and is the cache key of the incremental
-    evaluators (see :class:`SubtreeCache`); it is filled on demand by
-    :func:`compute_signatures`.
+    Composite block characterizations 〈Γ, a_m, a_t〉 are filled in by
+    :func:`annotate_curves` / :func:`annotate_areas`.
     """
 
     __slots__ = ("op", "block", "left", "right",
-                 "curve", "area_min", "area_target", "signature")
+                 "curve", "area_min", "area_target")
 
     def __init__(self, op: Optional[str] = None, block: Optional[int] = None,
                  left: "SlicingNode" = None, right: "SlicingNode" = None):
@@ -42,7 +46,6 @@ class SlicingNode:
         self.curve: Optional[ShapeCurve] = None
         self.area_min: float = 0.0
         self.area_target: float = 0.0
-        self.signature: Optional[Tuple] = None
 
     @property
     def is_leaf(self) -> bool:
@@ -87,7 +90,7 @@ def build_tree(expr: PolishExpression) -> SlicingNode:
 
 
 def annotate_curves(root: SlicingNode, leaf_curves: List[ShapeCurve],
-                    limit: int = None) -> ShapeCurve:
+                    limit: int = MAX_POINTS) -> ShapeCurve:
     """Fill composite shape curves bottom-up; returns the root curve.
 
     A vertical cut (`V`) puts children side by side so curves compose
@@ -95,9 +98,6 @@ def annotate_curves(root: SlicingNode, leaf_curves: List[ShapeCurve],
     vertically.  ``limit`` caps the number of Pareto points kept per
     composition (smaller limits make annealing cost evaluation cheaper).
     """
-    from repro.shapecurve.curve import MAX_POINTS
-    if limit is None:
-        limit = MAX_POINTS
     if root.is_leaf:
         root.curve = leaf_curves[root.block]
         return root.curve
@@ -123,25 +123,22 @@ def annotate_areas(root: SlicingNode, minimum: List[float],
     root.area_target = root.left.area_target + root.right.area_target
 
 
-# -- incremental evaluation ---------------------------------------------------
+# -- the token-slice walk -----------------------------------------------------
 
 
-def compute_signatures(root: SlicingNode) -> Tuple:
-    """Fill ``node.signature`` bottom-up; returns the root signature.
+def right_start(tokens: Sequence[Token], lo: int, hi: int) -> int:
+    """Start of the right operand of the subexpression ``tokens[lo:hi]``.
 
-    A signature is the Polish token tuple of the node's own subtree
-    (``(block,)`` at a leaf, ``left + right + (op,)`` inside), so two
-    structurally identical subtrees — across different expressions or
-    different moves of one annealing run — share a signature and can
-    share cached annotations and sub-layouts.
+    ``tokens[hi - 1]`` is the subexpression's operator; walking back
+    from it, the right operand is complete once its operands outnumber
+    its operators by one.  The left operand is ``tokens[lo:start]``.
     """
-    if root.is_leaf:
-        root.signature = (root.block,)
-        return root.signature
-    left = compute_signatures(root.left)
-    right = compute_signatures(root.right)
-    root.signature = left + right + (root.op,)
-    return root.signature
+    need = 1
+    k = hi - 1
+    while need:
+        k -= 1
+        need += 1 if is_operator(tokens[k]) else -1
+    return k
 
 
 @dataclass
@@ -153,17 +150,18 @@ class EvalStats:
     full re-evaluation into cached and actually-performed parts:
 
     * ``cost_cache_hits`` — whole-expression transposition hits (the
-      entire layout expansion was skipped);
+      entire evaluation was skipped);
     * ``layout_nodes_total`` / ``layout_nodes_expanded`` — slicing-tree
-      nodes a full evaluator would have expanded into budgeted
-      rectangles vs. the nodes actually expanded;
-    * ``subtree_hits`` / ``subtree_misses`` — per-subtree curve+area
-      annotation reuse.  The layout engine visits every node, so its
-      hits include the descendants of a cached subtree; the shape-curve
-      search needs only the root curve and stops at the first cached
-      subtree, so each of its hits stands for a whole subtree;
+      nodes a full evaluator would have expanded vs. the nodes
+      actually expanded: budgeted into rectangles by the layout engine,
+      composed by the shape-curve search (which has no budgeting step);
+    * ``subtree_hits`` / ``subtree_misses`` — :class:`SubtreeCache`
+      lookups that ended on a cached subtree (its descendants are not
+      visited) vs. subtrees actually annotated;
     * ``curve_compose_hits`` / ``curve_compose_misses`` — memoized
       pairwise shape-curve compositions.
+
+    Full re-evaluation records no subtree or compose traffic.
     """
 
     cost_evals: int = 0
@@ -193,83 +191,63 @@ class EvalStats:
 
 
 class SubtreeCache:
-    """Composed 〈Γ, a_m, a_t〉 annotations keyed by subtree signature.
+    """Composed 〈Γ, a_m, a_t〉 annotations keyed by token slice.
 
-    Valid for one evaluation context — fixed leaf curves, areas and
-    Pareto limit (one :func:`repro.floorplan.engine.generate_layout`
-    call, or one shape-curve search).  Entries hold exactly what the
-    uncached :func:`annotate_curves` / :func:`annotate_areas` pair
-    would compute, so cached and full evaluation stay bit-identical.
-    Bounded by a :class:`repro.memo.BoundedStore`.
+    Built for one evaluation context: leaf curves, per-leaf a_m / a_t
+    (zeros when omitted, as in the shape search) and the Pareto
+    ``limit``.  :meth:`annotation` walks a slice top-down and stops at
+    the first cached subtree; a miss annotates both operands and
+    composes their curves through the cache's :class:`ComposeCache`.
+    Entries hold exactly what :func:`annotate_curves` /
+    :func:`annotate_areas` compute for the same subtree, so cached and
+    full evaluation stay bit-identical.  Lookups count into ``stats``
+    (a private record when none is given).  Bounded by a
+    :class:`repro.memo.BoundedStore`.
     """
 
-    __slots__ = ("compose", "hits", "misses", "_store")
+    __slots__ = ("leaf_curves", "area_min", "area_target", "limit",
+                 "stats", "compose", "_store")
 
-    def __init__(self, compose: Optional[ComposeCache] = None,
+    def __init__(self, leaf_curves: Sequence[ShapeCurve], limit: int,
+                 area_min: Optional[Sequence[float]] = None,
+                 area_target: Optional[Sequence[float]] = None,
+                 stats: Optional[EvalStats] = None,
                  max_entries: int = DEFAULT_MAX_ENTRIES):
-        self.compose = compose or ComposeCache()
+        zeros = [0.0] * len(leaf_curves)
+        self.leaf_curves = leaf_curves
+        self.area_min = zeros if area_min is None else area_min
+        self.area_target = zeros if area_target is None else area_target
+        self.limit = limit
+        self.stats = stats if stats is not None else EvalStats()
+        self.compose = ComposeCache(self.stats, max_entries)
         self._store = BoundedStore(max_entries)
-        self.hits = 0
-        self.misses = 0
 
-    def __len__(self) -> int:
-        return len(self._store)
-
-    def clear(self) -> None:
-        self._store.clear()
-        self.compose.clear()
-
-    def get(self, signature: Tuple):
-        return self._store.get(signature)
-
-    def put(self, signature: Tuple,
-            entry: Tuple[ShapeCurve, float, float]) -> None:
-        self._store.put(signature, entry)
-
-
-def annotate_cached(root: SlicingNode, leaf_curves: List[ShapeCurve],
-                    limit: int, cache: SubtreeCache,
-                    minimum: Optional[List[float]] = None,
-                    target: Optional[List[float]] = None) -> ShapeCurve:
-    """Annotate curves (and optionally areas) reusing unchanged subtrees.
-
-    Equivalent to ``annotate_curves(root, leaf_curves, limit)`` plus
-    ``annotate_areas(root, minimum, target)`` but skips the curve
-    composition of every subtree whose signature is already cached —
-    after a local perturbation only the root path of the changed node
-    is recomposed.  ``root`` must carry signatures
-    (:func:`compute_signatures`).  Returns the root curve.
-    """
-    if minimum is None:
-        minimum = [0.0] * len(leaf_curves)
-    if target is None:
-        target = [0.0] * len(leaf_curves)
-
-    def visit(node: SlicingNode) -> None:
-        entry = cache.get(node.signature)
+    def annotation(self, tokens: Tuple[Token, ...], lo: int, hi: int
+                   ) -> Tuple[ShapeCurve, float, float]:
+        """``(curve, a_m, a_t)`` of the subtree ``tokens[lo:hi]``."""
+        key = tokens[lo:hi]
+        entry = self._store.get(key)
         if entry is not None:
-            cache.hits += 1
-            node.curve, node.area_min, node.area_target = entry
-            if not node.is_leaf:
-                visit(node.left)
-                visit(node.right)
-            return
-        cache.misses += 1
-        if node.is_leaf:
-            node.curve = leaf_curves[node.block]
-            node.area_min = minimum[node.block]
-            node.area_target = target[node.block]
+            self.stats.subtree_hits += 1
+            return entry
+        self.stats.subtree_misses += 1
+        if hi - lo == 1:
+            block = tokens[lo]
+            entry = (self.leaf_curves[block], self.area_min[block],
+                     self.area_target[block])
         else:
-            visit(node.left)
-            visit(node.right)
-            node.curve = cache.compose.compose(
-                node.left.curve, node.right.curve,
-                horizontal=(node.op != H), limit=limit)
-            node.area_min = node.left.area_min + node.right.area_min
-            node.area_target = (node.left.area_target
-                                + node.right.area_target)
-        cache.put(node.signature, (node.curve, node.area_min,
-                                   node.area_target))
+            split = right_start(tokens, lo, hi)
+            left_curve, left_min, left_target = self.annotation(
+                tokens, lo, split)
+            right_curve, right_min, right_target = self.annotation(
+                tokens, split, hi - 1)
+            entry = (self.compose.compose(
+                         left_curve, right_curve,
+                         horizontal=(tokens[hi - 1] != H), limit=self.limit),
+                     left_min + right_min, left_target + right_target)
+        self._store.put(key, entry)
+        return entry
 
-    visit(root)
-    return root.curve
+    def curve(self, tokens: Tuple[Token, ...]) -> ShapeCurve:
+        """The root curve of the whole expression ``tokens``."""
+        return self.annotation(tokens, 0, len(tokens))[0]

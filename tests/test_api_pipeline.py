@@ -148,6 +148,34 @@ class TestLegalizeStage:
         assert placer.artifacts.legalizer_moves == 0
         assert ("end", "legalize") in recorder.events
 
+    def test_trace_reports_moves_and_level_legality(self):
+        """Tiny c2 at λ=0.2 needs the safety net.  A traced run counts
+        its moves as ``legalize_moves``, every ``layout`` span records
+        the chosen layout's penalty and legality, and the row equals
+        the untraced one."""
+        from repro.api import prepare_suite_design
+        from repro.obs import iter_spans
+
+        prepared = prepare_suite_design("c2", "tiny")
+        untraced = get_flow("hidap:lam=0.2", seed=1, effort="fast")
+        row = untraced.evaluate(prepared)
+        tracer = Tracer("test")
+        with use_tracer(tracer):
+            traced = get_flow("hidap:lam=0.2", seed=1, effort="fast")
+            traced_row = traced.evaluate(prepared)
+
+        moves = traced.artifacts.legalizer_moves
+        assert moves == untraced.artifacts.legalizer_moves == 7
+        assert tracer.metrics.counters["legalize_moves"] == moves
+        layouts = [span["attrs"] for _depth, span
+                   in iter_spans(tracer.payload())
+                   if span["name"] == "layout"]
+        assert layouts
+        assert all(attrs["penalty"] >= 1.0
+                   and isinstance(attrs["is_legal"], bool)
+                   for attrs in layouts)
+        assert _row_key(traced_row) == _row_key(row)
+
 
 class TestBest3ConfigKwargs:
     def test_extra_config_carried_into_sweep(self):

@@ -6,12 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.floorplan.blocks import Block
-from repro.floorplan.budget import budgeted_layout
+from repro.floorplan.budget import block_subtrees, budgeted_layout
 from repro.geometry.rect import Rect, total_overlap_area
 from repro.shapecurve.curve import ShapeCurve
 from repro.slicing.moves import perturb
 from repro.slicing.polish import H, PolishExpression, V
-from repro.slicing.tree import annotate_areas, annotate_curves, build_tree
 
 
 def soft_blocks(targets):
@@ -20,12 +19,8 @@ def soft_blocks(targets):
 
 
 def layout_for(expr_tokens, blocks, region):
-    expr = PolishExpression(expr_tokens)
-    root = build_tree(expr)
-    annotate_curves(root, [b.curve for b in blocks])
-    annotate_areas(root, [b.area_min for b in blocks],
-                   [b.area_target for b in blocks])
-    return budgeted_layout(root, region, blocks)
+    return budgeted_layout(PolishExpression(expr_tokens), region, blocks,
+                           block_subtrees(blocks))
 
 
 class TestFig8Example:
@@ -101,11 +96,8 @@ class TestBudgetInvariants:
         for _ in range(rng.randrange(8)):
             perturb(expr, rng)
         region = Rect(0, 0, 10 + rng.random() * 20, 5 + rng.random() * 20)
-        root = build_tree(expr)
-        annotate_curves(root, [b.curve for b in blocks])
-        annotate_areas(root, [b.area_min for b in blocks],
-                       [b.area_target for b in blocks])
-        report = budgeted_layout(root, region, blocks)
+        report = budgeted_layout(expr, region, blocks,
+                                 block_subtrees(blocks))
         assert len(report.leaf_rects) == n_blocks
         assert sum(r.area for r in report.leaf_rects.values()) \
             == pytest.approx(region.area, rel=1e-6)

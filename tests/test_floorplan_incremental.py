@@ -13,17 +13,27 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.config import Effort, HiDaPConfig
 from repro.core.hidap import HiDaP
-from repro.floorplan.blocks import Block
+from repro.floorplan.blocks import Block, Terminal
 from repro.floorplan.engine import LayoutConfig, LayoutProblem, generate_layout
 from repro.gen.designs import build_design, suite_specs
-from repro.geometry.rect import Rect
+from repro.geometry.rect import Point, Rect
 from repro.netlist.flatten import flatten
 from repro.shapecurve.curve import ShapeCurve
 from repro.shapecurve.generation import ShapeGenConfig, curve_for_macros
-from repro.slicing.tree import EvalStats
+from repro.slicing.anneal import AnnealConfig
+from repro.slicing.moves import perturb
+from repro.slicing.polish import PolishExpression
+from repro.slicing.tree import (
+    EvalStats,
+    SubtreeCache,
+    annotate_areas,
+    annotate_curves,
+    build_tree,
+)
 
 
 def _problem_from_design(spec_index: int, n_blocks: int = 8
@@ -86,22 +96,6 @@ class TestEngineEquivalence:
         assert stats.layout_nodes_expanded == stats.layout_nodes_total
         assert stats.cost_cache_hits == 0
 
-    def test_layout_cache_requires_signatures(self):
-        """An unsigned tree must be rejected, not silently collide on
-        the shared None cache key."""
-        from repro.floorplan.budget import LayoutCache, budgeted_layout
-        from repro.slicing.polish import PolishExpression
-        from repro.slicing.tree import (annotate_areas, annotate_curves,
-                                        build_tree)
-        problem = _problem_from_design(0, n_blocks=3)
-        root = build_tree(PolishExpression([0, 1, "V", 2, "H"]))
-        annotate_curves(root, [b.curve for b in problem.blocks])
-        annotate_areas(root, [b.area_min for b in problem.blocks],
-                       [b.area_target for b in problem.blocks])
-        with pytest.raises(ValueError, match="signatures"):
-            budgeted_layout(root, problem.region, problem.blocks,
-                            cache=LayoutCache())
-
 
 def _child_curves(rng: random.Random, n: int):
     """``n`` macro curves, some multi-point, plus trivial children."""
@@ -132,25 +126,6 @@ class TestShapeGenEquivalence:
                 seed=seed, max_leaves=max_leaves, incremental=False))
             assert inc.points == full.points, (rng_seed, n, max_leaves)
 
-    def test_root_curve_matches_full_annotation(self):
-        """The root-only lookup over one shared cache returns the
-        uncached root curve for every expression of a random walk."""
-        from repro.shapecurve.generation import _root_curve
-        from repro.slicing.moves import perturb
-        from repro.slicing.polish import PolishExpression
-        from repro.slicing.tree import (SubtreeCache, annotate_curves,
-                                        build_tree)
-        rng = random.Random(3)
-        leaves = [c for c in _child_curves(rng, 9) if not c.is_trivial]
-        cache = SubtreeCache()
-        expr = PolishExpression.initial(len(leaves), rng)
-        for _ in range(300):
-            perturb(expr, rng)
-            full = annotate_curves(build_tree(expr), leaves, 10)
-            root = _root_curve(tuple(expr.tokens), leaves, 10, cache)
-            assert root.points == full.points
-        assert cache.hits > 0
-
     def test_stats_accumulate(self):
         rng = random.Random(11)
         curves = [ShapeCurve.for_rect(rng.uniform(2, 9), rng.uniform(2, 9))
@@ -161,6 +136,106 @@ class TestShapeGenEquivalence:
         assert stats.subtree_hits > 0
         assert (stats.curve_compose_hits
                 + stats.curve_compose_misses) > 0
+
+
+def _spans(node, lo: int):
+    """``(lo, hi, node)`` for every node under ``node``, whose postfix
+    tokens start at ``lo`` (a k-leaf subtree spans 2k - 1 tokens)."""
+    hi = lo + 2 * len(node.leaves()) - 1
+    if node.is_leaf:
+        return [(lo, hi, node)]
+    split = lo + 2 * len(node.left.leaves()) - 1
+    return ([(lo, hi, node)] + _spans(node.left, lo)
+            + _spans(node.right, split))
+
+
+class TestSliceWalk:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=2, max_value=13),
+           st.integers(min_value=0, max_value=10 ** 6))
+    def test_every_slice_matches_the_reference_tree(self, n, seed):
+        """One cache shared over a random perturbation walk answers
+        every slice with the annotations of a freshly built tree."""
+        rng = random.Random(seed)
+        leaves = [c for c in _child_curves(rng, n) if not c.is_trivial]
+        area_min = [rng.uniform(1.0, 60.0) for _ in leaves]
+        area_target = [a * rng.uniform(1.0, 1.6) for a in area_min]
+        stats = EvalStats()
+        cache = SubtreeCache(leaves, 10, area_min, area_target,
+                             stats=stats)
+        expr = PolishExpression.initial(len(leaves), rng)
+        for _ in range(25):
+            perturb(expr, rng)
+            tokens = tuple(expr.tokens)
+            root = build_tree(expr)
+            annotate_curves(root, leaves, 10)
+            annotate_areas(root, area_min, area_target)
+            assert cache.curve(tokens).points == root.curve.points
+            for lo, hi, node in _spans(root, 0):
+                curve, a_m, a_t = cache.annotation(tokens, lo, hi)
+                assert curve.points == node.curve.points
+                assert (a_m, a_t) == (node.area_min, node.area_target)
+        assert stats.subtree_hits > 0
+
+
+def _random_problem(n: int, rng: random.Random) -> LayoutProblem:
+    """``n`` blocks (hard, soft or mixed) with terminals and affinity,
+    in a region whose slack ranges from tight to roomy."""
+    blocks = []
+    for i in range(n):
+        w, h = rng.uniform(1.0, 8.0), rng.uniform(1.0, 8.0)
+        kind = rng.random()
+        if kind < 0.3:
+            curve = ShapeCurve.trivial()
+        elif kind < 0.6:
+            curve = ShapeCurve.for_rect(w, h)
+        else:
+            curve = ShapeCurve([(w, h), (w * 1.7, h * 0.5),
+                                (w * 0.6, h * 1.8)])
+        area_min = w * h * rng.uniform(1.0, 1.5)
+        blocks.append(Block(index=i, name=f"b{i}", curve=curve,
+                            area_min=area_min,
+                            area_target=area_min * rng.uniform(1.0, 1.6)))
+    side = (sum(b.area_target for b in blocks)
+            * rng.uniform(0.8, 1.6)) ** 0.5
+    aspect = rng.uniform(0.5, 2.0)
+    region = Rect(0.0, 0.0, side * aspect ** 0.5, side / aspect ** 0.5)
+    terminals = [Terminal(index=t, name=f"t{t}",
+                          pos=Point(rng.uniform(0, region.w),
+                                    rng.choice((0.0, region.h))))
+                 for t in range(rng.randrange(3))]
+    size = n + len(terminals)
+    affinity = [[0.0] * size for _ in range(size)]
+    for _ in range(2 * size):
+        i, j = rng.randrange(size), rng.randrange(size)
+        if i != j:
+            affinity[i][j] += rng.uniform(0.1, 2.0)
+    return LayoutProblem(region=region, blocks=blocks, affinity=affinity,
+                         terminals=terminals)
+
+
+class TestRandomProblemEquivalence:
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(min_value=2, max_value=13),
+           st.integers(min_value=0, max_value=10 ** 6))
+    def test_incremental_equals_full(self, n, seed):
+        """Random levels of the sizes the suite solves (2-13 blocks)
+        lay out identically with and without the caches."""
+        problem = _random_problem(n, random.Random(seed))
+
+        def layout(incremental):
+            anneal = AnnealConfig(seed=seed, moves_per_block=30,
+                                  min_moves=60, max_moves=400,
+                                  moves_per_temperature=12, restarts=2)
+            return generate_layout(problem, LayoutConfig(
+                seed=seed, anneal=anneal, incremental=incremental))
+
+        inc, full = layout(True), layout(False)
+        assert inc.expression == full.expression
+        assert inc.cost == full.cost
+        assert inc.penalty == full.penalty
+        assert inc.rects == full.rects
+        assert full.stats.subtree_hits == full.stats.subtree_misses == 0
 
 
 class TestFlowEquivalence:

@@ -329,22 +329,15 @@ class TestDistanceKernel:
 
 class TestCachedCenters:
     def test_budget_report_carries_centers(self):
-        from repro.floorplan.budget import budgeted_layout
+        from repro.floorplan.budget import block_subtrees, budgeted_layout
         from repro.slicing.polish import PolishExpression
-        from repro.slicing.tree import (
-            annotate_areas,
-            annotate_curves,
-            build_tree,
-        )
 
         blocks = [Block(i, f"b{i}", ShapeCurve.for_rect(2.0, 2.0),
                         area_min=4.0, area_target=5.0)
                   for i in range(3)]
-        root = build_tree(PolishExpression.initial(3))
-        annotate_curves(root, [b.curve for b in blocks], 16)
-        annotate_areas(root, [b.area_min for b in blocks],
-                       [b.area_target for b in blocks])
-        report = budgeted_layout(root, Rect(0, 0, 6, 6), blocks)
+        report = budgeted_layout(PolishExpression.initial(3),
+                                 Rect(0, 0, 6, 6), blocks,
+                                 block_subtrees(blocks, 16))
         assert set(report.leaf_centers) == set(report.leaf_rects)
         for block, (cx, cy) in report.leaf_centers.items():
             center = report.leaf_rects[block].center

@@ -119,6 +119,38 @@ class TestRoundTrip:
         assert prepared.flat._net_arrays is net
 
 
+def _scores(row):
+    return (row.wl_meters, row.wl_norm, row.grc_percent, row.wns_percent,
+            row.tns, row.macro_overlap)
+
+
+class TestCorruption:
+    def test_truncated_array_recompiles_with_warning(self, tmp_path):
+        """A warm entry with a truncated ``.npy`` is replaced by a
+        fresh compile (with a warning naming the key), and the repaired
+        entry scores the Table III flows exactly like a fresh design."""
+        from repro.service.engine import execute_cell
+
+        store = CompiledDesignStore(tmp_path)
+        key = store.key_for_spec(_spec())
+        store.ensure_spec(_spec())
+        victim = sorted(tmp_path.rglob("net__*.npy"))[0]
+        victim.write_bytes(victim.read_bytes()[:64])
+        assert store.load(key) is None
+
+        with pytest.warns(RuntimeWarning, match=key):
+            entry = store.ensure_spec(_spec())
+        assert store.load(key) is not None
+        # No temp or stale directory is left next to the entry.
+        assert [p.name for p in entry.path.parent.iterdir()] == [key]
+
+        opts = RunOptions(seed=1, effort=Effort.FAST)
+        for flow in ("indeda", "hidap-best3", "handfp"):
+            repaired = execute_cell(entry.materialize(), flow, opts)
+            fresh = execute_cell(prepare_design(_spec()), flow, opts)
+            assert _scores(repaired) == _scores(fresh), flow
+
+
 class TestSpans:
     def test_miss_then_hit_spans(self, tmp_path):
         store = CompiledDesignStore(tmp_path)

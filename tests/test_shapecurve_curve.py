@@ -9,6 +9,7 @@ from repro.shapecurve.curve import (
     _downsample,
     compose_many,
 )
+from repro.slicing.tree import EvalStats
 
 sides = st.floats(min_value=0.5, max_value=200.0, allow_nan=False)
 points = st.lists(st.tuples(sides, sides), min_size=1, max_size=12)
@@ -196,27 +197,30 @@ class TestDownsample:
 
 class TestComposeCache:
     def test_hit_returns_identical_curve(self):
-        cache = ComposeCache()
+        stats = EvalStats()
+        cache = ComposeCache(stats)
         a = ShapeCurve([(2, 3), (3, 2)])
         b = ShapeCurve([(4, 1)])
         first = cache.compose(a, b, horizontal=True)
         second = cache.compose(a, b, horizontal=True)
         assert first is second
-        assert cache.hits == 1 and cache.misses == 1
+        assert (stats.curve_compose_hits == 1
+                and stats.curve_compose_misses == 1)
         assert first == a.compose_horizontal(b)
 
     def test_direction_and_limit_are_part_of_the_key(self):
-        cache = ComposeCache()
+        stats = EvalStats()
+        cache = ComposeCache(stats)
         a = ShapeCurve([(2, 3), (3, 2)])
         b = ShapeCurve([(4, 1), (1, 4)])
         h = cache.compose(a, b, horizontal=True)
         v = cache.compose(a, b, horizontal=False)
-        assert cache.misses == 2
+        assert stats.curve_compose_misses == 2
         assert h == a.compose_horizontal(b)
         assert v == a.compose_vertical(b)
 
     def test_bounded_store_clears(self):
-        cache = ComposeCache(max_entries=2)
+        cache = ComposeCache(EvalStats(), max_entries=2)
         curves = [ShapeCurve([(i + 1.0, 9.0 - i)]) for i in range(4)]
         for c in curves:
             cache.compose(c, curves[0], horizontal=True)
