@@ -59,9 +59,10 @@ def assign_target_areas(flat: FlatDesign, gnet: Gnet,
                 queue.append(node)
 
     # BFS over undirected adjacency; first-come-first-served gives each
-    # glue cell to its graph-nearest block.
+    # glue cell to its graph-nearest block.  The search stops once every
+    # glue cell is claimed: the rest would only label non-glue nodes.
     claimed: Dict[int, int] = {}        # glue cell -> block index
-    while queue:
+    while queue and len(claimed) < len(glue_set):
         node = queue.popleft()
         b = owner[node]
         for neighbor in gnet.neighbors_undirected(node):

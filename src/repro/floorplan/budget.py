@@ -10,7 +10,9 @@ the kind of area the sibling yielded — target slack (cheapest), minimum
 area, or macro area (infeasible, most severe).
 
 The expansion walks the Polish expression's token slices (a subtree is
-the slice ``tokens[lo:hi]``, see :mod:`repro.slicing.tree`) and asks a
+the slice ``tokens[lo:hi]``, see :mod:`repro.slicing.tree`), splits each
+at the right-operand start that one
+:func:`~repro.slicing.tree.slice_starts` pass found, and asks a
 :class:`~repro.slicing.tree.SubtreeCache` for the children's 〈Γ, a_m,
 a_t〉 at each split; the root's own curve is never needed.  The
 expansion of one subtree depends only on its slice and the rectangle it
@@ -32,7 +34,7 @@ from repro.geometry.rect import Rect
 from repro.memo import BoundedStore
 from repro.shapecurve.curve import MAX_POINTS, ShapeCurve
 from repro.slicing.polish import H, PolishExpression, Token
-from repro.slicing.tree import EvalStats, SubtreeCache, right_start
+from repro.slicing.tree import EvalStats, SubtreeCache, slice_starts
 
 
 @dataclass
@@ -154,10 +156,14 @@ def _leaf_layout(index: int, rect: Rect, blocks: List[Block]) -> SubLayout:
         repairs=0)
 
 
-def _expand(tokens: Tuple[Token, ...], lo: int, hi: int, rect: Rect,
-            blocks: List[Block], subtrees: SubtreeCache,
+def _expand(tokens: Tuple[Token, ...], starts: List[int], lo: int, hi: int,
+            rect: Rect, blocks: List[Block], subtrees: SubtreeCache,
             memo: Optional[BoundedStore], stats: EvalStats) -> SubLayout:
-    """Expand the subtree ``tokens[lo:hi]`` into ``rect``, memoized."""
+    """Expand the subtree ``tokens[lo:hi]`` into ``rect``, memoized.
+
+    ``starts`` is :func:`~repro.slicing.tree.slice_starts` of
+    ``tokens``: the right operand begins at ``starts[hi - 2]``.
+    """
     if memo is not None:
         key = (tokens[lo:hi], rect.x, rect.y, rect.w, rect.h)
         cached = memo.get(key)
@@ -168,7 +174,7 @@ def _expand(tokens: Tuple[Token, ...], lo: int, hi: int, rect: Rect,
     if hi - lo == 1:
         sub = _leaf_layout(tokens[lo], rect, blocks)
     else:
-        split = right_start(tokens, lo, hi)
+        split = starts[hi - 2]
         left_curve, _, left_target = subtrees.annotation(tokens, lo, split)
         right_curve, _, right_target = subtrees.annotation(
             tokens, split, hi - 1)
@@ -218,9 +224,9 @@ def _expand(tokens: Tuple[Token, ...], lo: int, hi: int, rect: Rect,
             right_rect = Rect(rect.x, rect.y + left_share,
                               rect.w, right_share)
 
-        left = _expand(tokens, lo, split, left_rect, blocks, subtrees,
-                       memo, stats)
-        right = _expand(tokens, split, hi - 1, right_rect, blocks,
+        left = _expand(tokens, starts, lo, split, left_rect, blocks,
+                       subtrees, memo, stats)
+        right = _expand(tokens, starts, split, hi - 1, right_rect, blocks,
                         subtrees, memo, stats)
         sub = SubLayout(
             rects=left.rects + right.rects,
@@ -256,7 +262,8 @@ def budgeted_layout(expr: PolishExpression, region: Rect,
     the historical accumulation order).
     """
     tokens = tuple(expr.tokens)
-    sub = _expand(tokens, 0, len(tokens), region, blocks, subtrees, memo,
+    sub = _expand(tokens, slice_starts(tokens), 0, len(tokens), region,
+                  blocks, subtrees, memo,
                   stats if stats is not None else EvalStats())
     return BudgetReport(
         target_deficit=sum(sub.target_contribs),

@@ -28,7 +28,15 @@ def _pareto_prune(points: Iterable[Pointwh]) -> List[Pointwh]:
 
     Point ``a`` dominates ``b`` when ``a.w <= b.w`` and ``a.h <= b.h``.
     """
-    pts = sorted(set((float(w), float(h)) for w, h in points))
+    return _sweep(sorted(set((float(w), float(h)) for w, h in points)))
+
+
+def _sweep(pts: List[Pointwh]) -> List[Pointwh]:
+    """The Pareto front of width-sorted, de-duplicated float points.
+
+    A point survives when it is lower than every narrower survivor by
+    more than a 1e-12 tolerance.
+    """
     front: List[Pointwh] = []
     best_h = float("inf")
     for w, h in pts:
@@ -227,33 +235,59 @@ class ShapeCurve:
 
         Widths add, heights take the max.  Trivial curves are identity
         elements: glue blocks do not constrain the macro layout.
+
+        Stockmeyer's merge walks both fronts from their narrow ends and
+        advances the side with the larger height (both on a tie), the
+        only step that can lower the combined height, until that side
+        runs out.  Its O(n + m) candidates dominate all n * m pairwise
+        sums, so the tolerance sweep keeps the same points.
         """
         if self.is_trivial:
             return other
         if other.is_trivial:
             return self
-        pts = [(w1 + w2, max(h1, h2))
-               for w1, h1 in self._points
-               for w2, h2 in other._points]
-        curve = ShapeCurve(pts)
-        curve._points = tuple(_downsample(list(curve._points), limit))
-        return curve
+        a, b = self._points, other._points
+        i = j = 0
+        pts = []
+        while True:
+            (w1, h1), (w2, h2) = a[i], b[j]
+            pts.append((w1 + w2, h2 if h2 > h1 else h1))  # max(h1, h2)
+            if (h1 >= h2 and i == len(a) - 1
+                    or h2 >= h1 and j == len(b) - 1):
+                break
+            i += h1 >= h2
+            j += h2 >= h1
+        return ShapeCurve._composed(pts, limit)
 
     def compose_vertical(self, other: "ShapeCurve",
                          limit: int = MAX_POINTS) -> "ShapeCurve":
         """Curve of two blocks stacked (a horizontal cut).
 
-        Heights add, widths take the max.
+        Heights add, widths take the max.  The transposed merge: both
+        fronts are walked from their wide ends, stepping back on the
+        side with the larger width (both on a tie).
         """
         if self.is_trivial:
             return other
         if other.is_trivial:
             return self
-        pts = [(max(w1, w2), h1 + h2)
-               for w1, h1 in self._points
-               for w2, h2 in other._points]
-        curve = ShapeCurve(pts)
-        curve._points = tuple(_downsample(list(curve._points), limit))
+        a, b = self._points, other._points
+        i, j = len(a) - 1, len(b) - 1
+        pts = []
+        while True:
+            (w1, h1), (w2, h2) = a[i], b[j]
+            pts.append((w2 if w2 > w1 else w1, h1 + h2))  # max(w1, w2)
+            if w1 >= w2 and i == 0 or w2 >= w1 and j == 0:
+                break
+            i -= w1 >= w2
+            j -= w2 >= w1
+        return ShapeCurve._composed(pts, limit)
+
+    @classmethod
+    def _composed(cls, pts: List[Pointwh], limit: int) -> "ShapeCurve":
+        """The thinned front of float composition candidates."""
+        curve = cls.__new__(cls)
+        curve._points = tuple(_downsample(_sweep(sorted(set(pts))), limit))
         return curve
 
 
@@ -263,7 +297,9 @@ class ComposeCache:
     Curves are immutable and hashable, so a composition is fully
     determined by the operand point tuples, the cut direction and the
     downsampling limit; a hit returns the exact ``ShapeCurve`` object an
-    uncached composition would have produced.  Each
+    uncached composition would have produced, and a miss pays one
+    linear front merge (:meth:`ShapeCurve.compose_horizontal` /
+    :meth:`ShapeCurve.compose_vertical`).  Each
     :class:`~repro.slicing.tree.SubtreeCache` composes through its own
     cache, so re-evaluating a perturbed slicing tree only recomposes
     the curves along the perturbed root path.  Hits and misses count

@@ -9,7 +9,7 @@ layout generation, Sect. IV-E).
 """
 
 from repro.slicing.anneal import AnnealConfig, Annealer, AnnealResult
-from repro.slicing.moves import Move, perturb
+from repro.slicing.moves import Move, perturb, undo
 from repro.slicing.polish import PolishExpression, H, V
 from repro.slicing.tree import (
     EvalStats,
@@ -29,6 +29,7 @@ __all__ = [
     "SlicingNode",
     "build_tree",
     "perturb",
+    "undo",
     "H",
     "V",
 ]

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.obs import current_tracer
-from repro.slicing.moves import perturb
+from repro.slicing.moves import perturb, undo
 from repro.slicing.polish import PolishExpression
 
 
@@ -79,13 +79,26 @@ class AnnealConfig:
 
 @dataclass
 class AnnealResult:
-    """Best state found and bookkeeping about the search."""
+    """Best state found and bookkeeping about the search.
+
+    ``t0`` is the calibrated initial temperature, ``t_final`` the
+    temperature the schedule stopped at and ``best_move`` the move
+    index (1-based; 0 = the initial state) at which ``best`` was found.
+    """
 
     best: PolishExpression
     best_cost: float
     initial_cost: float
     moves_tried: int
     moves_accepted: int
+    t0: float = 0.0
+    t_final: float = 0.0
+    best_move: int = 0
+
+    @property
+    def gain(self) -> float:
+        """How much the search improved on the initial state's cost."""
+        return self.initial_cost - self.best_cost
 
 
 class Annealer:
@@ -131,8 +144,9 @@ class Annealer:
 
     def _run_once(self, initial: PolishExpression,
                   rng: random.Random) -> AnnealResult:
+        cost_fn = self.cost_fn
         current = initial.copy()
-        current_cost = self.cost_fn(current)
+        current_cost = cost_fn(current)
         best = current.copy()
         best_cost = current_cost
         initial_cost = current_cost
@@ -141,31 +155,37 @@ class Annealer:
         if n_blocks < 2:
             return AnnealResult(best, best_cost, initial_cost, 0, 0)
 
-        temperature = self._calibrate_temperature(current, rng)
+        t0 = temperature = self._calibrate_temperature(current, rng)
         floor = temperature * self.config.min_temperature_ratio
         budget = self.config.total_moves(n_blocks)
         cooling = self.config.cooling_rate(budget)
         tried = 0
         accepted = 0
+        best_move = 0
 
+        # Moves apply to ``current`` in place and a rejected one is
+        # undone, so no expression is copied per move; the cost
+        # functions key on the token tuple and keep no reference.
         while tried < budget and temperature > floor:
             for _ in range(self.config.moves_per_temperature):
                 if tried >= budget:
                     break
                 tried += 1
-                candidate = current.copy()
-                perturb(candidate, rng)
-                candidate_cost = self.cost_fn(candidate)
+                move = perturb(current, rng)
+                candidate_cost = cost_fn(current)
                 delta = candidate_cost - current_cost
                 if delta <= 0 or rng.random() < math.exp(-delta / temperature):
-                    current = candidate
                     current_cost = candidate_cost
                     accepted += 1
                     if current_cost < best_cost:
                         best = current.copy()
                         best_cost = current_cost
+                        best_move = tried
+                else:
+                    undo(current, move)
             temperature *= cooling
-        return AnnealResult(best, best_cost, initial_cost, tried, accepted)
+        return AnnealResult(best, best_cost, initial_cost, tried, accepted,
+                            t0=t0, t_final=temperature, best_move=best_move)
 
     # -- public API -----------------------------------------------------------
 
@@ -204,7 +224,9 @@ class Annealer:
             with tracer.span("restart", index=restart) as span:
                 result = self._run_once(initial, rng)
                 span.set(moves=result.moves_tried,
-                         accepted=result.moves_accepted)
+                         accepted=result.moves_accepted, t0=result.t0,
+                         t_final=result.t_final,
+                         best_move=result.best_move, gain=result.gain)
             if best_result is None or result.best_cost < best_result.best_cost:
                 best_result = result
         return best_result

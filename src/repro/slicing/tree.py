@@ -2,11 +2,13 @@
 
 A valid Polish expression *is* its slicing tree: every subtree is a
 contiguous token slice ``tokens[lo:hi]`` ending in the subtree's
-operator (or holding a single block), and :func:`right_start` finds
-where its right operand begins.  Both annealing problems — shape-curve
-generation (Sect. IV-A) and the budgeted layout (Sect. IV-E) — walk
-these slices through one :class:`SubtreeCache`, whose key is the slice
-itself, so a subtree shared by two expressions is annotated once.
+operator (or holding a single block).  :func:`right_start` scans for
+where its right operand begins; :func:`slice_starts` finds every
+subtree's start in one pass, for walks that split many slices.  Both
+annealing problems — shape-curve generation (Sect. IV-A) and the
+budgeted layout (Sect. IV-E) — walk these slices through one
+:class:`SubtreeCache`, whose key is the slice itself, so a subtree
+shared by two expressions is annotated once.
 
 :func:`build_tree`, :func:`annotate_curves` and :func:`annotate_areas`
 build and annotate an explicit node tree instead.  No evaluator uses
@@ -139,6 +141,22 @@ def right_start(tokens: Sequence[Token], lo: int, hi: int) -> int:
         k -= 1
         need += 1 if is_operator(tokens[k]) else -1
     return k
+
+
+def slice_starts(tokens: Sequence[Token]) -> List[int]:
+    """``starts[k]``: where the subtree ending at token ``k`` begins.
+
+    One pass over a valid expression: an operand is its own subtree,
+    and an operator's subtree begins where its left operand does, just
+    before its right operand ``tokens[starts[k - 1]:k]``.  So the right
+    operand of the subtree ``tokens[lo:hi]`` begins at
+    ``starts[hi - 2]``, which is :func:`right_start` without the scan.
+    """
+    starts: List[int] = []
+    for k, token in enumerate(tokens):
+        starts.append(starts[starts[k - 1] - 1] if is_operator(token)
+                      else k)
+    return starts
 
 
 @dataclass

@@ -1,11 +1,16 @@
 """Tests for target-area assignment (Sect. IV-C)."""
 
+from collections import deque
+
 import pytest
 from hypothesis import given, strategies as st
 
+import repro.core.recursive as recursive
+from repro.api import get_flow, prepare_suite_design
 from repro.core.decluster import decluster
 from repro.core.target_area import (
     assign_target_areas,
+    block_cells_of,
     glue_cells_of,
     scale_targets,
 )
@@ -45,6 +50,63 @@ class TestAssignment:
         # One macro pseudo-block and 16 loose glue flops (area 16).
         absorbed = assign_target_areas(two_stage_flat, gnet, result)
         assert sum(absorbed) == pytest.approx(16.0)
+
+
+def _full_bfs_absorbed(flat, gnet, result):
+    """Reference: the multi-source BFS run over the whole Gnet."""
+    blocks = result.blocks
+    glue_cells = glue_cells_of(result)
+    glue_set = set(glue_cells)
+    absorbed = [0.0] * len(blocks)
+    owner, claimed, queue = {}, {}, deque()
+    for b, seed in enumerate(blocks):
+        for cell_index in block_cells_of(seed):
+            node = gnet.node_of_cell.get(cell_index)
+            if node is not None and node not in owner:
+                owner[node] = b
+                queue.append(node)
+    while queue:
+        node = queue.popleft()
+        for neighbor in gnet.neighbors_undirected(node):
+            if neighbor not in owner:
+                owner[neighbor] = owner[node]
+                if gnet.cell_of[neighbor] in glue_set:
+                    claimed[gnet.cell_of[neighbor]] = owner[node]
+                queue.append(neighbor)
+    unreached = 0.0
+    for cell_index in glue_cells:
+        area = flat.cells[cell_index].ctype.area
+        if cell_index in claimed:
+            absorbed[claimed[cell_index]] += area
+        else:
+            unreached += area
+    if unreached > 0:
+        mins = [max(seed.area(flat), 1e-12) for seed in blocks]
+        total = sum(mins)
+        for b, m in enumerate(mins):
+            absorbed[b] += unreached * m / total
+    return absorbed
+
+
+class TestEarlyStop:
+    @pytest.mark.parametrize("name", ["c1", "c2", "c3"])
+    def test_every_level_equals_the_full_bfs(self, name, monkeypatch):
+        """Stopping the BFS once every glue cell is claimed changes no
+        level's absorbed areas, bit for bit."""
+        levels = []
+
+        def recording(flat, gnet, result):
+            absorbed = assign_target_areas(flat, gnet, result)
+            levels.append((absorbed,
+                           _full_bfs_absorbed(flat, gnet, result)))
+            return absorbed
+
+        monkeypatch.setattr(recursive, "assign_target_areas", recording)
+        get_flow("hidap", seed=1, effort="fast").place(
+            prepare_suite_design(name, "tiny"))
+        assert levels
+        for absorbed, reference in levels:
+            assert absorbed == reference
 
 
 class TestScaleTargets:

@@ -20,7 +20,7 @@ from repro.obs import (
     write_jsonl,
 )
 
-from tools.trace_summary import load_spans, summarize
+from tools.trace_summary import diff, load_spans, main as trace_summary, summarize
 
 
 # -- metrics registry -------------------------------------------------------
@@ -175,6 +175,43 @@ class TestSinks:
             agg = summarize(load_spans(str(path)))
             assert agg["outer"][1] == 2         # count
             assert len(agg["outer"][3]) == 2    # distinct pids
+
+
+class TestTraceDiff:
+    """``trace_summary --diff``: one span and one counter changed."""
+
+    def _traces(self, tmp_path):
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps({
+            "traceEvents": [
+                {"name": "anneal", "ph": "X", "ts": 0, "dur": 2.0e6,
+                 "pid": 1},
+                {"name": "referee", "ph": "X", "ts": 0, "dur": 1.0e6,
+                 "pid": 1}],
+            "otherData": {"counters": {"cost_evals": 5, "moves": 3}}}))
+        new = tmp_path / "new.jsonl"
+        rows = [{"kind": "span", "name": "anneal", "seconds": 0.5,
+                 "pid": 2},
+                {"kind": "span", "name": "referee", "seconds": 1.0,
+                 "pid": 2},
+                {"kind": "metrics", "pid": 2,
+                 "counters": {"cost_evals": 5, "moves": 7}}]
+        new.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        return str(old), str(new)
+
+    def test_ranks_the_changed_span_and_counter(self, tmp_path):
+        lines = diff(*self._traces(tmp_path), top=10)
+        assert lines[1].split() == ["2.000", "0.500", "-1.500", "-75.0%",
+                                    "1->1", "anneal"]
+        assert lines[2].split()[2:4] == ["+0.000", "+0.0%"]
+        assert lines[2].endswith("referee")
+        counter_rows = lines[lines.index("") + 2:]
+        assert counter_rows[0].split() == ["3", "7", "+4", "moves"]
+        assert counter_rows[1] == "1 counter(s) unchanged"
+
+    def test_cli(self, tmp_path, capsys):
+        assert trace_summary(["--diff", *self._traces(tmp_path)]) == 0
+        assert "anneal" in capsys.readouterr().out
 
 
 # -- pipeline observer exception safety -------------------------------------

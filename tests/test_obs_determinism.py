@@ -90,6 +90,28 @@ class TestPlacementBitIdentity:
         assert {"flow.place", "place", "referee", "referee.hpwl"} <= names
 
 
+class TestAnnealerConvergence:
+    def test_restart_spans_report_convergence(self):
+        """Each restart span records T0, the final temperature, the
+        move that found the best state and the cost gained, and
+        recording them leaves the rows as they were."""
+        flat, truth, die_w, die_h = _flat_and_die("c1")
+        plain = run_flow(flat, truth, "hidap", die_w, die_h, options=OPTS)
+        traced = run_flow(flat, truth, "hidap", die_w, die_h,
+                          options=TRACE_OPTS)
+        assert _key_row(traced) == _key_row(plain)
+        restarts = [span["attrs"] for payload in traced.trace
+                    for _d, span in iter_spans(payload)
+                    if span["name"] == "restart"]
+        assert restarts
+        for attrs in restarts:
+            assert attrs["t0"] >= attrs["t_final"] >= 0.0
+            assert 0 <= attrs["best_move"] <= attrs["moves"]
+            assert attrs["gain"] >= 0.0
+        assert any(attrs["gain"] > 0.0 and attrs["best_move"] > 0
+                   for attrs in restarts)
+
+
 def _span_names(payload, root):
     """Names of the spans beneath every ``root`` span, per root."""
     out = []
