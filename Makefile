@@ -19,9 +19,9 @@ test-benchmarks:
 lint:
 	python tools/lint.py
 
-# Determinism & backend-contract static analyzer (rules REP001-REP012;
-# see ROADMAP "Static analysis contracts").  Self-hosts over src/,
-# benchmarks/, tools/ and perfbench/.
+# Determinism & kernel-purity static analyzer (rules REP001-REP003 and
+# REP005-REP012; see ROADMAP "Static analysis contracts").  Self-hosts
+# over src/, benchmarks/, tools/ and perfbench/.
 # Exits 1 on any finding, a stale noqa included; the JSON report
 # (findings + per-phase timings) is uploaded by CI next to
 # BENCH_*.json.
@@ -34,9 +34,9 @@ analyze:
 # One verification entry point for builders and CI (the ci.yml "check"
 # job runs exactly this): lint, the repro-analyze gate, tier-1 tests
 # (tests/ only, the benchmark reproductions are excluded for speed),
-# the API smoke, and the referee-backend benchmark — bit-identity
-# across backends is the hard gate there; the >= 3x speedup gate warns
-# on loaded runners.
+# the API smoke, and the referee benchmark — bit-identity between the
+# python oracle and the numpy kernels is the hard gate there; the >= 3x
+# speedup gate warns on loaded runners.
 check:
 	$(MAKE) lint
 	$(MAKE) analyze
@@ -75,7 +75,7 @@ smoke-service:
 bench-anneal:
 	python benchmarks/bench_anneal.py
 
-# Python-vs-numpy referee backends (stdcell + HPWL + congestion +
+# Python oracle vs numpy referee kernels (stdcell + HPWL + congestion +
 # timing kernels on c1+c2); verifies bit-identical systems/reports/rows
 # (hard failure) and a best-of-3 speedup (soft gate), and writes
 # benchmarks/artifacts/BENCH_referee.json.

@@ -4,15 +4,16 @@
 Places each requested suite design once (with a fast deterministic
 flow, so the placement is shared), then times the referee's four metric
 kernels — quadratic stdcell system assembly, HPWL, congestion and the
-timing analysis — under both registered backends and verifies that
-every report agrees bit-for-bit: the assembled sparse systems (CSR
-data/indices and both right-hand sides), the solved cell placements,
-the HPWL and congestion reports, the timing reports (WNS/TNS/paths/
-worst edge) and full referee rows (``evaluate_placement``) after
-rounding.  A fifth phase times the quadratic CG solve: two sequential
-``scipy`` solves vs :func:`repro.placement.stdcell.solve_quadratic_xy`
-(one paired loop sharing a two-column matvec), with bit-identity of the
-solutions folded into the same hard gate.  Results land in
+timing analysis — on the python oracle and on the numpy kernels that
+score every row, and verifies that every report agrees bit-for-bit:
+the assembled sparse systems (CSR data/indices and both right-hand
+sides), the solved cell placements, the HPWL and congestion reports,
+the timing reports (WNS/TNS/paths/worst edge) and full referee rows
+(``evaluate_placement``) after rounding.  A fifth phase times the
+quadratic CG solve: two sequential ``scipy`` solves vs
+:func:`repro.placement.stdcell.solve_quadratic_xy` (one paired loop
+sharing a two-column matvec), with bit-identity of the solutions
+folded into the same hard gate.  Results land in
 ``benchmarks/artifacts/BENCH_referee.json`` so future PRs have a
 performance trajectory to compare against.
 
@@ -20,7 +21,7 @@ Gating (the CI contract): **bit-identity is the hard failure** — any
 mismatch exits 1 no matter how fast the kernels are.  The speedup gate
 takes the best of ``--repeats`` timed repeats per phase (loaded CI
 runners inflate means, not minima) and by default only warns when the
-numpy backend lands under ``--min-speedup``; pass ``--strict-speedup``
+numpy kernels land under ``--min-speedup``; pass ``--strict-speedup``
 to turn that into exit code 2.
 
 Not collected by pytest (the file is not ``test_*``); run directly:
@@ -45,7 +46,8 @@ from repro.api import get_flow
 from repro.core.ports import assign_port_positions
 from repro.api import evaluate_placement
 from repro.metrics import (
-    get_backend,
+    NumpyBackend,
+    PythonBackend,
     net_arrays_for,
     stdcell_arrays_for,
     timing_arrays_for,
@@ -60,7 +62,8 @@ from repro.placement.stdcell import (
 from repro.routing.congestion import estimate_congestion
 from repro.timing.sta import analyze_timing
 
-BACKENDS = ("python", "numpy")
+#: The oracle first: ``reports``/``solved``/``rows`` are keyed by name.
+BACKENDS = (PythonBackend(), NumpyBackend())
 PHASES = ("stdcell", "hpwl", "congestion", "timing")
 
 
@@ -124,11 +127,10 @@ def _bench_design(name: str, scale: str, flow: str, seed: int,
     phase_seconds = {}
     reports = {}
     for backend in BACKENDS:
-        resolved = get_backend(backend)
         seconds = {}
         seconds["stdcell"], system = _best_of(
-            lambda: resolved.stdcell_system(flat, placement, ports,
-                                            config, clustered),
+            lambda: backend.stdcell_system(flat, placement, ports,
+                                           config, clustered),
             repeats)
         seconds["hpwl"], wl = _best_of(
             lambda: hpwl_report(flat, placement, cells, ports,
@@ -142,9 +144,10 @@ def _bench_design(name: str, scale: str, flow: str, seed: int,
             lambda: analyze_timing(flat, prepared.gseq, placement,
                                    cells, ports, backend=backend),
             repeats)
-        phase_seconds[backend] = seconds
-        reports[backend] = {"system": system, "wl": wl,
-                            "congestion": congestion, "timing": timing}
+        phase_seconds[backend.name] = seconds
+        reports[backend.name] = {"system": system, "wl": wl,
+                                 "congestion": congestion,
+                                 "timing": timing}
 
     # CG solver phase: two sequential scipy solves vs the paired loop
     # that shares one two-column matvec per iteration (same Laplacian,
@@ -169,10 +172,11 @@ def _bench_design(name: str, scale: str, flow: str, seed: int,
                                    maxiter=config.cg_maxiter),
         repeats)
 
-    solved = {backend: place_cells(flat, placement, ports,
-                                   clustered=clustered, backend=backend)
+    solved = {backend.name: place_cells(flat, placement, ports,
+                                        clustered=clustered,
+                                        backend=backend)
               for backend in BACKENDS}
-    rows = {backend: _row_key(evaluate_placement(
+    rows = {backend.name: _row_key(evaluate_placement(
                 flat, placement, prepared.gseq, backend=backend))
             for backend in BACKENDS}
 
@@ -217,10 +221,9 @@ def _bench_design(name: str, scale: str, flow: str, seed: int,
         "grc_percent": round(py["congestion"].grc_percent, 9),
         "tns": round(py["timing"].tns, 9),
     }
-    for backend in BACKENDS:
+    for name, seconds in phase_seconds.items():
         for phase in PHASES:
-            record[f"{backend}_{phase}_seconds"] = round(
-                phase_seconds[backend][phase], 6)
+            record[f"{name}_{phase}_seconds"] = round(seconds[phase], 6)
     return record
 
 
@@ -273,7 +276,7 @@ def main() -> int:
 
     speedup = py_total / np_total if np_total else 0.0
     record = {
-        "bench": "referee_backends",
+        "bench": "referee",
         "scale": args.scale,
         "designs": args.designs.split(","),
         "flow": args.flow,
@@ -310,7 +313,8 @@ def main() -> int:
     print(f"wrote {out}")
 
     if not all_identical:
-        print("FAIL: backends disagree — bit-identity is the hard gate")
+        print("FAIL: python oracle and numpy kernels disagree — "
+              "bit-identity is the hard gate")
         return 1
     if speedup < args.min_speedup:
         message = (f"speedup x{speedup:.2f} under the x"

@@ -45,25 +45,16 @@ def _cached_gseq(prepared: PreparedDesign, min_bits: int):
 class BaseFlow:
     """Shared plumbing: referee invocation over cached artifacts.
 
-    ``referee_backend`` names the referee kernel implementation
-    (``None`` → the :mod:`repro.metrics` registry default); it reaches
-    every stage of :func:`~repro.api.run.evaluate_placement` — the
-    quadratic stdcell system, HPWL, congestion and the timing analysis
-    — and, for HiDaP flows, the layout cost model.  The returned row
-    names the backend in ``referee_backend``; under a tracer the
-    referee's step timings are its ``referee.*`` spans.
+    Every flow is scored by the one shared referee,
+    :func:`~repro.api.run.evaluate_placement`; under a tracer its step
+    timings are its ``referee.*`` spans.
     """
 
     name = "base"
 
-    def __init__(self, seed: int = 1, effort=Effort.NORMAL,
-                 referee_backend: Optional[str] = None):
+    def __init__(self, seed: int = 1, effort=Effort.NORMAL):
         self.seed = int(seed)
         self.effort = _coerce_effort(effort)
-        if referee_backend is not None:
-            from repro.metrics import get_backend
-            get_backend(referee_backend)    # fail fast on unknown names
-        self.referee_backend = referee_backend
         #: RunArtifacts of the flow's last placement run, when the
         #: underlying placer exposes them (HiDaP flows do).
         self.artifacts = None
@@ -76,8 +67,7 @@ class BaseFlow:
                  clock_period: float) -> FlowMetrics:
         """Score ``placement`` with the shared referee."""
         return evaluate_placement(prepared.flat, placement,
-                                  prepared.gseq, clock_period,
-                                  backend=self.referee_backend)
+                                  prepared.gseq, clock_period)
 
     def evaluate(self, prepared: PreparedDesign,
                  clock_period: Optional[float] = None) -> FlowMetrics:
@@ -97,13 +87,10 @@ class HiDaPFlow(BaseFlow):
     flow_label = "hidap"
 
     def __init__(self, seed: int = 1, effort=Effort.NORMAL,
-                 lam: float = 0.5,
-                 referee_backend: Optional[str] = None, **config_kwargs):
-        super().__init__(seed, effort, referee_backend)
+                 lam: float = 0.5, **config_kwargs):
+        super().__init__(seed, effort)
         self.config = HiDaPConfig(seed=self.seed, lam=lam,
-                                  effort=self.effort,
-                                  referee_backend=referee_backend,
-                                  **config_kwargs)
+                                  effort=self.effort, **config_kwargs)
 
     def _run_hidap(self, prepared: PreparedDesign, config: HiDaPConfig,
                    curves=None) -> MacroPlacement:
@@ -187,9 +174,8 @@ class IndEDAFlow(BaseFlow):
     name = "indeda"
 
     def __init__(self, seed: int = 1, effort=Effort.NORMAL,
-                 refinement_passes: int = 5,
-                 referee_backend: Optional[str] = None):
-        super().__init__(seed, effort, referee_backend)
+                 refinement_passes: int = 5):
+        super().__init__(seed, effort)
         self.refinement_passes = int(refinement_passes)
 
     def place(self, prepared: PreparedDesign) -> MacroPlacement:
@@ -211,9 +197,8 @@ class HandFPStripFlow(BaseFlow):
     name = "handfp-strip"
 
     def __init__(self, seed: int = 1, effort=Effort.NORMAL,
-                 refinement_passes: int = 8,
-                 referee_backend: Optional[str] = None):
-        super().__init__(seed, effort, referee_backend)
+                 refinement_passes: int = 8):
+        super().__init__(seed, effort)
         self.refinement_passes = int(refinement_passes)
 
     def place(self, prepared: PreparedDesign) -> MacroPlacement:
@@ -255,8 +240,7 @@ class HandFPFlow(HandFPStripFlow):
         for expert_seed, lam in ((self.seed + 101, 0.5),
                                  (self.seed + 202, 0.2)):
             config = HiDaPConfig(seed=expert_seed, lam=lam,
-                                 effort=expert_effort,
-                                 referee_backend=self.referee_backend)
+                                 effort=expert_effort)
             candidate = HiDaP(config).place(
                 prepared.flat, prepared.die_w, prepared.die_h,
                 flow_name="handfp", gnet=prepared.gnet,

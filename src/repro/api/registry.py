@@ -183,7 +183,8 @@ def get_flow(spec: str, **defaults: Any) -> Placer:
     ``defaults`` (typically ``seed=...`` / ``effort=...``) are offered
     to the factory — silently dropped if its signature does not accept
     them — and overridden by parameters in the spec itself, which are
-    always passed through (a factory rejecting them is an error).
+    always passed through (a factory rejecting them is an error that
+    names the spec's parameters, not the offered defaults).
     """
     name, params = parse_flow_spec(spec)
     entry = _REGISTRY.get(name)
@@ -207,4 +208,4 @@ def get_flow(spec: str, **defaults: Any) -> Placer:
         raise
     except (TypeError, ValueError) as exc:
         raise FlowError(f"flow {name!r} rejected parameters "
-                        f"{sorted(merged)}: {exc}") from exc
+                        f"{sorted(params or merged)}: {exc}") from exc

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, List, Optional, Union, TYPE_CHECKING
 
 from repro.core.config import Effort
 from repro.core.ports import assign_port_positions
@@ -37,6 +37,9 @@ from repro.netlist.flatten import FlatDesign
 from repro.obs import current_tracer
 from repro.placement.stdcell import PlacerConfig, place_cells
 from repro.timing.sta import analyze_timing
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.metrics import RefereeBackend
 
 #: The λ values the paper sweeps for HiDaP ("best WL of three").
 HIDAP_LAMBDAS = (0.2, 0.5, 0.8)
@@ -57,7 +60,6 @@ class RunOptions:
 
     seed: int = 1
     effort: Effort = Effort.NORMAL
-    referee_backend: Optional[str] = None
     trace: TraceSpec = None
 
     def __post_init__(self):
@@ -92,9 +94,6 @@ class FlowMetrics:
     wl_norm: float = 0.0          # vs handFP; filled by the suite runner
     macro_overlap: float = 0.0
     lam: Optional[float] = None   # λ actually used (HiDaP flows)
-    #: Name of the referee backend that scored the row (see
-    #: :func:`evaluate_placement`); ``None`` on rows built by hand.
-    referee_backend: Optional[str] = field(default=None, compare=False)
     #: Tracer payloads of a traced :func:`run_flow`; ``None`` otherwise.
     trace: Optional[List[Dict[str, Any]]] = field(default=None,
                                                   compare=False,
@@ -110,28 +109,29 @@ class FlowMetrics:
 def evaluate_placement(flat: FlatDesign, placement: MacroPlacement,
                        gseq=None, clock_period: Optional[float] = None,
                        placer_config: Optional[PlacerConfig] = None,
-                       backend: Optional[str] = None) -> FlowMetrics:
+                       backend: Optional["RefereeBackend"] = None
+                       ) -> FlowMetrics:
     """The shared referee: cell placement + WL + congestion + timing.
 
-    ``backend`` selects the referee backend by name (``None`` → the
-    :mod:`repro.metrics` registry default, normally ``numpy``); every
-    referee stage — the quadratic stdcell system, HPWL, congestion and
-    the timing analysis — runs on the selected backend's kernels, and
-    array backends pull the compiled per-design caches
-    (:class:`~repro.metrics.netarrays.NetArrays`, the clustered
-    netlist's :class:`~repro.metrics.stdcell_kernel.StdcellArrays`, the
+    Every referee stage — the quadratic stdcell system, HPWL,
+    congestion and the timing analysis — runs on the NumPy kernels
+    (:class:`~repro.metrics.NumpyBackend`) over the compiled
+    per-design caches (:class:`~repro.metrics.netarrays.NetArrays`, the
+    clustered netlist's
+    :class:`~repro.metrics.stdcell_kernel.StdcellArrays`, the
     sequential graph's
     :class:`~repro.metrics.timing_kernel.TimingArrays`), so repeated
-    evaluations share one compile.  The row's ``referee_backend``
-    names the backend used.
+    evaluations share one compile.  ``backend`` lets tests substitute
+    another :class:`~repro.metrics.RefereeBackend` instance, e.g. the
+    python oracle.
 
     Under an active tracer the call records one ``referee`` span (with
     ``design``, ``flow`` and ``backend`` attributes) holding one span
-    per step: ``referee.stdcell``, ``referee.locate`` (array backends
+    per step: ``referee.stdcell``, ``referee.locate`` (array kernels
     only), ``referee.hpwl``, ``referee.congestion`` and
     ``referee.timing``.
     """
-    from repro.metrics import get_backend, locate_endpoints, net_arrays_for
+    from repro.metrics import NumpyBackend, locate_endpoints, net_arrays_for
 
     die = placement.die
     port_positions = assign_port_positions(flat.design, die)
@@ -139,14 +139,14 @@ def evaluate_placement(flat: FlatDesign, placement: MacroPlacement,
         gseq = build_gseq(build_gnet(flat), flat)
 
     tracer = current_tracer()
-    resolved = get_backend(backend)
-    arrays = net_arrays_for(flat) if resolved.uses_net_arrays else None
+    kernels = backend or NumpyBackend()
+    arrays = net_arrays_for(flat) if kernels.uses_net_arrays else None
 
     with tracer.span("referee", design=flat.design.name,
-                     flow=placement.flow_name, backend=resolved.name):
+                     flow=placement.flow_name, backend=kernels.name):
         with tracer.span("referee.stdcell"):
             cells = place_cells(flat, placement, port_positions,
-                                config=placer_config, backend=resolved)
+                                config=placer_config, backend=kernels)
         # Locate every endpoint once; both array kernels share the
         # result.
         coords = None
@@ -155,17 +155,17 @@ def evaluate_placement(flat: FlatDesign, placement: MacroPlacement,
                 coords = locate_endpoints(arrays, placement, cells,
                                           port_positions)
         with tracer.span("referee.hpwl"):
-            wl = resolved.hpwl(flat, placement, cells, port_positions,
-                               arrays=arrays, coords=coords)
+            wl = kernels.hpwl(flat, placement, cells, port_positions,
+                              arrays=arrays, coords=coords)
         with tracer.span("referee.congestion"):
-            congestion = resolved.congestion(flat, placement, cells,
-                                             port_positions,
-                                             arrays=arrays, coords=coords)
+            congestion = kernels.congestion(flat, placement, cells,
+                                            port_positions,
+                                            arrays=arrays, coords=coords)
         with tracer.span("referee.timing"):
             timing = analyze_timing(flat, gseq, placement, cells,
                                     port_positions,
                                     clock_period=clock_period,
-                                    backend=resolved)
+                                    backend=kernels)
     return FlowMetrics(
         design=flat.design.name,
         flow=placement.flow_name,
@@ -174,8 +174,7 @@ def evaluate_placement(flat: FlatDesign, placement: MacroPlacement,
         wns_percent=timing.wns_percent,
         tns=timing.tns,
         placer_seconds=placement.runtime_seconds,
-        macro_overlap=placement.macro_overlap_area(),
-        referee_backend=resolved.name)
+        macro_overlap=placement.macro_overlap_area())
 
 
 def run_flow(flat: FlatDesign, truth: Optional[GroundTruth],
@@ -192,8 +191,8 @@ def run_flow(flat: FlatDesign, truth: Optional[GroundTruth],
     you registered yourself...
 
     ``options`` carries the run knobs (:class:`RunOptions`: seed,
-    effort, referee backend, trace — see the module docstring for the
-    one trace semantics).
+    effort, trace — see the module docstring for the one trace
+    semantics).
     """
     from repro.api import get_flow
     from repro.api.prepared import PreparedDesign
@@ -201,8 +200,7 @@ def run_flow(flat: FlatDesign, truth: Optional[GroundTruth],
     opts = options if options is not None else RunOptions()
     prepared = PreparedDesign.from_flat(flat, die_w=die_w, die_h=die_h,
                                         truth=truth, gseq=gseq)
-    placer = get_flow(flow, seed=opts.seed, effort=opts.effort,
-                      referee_backend=opts.referee_backend)
+    placer = get_flow(flow, seed=opts.seed, effort=opts.effort)
     if not opts.tracing:
         return placer.evaluate(prepared, clock_period=clock_period)
 

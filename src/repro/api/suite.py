@@ -70,10 +70,12 @@ def run_suite(scale: str = "bench",
     :class:`repro.service.PlacementService` pool of ``N`` workers.
     Both modes produce identical rows in identical order.  With
     ``verbose`` each row is printed as soon as its cell finishes.
+    ``designs`` selects a subset in suite order; a name the scale does
+    not have raises :class:`ValueError` listing the known designs.
 
     ``options`` carries the run knobs (:class:`RunOptions`: seed,
-    effort, referee backend, trace — see :mod:`repro.api.run` for the
-    one trace semantics shared by every entry point).
+    effort, trace — see :mod:`repro.api.run` for the one trace
+    semantics shared by every entry point).
 
     ``store`` (a directory path or a
     :class:`repro.service.CompiledDesignStore`) persists compiled
@@ -105,7 +107,7 @@ def run_suite(scale: str = "bench",
 
     with use_tracer(tracer) if tracer is not None else nullcontext():
         with current_tracer().span("suite", scale=scale), \
-                PlacementService(scale=scale, designs=names, store=store,
+                PlacementService(scale=scale, designs=designs, store=store,
                                  workers=workers,
                                  options=opts) as service:
             # A generator of submits: an inline job runs inside its

@@ -87,8 +87,6 @@ def cmd_place(args: argparse.Namespace) -> int:
         # Offered to the flow factory; silently dropped for flows
         # whose signature has no lam (e.g. indeda).
         defaults["lam"] = args.lam
-    if args.referee is not None:
-        defaults["referee_backend"] = args.referee
     tracing = bool(args.trace or args.verbose)
     tracer = Tracer("main") if tracing else None
     try:
@@ -141,7 +139,6 @@ def cmd_suite(args: argparse.Namespace) -> int:
     designs = args.designs.split(",") if args.designs else None
     kwargs = {}
     options = RunOptions(seed=args.seed, effort=Effort(args.effort),
-                         referee_backend=args.referee,
                          trace=args.trace or bool(args.verbose))
     try:
         if args.flows:
@@ -152,6 +149,8 @@ def cmd_suite(args: argparse.Namespace) -> int:
                            **kwargs)
     except FlowError as exc:
         return _fail(f"{exc} (see `hidap flows`)")
+    except ValueError as exc:
+        return _fail(str(exc))
     print()
     print(format_table3(result.rows, result.design_info))
     print()
@@ -180,8 +179,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     from repro.service import PlacementService
 
     designs = args.designs.split(",") if args.designs else None
-    options = RunOptions(seed=args.seed, effort=Effort(args.effort),
-                         referee_backend=args.referee)
+    options = RunOptions(seed=args.seed, effort=Effort(args.effort))
 
     def emit(payload):
         print(json.dumps(payload), flush=True)
@@ -233,17 +231,12 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 def cmd_flows(args: argparse.Namespace) -> int:
     del args
-    from repro.metrics import available_backends, default_backend_name
-
     print("registered flows:")
     for name, description in flow_descriptions():
         print(f"  {name:14s} {description}")
     print("\nparameterized specs: <name>:key=value,...  "
           "e.g. hidap:lam=0.8")
     print("register your own with repro.api.register_flow(...)")
-    print(f"\nreferee backends: {', '.join(available_backends())} "
-          f"(default: {default_backend_name()}; "
-          "select with --referee or hidap:referee_backend=...)")
     return 0
 
 
@@ -291,9 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--effort", default="normal",
                    choices=("fast", "normal", "high"))
-    p.add_argument("--referee", default=None,
-                   help="referee backend (python|numpy|...; "
-                        "default: numpy — see `hidap flows`)")
     p.add_argument("--die", type=float, nargs=2, default=None,
                    metavar=("W", "H"))
     p.add_argument("--out", default=None, help="placement JSON path")
@@ -317,9 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--effort", default="fast",
                    choices=("fast", "normal", "high"))
-    p.add_argument("--referee", default=None,
-                   help="referee backend for every flow "
-                        "(python|numpy|...; default: numpy)")
     p.add_argument("--workers", type=int, default=None,
                    help="fan (design, flow) pairs over N processes")
     p.add_argument("--trace", default=None, metavar="OUT.json",
@@ -348,8 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--effort", default="fast",
                    choices=("fast", "normal", "high"))
-    p.add_argument("--referee", default=None,
-                   help="referee backend for every job")
     p.set_defaults(func=cmd_serve)
 
     p = sub.add_parser("flows", help="list registered flows")

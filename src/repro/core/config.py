@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional
 
 from repro.floorplan.cost import CostWeights
 from repro.floorplan.engine import LayoutConfig
@@ -76,13 +75,6 @@ class HiDaPConfig:
     #: "pseudonet" (hierarchy-closeness pseudo-nets, the prior art the
     #: paper improves on; see repro.core.pseudonets).
     affinity_mode: str = "dataflow"
-    #: Referee backend ("python" reference loops / "numpy" batched
-    #: kernels, plus anything registered with
-    #: ``repro.metrics.register_backend``); drives the shared referee
-    #: and the layout cost model's distance kernel.  ``None`` uses the
-    #: registry default (numpy).  All builtin backends produce
-    #: bit-identical metrics, so this is a speed/cross-check knob.
-    referee_backend: Optional[str] = None
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.lam <= 1.0:
@@ -96,11 +88,6 @@ class HiDaPConfig:
         if self.affinity_mode not in ("dataflow", "pseudonet"):
             raise ValueError(
                 f"unknown affinity mode {self.affinity_mode!r}")
-        if self.referee_backend is not None:
-            # Same resolver (and error) as BaseFlow / the kernels, so
-            # every entry point rejects unknown names identically.
-            from repro.metrics import get_backend
-            get_backend(self.referee_backend)
 
     # -- derived configurations ---------------------------------------------
 
@@ -115,8 +102,7 @@ class HiDaPConfig:
             moves_per_temperature=28,
             restarts=2 if self.effort is not Effort.FAST else 1)
         return LayoutConfig(seed=anneal.seed, weights=self.weights,
-                            anneal=anneal, incremental=self.incremental,
-                            metrics_backend=self.referee_backend)
+                            anneal=anneal, incremental=self.incremental)
 
     def shapegen_config(self) -> ShapeGenConfig:
         """Shape-curve generation configuration (S_Γ, Sect. IV-A)."""

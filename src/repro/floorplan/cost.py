@@ -15,6 +15,10 @@ from typing import Dict, List, Sequence, Tuple
 from repro.floorplan.blocks import Block, Terminal
 from repro.floorplan.budget import BudgetReport
 from repro.geometry.rect import Point, Rect
+from repro.metrics import AffinityPairs, NumpyBackend
+
+#: The referee kernels the distance term runs on (stateless).
+_KERNELS = NumpyBackend()
 
 
 @dataclass(frozen=True)
@@ -50,23 +54,16 @@ class CostModel:
     scale:
         A reference length; the distance term is divided by it so costs
         are comparable across die sizes (penalties stay scale-free).
-    backend:
-        Referee backend name for the affinity-distance kernel
-        (``None`` → the :mod:`repro.metrics` registry default).  Every
-        backend returns the same bits, so this is a speed knob only.
     """
 
     def __init__(self, blocks: List[Block], terminals: List[Terminal],
                  affinity: Sequence[Sequence[float]],
-                 weights: CostWeights = None, scale: float = 1.0,
-                 backend: str = None):
+                 weights: CostWeights = None, scale: float = 1.0):
         self.blocks = blocks
         self.terminals = terminals
         self.weights = weights or CostWeights()
         self.scale = max(scale, 1e-12)
-        self.backend = backend
         self._pairs = None          # lazy metrics.AffinityPairs
-        self._kernel = None         # backend resolved once, on first use
         n = len(blocks)
         size = n + len(terminals)
         if len(affinity) != size:
@@ -91,8 +88,6 @@ class CostModel:
     def _affinity_pairs(self):
         """The distance kernel's compiled pair view (built once)."""
         if self._pairs is None:
-            from repro.metrics import AffinityPairs
-
             terminal_pairs = []
             for i, t, a in self.terminal_pairs:
                 pos = self._terminal_pos[t]
@@ -109,20 +104,15 @@ class CostModel:
         centers (e.g. the ones cached on budgeted sub-layouts) so the
         evaluation skips recomputing every rectangle center; values
         must equal ``rect.center`` of the corresponding rectangle.  The
-        sum is delegated to the configured referee backend — all
-        backends reduce sequentially in pair order, so the result is
-        bit-identical to the historical Python accumulator.  The
-        backend is resolved once, on the first evaluation (this sits in
-        the annealing hot loop).
+        sum is the NumPy referee's ``affinity_distance`` kernel, which
+        reduces sequentially in pair order, so the result is
+        bit-identical to the historical Python accumulator.
         """
-        if self._kernel is None:
-            from repro.metrics import get_backend
-            self._kernel = get_backend(self.backend)
         if centers is None:
             centers = {i: (r.x + r.w / 2.0, r.y + r.h / 2.0)
                        for i, r in rects.items()}
-        total = self._kernel.affinity_distance(self._affinity_pairs(),
-                                               centers)
+        total = _KERNELS.affinity_distance(self._affinity_pairs(),
+                                           centers)
         return total / self.scale
 
     def penalty(self, report: BudgetReport) -> float:

@@ -76,10 +76,6 @@ class LayoutConfig:
     #: between cost evaluations.  Bit-identical to full re-evaluation
     #: under a fixed seed; disable only to cross-check that claim.
     incremental: bool = True
-    #: Referee backend for the cost model's affinity-distance kernel
-    #: (``None`` → the :mod:`repro.metrics` registry default).  All
-    #: backends are bit-identical; this is a speed knob only.
-    metrics_backend: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.anneal is None:
@@ -189,8 +185,7 @@ def _generate_layout(problem: LayoutProblem,
                      config: LayoutConfig) -> LayoutResult:
     scale = max(problem.region.w + problem.region.h, 1e-12)
     model = CostModel(problem.blocks, problem.terminals, problem.affinity,
-                      config.weights, scale=scale,
-                      backend=config.metrics_backend)
+                      config.weights, scale=scale)
 
     stats = EvalStats()
     final_eval = LayoutEvaluator(problem, model, config.final_curve_limit,

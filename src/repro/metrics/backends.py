@@ -1,23 +1,24 @@
-"""The referee backend registry.
+"""The referee kernel interface and its python oracle.
 
-A *referee backend* owns the five batched evaluation kernels — the
-quadratic stdcell system assembly, HPWL, congestion, the levelized
-timing analysis and the affinity-pair distance term — behind one small
-interface, so the referee (:func:`repro.api.run.evaluate_placement`),
-the layout cost model (:class:`repro.floorplan.cost.CostModel`) and the
-CLI can switch implementations with a name:
+The referee's five evaluation kernels — the quadratic stdcell system
+assembly, HPWL, congestion, the levelized timing analysis and the
+affinity-pair distance term — sit behind one small interface,
+:class:`RefereeBackend`, with two implementations:
 
-* ``"python"`` — the reference per-net loops the repo started with,
-  kept as the equivalence oracle;
-* ``"numpy"`` — batched array kernels over the compiled
-  :class:`~repro.metrics.netarrays.NetArrays` (the default).
+* :class:`PythonBackend` — the reference per-net loops the repo started
+  with, kept as the equivalence oracle for tests and ``make
+  bench-referee``;
+* :class:`~repro.metrics.numpy_backend.NumpyBackend` — batched array
+  kernels over the compiled
+  :class:`~repro.metrics.netarrays.NetArrays`, which score every row.
 
-Both backends produce bit-identical metric values: the NumPy kernels
-replicate the reference IEEE expressions elementwise and reduce with
-sequential accumulation (``cumsum``) in the reference visit order, so
-switching backends never perturbs annealing decisions or table rows.
-Third parties may register their own backend (e.g. a GPU
-implementation) with :func:`register_backend`.
+Both produce bit-identical metric values: the NumPy kernels replicate
+the reference IEEE expressions elementwise and reduce with sequential
+accumulation (``cumsum``) in the reference visit order.  The referee
+entry points (``evaluate_placement``, ``place_cells``, ``hpwl_report``,
+``estimate_congestion``, ``analyze_timing``) run the NumPy kernels; a
+``backend`` parameter taking a :class:`RefereeBackend` instance lets
+tests put the oracle in their place.
 """
 
 from __future__ import annotations
@@ -38,21 +39,18 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.timing.sta import TimingReport
 
 
-class MetricsBackendError(ValueError):
-    """An unknown or unusable referee backend was requested."""
-
-
 class RefereeBackend:
     """One implementation of the referee kernels.
 
-    ``name`` identifies the backend in configs/CLI flags;
-    ``uses_net_arrays`` tells callers whether to compile (and pass) the
-    shared :class:`~repro.metrics.netarrays.NetArrays`.  ``coords``
-    optionally hands the HPWL and congestion kernels one shared
+    ``name`` labels the implementation (the ``referee`` span's
+    ``backend`` attribute); ``uses_net_arrays`` tells callers whether to
+    compile (and pass) the shared
+    :class:`~repro.metrics.netarrays.NetArrays`.  ``coords`` optionally
+    hands the HPWL and congestion kernels one shared
     :func:`~repro.metrics.netarrays.locate_endpoints` result so a
     caller evaluating several metrics on the same placement (the
-    referee) locates every endpoint once; backends that do not consume
-    net arrays ignore it.
+    referee) locates every endpoint once; implementations that do not
+    consume net arrays ignore it.
     """
 
     name = "base"
@@ -66,30 +64,17 @@ class RefereeBackend:
         """``(laplacian, bx, by)`` of the quadratic clique system.
 
         The shared solve (conjugate gradients + diffusion) lives in
-        :func:`repro.placement.stdcell.place_cells`; backends only own
-        the connectivity assembly, the profiled hot loop.  Defaults to
-        the reference assembly so backends predating this kernel (or
-        choosing not to specialize it) keep working — every builtin
-        kernel is bit-identical, so mixing is safe.
+        :func:`repro.placement.stdcell.place_cells`; kernels only own
+        the connectivity assembly, the profiled hot loop.
         """
-        from repro.placement.stdcell import _build_system
-        return _build_system(clustered, flat, placement, port_positions,
-                             config)
+        raise NotImplementedError
 
     def timing(self, flat: "FlatDesign", gseq: "Gseq",
                placement: "MacroPlacement", cells: "CellPlacement",
                port_positions: Dict[str, "Point"], clock_period: float,
                model: "DelayModel") -> "TimingReport":
-        """Slack analysis of every sequential edge against the clock.
-
-        Defaults to the reference per-edge loop (see
-        :meth:`stdcell_system` for why).
-        """
-        from repro.timing.sta import analyze_timing_reference
-        return analyze_timing_reference(flat, gseq, placement, cells,
-                                        port_positions,
-                                        clock_period=clock_period,
-                                        model=model)
+        """Slack analysis of every sequential edge against the clock."""
+        raise NotImplementedError
 
     def hpwl(self, flat: "FlatDesign", placement: "MacroPlacement",
              cells: "CellPlacement", port_positions: Dict[str, "Point"],
@@ -173,14 +158,25 @@ class AffinityPairs:
 
 
 class PythonBackend(RefereeBackend):
-    """The reference loops (the repo's original referee).
-
-    ``stdcell_system`` and ``timing`` are the inherited reference
-    implementations — the base class already delegates to them.
-    """
+    """The reference loops (the repo's original referee), kept as the
+    equivalence oracle."""
 
     name = "python"
     uses_net_arrays = False
+
+    def stdcell_system(self, flat, placement, port_positions, config,
+                       clustered):
+        from repro.placement.stdcell import _build_system
+        return _build_system(clustered, flat, placement, port_positions,
+                             config)
+
+    def timing(self, flat, gseq, placement, cells, port_positions,
+               clock_period, model):
+        from repro.timing.sta import analyze_timing_reference
+        return analyze_timing_reference(flat, gseq, placement, cells,
+                                        port_positions,
+                                        clock_period=clock_period,
+                                        model=model)
 
     def hpwl(self, flat, placement, cells, port_positions, arrays=None,
              coords=None):
@@ -204,71 +200,3 @@ class PythonBackend(RefereeBackend):
             total += a * (abs(cxi - tx) + abs(cyi - ty))
         return total
 
-
-_BACKENDS: Dict[str, RefereeBackend] = {}
-_DEFAULT: Optional[str] = None
-
-
-def register_backend(backend: RefereeBackend, *,
-                     overwrite: bool = False) -> None:
-    """Register ``backend`` under ``backend.name``."""
-    name = backend.name
-    if not name or name == "base":
-        raise MetricsBackendError(
-            f"backend needs a distinctive name, got {name!r}")
-    if name in _BACKENDS and not overwrite:
-        raise MetricsBackendError(
-            f"referee backend {name!r} already registered "
-            "(pass overwrite=True to replace)")
-    _BACKENDS[name] = backend  # repro: noqa[REP009] worker-init replay
-
-
-def unregister_backend(name: str) -> None:
-    """Remove ``name`` from the registry (test/plugin cleanup).
-
-    The built-in ``python``/``numpy`` backends may be removed too —
-    callers doing so are expected to re-register them.  Removing the
-    process-wide default resets the default to ``numpy``.
-    """
-    global _DEFAULT
-    if name not in _BACKENDS:
-        raise MetricsBackendError(
-            f"unknown referee backend {name!r}; "
-            f"available: {', '.join(available_backends()) or '<none>'}")
-    del _BACKENDS[name]
-    if _DEFAULT == name:
-        _DEFAULT = None
-
-
-def available_backends() -> Tuple[str, ...]:
-    """Sorted names of every registered referee backend."""
-    return tuple(sorted(_BACKENDS))
-
-
-def set_default_backend(name: str) -> None:
-    """Make ``name`` the process-wide default referee backend."""
-    global _DEFAULT
-    if name not in _BACKENDS:
-        raise MetricsBackendError(
-            f"unknown referee backend {name!r}; "
-            f"available: {', '.join(available_backends())}")
-    _DEFAULT = name  # repro: noqa[REP009] worker-init replay
-
-
-def default_backend_name() -> str:
-    """The current default backend name (``numpy`` unless overridden)."""
-    return _DEFAULT if _DEFAULT is not None else "numpy"
-
-
-def get_backend(name: Optional[str] = None) -> RefereeBackend:
-    """Resolve a backend by name (``None`` → the default backend)."""
-    if isinstance(name, RefereeBackend):
-        return name
-    if name is None:
-        name = default_backend_name()
-    backend = _BACKENDS.get(name)
-    if backend is None:
-        raise MetricsBackendError(
-            f"unknown referee backend {name!r}; "
-            f"available: {', '.join(available_backends()) or '<none>'}")
-    return backend

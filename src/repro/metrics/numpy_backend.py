@@ -12,9 +12,10 @@ reference loop, not merely close:
 * congestion demand weights are exact binary fractions (halves), so
   scatter-order differences cannot round.
 
-That property is what lets the ``numpy`` backend be the default
-without perturbing annealing trajectories or historical table rows;
-``tests/test_metrics_equivalence.py`` enforces it.
+That property is what lets these kernels score every row without
+perturbing annealing trajectories or historical table rows;
+``tests/test_metrics_equivalence.py`` enforces it against the python
+oracle.
 """
 
 from __future__ import annotations

@@ -5,9 +5,8 @@ abstract site units internally and convert with a nominal 1 unit = 1 µm
 so tables read in familiar magnitudes; all comparisons are ratios, so
 the conversion constant is cosmetic.
 
-:func:`hpwl_report` dispatches through the referee backend registry
-(:mod:`repro.metrics`): the ``numpy`` default runs the batched
-segmented-min/max kernel over compiled
+:func:`hpwl_report` runs the batched segmented-min/max NumPy kernel
+(:mod:`repro.metrics`) over compiled
 :class:`~repro.metrics.netarrays.NetArrays`; :func:`hpwl_reference`
 keeps the original per-net loop as the ``python`` oracle.  Both return
 bit-identical reports.
@@ -16,7 +15,7 @@ bit-identical reports.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.core.result import MacroPlacement
 from repro.geometry.rect import Point
@@ -45,26 +44,26 @@ class HpwlReport:
 def hpwl_report(flat: FlatDesign, placement: MacroPlacement,
                 cells: CellPlacement,
                 port_positions: Dict[str, Point],
-                backend: Optional[str] = None,
-                arrays=None) -> HpwlReport:
+                backend=None, arrays=None) -> HpwlReport:
     """HPWL over every flat bit net with at least two located endpoints.
 
-    ``backend`` selects a referee backend by name (``None`` → the
-    registry default, normally ``numpy``); ``arrays`` optionally passes
-    pre-compiled :class:`~repro.metrics.netarrays.NetArrays` to skip
-    the per-design compile cache lookup.
+    Runs the NumPy kernel; ``backend`` lets tests substitute another
+    :class:`~repro.metrics.RefereeBackend` instance (the python
+    oracle).  ``arrays`` optionally passes pre-compiled
+    :class:`~repro.metrics.netarrays.NetArrays` to skip the per-design
+    compile cache lookup.
     """
-    from repro.metrics import get_backend
+    from repro.metrics import NumpyBackend
 
-    resolved = get_backend(backend)
-    return resolved.hpwl(flat, placement, cells, port_positions,
-                         arrays=arrays)
+    return (backend or NumpyBackend()).hpwl(flat, placement, cells,
+                                            port_positions,
+                                            arrays=arrays)
 
 
 def hpwl_reference(flat: FlatDesign, placement: MacroPlacement,
                    cells: CellPlacement,
                    port_positions: Dict[str, Point]) -> HpwlReport:
-    """The per-net reference loop (the ``python`` backend's kernel)."""
+    """The per-net reference loop (the python oracle's kernel)."""
     total = 0.0
     macro_total = 0.0
     n_nets = 0

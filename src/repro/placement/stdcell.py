@@ -9,14 +9,14 @@ overfull bins — macro bins have zero capacity, which is how a macro
 placement's quality propagates into the cell placement and the
 wirelength / congestion / timing metrics measured on it.
 
-:func:`place_cells` dispatches the clique-system assembly (the profiled
-hot loop) through the referee backend registry (:mod:`repro.metrics`):
-the ``numpy`` default streams the compiled
-:class:`~repro.metrics.stdcell_kernel.StdcellArrays` through ordered
-``np.add.at`` scatters; :func:`_build_system` keeps the original double
-loop as the ``python`` oracle.  Both assemble bit-identical systems, so
-the solved cell placement is backend-independent; the conjugate-gradient
-solve and the diffusion pass are shared.
+:func:`place_cells` runs the clique-system assembly (the profiled hot
+loop) on the NumPy kernel (:mod:`repro.metrics`), which streams the
+compiled :class:`~repro.metrics.stdcell_kernel.StdcellArrays` through
+ordered ``np.add.at`` scatters; :func:`_build_system` keeps the
+original double loop as the ``python`` oracle.  Both assemble
+bit-identical systems, so the solved cell placement is the same under
+either; the conjugate-gradient solve and the diffusion pass are
+shared.
 """
 
 from __future__ import annotations
@@ -265,11 +265,12 @@ def place_cells(flat: FlatDesign, placement: MacroPlacement,
 
     ``clustered`` defaults to the per-design cache
     (:func:`repro.placement.cluster.clustered_for`), so repeated referee
-    evaluations share one clustering; ``backend`` selects the referee
-    backend assembling the quadratic system (``None`` → the
-    :mod:`repro.metrics` registry default).
+    evaluations share one clustering.  The NumPy kernel assembles the
+    quadratic system; ``backend`` lets tests substitute another
+    :class:`~repro.metrics.RefereeBackend` instance (the python
+    oracle).
     """
-    from repro.metrics import get_backend
+    from repro.metrics import NumpyBackend
 
     config = config or PlacerConfig()
     clustered = clustered if clustered is not None else clustered_for(flat)
@@ -278,7 +279,7 @@ def place_cells(flat: FlatDesign, placement: MacroPlacement,
     if n == 0:
         return CellPlacement(clustered, np.zeros(0), np.zeros(0), die)
 
-    laplacian, bx, by = get_backend(backend).stdcell_system(
+    laplacian, bx, by = (backend or NumpyBackend()).stdcell_system(
         flat, placement, port_positions, config, clustered)
     x0 = np.full(n, die.center.x)
     y0 = np.full(n, die.center.y)

@@ -1,20 +1,19 @@
 """Probabilistic global routing and the GRC% congestion metric.
 
-:func:`estimate_congestion` dispatches through the referee backend
-registry (:mod:`repro.metrics`): the ``numpy`` default locates every
-endpoint from compiled :class:`~repro.metrics.netarrays.NetArrays` and
-rasterizes all chain segments onto the
-:class:`~repro.routing.grid.RoutingGrid` in one vectorized pass
-(:meth:`~repro.routing.grid.RoutingGrid.add_l_routes`);
+:func:`estimate_congestion` runs the NumPy kernel
+(:mod:`repro.metrics`): it locates every endpoint from compiled
+:class:`~repro.metrics.netarrays.NetArrays` and rasterizes all chain
+segments onto the :class:`~repro.routing.grid.RoutingGrid` in one
+vectorized pass (:meth:`~repro.routing.grid.RoutingGrid.add_l_routes`);
 :func:`congestion_reference` keeps the original per-net loop as the
-``python`` oracle.  Demand weights are exact halves, so both backends
-fill bit-identical demand rasters.
+``python`` oracle.  Demand weights are exact halves, so both fill
+bit-identical demand rasters.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.core.result import MacroPlacement
 from repro.geometry.rect import Point
@@ -70,8 +69,7 @@ def estimate_congestion(flat: FlatDesign, placement: MacroPlacement,
                         cells: CellPlacement,
                         port_positions: Dict[str, Point],
                         bins: int = 32,
-                        backend: Optional[str] = None,
-                        arrays=None) -> CongestionReport:
+                        backend=None, arrays=None) -> CongestionReport:
     """Route every net probabilistically and report overflow.
 
     Multi-pin nets are decomposed into a chain over the x-sorted pins (a
@@ -79,22 +77,22 @@ def estimate_congestion(flat: FlatDesign, placement: MacroPlacement,
     two L routes.  Nets with fewer than two located endpoints are
     skipped (the degenerate-net guard shared by every backend).
 
-    ``backend`` selects a referee backend by name (``None`` → the
-    registry default, normally ``numpy``); ``arrays`` optionally passes
-    pre-compiled :class:`~repro.metrics.netarrays.NetArrays`.
+    Runs the NumPy kernel; ``backend`` lets tests substitute another
+    :class:`~repro.metrics.RefereeBackend` instance (the python
+    oracle).  ``arrays`` optionally passes pre-compiled
+    :class:`~repro.metrics.netarrays.NetArrays`.
     """
-    from repro.metrics import get_backend
+    from repro.metrics import NumpyBackend
 
-    resolved = get_backend(backend)
-    return resolved.congestion(flat, placement, cells, port_positions,
-                               bins=bins, arrays=arrays)
+    return (backend or NumpyBackend()).congestion(
+        flat, placement, cells, port_positions, bins=bins, arrays=arrays)
 
 
 def congestion_reference(flat: FlatDesign, placement: MacroPlacement,
                          cells: CellPlacement,
                          port_positions: Dict[str, Point],
                          bins: int = 32) -> CongestionReport:
-    """The per-net reference loop (the ``python`` backend's kernel)."""
+    """The per-net reference loop (the python oracle's kernel)."""
     grid = RoutingGrid.build(placement.die,
                              (m.rect for m in placement.macros.values()),
                              bins=bins)

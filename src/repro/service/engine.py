@@ -9,10 +9,9 @@ a worker-local prepared design (worker cache → shared-memory handoff
 → rebuild).
 
 Worker bootstrap lives here too: :func:`init_worker` replays
-third-party flow/backend registrations into spawn-mode workers, and
-:func:`portable_flow_entries` / :func:`portable_backend_entries`
-collect what to replay (warning — not silently dropping — entries that
-cannot be pickled).
+third-party flow registrations into spawn-mode workers, and
+:func:`portable_flow_entries` collects what to replay (warning — not
+silently dropping — entries that cannot be pickled).
 """
 
 from __future__ import annotations
@@ -78,66 +77,18 @@ def portable_flow_entries():
     return entries
 
 
-def portable_backend_entries():
-    """Third-party referee backends + the default name, for workers.
-
-    Like flows, backend registrations live in-process: under
-    spawn/forkserver a worker's ``import repro.metrics`` only recreates
-    the builtin python/numpy backends, so custom backends (and a
-    ``set_default_backend`` override) must be replayed.  Unpicklable
-    backend objects cannot be — each emits a :class:`RuntimeWarning`
-    naming the backend (they still work under fork).
-    """
-    import pickle
-
-    from repro.metrics import (
-        available_backends,
-        default_backend_name,
-        get_backend,
-    )
-
-    entries = []
-    for name in available_backends():
-        if name in ("python", "numpy"):
-            continue
-        backend = get_backend(name)
-        try:
-            pickle.dumps(backend)
-        except Exception:
-            warnings.warn(
-                f"referee backend {name!r} ({backend!r}) is not "
-                "picklable and cannot be replayed into spawn-mode "
-                "suite workers; it will be missing there",
-                RuntimeWarning, stacklevel=3)
-            continue
-        entries.append(backend)
-    # Only replay a default the worker will actually be able to
-    # resolve; an unpicklable custom default degrades to the builtin
-    # default instead of crashing every worker.
-    default = default_backend_name()
-    if default not in {"python", "numpy"} | {b.name for b in entries}:
-        default = None
-    return entries, default
-
-
-def init_worker(entries, backend_entries=(),
-                default_backend=None) -> None:
-    """Pool initializer: replay third-party flow/backend registrations.
+def init_worker(entries) -> None:
+    """Pool initializer: replay third-party flow registrations.
 
     Runs once per worker process, before any task; the registry writes
     it performs are therefore init-time replay of the parent's state,
     not cross-task mutation.
     """
     from repro.api.registry import register_flow
-    from repro.metrics import register_backend, set_default_backend
 
     for name, factory, description in entries:
         register_flow(name, factory, description=description,
                       overwrite=True)
-    for backend in backend_entries:
-        register_backend(backend, overwrite=True)
-    if default_backend is not None:
-        set_default_backend(default_backend)
 
 
 def prepared_for(scale: str, name: str,
@@ -168,9 +119,8 @@ def prepared_for(scale: str, name: str,
 def execute_cell(prepared: PreparedDesign, flow: str,
                  options: RunOptions) -> FlowMetrics:
     """Run one (prepared design, flow) cell through the registry."""
-    metrics = get_flow(flow, seed=options.seed, effort=options.effort,
-                       referee_backend=options.referee_backend
-                       ).evaluate(prepared)
+    metrics = get_flow(flow, seed=options.seed,
+                       effort=options.effort).evaluate(prepared)
     # The paper reports every builtin hidap variant simply as "hidap".
     # Match the parsed registry name, not a spec prefix, so that
     # third-party flows named e.g. "hidap-mine" keep their own label.
@@ -181,9 +131,7 @@ def execute_cell(prepared: PreparedDesign, flow: str,
 
 
 def run_cell(scale: str, design_name: str, flow: str, seed: int,
-             effort_value: str,
-             referee_backend: Optional[str] = None,
-             trace: bool = False,
+             effort_value: str, trace: bool = False,
              handoff: Optional["ShmHandoff"] = None
              ) -> Tuple[str, str, FlowMetrics, str,
                         Optional[Dict[str, Any]]]:
@@ -196,8 +144,7 @@ def run_cell(scale: str, design_name: str, flow: str, seed: int,
     One tracer per cell (not per worker) keeps payload transport on the
     existing result channel with no worker-exit hooks.
     """
-    options = RunOptions(seed=seed, effort=Effort(effort_value),
-                         referee_backend=referee_backend)
+    options = RunOptions(seed=seed, effort=Effort(effort_value))
     if not trace:
         prepared = prepared_for(scale, design_name, handoff)
         metrics = execute_cell(prepared, flow, options)

@@ -301,13 +301,10 @@ class PlacementService:
             if workers is not None and workers > 1:
                 for name, entry in self._entries.items():
                     self._owners[name] = export_entry(entry)
-                backend_entries, default_backend = (
-                    engine.portable_backend_entries())
                 self._pool = ProcessPoolExecutor(
                     max_workers=workers,
                     initializer=engine.init_worker,
-                    initargs=(engine.portable_flow_entries(),
-                              backend_entries, default_backend))
+                    initargs=(engine.portable_flow_entries(),))
         except BaseException:
             # Unlink the segments already exported.
             self.close()
@@ -373,8 +370,7 @@ class PlacementService:
             handoff = owner.handoff if owner is not None else None
             handle._future = self._pool.submit(
                 engine.run_cell, self.scale, design, flow, opts.seed,
-                opts.effort.value, opts.referee_backend,
-                bool(opts.trace), handoff)
+                opts.effort.value, bool(opts.trace), handoff)
         else:
             self._run_inline(handle, opts)
         return handle

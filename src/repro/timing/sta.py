@@ -8,9 +8,9 @@ worst slack (reported as a percentage of the period, negative = failing)
 and TNS accumulates negative slack over all failing endpoints,
 mirroring the paper's Table III columns.
 
-:func:`analyze_timing` dispatches through the referee backend registry
-(:mod:`repro.metrics`): the ``numpy`` default runs the levelized batched
-kernel over compiled :class:`~repro.metrics.timing_kernel.TimingArrays`;
+:func:`analyze_timing` runs the levelized batched NumPy kernel
+(:mod:`repro.metrics`) over compiled
+:class:`~repro.metrics.timing_kernel.TimingArrays`;
 :func:`analyze_timing_reference` keeps the original per-edge loop as the
 ``python`` oracle.  Both return bit-identical reports.
 """
@@ -95,18 +95,19 @@ def analyze_timing(flat: FlatDesign, gseq: Gseq,
                    backend=None) -> TimingReport:
     """Evaluate every Gseq edge against the clock period.
 
-    ``backend`` selects a referee backend by name or instance (``None``
-    → the :mod:`repro.metrics` registry default, normally ``numpy``).
+    Runs the NumPy kernel; ``backend`` lets tests substitute another
+    :class:`~repro.metrics.RefereeBackend` instance (the python
+    oracle).
     """
-    from repro.metrics import get_backend
+    from repro.metrics import NumpyBackend
 
     model = model or DelayModel()
     if clock_period is None:
         clock_period = default_clock_period(placement.die.w,
                                             placement.die.h, model)
-    return get_backend(backend).timing(flat, gseq, placement, cells,
-                                       port_positions, clock_period,
-                                       model)
+    return (backend or NumpyBackend()).timing(flat, gseq, placement,
+                                              cells, port_positions,
+                                              clock_period, model)
 
 
 def analyze_timing_reference(flat: FlatDesign, gseq: Gseq,
@@ -116,7 +117,7 @@ def analyze_timing_reference(flat: FlatDesign, gseq: Gseq,
                              clock_period: Optional[float] = None,
                              model: Optional[DelayModel] = None
                              ) -> TimingReport:
-    """The per-edge reference loop (the ``python`` backend's kernel)."""
+    """The per-edge reference loop (the python oracle's kernel)."""
     model = model or DelayModel()
     if clock_period is None:
         clock_period = default_clock_period(placement.die.w,

@@ -4,9 +4,7 @@ The fixtures under ``tests/analyze_fixtures/`` each violate exactly one
 rule (plus a clean file and a suppressed file); the tests run the
 analyzer over them with ``context="all"`` so path scoping does not get
 in the way, and exercise the suppression table (a stale noqa is a
-REP000 finding), the JSON report, the REP004 registry introspection (by
-deliberately registering an incomplete backend) and the shared lint
-configuration.
+REP000 finding), the JSON report and the shared lint configuration.
 """
 
 import ast
@@ -15,25 +13,18 @@ from pathlib import Path
 
 import pytest
 
-from tools.analyze import analyze_paths, check_backend, check_registry
+from tools.analyze import analyze_paths
 from tools.analyze.driver import REPO, main
 from tools.analyze.effects import summarize_module
 from tools.analyze.lintrules import load_lint_config
 from tools.analyze.reporting import to_json_dict
 from tools.analyze.rules import RULES
 
-from repro.metrics import (
-    RefereeBackend,
-    register_backend,
-    unregister_backend,
-)
-
 FIXTURES = Path(__file__).resolve().parent / "analyze_fixtures"
 
 
 def analyze_fixture(name, **kwargs):
     kwargs.setdefault("context", "all")
-    kwargs.setdefault("contracts", False)
     return analyze_paths([str(FIXTURES / name)], **kwargs)
 
 
@@ -146,48 +137,17 @@ def test_strict_suppressions_turn_stale_noqas_into_findings():
     assert "REP003" in report.findings[0].message
 
 
-# -- REP004: backend-contract introspection ---------------------------------
-
-class _IncompleteBackend(RefereeBackend):
-    """Deliberately missing hpwl/congestion/affinity_distance."""
-
-    name = "rep004-fixture"
-
-
-def test_rep004_direct_defects_name_the_stub_kernels():
-    defects = check_backend(_IncompleteBackend())
-    assert len(defects) == 3
-    for kernel in ("hpwl", "congestion", "affinity_distance"):
-        assert any(kernel in defect for defect in defects)
-
-
-def test_rep004_registry_flags_a_registered_incomplete_backend():
-    register_backend(_IncompleteBackend())
-    try:
-        findings = check_registry(REPO)
-        assert findings, "incomplete backend must produce REP004"
-        assert all(finding.rule == "REP004" for finding in findings)
-        assert all("rep004-fixture" in finding.message
-                   for finding in findings)
-    finally:
-        unregister_backend("rep004-fixture")
-
-
-def test_rep004_builtin_registry_is_contract_complete():
-    assert check_registry(REPO) == []
-
-
 # -- the production gate ----------------------------------------------------
 
 def test_src_tree_is_analyzer_clean():
-    report = analyze_paths(("src",), context="auto", contracts=True)
+    report = analyze_paths(("src",), context="auto")
     assert report.ok, [finding.location() for finding in report.findings]
 
 
 def test_every_rule_is_registered():
-    assert set(RULES) == {"REP001", "REP002", "REP003", "REP004",
-                          "REP005", "REP006", "REP007", "REP008",
-                          "REP009", "REP010", "REP011", "REP012"}
+    assert set(RULES) == {"REP001", "REP002", "REP003", "REP005",
+                          "REP006", "REP007", "REP008", "REP009",
+                          "REP010", "REP011", "REP012"}
 
 
 # -- machine-readable report ------------------------------------------------
@@ -195,7 +155,7 @@ def test_every_rule_is_registered():
 def test_json_report_schema(tmp_path):
     out = tmp_path / "report.json"
     assert main([str(FIXTURES / "rep003_bad.py"), "--context", "all",
-                 "--no-contracts", "--format", "json", "--json-out",
+                 "--format", "json", "--json-out",
                  str(out)]) == 1
     data = json.loads(out.read_text())
     assert data["tool"] == "repro-analyze"
@@ -346,12 +306,12 @@ def test_rep010_fires_when_the_shm_pin_is_deleted(tmp_path):
 
     target.write_text(source.replace(pin, ""))
     broken = analyze_paths([str(target)], repo=tmp_path,
-                           context="all", contracts=False)
+                           context="all")
     assert "REP010" in rules_hit(broken)
 
     target.write_text(source)
     intact = analyze_paths([str(target)], repo=tmp_path,
-                           context="all", contracts=False)
+                           context="all")
     assert intact.ok, [finding.location() for finding in intact.findings]
 
 
@@ -386,7 +346,7 @@ def test_missing_target_is_a_usage_error(capsys):
 
 def test_github_format_emits_workflow_annotations(capsys):
     assert main([str(FIXTURES / "rep001_bad.py"), "--context", "all",
-                 "--no-contracts", "--format", "github"]) == 1
+                 "--format", "github"]) == 1
     output = capsys.readouterr().out
     assert "::error file=" in output
     assert "title=REP001::" in output

@@ -22,7 +22,6 @@ class TestRunOptions:
         opts = RunOptions()
         assert opts.seed == 1
         assert opts.effort is Effort.NORMAL
-        assert opts.referee_backend is None
         assert opts.trace is None
         assert not opts.tracing
         assert opts.trace_path is None

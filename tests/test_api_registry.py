@@ -85,6 +85,11 @@ class TestSpecParsing:
         """Out-of-range values surface as FlowError, not raw errors."""
         with pytest.raises(FlowError):
             get_flow("hidap:lam=2.0")
+        # The error names the spec's own parameters, not the seed /
+        # effort defaults the caller offered.
+        with pytest.raises(FlowError,
+                           match=r"rejected parameters \['lam'\]: lambda"):
+            get_flow("hidap:lam=2", seed=1, effort="fast")
 
     def test_split_flow_specs(self):
         from repro.api import split_flow_specs

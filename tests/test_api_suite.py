@@ -73,6 +73,18 @@ class TestInlineSuite:
         assert lines_before_cell == [0, 1, 2, 3]
 
 
+class TestDesignSelection:
+    def test_unknown_design_raises(self):
+        with pytest.raises(ValueError, match=r"\['c1x'\].*known: c1"):
+            run_suite(scale="tiny", designs=["c1x"], flows=FLOWS,
+                      options=FAST)
+
+    def test_rows_follow_suite_order(self):
+        result = run_suite(scale="tiny", designs=["c2", "c1"],
+                           flows=("indeda",), options=FAST)
+        assert [r.design for r in result.rows] == ["c1", "c2"]
+
+
 class SuiteParallelFlow:
     """Module-level so worker processes can unpickle it."""
 
@@ -165,3 +177,11 @@ class TestSuiteCli:
         assert main(["suite", "--scale", "tiny", "--designs", "c1",
                      "--flows", "nosuch"]) == 2
         assert "unknown flow" in capsys.readouterr().err
+
+    def test_suite_unknown_design_reported(self, capsys):
+        assert main(["suite", "--scale", "tiny", "--designs", "c9",
+                     "--flows", "indeda"]) == 2
+        captured = capsys.readouterr()
+        assert "hidap: error: unknown suite design(s) ['c9']" \
+            in captured.err
+        assert "Table III" not in captured.out

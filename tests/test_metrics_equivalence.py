@@ -1,5 +1,5 @@
-"""Cross-backend equivalence: the numpy referee reproduces the python
-oracle bit-for-bit (and therefore row-for-row after rounding)."""
+"""Kernel equivalence: the numpy referee reproduces the python oracle
+bit-for-bit (and therefore row-for-row after rounding)."""
 
 import random
 
@@ -15,7 +15,7 @@ from repro.floorplan.blocks import Block, Terminal
 from repro.floorplan.cost import CostModel
 from repro.geometry.orientation import Orientation
 from repro.geometry.rect import Point, Rect
-from repro.metrics import get_backend
+from repro.metrics import NumpyBackend, PythonBackend
 from repro.netlist.flatten import FlatNet
 from repro.placement.cluster import clustered_for
 from repro.placement.hpwl import hpwl_reference, hpwl_report
@@ -36,7 +36,8 @@ SUITE_DESIGNS = ("c1", "c2", "c3", "c4", "c5")
 
 def _assert_hpwl_identical(flat, placement, cells, ports):
     ref = hpwl_reference(flat, placement, cells, ports)
-    new = hpwl_report(flat, placement, cells, ports, backend="numpy")
+    new = hpwl_report(flat, placement, cells, ports,
+                      backend=NumpyBackend())
     assert new.total_units == ref.total_units
     assert new.n_nets == ref.n_nets
     assert new.macro_net_units == ref.macro_net_units
@@ -46,7 +47,7 @@ def _assert_hpwl_identical(flat, placement, cells, ports):
 def _assert_congestion_identical(flat, placement, cells, ports):
     ref = congestion_reference(flat, placement, cells, ports)
     new = estimate_congestion(flat, placement, cells, ports,
-                              backend="numpy")
+                              backend=NumpyBackend())
     assert np.array_equal(ref.grid.demand_h, new.grid.demand_h)
     assert np.array_equal(ref.grid.demand_v, new.grid.demand_v)
     assert new.grc_percent == ref.grc_percent
@@ -58,18 +59,19 @@ def _assert_stdcell_identical(flat, placement, ports):
     """Assembled systems and solved placements match bit for bit."""
     clustered = clustered_for(flat)
     config = PlacerConfig()
-    ref = get_backend("python").stdcell_system(flat, placement, ports,
-                                               config, clustered)
-    new = get_backend("numpy").stdcell_system(flat, placement, ports,
-                                              config, clustered)
+    ref = PythonBackend().stdcell_system(flat, placement, ports, config,
+                                         clustered)
+    new = NumpyBackend().stdcell_system(flat, placement, ports, config,
+                                        clustered)
     assert ref[0].shape == new[0].shape
     assert np.array_equal(ref[0].indptr, new[0].indptr)
     assert np.array_equal(ref[0].indices, new[0].indices)
     assert np.array_equal(ref[0].data, new[0].data)
     assert np.array_equal(ref[1], new[1])       # bx
     assert np.array_equal(ref[2], new[2])       # by
-    cells_ref = place_cells(flat, placement, ports, backend="python")
-    cells_new = place_cells(flat, placement, ports, backend="numpy")
+    cells_ref = place_cells(flat, placement, ports,
+                            backend=PythonBackend())
+    cells_new = place_cells(flat, placement, ports, backend=NumpyBackend())
     assert np.array_equal(cells_ref.x, cells_new.x)
     assert np.array_equal(cells_ref.y, cells_new.y)
     return cells_new
@@ -80,7 +82,7 @@ def _assert_timing_identical(flat, gseq, placement, cells, ports,
     ref = analyze_timing_reference(flat, gseq, placement, cells, ports,
                                    clock_period=clock_period)
     new = analyze_timing(flat, gseq, placement, cells, ports,
-                         clock_period=clock_period, backend="numpy")
+                         clock_period=clock_period, backend=NumpyBackend())
     assert new.clock_period == ref.clock_period
     assert new.wns == ref.wns
     assert new.tns == ref.tns
@@ -98,15 +100,14 @@ class TestSuiteRows:
         prepared = prepare_suite_design(name, "tiny")
         placement = get_flow("indeda", seed=1).place(prepared)
         rows = {}
-        for backend in ("python", "numpy"):
+        for backend in (PythonBackend(), NumpyBackend()):
             m = evaluate_placement(prepared.flat, placement,
                                    prepared.gseq, backend=backend)
-            rows[backend] = (m.design, m.flow,
-                             round(m.wl_meters, 9),
-                             round(m.grc_percent, 9),
-                             round(m.wns_percent, 9),
-                             round(m.tns, 9))
-            assert m.referee_backend == backend
+            rows[backend.name] = (m.design, m.flow,
+                                  round(m.wl_meters, 9),
+                                  round(m.grc_percent, 9),
+                                  round(m.wns_percent, 9),
+                                  round(m.tns, 9))
         assert rows["python"] == rows["numpy"]
 
     @pytest.mark.parametrize("name", SUITE_DESIGNS[:2])
@@ -267,8 +268,7 @@ class TestDegenerateNets:
 
 
 class TestDistanceKernel:
-    def _random_model(self, rng, n_blocks, n_terminals, density,
-                      backend):
+    def _random_model(self, rng, n_blocks, n_terminals, density):
         size = n_blocks + n_terminals
         affinity = [[0.0] * size for _ in range(size)]
         for i in range(size):
@@ -283,12 +283,16 @@ class TestDistanceKernel:
                               pos=Point(rng.uniform(-5, 30),
                                         rng.uniform(-5, 30)))
                      for t in range(n_terminals)]
-        model = CostModel(blocks, terminals, affinity, scale=7.3,
-                          backend=backend)
+        model = CostModel(blocks, terminals, affinity, scale=7.3)
         rects = {i: Rect(rng.uniform(0, 20), rng.uniform(0, 20),
                          rng.uniform(0.5, 6), rng.uniform(0.5, 6))
                  for i in range(n_blocks)}
         return model, rects
+
+    @staticmethod
+    def _centers(rects):
+        return {i: (r.x + r.w / 2.0, r.y + r.h / 2.0)
+                for i, r in rects.items()}
 
     @pytest.mark.parametrize("n_blocks,density", [
         (3, 1.0),      # below the vectorization threshold
@@ -297,30 +301,31 @@ class TestDistanceKernel:
     ])
     def test_backends_bit_identical(self, n_blocks, density):
         rng = random.Random(n_blocks * 1000 + int(density * 10))
-        model_py, rects = self._random_model(rng, n_blocks, 3, density,
-                                             "python")
-        rng = random.Random(n_blocks * 1000 + int(density * 10))
-        model_np, rects2 = self._random_model(rng, n_blocks, 3, density,
-                                              "numpy")
-        assert rects == rects2
-        assert model_np.distance_term(rects) \
-            == model_py.distance_term(rects)
+        model, rects = self._random_model(rng, n_blocks, 3, density)
+        pairs = model._affinity_pairs()
+        centers = self._centers(rects)
+        oracle = PythonBackend().affinity_distance(pairs, centers)
+        assert NumpyBackend().affinity_distance(pairs, centers) == oracle
+        assert model.distance_term(rects) == oracle / model.scale
 
-    @pytest.mark.parametrize("backend", ["python", "numpy"])
+    @pytest.mark.parametrize("backend", [
+        pytest.param(PythonBackend(), id="python"),
+        pytest.param(NumpyBackend(), id="numpy")])
     def test_missing_center_raises_on_every_backend(self, backend):
         # Dense 14-block model -> well above the vectorization
-        # threshold; a referenced block without a rect/center must be a
-        # KeyError on both backends, never a silent (0, 0).
+        # threshold; a referenced block without a center must be a
+        # KeyError on both kernels, never a silent (0, 0).
         rng = random.Random(5)
-        model, rects = self._random_model(rng, 14, 2, 1.0, backend)
+        model, rects = self._random_model(rng, 14, 2, 1.0)
         missing = next(i for i, _j, _a in model.block_pairs)
         del rects[missing]
         with pytest.raises(KeyError):
-            model.distance_term(rects)
+            backend.affinity_distance(model._affinity_pairs(),
+                                      self._centers(rects))
 
     def test_cached_centers_equal_recomputed(self):
         rng = random.Random(99)
-        model, rects = self._random_model(rng, 10, 2, 0.7, None)
+        model, rects = self._random_model(rng, 10, 2, 0.7)
         centers = {i: (r.x + r.w / 2.0, r.y + r.h / 2.0)
                    for i, r in rects.items()}
         assert model.distance_term(rects, centers=centers) \

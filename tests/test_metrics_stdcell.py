@@ -8,8 +8,9 @@ from repro.core.result import MacroPlacement, PlacedMacro
 from repro.api import evaluate_placement
 from repro.geometry.rect import Rect
 from repro.metrics import (
+    NumpyBackend,
+    PythonBackend,
     compile_stdcell_arrays,
-    get_backend,
     stdcell_arrays_for,
 )
 from repro.metrics.stdcell_kernel import FIXED_MACRO, FIXED_PORT
@@ -20,6 +21,10 @@ from repro.placement.cluster import cluster_cells, clustered_for
 from repro.placement.stdcell import PlacerConfig, place_cells
 
 from tests.conftest import make_ram
+
+#: Both kernel sets, by name in the test ids.
+BACKENDS = [pytest.param(PythonBackend(), id="python"),
+            pytest.param(NumpyBackend(), id="numpy")]
 
 
 def build_macro_only_design() -> Design:
@@ -91,7 +96,7 @@ class TestCompiledArrays:
 
 class TestDegenerateInputs:
     """Satellite: zero-stdcell designs and anchor-free nets stay
-    harmless and backend-agnostic."""
+    harmless on both kernel sets."""
 
     @pytest.fixture(scope="class")
     def macro_only(self):
@@ -106,7 +111,7 @@ class TestDegenerateInputs:
         ports = assign_port_positions(flat.design, die)
         return flat, placement, ports
 
-    @pytest.mark.parametrize("backend", ["python", "numpy"])
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_zero_stdcells_empty_placement(self, macro_only, backend):
         flat, placement, ports = macro_only
         cells = place_cells(flat, placement, ports, backend=backend)
@@ -117,15 +122,15 @@ class TestDegenerateInputs:
     def test_zero_stdcells_full_referee_rows_match(self, macro_only):
         flat, placement, ports = macro_only
         rows = {}
-        for backend in ("python", "numpy"):
+        for backend in (PythonBackend(), NumpyBackend()):
             m = evaluate_placement(flat, placement, backend=backend)
-            rows[backend] = (round(m.wl_meters, 12),
-                             round(m.grc_percent, 12),
-                             round(m.wns_percent, 12),
-                             round(m.tns, 12))
+            rows[backend.name] = (round(m.wl_meters, 12),
+                                  round(m.grc_percent, 12),
+                                  round(m.wns_percent, 12),
+                                  round(m.tns, 12))
         assert rows["python"] == rows["numpy"]
 
-    @pytest.mark.parametrize("backend", ["python", "numpy"])
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_unplaced_macros_drop_anchors(self, two_stage_flat, backend):
         # No macros placed at all: every macro anchor candidate drops
         # out and isolated clusters fall back to the die-center guard.
@@ -143,9 +148,9 @@ class TestDegenerateInputs:
                                    flow_name="degen", die=die)
         clustered = clustered_for(two_stage_flat)
         config = PlacerConfig()
-        ref = get_backend("python").stdcell_system(
+        ref = PythonBackend().stdcell_system(
             two_stage_flat, placement, {}, config, clustered)
-        new = get_backend("numpy").stdcell_system(
+        new = NumpyBackend().stdcell_system(
             two_stage_flat, placement, {}, config, clustered)
         assert np.array_equal(ref[0].toarray(), new[0].toarray())
         assert np.array_equal(ref[1], new[1])
@@ -169,7 +174,7 @@ class TestPairedCgSolver:
         ports = assign_port_positions(flat.design, placement.die)
         clustered = clustered_for(flat)
         config = PlacerConfig()
-        laplacian, bx, by = get_backend("numpy").stdcell_system(
+        laplacian, bx, by = NumpyBackend().stdcell_system(
             flat, placement, ports, config, clustered)
         x0 = np.full(clustered.n_clusters, placement.die.center.x)
         y0 = np.full(clustered.n_clusters, placement.die.center.y)

@@ -8,7 +8,11 @@ from repro.core.result import MacroPlacement, PlacedMacro
 from repro.geometry.rect import Rect
 from repro.hiergraph.gnet import build_gnet
 from repro.hiergraph.gseq import Gseq, SeqKind, SeqNode, build_gseq
-from repro.metrics import compile_timing_arrays, timing_arrays_for
+from repro.metrics import (
+    NumpyBackend,
+    compile_timing_arrays,
+    timing_arrays_for,
+)
 from repro.placement.stdcell import place_cells
 from repro.timing.sta import analyze_timing, analyze_timing_reference
 
@@ -22,7 +26,7 @@ def _assert_reports_identical(flat, gseq, placement, cells, ports,
     ref = analyze_timing_reference(flat, gseq, placement, cells, ports,
                                    **kwargs)
     new = analyze_timing(flat, gseq, placement, cells, ports,
-                         backend="numpy", **kwargs)
+                         backend=NumpyBackend(), **kwargs)
     assert (ref.clock_period, ref.wns, ref.tns, ref.n_paths,
             ref.n_failing, ref.worst_edge) \
         == (new.clock_period, new.wns, new.tns, new.n_paths,
@@ -66,7 +70,7 @@ class TestCompiledArrays:
 
 class TestDegenerateGraphs:
     """Satellite: zero-edge, single-level and cyclic graphs behave the
-    same on both backends."""
+    same on both kernel sets."""
 
     @pytest.fixture(scope="class")
     def context(self, two_stage_flat):

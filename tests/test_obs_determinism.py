@@ -10,11 +10,18 @@ import json
 
 import pytest
 
-from repro.api import RunOptions, prepare_suite_design, run_suite
-from repro.api.prepared import prepare_design
+from repro.api import (
+    RunOptions,
+    evaluate_placement,
+    get_flow,
+    prepare_suite_design,
+    run_suite,
+)
+from repro.api.prepared import PreparedDesign, prepare_design
 from repro.core.config import Effort, HiDaPConfig
 from repro.api import run_flow
 from repro.gen.designs import build_design, die_for, suite_specs
+from repro.metrics import PythonBackend
 from repro.netlist.flatten import flatten
 from repro.obs import Tracer, chrome_trace, iter_spans, use_tracer
 
@@ -52,8 +59,6 @@ class TestPlacementBitIdentity:
     @pytest.mark.parametrize("name", DESIGNS)
     def test_traced_placement_is_bit_identical(self, name):
         prepared = prepare_suite_design(name, "tiny")
-        from repro.api import get_flow
-
         baseline = get_flow("hidap", seed=1,
                             effort=Effort.FAST).place(prepared)
 
@@ -129,21 +134,29 @@ class TestRunFlowTrace:
         row = run_flow(flat, truth, "indeda", die_w, die_h, options=OPTS)
         assert row.trace is None
 
-    @pytest.mark.parametrize("backend", ["python", "numpy"])
+    @pytest.mark.parametrize("backend", [
+        pytest.param(PythonBackend(), id="python"),
+        pytest.param(None, id="numpy")])     # the referee's default
     def test_one_span_per_referee_step(self, backend):
         flat, truth, die_w, die_h = _flat_and_die("c1")
-        opts = RunOptions(seed=1, effort=Effort.FAST, trace=True,
-                          referee_backend=backend)
-        row = run_flow(flat, truth, "indeda", die_w, die_h, options=opts)
-        assert row.referee_backend == backend
+        prepared = PreparedDesign.from_flat(flat, die_w=die_w,
+                                            die_h=die_h, truth=truth)
+        placement = get_flow("indeda", seed=1).place(prepared)
+        tracer = Tracer("test")
+        with use_tracer(tracer):
+            evaluate_placement(flat, placement, prepared.gseq,
+                               backend=backend)
+        payload = tracer.payload()
+        name = "numpy" if backend is None else backend.name
         steps = ["referee.congestion", "referee.hpwl", "referee.stdcell",
                  "referee.timing"]
-        if backend == "numpy":
+        if name == "numpy":
+            # Only the array kernels locate endpoints up front.
             steps = sorted(steps + ["referee.locate"])
-        assert _span_names(row.trace[0], "referee") == [steps]
-        referee = next(span for _d, span in iter_spans(row.trace[0])
+        assert _span_names(payload, "referee") == [steps]
+        referee = next(span for _d, span in iter_spans(payload)
                        if span["name"] == "referee")
-        assert referee["attrs"]["backend"] == backend
+        assert referee["attrs"]["backend"] == name
 
     def test_baseline_place_span_holds_the_placement(self):
         flat, truth, die_w, die_h = _flat_and_die("c2")

@@ -8,8 +8,8 @@ The load-bearing assertions of the service layer:
   compile spans (the whole point of the store + shm handoff);
 * job handles observe a consistent queued → running → done/failed
   event order through poll/result/stream_events;
-* worker bootstrap replays flow/backend registrations and warns —
-  instead of silently skipping — on unpicklable entries.
+* worker bootstrap replays flow registrations and warns — instead of
+  silently skipping — on unpicklable entries.
 """
 
 import pickle
@@ -293,49 +293,6 @@ class TestWorkerBootstrap:
         finally:
             unregister_flow("lambda-flow")
 
-    def test_unpicklable_backend_warns(self):
-        from repro.metrics import register_backend, unregister_backend
-
-        class _Unpicklable:
-            name = "local-backend"
-            uses_net_arrays = False
-
-            def __reduce__(self):
-                raise TypeError("not picklable")
-
-        register_backend(_Unpicklable())
-        try:
-            with pytest.warns(RuntimeWarning, match="local-backend"):
-                entries, _default = engine.portable_backend_entries()
-            assert "local-backend" not in [b.name for b in entries]
-        finally:
-            unregister_backend("local-backend")
-
-    def test_default_backend_override_reaches_workers(self):
-        from repro.metrics import default_backend_name, set_default_backend
-
-        baseline = default_backend_name()
-        set_default_backend("python")
-        try:
-            _entries, default = engine.portable_backend_entries()
-            assert default == "python"
-            result = run_suite(scale="tiny", designs=["c1"],
-                               flows=("indeda",), options=OPTS,
-                               workers=2)
-            assert result.rows[0].referee_backend == "python"
-        finally:
-            set_default_backend(baseline)
-
-    def test_init_worker_replays_default_backend(self):
-        from repro.metrics import default_backend_name, set_default_backend
-
-        baseline = default_backend_name()
-        try:
-            engine.init_worker((), (), "python")
-            assert default_backend_name() == "python"
-        finally:
-            set_default_backend(baseline)
-
     def test_prepared_cache_reused_across_flows(self):
         key = ("tiny", "c1")
         engine._PREPARED_CACHE.pop(key, None)
@@ -353,11 +310,10 @@ class TestWorkerBootstrap:
 
         with ProcessPoolExecutor(max_workers=1) as pool:
             first = pool.submit(engine.run_cell, "tiny", "c1",
-                                "handfp-strip", 1, "fast", None,
+                                "handfp-strip", 1, "fast",
                                 True).result()
             second = pool.submit(engine.run_cell, "tiny", "c1",
-                                 "indeda", 1, "fast", None,
-                                 True).result()
+                                 "indeda", 1, "fast", True).result()
         first_names = {s["name"] for _d, s in iter_spans(first[4])}
         second_names = {s["name"] for _d, s in iter_spans(second[4])}
         assert any(n.startswith("prepare.") for n in first_names)

@@ -1,11 +1,11 @@
-"""repro-analyze: determinism & backend-contract static analysis.
+"""repro-analyze: determinism & kernel-purity static analysis.
 
 The repo's load-bearing guarantees — bit-identical referee backends,
 seed-deterministic flows and restarts, read-only ``RunArtifacts`` /
 ``PreparedDesign`` views — are enforced at runtime by the equivalence
 suites.  This package proves the same contracts at *lint time*, before
-any kernel runs, with an AST-based analyzer and a registry
-introspection pass:
+any kernel runs, with an AST-based analyzer and a whole-program call
+graph:
 
 * **REP001** unseeded / process-global RNG (``random.*`` module
   functions, ``np.random.*`` global state);
@@ -14,9 +14,6 @@ introspection pass:
 * **REP003** unordered float reductions (``sum``/``np.sum``) in
   ``repro.metrics`` kernels, where the backend bit-identity contract
   requires sequential ``cumsum`` / ordered ``np.add.at``;
-* **REP004** backend-contract completeness: every backend registered in
-  :mod:`repro.metrics` implements all five referee kernels with
-  oracle-matching signatures;
 * **REP005** mutation of frozen artifact records outside their owning
   modules;
 * **REP006** wall-clock / environment reads inside kernel and
@@ -71,9 +68,7 @@ from tools.analyze.rules import (  # noqa: E402
     register_rule,
 )
 from tools.analyze import visitors  # noqa: E402,F401 - registers rules
-from tools.analyze import contracts  # noqa: E402,F401 - registers REP004
 from tools.analyze import interproc  # noqa: E402,F401 - registers REP007-12
-from tools.analyze.contracts import check_backend, check_registry  # noqa: E402
 from tools.analyze.driver import analyze_paths, main  # noqa: E402
 from tools.analyze.reporting import (  # noqa: E402
     Report,
@@ -90,8 +85,6 @@ __all__ = [
     "SuppressionTable",
     "all_rules",
     "analyze_paths",
-    "check_backend",
-    "check_registry",
     "main",
     "register_rule",
     "render_github",

@@ -6,8 +6,7 @@ the targets, runs each registered AST rule in its scope, assembles
 per-function effect summaries into a whole-program call graph and runs
 the interprocedural rules (REP007-REP012) over it, applies inline
 ``# repro: noqa[REPxxx]`` suppressions (matched against the flagged
-statement's full line span), runs the project rules (REP004
-backend-contract introspection), and exits 1 on any finding.  A noqa
+statement's full line span), and exits 1 on any finding.  A noqa
 that matches no finding is itself a REP000 finding, so stale waivers
 cannot accumulate.  A target that does not exist is a usage error
 (exit 2), so a mistyped path cannot silently disable the gate.
@@ -22,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import ast
-import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -38,13 +36,6 @@ from tools.analyze.rules import Finding, SuppressionTable, all_rules
 REPO = Path(__file__).resolve().parent.parent.parent
 #: CLI analysis roots: the gate self-hosts over its own sources.
 DEFAULT_TARGETS = ("src", "benchmarks", "tools", "perfbench")
-
-
-def _ensure_importable() -> None:
-    """Make ``repro`` (REP004) and ``tools`` importable everywhere."""
-    for entry in (str(REPO / "src"), str(REPO)):
-        if entry not in sys.path:
-            sys.path.insert(0, entry)
 
 
 def collect_files(targets: Sequence[str],
@@ -110,7 +101,7 @@ def _analyze_file(path: Path, repo: Path, context: str,
                            [finding], None)
     local: List[Finding] = []
     for rule in all_rules():
-        if rule.project_rule or rule.graph_rule:
+        if rule.graph_rule:
             continue
         if context != "all" and not rule.applies(relpath):
             continue
@@ -125,17 +116,14 @@ def _analyze_file(path: Path, repo: Path, context: str,
 
 
 def analyze_paths(targets: Sequence[str] = ("src",), *,
-                  repo: Path = REPO, context: str = "auto",
-                  contracts: bool = True) -> Report:
+                  repo: Path = REPO, context: str = "auto") -> Report:
     """Run every rule over ``targets`` and return the full report.
 
     ``context="auto"`` honours each rule's path scope (the production
     gate); ``context="all"`` applies every rule to every file (used by
     the self-tests so fixtures outside ``src/`` exercise scoped
-    rules).  ``contracts=False`` skips the REP004 registry
-    introspection.  Unused noqa comments are REP000 findings.
+    rules).  Unused noqa comments are REP000 findings.
     """
-    _ensure_importable()
     report = Report(targets=list(targets), context=context)
     records = [_analyze_file(path, repo, context, report.phase_seconds)
                for path in collect_files(targets, repo)]
@@ -166,11 +154,6 @@ def analyze_paths(targets: Sequence[str] = ("src",), *,
     report.phase_seconds["interproc"] = (time.perf_counter()
                                          - interproc_started)
 
-    if contracts:
-        for rule in all_rules():
-            if rule.project_rule:
-                report.findings.extend(rule.check_project(repo))
-
     # Unused-suppression sweep last: graph findings also consume noqas.
     for record in records:
         for line, code in record.table.unused():
@@ -185,8 +168,9 @@ def analyze_paths(targets: Sequence[str] = ("src",), *,
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m tools.analyze",
-        description="repro-analyze: determinism & backend-contract "
-                    "static analyzer (rules REP001-REP012)")
+        description="repro-analyze: determinism & kernel-purity "
+                    "static analyzer (rules REP001-REP003, "
+                    "REP005-REP012)")
     parser.add_argument("targets", nargs="*",
                         default=list(DEFAULT_TARGETS),
                         help="files or directories (default: "
@@ -195,9 +179,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         default="auto",
                         help="auto = honour per-rule path scopes; "
                              "all = run every rule everywhere")
-    parser.add_argument("--no-contracts", action="store_true",
-                        help="skip REP004 backend-registry "
-                             "introspection")
     parser.add_argument("--format", choices=("human", "json", "github"),
                         default="human", dest="format",
                         help="report format (github = workflow-command "
@@ -207,8 +188,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        report = analyze_paths(args.targets, context=args.context,
-                               contracts=not args.no_contracts)
+        report = analyze_paths(args.targets, context=args.context)
     except FileNotFoundError as error:
         parser.error(str(error))
 

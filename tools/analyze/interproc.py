@@ -15,7 +15,6 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from tools.analyze.callgraph import (FunctionId, Program, fid,
                                      map_args_to_params)
-from tools.analyze.contracts import KERNELS
 from tools.analyze.dataflow import (chain_to_root,
                                     propagate_param_taint,
                                     propagate_seed_demands,
@@ -27,6 +26,9 @@ _SELFISH = ("self", "cls")
 
 #: Class-name suffix that marks a referee backend for REP008.
 BACKEND_BASE = "RefereeBackend"
+#: The five referee kernels every backend owns (REP008 roots).
+KERNELS = ("stdcell_system", "hpwl", "congestion", "timing",
+           "affinity_distance")
 
 
 def _label(program: Program, function: FunctionId) -> str:

@@ -2,8 +2,8 @@
 
 Every check the analyzer runs is a :class:`Rule` registered in
 :data:`RULES`.  AST rules implement :meth:`Rule.check` over one parsed
-file; project rules (``REP004``) implement :meth:`Rule.check_project`
-and run once per invocation.  A rule owns its *scope*: the
+file; graph rules implement :meth:`Rule.check_program` and run once
+per invocation over the call graph.  A rule owns its *scope*: the
 repo-relative path prefixes where its contract is load-bearing.  The
 driver consults the scope in ``context="auto"`` mode and ignores it in
 ``context="all"`` mode (used by the self-tests so fixture files outside
@@ -63,8 +63,6 @@ class Rule:
     title = "base rule"
     #: Repo-relative path prefixes (POSIX) the rule applies to.
     paths: Tuple[str, ...] = ()
-    #: Project rules run once per invocation, not per file.
-    project_rule = False
     #: Graph rules run once over the assembled call-graph
     #: :class:`~tools.analyze.callgraph.Program` (REP007-REP009).
     graph_rule = False
@@ -78,10 +76,6 @@ class Rule:
     def check(self, tree, relpath: str,
               lines: Sequence[str]) -> List[Finding]:
         """AST rules: findings for one parsed file."""
-        return []
-
-    def check_project(self, repo) -> List[Finding]:
-        """Project rules: findings for the whole invocation."""
         return []
 
     def check_program(self, program) -> List[Finding]:
