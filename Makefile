@@ -65,7 +65,7 @@ smoke-trace:
 # Placement-service smoke: cold 2-worker suite against a fresh
 # compiled-design store, then a traced warm run asserting zero
 # worker-side prepare.* spans (workers attach shared memory instead),
-# then a PlacementService submit/poll round-trip asserting
+# then a PlacementService submit/result round-trip asserting
 # bit-identical rows.
 smoke-service:
 	python tools/smoke_service.py

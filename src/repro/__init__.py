@@ -29,7 +29,7 @@ Run a whole comparison suite in parallel and print the paper's tables:
 Or run placement as a service: compiled designs persist in an on-disk
 store (``store=DIR`` also works on ``run_suite``), pool workers attach
 them through shared memory instead of recompiling, and jobs go through
-a submit/poll API:
+a submit/result API (each job a ``concurrent.futures.Future``):
 
 >>> from repro.api import PlacementService, RunOptions
 >>> with PlacementService(scale="tiny", designs=("c1",),

@@ -22,9 +22,9 @@ This package is the single front door for every placement run:
   with ``workers=N``, row-for-row identical either way; ``store=DIR``
   persists compiled designs so repeated runs skip every compile.
 * **placement service** — :class:`PlacementService` (from
-  :mod:`repro.service`, re-exported here) is the submit/poll/stream job
-  front end, with a :class:`CompiledDesignStore` and shared-memory
-  array handoff.
+  :mod:`repro.service`, re-exported here) is the submit/result job
+  front end (each job a ``concurrent.futures.Future``), with a
+  :class:`CompiledDesignStore` and shared-memory array handoff.
 * **tables** — :func:`format_table2` / :func:`format_table3` /
   :func:`normalize_to_handfp` / :func:`geomean` turn rows into the
   paper's tables.
@@ -93,9 +93,7 @@ from repro.eval.tables import (
 )
 from repro.service import (
     CompiledDesignStore,
-    JobEvent,
     JobHandle,
-    JobStatus,
     PlacementService,
     store_version,
 )
@@ -114,9 +112,7 @@ __all__ = [
     "HiDaPBest3Flow",
     "HiDaPFlow",
     "IndEDAFlow",
-    "JobEvent",
     "JobHandle",
-    "JobStatus",
     "Pipeline",
     "PipelineObserver",
     "PlacementService",

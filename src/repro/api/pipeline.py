@@ -90,7 +90,8 @@ class Pipeline:
         """Invoke one observer hook on every observer, exception-safe.
 
         A broken observer must never abort a placement: failures are
-        logged, recorded as tracer events, and swallowed.
+        logged, recorded as zero-length ``observer.error`` spans, and
+        swallowed.
         """
         tracer = current_tracer()
         for observer in self.observers:
@@ -99,9 +100,10 @@ class Pipeline:
             except Exception as exc:
                 logger.warning("pipeline observer %r failed in %s: %s",
                                observer, callback_name, exc)
-                tracer.event("observer.error",
-                             observer=type(observer).__name__,
-                             callback=callback_name, error=repr(exc))
+                with tracer.span("observer.error",
+                                 observer=type(observer).__name__,
+                                 callback=callback_name, error=repr(exc)):
+                    pass
 
     def run(self, artifacts: RunArtifacts) -> RunArtifacts:
         """Run every stage in order over ``artifacts``."""

@@ -41,11 +41,18 @@ from repro.netlist.verilog import design_to_verilog
 from repro.viz.svg import svg_floorplan
 
 
+class _UnknownDesign(Exception):
+    """A suite design name the scale does not have (reported by main)."""
+
+
 def _spec_by_name(name: str, scale: str):
-    for spec in suite_specs(scale):
+    specs = suite_specs(scale)
+    for spec in specs:
         if spec.name == name:
             return spec
-    raise SystemExit(f"unknown suite design {name!r}")
+    known = ", ".join(spec.name for spec in specs)
+    raise _UnknownDesign(f"unknown suite design {name!r} for scale "
+                         f"{scale!r} (known: {known})")
 
 
 def _fail(message: str) -> int:
@@ -170,10 +177,11 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
     Each input line is a job request
     ``{"design": "c1", "flow": "hidap", "seed": 1}`` (``flow`` and
-    ``seed`` optional); each output line is an event object —
-    ``ready``, ``queued`` per accepted job, then ``done``/``failed``
-    per job in submission order.  Malformed requests produce an
-    ``error`` event instead of killing the service.
+    ``seed`` optional; ``seed`` must be a JSON integer); each output
+    line is an event object — ``ready``, ``queued`` per accepted job,
+    then ``done``/``failed`` per job in submission order.  Malformed
+    requests produce an ``error`` event instead of killing the
+    service.
     """
     from repro.api import RunOptions
     from repro.service import PlacementService
@@ -203,9 +211,13 @@ def cmd_serve(args: argparse.Namespace) -> int:
                 continue
             try:
                 request = json.loads(line)
-                handle = service.submit(request["design"],
+                design, seed = request["design"], request.get("seed")
+                if seed is not None and type(seed) is not int:
+                    raise TypeError(f"seed must be an integer, "
+                                    f"got {seed!r}")
+                handle = service.submit(design,
                                         request.get("flow", "hidap"),
-                                        seed=request.get("seed"))
+                                        seed=seed)
             except (ValueError, KeyError, TypeError) as exc:
                 emit({"event": "error", "error": str(exc)})
                 continue
@@ -350,7 +362,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _UnknownDesign as exc:
+        return _fail(str(exc))
 
 
 if __name__ == "__main__":

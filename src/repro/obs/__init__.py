@@ -22,7 +22,6 @@ from repro.obs.sinks import (
     iter_spans,
     render_summary,
     write_chrome_trace,
-    write_jsonl,
 )
 from repro.obs.tracer import (
     NULL_TRACER,
@@ -48,5 +47,4 @@ __all__ = [
     "use_tracer",
     "wall_seconds",
     "write_chrome_trace",
-    "write_jsonl",
 ]

@@ -1,6 +1,6 @@
-"""Trace sinks: Chrome trace-event JSON, JSONL, and a summary tree.
+"""Trace sinks: Chrome trace-event JSON and a summary tree.
 
-All three sinks consume the same input — a list of tracer payloads
+Both sinks consume the same input — a list of tracer payloads
 (:meth:`repro.obs.tracer.Tracer.payload` dicts), one per traced
 process.  The Chrome sink emits the ``traceEvents`` array format that
 Perfetto (https://ui.perfetto.dev) and ``chrome://tracing`` load
@@ -51,10 +51,6 @@ def chrome_trace(payloads: Sequence[Payload]) -> Dict[str, object]:
         # workers line up side by side in Perfetto.
         wall = float(payload.get("wall_anchor", 0.0))
         perf = float(payload.get("perf_anchor", 0.0))
-
-        def ts(t: float, wall=wall, perf=perf) -> float:
-            return (wall + (t - perf)) * 1e6
-
         events.append({
             "name": "process_name",
             "ph": "M",
@@ -67,7 +63,7 @@ def chrome_trace(payloads: Sequence[Payload]) -> Dict[str, object]:
                 "name": span["name"],
                 "cat": "repro",
                 "ph": "X",
-                "ts": ts(float(span["t0"])),
+                "ts": (wall + (float(span["t0"]) - perf)) * 1e6,
                 "dur": max(0.0, (float(span["t1"]) - float(span["t0"]))
                            * 1e6),
                 "pid": pid,
@@ -77,19 +73,6 @@ def chrome_trace(payloads: Sequence[Payload]) -> Dict[str, object]:
             if attrs:
                 event["args"] = dict(attrs)
             events.append(event)
-        for instant in payload.get("events", []):
-            event = {
-                "name": instant["name"],
-                "cat": "repro",
-                "ph": "i",
-                "s": "p",
-                "ts": ts(float(instant["t"])),
-                "pid": pid,
-                "tid": 0,
-            }
-            if instant.get("attrs"):
-                event["args"] = dict(instant["attrs"])
-            events.append(event)
     return {"traceEvents": events, "displayTimeUnit": "ms",
             "otherData": {"counters": _merged_counters(payloads)}}
 
@@ -98,41 +81,6 @@ def write_chrome_trace(path, payloads: Sequence[Payload]) -> None:
     with open(path, "w") as fh:
         json.dump(chrome_trace(payloads), fh, indent=1)
         fh.write("\n")
-
-
-def write_jsonl(path, payloads: Sequence[Payload]) -> None:
-    """One JSON object per line: payload headers, spans, and events."""
-    with open(path, "w") as fh:
-        for payload in payloads:
-            header = {k: payload[k] for k in
-                      ("label", "pid", "wall_anchor", "perf_anchor")
-                      if k in payload}
-            fh.write(json.dumps({"kind": "process", **header}) + "\n")
-            for depth, span in iter_spans(payload):
-                row = {
-                    "kind": "span",
-                    "pid": payload.get("pid"),
-                    "depth": depth,
-                    "name": span["name"],
-                    "seconds": float(span["t1"]) - float(span["t0"]),
-                }
-                if span.get("attrs"):
-                    row["attrs"] = span["attrs"]
-                fh.write(json.dumps(row) + "\n")
-            for instant in payload.get("events", []):
-                row = {
-                    "kind": "event",
-                    "pid": payload.get("pid"),
-                    "name": instant["name"],
-                }
-                if instant.get("attrs"):
-                    row["attrs"] = instant["attrs"]
-                fh.write(json.dumps(row) + "\n")
-            metrics = payload.get("metrics")
-            if metrics:
-                fh.write(json.dumps(
-                    {"kind": "metrics", "pid": payload.get("pid"),
-                     **metrics}) + "\n")
 
 
 def _merge_tree(payloads: Sequence[Payload]) -> List[dict]:

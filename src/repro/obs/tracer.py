@@ -17,9 +17,10 @@ attaches itself to the enclosing span, producing a tree like::
     ├── referee.congestion
     └── referee.timing
 
-Each fact has one record: a duration is a span, a string fact (the
-referee backend, the suite scale) is a span attribute, and an effort
-count is a counter in :attr:`Tracer.metrics`.
+Each fact has one record: a duration is a span, a point fact (a
+queued job, a failed observer) is a zero-length span, a string fact
+(the referee backend, the suite scale) is a span attribute, and an
+effort count is a counter in :attr:`Tracer.metrics`.
 
 The active tracer is carried in a :class:`~contextvars.ContextVar`
 (:func:`current_tracer` / :func:`use_tracer`) so deeply nested code —
@@ -27,9 +28,9 @@ annealing loops, referee kernels, prepared-design compile steps — can
 record spans without threading a tracer argument through every API.
 
 When no tracer is installed, :func:`current_tracer` returns the shared
-:data:`NULL_TRACER`, whose ``span``/``event`` calls reuse one
-pre-built no-op span and read no clock: the cost of instrumentation
-left in hot paths is a ContextVar read and an attribute check.
+:data:`NULL_TRACER`, whose ``span`` calls reuse one pre-built no-op
+span and read no clock: the cost of instrumentation left in hot paths
+is a ContextVar read and an attribute check.
 
 Determinism contract: tracers observe, never steer.  Nothing here
 touches RNG streams or placement state, and span payloads are kept out
@@ -95,7 +96,7 @@ class Span:
 
 
 class Tracer:
-    """Collects a span forest + events + metrics for one process."""
+    """Collects a span forest + metrics for one process."""
 
     enabled = True
 
@@ -108,19 +109,10 @@ class Tracer:
         self.wall_anchor = wall_seconds()
         self.perf_anchor = perf_seconds()
         self.roots: List[Span] = []
-        self.events: List[Dict[str, object]] = []
         self._stack: List[Span] = []
 
     def span(self, name: str, **attrs: object) -> Span:
         return Span(name, self, attrs)
-
-    def event(self, name: str, **attrs: object) -> None:
-        """Record an instant event (rendered as ``ph:"i"`` in Chrome)."""
-        self.events.append({
-            "name": name,
-            "t": perf_seconds(),
-            "attrs": dict(attrs),
-        })
 
     def _push(self, span: Span) -> None:
         self._stack.append(span)
@@ -144,7 +136,6 @@ class Tracer:
             "wall_anchor": self.wall_anchor,
             "perf_anchor": self.perf_anchor,
             "spans": [s.to_dict() for s in self.roots],
-            "events": [dict(e) for e in self.events],
             "metrics": self.metrics.to_dict(),
         }
 
@@ -183,9 +174,6 @@ class NullTracer:
 
     def span(self, name: str, **attrs: object) -> _NullSpan:
         return self._SPAN
-
-    def event(self, name: str, **attrs: object) -> None:
-        pass
 
     def payload(self) -> Dict[str, object]:
         return {}

@@ -16,10 +16,12 @@ package is the amortization layer:
   worker processes through one ``multiprocessing.shared_memory``
   segment per design; workers attach read-only views instead of
   recompiling.
-* :class:`PlacementService` — a submit/poll/stream job front end
-  (``submit(design, flow) -> JobHandle``) over a warm worker pool or
+* :class:`PlacementService` — a submit/result job front end
+  (``submit(design, flow) -> JobHandle``, whose ``future`` is a
+  :class:`concurrent.futures.Future`) over a warm worker pool or
   inline in the caller's process; ``run_suite`` is its client in
-  every mode.
+  every mode.  A job's lifecycle is recorded only as ``job.*`` spans
+  in the caller's :mod:`repro.obs` tracer.
 
 Determinism contract: rows are bit-identical cold vs warm store,
 serial vs pooled, and via ``PlacementService.submit`` (asserted on
@@ -27,18 +29,14 @@ c1–c3 in ``tests/test_service_jobs.py``).
 """
 
 from repro.service.jobs import (
-    JobEvent,
     JobHandle,
-    JobStatus,
     PlacementService,
 )
 from repro.service.store import CompiledDesignStore, store_version
 
 __all__ = [
     "CompiledDesignStore",
-    "JobEvent",
     "JobHandle",
-    "JobStatus",
     "PlacementService",
     "store_version",
 ]

@@ -1,4 +1,4 @@
-"""PlacementService: a submit/poll/stream job API over a warm pool.
+"""PlacementService: a submit/result job API over a warm pool.
 
 ``PlacementService`` owns the three amortization layers end to end:
 a :class:`~repro.service.store.CompiledDesignStore` (compile each
@@ -14,11 +14,15 @@ directly::
                           store="~/.cache/hidap-store",
                           workers=2) as service:
         handle = service.submit("c1", "hidap", seed=1)
-        handle.poll()                    # JobStatus.QUEUED / RUNNING / ...
-        for event in handle.stream_events():
-            print(event.name)            # job.queued, job.running, job.done
+        handle.future.done()             # a concurrent.futures.Future
         row = handle.result()            # FlowMetrics, bit-identical to
                                          # an inline run_suite row
+
+Every job is a :class:`concurrent.futures.Future`: a pooled job's comes
+from the pool, an inline job's is resolved before ``submit`` returns.
+Its lifecycle is recorded once, as spans in the caller's tracer:
+``job.queued`` at submit, then ``job.done`` or ``job.failed`` at the
+first ``result()`` call.
 
 Determinism contract: rows obtained through ``submit`` are
 bit-identical to serial ``run_suite`` rows for the same
@@ -28,212 +32,80 @@ bit-identical to serial ``run_suite`` rows for the same
 
 from __future__ import annotations
 
-import threading
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from dataclasses import dataclass
-from enum import Enum
+from concurrent.futures import Future, ProcessPoolExecutor, as_completed
+from dataclasses import replace
 from pathlib import Path
-from typing import (
-    Dict,
-    Iterable,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
+from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple, Union
 
 from repro.api.prepared import prepare_design
 from repro.api.run import FlowMetrics, RunOptions
 from repro.gen.designs import suite_specs
-from repro.obs import current_tracer, wall_seconds
+from repro.obs import current_tracer
 from repro.service import engine
 from repro.service.store import CompiledDesignStore, StoreEntry
 from repro.service.shm import SegmentOwner, export_entry
 
 
-class JobStatus(Enum):
-    QUEUED = "queued"
-    RUNNING = "running"
-    DONE = "done"
-    FAILED = "failed"
+class JobHandle:
+    """Client-side handle of one submitted (design, flow) job.
 
-
-@dataclass(frozen=True)
-class JobEvent:
-    """One lifecycle event of a submitted job.
-
-    ``name`` is the obs-style event name (``job.queued`` /
-    ``job.running`` / ``job.done`` / ``job.failed``); ``wall`` is the
-    :func:`repro.obs.wall_seconds` timestamp it was observed at
-    (observability only — never part of any row comparison).
+    ``future`` is a :class:`concurrent.futures.Future` that resolves
+    to :func:`repro.service.engine.run_cell`'s ``(design, flow,
+    metrics, info, payload)`` tuple, or to the job's exception.
     """
 
-    name: str
-    job_id: int
-    design: str
-    flow: str
-    wall: float
-
-
-class JobHandle:
-    """Client-side handle of one submitted (design, flow) job."""
-
     def __init__(self, job_id: int, design: str, flow: str,
-                 options: RunOptions):
+                 options: RunOptions, future: Future):
         self.job_id = job_id
         self.design = design
         self.flow = flow
         self.options = options
-        #: Worker trace payload (when the job ran with tracing on).
-        self.trace_payload = None
+        self.future = future
+        #: Filled in by :meth:`result`: the design summary line and the
+        #: worker trace payload (when the job ran with tracing on).
         self.design_info: Optional[str] = None
-        self._events: List[JobEvent] = []
-        self._lock = threading.Lock()
-        self._future = None
-        self._result: Optional[FlowMetrics] = None
-        self._error: Optional[BaseException] = None
-        self._done_span_emitted = False
-        self._event("job.queued")
-
-    # -- event bookkeeping --------------------------------------------------
-
-    def _event(self, name: str) -> None:
-        with self._lock:
-            self._events.append(JobEvent(
-                name=name, job_id=self.job_id, design=self.design,
-                flow=self.flow, wall=wall_seconds()))
-
-    def _has_event(self, name: str) -> bool:
-        with self._lock:
-            return any(e.name == name for e in self._events)
-
-    def _note_running(self) -> None:
-        if not self._has_event("job.running"):
-            self._event("job.running")
-
-    def _finish(self, metrics: Optional[FlowMetrics],
-                error: Optional[BaseException]) -> None:
-        self._note_running()
-        self._result = metrics
-        self._error = error
-        self._event("job.failed" if error is not None else "job.done")
-
-    def _absorb_future(self) -> None:
-        """Fold a finished future's payload into the handle (idempotent)."""
-        future = self._future
-        if future is None or not future.done() or self._has_event(
-                "job.done") or self._has_event("job.failed"):
-            return
-        try:
-            design, _flow, metrics, info, payload = future.result()
-            assert design == self.design
-            self.design_info = info
-            self.trace_payload = payload
-            self._finish(metrics, None)
-        except BaseException as exc:  # noqa: BLE001 - job error surface
-            self._finish(None, exc)
-
-    # -- client API ---------------------------------------------------------
-
-    def poll(self) -> JobStatus:
-        """Non-blocking status probe (records ``job.running`` on first
-        observation of a running worker)."""
-        if self._future is not None:
-            if self._future.running():
-                self._note_running()
-            self._absorb_future()
-        if self._error is not None:
-            return JobStatus.FAILED
-        if self._result is not None:
-            return JobStatus.DONE
-        if self._has_event("job.running"):
-            return JobStatus.RUNNING
-        return JobStatus.QUEUED
+        self.trace_payload = None
+        self._span_recorded = False
 
     def result(self, timeout: Optional[float] = None) -> FlowMetrics:
         """Block until the job finishes; return its row or re-raise.
 
-        Also emits a ``job.done`` / ``job.failed`` obs span into the
-        calling process's current tracer, closing the observability
-        loop for traced service runs.
+        Raises :class:`TimeoutError` when the job is still unfinished
+        after ``timeout`` seconds.  The first call that sees the job
+        finished records a ``job.done`` / ``job.failed`` span into the
+        calling process's current tracer.
         """
-        if self._future is not None:
-            wait([self._future], timeout=timeout)
-            if not self._future.done():
-                raise TimeoutError(
-                    f"job {self.job_id} ({self.design}/{self.flow}) "
-                    f"still {self.poll().value} after {timeout}s")
-            self._absorb_future()
-        status = self.poll()
-        if not self._done_span_emitted:
-            self._done_span_emitted = True
+        error = self.future.exception(timeout)
+        if not self._span_recorded:
+            self._span_recorded = True
             with current_tracer().span(
-                    "job.failed" if status is JobStatus.FAILED
-                    else "job.done",
+                    "job.failed" if error is not None else "job.done",
                     job=self.job_id, design=self.design, flow=self.flow):
                 pass
-        if self._error is not None:
-            raise self._error
-        assert self._result is not None
-        return self._result
-
-    def stream_events(self,
-                      poll_interval: float = 0.05
-                      ) -> Iterator[JobEvent]:
-        """Yield lifecycle events as they occur, until the job ends.
-
-        Always yields a consistent ``job.queued`` → ``job.running`` →
-        ``job.done``/``job.failed`` sequence; blocks between events by
-        waiting on the job's future (no busy spin).
-        """
-        emitted = 0
-        while True:
-            self.poll()
-            with self._lock:
-                pending = list(self._events[emitted:])
-            for event in pending:
-                emitted += 1
-                yield event
-            if pending and pending[-1].name in ("job.done",
-                                                "job.failed"):
-                return
-            if self._future is None:
-                # Inline jobs finish synchronously inside submit();
-                # reaching here with no future means no more events.
-                if emitted and self._events[-1].name in (
-                        "job.done", "job.failed"):
-                    return
-            else:
-                wait([self._future], timeout=poll_interval)
-
-    def events(self) -> List[JobEvent]:
-        """Snapshot of the events recorded so far."""
-        self.poll()
-        with self._lock:
-            return list(self._events)
+        if error is not None:
+            raise error
+        _design, _flow, metrics, self.design_info, self.trace_payload = \
+            self.future.result()
+        return metrics
 
 
 def iter_completed(handles: Iterable[JobHandle]
                    ) -> Iterator[JobHandle]:
     """Yield handles as their jobs finish.
 
-    ``handles`` is consumed lazily: an inline handle is yielded as soon
-    as it arrives, so over a generator of submits each inline job is
-    seen before the next one starts.  Pooled handles are all collected
-    (queued) first, then yielded in completion order.
+    ``handles`` is consumed lazily: a handle whose future is already
+    done (every inline job) is yielded as it arrives, so over a
+    generator of submits each inline job is seen before the next one
+    starts.  The rest are yielded in completion order.
     """
-    pending: Dict[object, JobHandle] = {}
+    pending: Dict[Future, JobHandle] = {}
     for handle in handles:
-        if handle._future is None:
+        if handle.future.done():
             yield handle
         else:
-            pending[handle._future] = handle
-    while pending:
-        done, _not_done = wait(list(pending), return_when=FIRST_COMPLETED)
-        for future in done:
-            yield pending.pop(future)
+            pending[handle.future] = handle
+    for future in as_completed(pending):
+        yield pending[future]
 
 
 class PlacementService:
@@ -290,7 +162,6 @@ class PlacementService:
         self._owners: Dict[str, SegmentOwner] = {}
         self._prepared: Dict[str, object] = {}
         self._pool: Optional[ProcessPoolExecutor] = None
-        self._jobs: List[JobHandle] = []
         self._next_job = 0
         self._closed = False
 
@@ -346,7 +217,7 @@ class PlacementService:
         ``options`` (or the shorthand ``seed``) overrides the
         service-level defaults for this job only.  Inline services
         (``workers`` <= 1) execute the job synchronously before
-        returning — the handle is already DONE/FAILED.
+        returning — the handle's future is already done.
         """
         if self._closed:
             raise RuntimeError("PlacementService is closed")
@@ -356,43 +227,41 @@ class PlacementService:
                              f"(served: {known})")
         opts = options if options is not None else self.options
         if seed is not None:
-            from dataclasses import replace
             opts = replace(opts, seed=int(seed))
         job_id = self._next_job
         self._next_job += 1
-        handle = JobHandle(job_id, design, flow, opts)
-        self._jobs.append(handle)
         with current_tracer().span("job.queued", job=job_id,
                                    design=design, flow=flow):
             pass
         if self._pool is not None:
             owner = self._owners.get(design)
             handoff = owner.handoff if owner is not None else None
-            handle._future = self._pool.submit(
+            future = self._pool.submit(
                 engine.run_cell, self.scale, design, flow, opts.seed,
                 opts.effort.value, bool(opts.trace), handoff)
         else:
-            self._run_inline(handle, opts)
-        return handle
+            future = self._run_inline(design, flow, opts)
+        return JobHandle(job_id, design, flow, opts, future)
 
-    def _run_inline(self, handle: JobHandle, opts: RunOptions) -> None:
+    def _run_inline(self, design: str, flow: str,
+                    opts: RunOptions) -> Future:
         """Execute a job synchronously in this process (workers <= 1).
 
         The cell records into the caller's current tracer under the
-        ``suite.task`` span that pooled workers use.
+        ``suite.task`` span that pooled workers use; the returned
+        future is already resolved, with ``run_cell``'s tuple shape.
         """
-        handle._note_running()
+        future: Future = Future()
         try:
-            with current_tracer().span("suite.task",
-                                       design=handle.design,
-                                       flow=handle.flow):
-                prepared = self._prepared_inline(handle.design)
-                metrics = engine.execute_cell(prepared, handle.flow,
-                                              opts)
-            handle.design_info = prepared.info()
-            handle._finish(metrics, None)
+            with current_tracer().span("suite.task", design=design,
+                                       flow=flow):
+                prepared = self._prepared_inline(design)
+                metrics = engine.execute_cell(prepared, flow, opts)
+            future.set_result((design, flow, metrics, prepared.info(),
+                               None))
         except Exception as exc:  # noqa: BLE001 - job error surface
-            handle._finish(None, exc)
+            future.set_exception(exc)
+        return future
 
     def _prepared_inline(self, design: str):
         """Inline-mode prepared design: store-warm, cached per service."""

@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import io
 import json
 
 import pytest
@@ -52,9 +53,11 @@ class TestCommands:
         assert len(data["macros"]) == 32
         assert open(svg).read().startswith("<svg")
 
-    def test_place_unknown_suite_design(self):
-        with pytest.raises(SystemExit):
-            main(["place", "c99", "--scale", "tiny"])
+    def test_place_unknown_suite_design(self, capsys):
+        assert main(["place", "c99", "--scale", "tiny"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("hidap: error: unknown suite design 'c99'")
+        assert "known: c1, c2" in err
 
     def test_place_indeda(self, capsys):
         assert main(["place", "c1", "--scale", "tiny", "--flow",
@@ -69,3 +72,25 @@ class TestCommands:
         assert "Table II" in out
         assert "Table III" in out
         assert "c1" in out
+
+    def test_serve_reports_every_request(self, monkeypatch, capsys):
+        requests = [
+            {"design": "c1", "flow": "indeda"},
+            "not json",
+            {"design": "c9", "flow": "indeda"},
+            {"design": "c1", "flow": "no-such-flow"},
+            '{"design": "c1", "flow": "indeda", "seed": Infinity}',
+            {"design": "c1", "flow": "indeda", "seed": 1.5},
+            {"design": "c1", "flow": "indeda", "seed": True},
+        ]
+        lines = [r if isinstance(r, str) else json.dumps(r)
+                 for r in requests]
+        monkeypatch.setattr("sys.stdin", io.StringIO("\n".join(lines)))
+        assert main(["serve", "--scale", "tiny", "--designs", "c1"]) == 0
+        events = [json.loads(line)
+                  for line in capsys.readouterr().out.splitlines()]
+        assert [e["event"] for e in events] == [
+            "ready", "queued", "error", "error", "queued", "error",
+            "error", "error", "done", "failed"]
+        assert [e["job"] for e in events[-2:]] == [0, 1]
+        assert "seed" in events[5]["error"]

@@ -58,8 +58,8 @@ EXPECTED_API = {
     "format_table2", "format_table3", "geomean",
     "normalize_to_handfp",
     # placement service
-    "CompiledDesignStore", "JobEvent", "JobHandle", "JobStatus",
-    "PlacementService", "store_version",
+    "CompiledDesignStore", "JobHandle", "PlacementService",
+    "store_version",
 }
 
 

@@ -6,8 +6,9 @@ The load-bearing assertions of the service layer:
   vs ``PlacementService.submit`` (c1–c3);
 * a warm-store pooled run records **zero** worker-side ``prepare.*``
   compile spans (the whole point of the store + shm handoff);
-* job handles observe a consistent queued → running → done/failed
-  event order through poll/result/stream_events;
+* a job is a ``concurrent.futures.Future`` whose lifecycle is recorded
+  only as ``job.queued`` → ``job.done``/``job.failed`` spans in the
+  caller's tracer, inline and pooled alike;
 * worker bootstrap replays flow registrations and warns — instead of
   silently skipping — on unpicklable entries.
 """
@@ -20,12 +21,8 @@ import pytest
 from repro.api import RunOptions, run_suite
 from repro.core.config import Effort
 from repro.gen.designs import suite_specs
-from repro.obs import iter_spans
-from repro.service import (
-    CompiledDesignStore,
-    JobStatus,
-    PlacementService,
-)
+from repro.obs import Tracer, iter_spans, use_tracer
+from repro.service import CompiledDesignStore, PlacementService
 from repro.service import engine
 from repro.service.shm import export_entry
 
@@ -218,40 +215,45 @@ class TestServiceConstruction:
             _attach(exported[0].handoff.segment)
 
 
+def _root_names(tracer):
+    return [span.name for span in tracer.roots]
+
+
 class TestJobLifecycle:
     def test_event_order_inline(self, store_dir):
-        with PlacementService(scale="tiny", designs=("c1",),
-                              store=store_dir,
-                              options=OPTS) as service:
+        tracer = Tracer("t")
+        with use_tracer(tracer), PlacementService(
+                scale="tiny", designs=("c1",), store=store_dir,
+                options=OPTS) as service:
             handle = service.submit("c1", "indeda")
-            assert handle.poll() is JobStatus.DONE
-            assert [e.name for e in handle.stream_events()] \
-                == ["job.queued", "job.running", "job.done"]
-            events = handle.events()
-            assert [e.name for e in events] \
-                == ["job.queued", "job.running", "job.done"]
-            assert events[0].wall <= events[-1].wall
+            assert handle.future.done()
+            handle.result()
+            handle.result()
+        assert _root_names(tracer) \
+            == ["store.hit", "job.queued", "suite.task", "job.done"]
 
     def test_event_order_pooled(self, store_dir):
-        with PlacementService(scale="tiny", designs=("c1",),
-                              store=store_dir, workers=2,
-                              options=OPTS) as service:
+        tracer = Tracer("t")
+        with use_tracer(tracer), PlacementService(
+                scale="tiny", designs=("c1",), store=store_dir,
+                workers=2, options=OPTS) as service:
             handle = service.submit("c1", "indeda")
-            streamed = [e.name for e in handle.stream_events()]
-            assert streamed[0] == "job.queued"
-            assert streamed[-1] == "job.done"
-            assert "job.running" in streamed
-            assert handle.poll() is JobStatus.DONE
+            handle.result()
+            assert handle.future.done()
+            handle.result()
+        assert _root_names(tracer)[-2:] == ["job.queued", "job.done"]
 
-    def test_failed_job_raises_and_streams_failed(self):
-        with PlacementService(scale="tiny", designs=("c1",),
-                              options=OPTS) as service:
+    @pytest.mark.parametrize("workers", [None, 2],
+                             ids=["inline", "pooled"])
+    def test_failed_job_raises_and_records_failed(self, workers):
+        tracer = Tracer("t")
+        with use_tracer(tracer), PlacementService(
+                scale="tiny", designs=("c1",), workers=workers,
+                options=OPTS) as service:
             handle = service.submit("c1", "no-such-flow")
-            assert handle.poll() is JobStatus.FAILED
-            assert [e.name for e in handle.stream_events()][-1] \
-                == "job.failed"
             with pytest.raises(Exception, match="no-such-flow"):
                 handle.result()
+        assert _root_names(tracer)[-1] == "job.failed"
 
     def test_unknown_design_rejected_at_submit(self):
         with PlacementService(scale="tiny", designs=("c1",),

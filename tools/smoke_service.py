@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Placement-service smoke: warm store, 2-worker pool, submit/poll.
+"""Placement-service smoke: warm store, 2-worker pool, submit/result.
 
 End-to-end check of the service layer that ``make check`` runs on
 every build:
@@ -10,9 +10,8 @@ every build:
    asserting the workers record **zero** ``prepare.*`` compile spans
    (they attach shared memory instead) and the main process saw only
    store hits;
-3. a ``PlacementService`` submit/poll round-trip over the same store,
-   asserting the job lifecycle (queued → done) and that the rows are
-   bit-identical to the suite's.
+3. a ``PlacementService`` submit/result round-trip over the same
+   store, asserting the rows are bit-identical to the suite's.
 
 Exits non-zero with a named assertion on any violation.
 """
@@ -30,7 +29,6 @@ from repro.api import (
 )
 from repro.core.config import Effort
 from repro.obs import iter_spans
-from repro.service import JobStatus
 
 DESIGNS = ("c1", "c2")
 FLOWS = ("indeda", "handfp-strip")
@@ -77,22 +75,19 @@ def main() -> int:
         print(f"  workers attached shm; zero prepare.* spans "
               f"({len(worker_names)} distinct worker span names)")
 
-        print("submit/poll round-trip via PlacementService")
+        print("submit/result round-trip via PlacementService")
         with PlacementService(scale="tiny", designs=DESIGNS,
                               store=store_dir, workers=2,
                               options=opts) as service:
             handles = [service.submit(design, flow)
                        for design in DESIGNS for flow in FLOWS]
             rows = [handle.result() for handle in handles]
-            for handle in handles:
-                assert handle.poll() is JobStatus.DONE, \
-                    f"{handle.design}/{handle.flow} not DONE"
         normalize_to_handfp(rows)
         assert _key_rows(rows) == _key_rows(cold.rows), \
             "PlacementService rows differ from run_suite rows"
 
     print(f"PASS: {len(cold.rows)} rows bit-identical across "
-          f"cold store, warm store, and submit/poll; warm workers "
+          f"cold store, warm store, and submit/result; warm workers "
           f"compiled nothing")
     return 0
 

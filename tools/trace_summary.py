@@ -1,13 +1,12 @@
 #!/usr/bin/env python
 """Print the top-N spans from a trace artifact, or diff two traces.
 
-Accepts the trace formats the repo writes:
+Accepts two inputs:
 
-* Chrome trace-event JSON (``--trace out.json`` / ``TRACE_smoke.json``):
+* Chrome trace-event JSON, the one trace file format of ``repro.obs``
+  (``--trace out.json`` / ``TRACE_smoke.json``):
   duration (``ph: "X"``) events are aggregated by span name, and the
   counters come from ``otherData.counters``;
-* the JSONL event log (``write_jsonl``): ``kind: "span"`` rows ditto,
-  counters from the ``kind: "metrics"`` rows;
 * a traced perfbench result (``perfbench/run.py --trace 1`` writes it
   under ``.perfbench/results/``): its ``spans`` rows and ``counts``.
 
@@ -40,12 +39,6 @@ def _spans_from_chrome(doc: dict) -> Iterable[Tuple[str, float, int]]:
                    event.get("pid", 0))
 
 
-def _spans_from_jsonl(rows: Iterable[dict]) -> Iterable[Tuple[str, float, int]]:
-    for row in rows:
-        if row.get("kind") == "span":
-            yield row["name"], float(row.get("seconds", 0.0)), row.get("pid", 0)
-
-
 def _spans_from_perfbench(doc: dict) -> Iterable[Tuple[str, float, int]]:
     # (name, start, end, pid, span_id, parent_id, op)
     for name, start, end, pid, *_rest in doc["spans"]:
@@ -56,25 +49,17 @@ def _load(path: str) -> Tuple[List[Tuple[str, float, int]],
                                Dict[str, float]]:
     """A trace's ``(name, seconds, pid)`` spans and summed counters."""
     with open(path) as fh:
-        text = fh.read()
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError:
-        rows = [json.loads(line) for line in text.splitlines()
-                if line.strip()]
-        counters: Dict[str, float] = {}
-        for row in rows:
-            if row.get("kind") == "metrics":
-                for name, value in row.get("counters", {}).items():
-                    counters[name] = counters.get(name, 0) + value
-        return list(_spans_from_jsonl(rows)), counters
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError:
+            doc = None
     if isinstance(doc, dict) and "traceEvents" in doc:
         counters = (doc.get("otherData") or {}).get("counters") or {}
         return list(_spans_from_chrome(doc)), dict(counters)
     if isinstance(doc, dict) and "spans" in doc and "counts" in doc:
         return list(_spans_from_perfbench(doc)), dict(doc["counts"])
-    raise SystemExit(f"{path}: not a Chrome trace, repro JSONL trace or "
-                     "traced perfbench result")
+    raise SystemExit(f"{path}: not a Chrome trace or traced perfbench "
+                     "result")
 
 
 def load_spans(path: str) -> Iterable[Tuple[str, float, int]]:
@@ -130,7 +115,8 @@ def diff(old_path: str, new_path: str, top: int) -> List[str]:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("trace", nargs="?",
-                        help="Chrome trace JSON or JSONL path")
+                        help="Chrome trace JSON or traced perfbench "
+                             "result path")
     parser.add_argument("--top", type=int, default=15,
                         help="rows to print (default 15)")
     parser.add_argument("--diff", nargs=2, metavar=("OLD", "NEW"),
