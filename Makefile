@@ -65,6 +65,9 @@ smoke-trace:
 # Placement-service smoke: cold 2-worker suite against a fresh
 # compiled-design store, then a traced warm run asserting zero
 # worker-side prepare.* spans (workers attach shared memory instead),
+# then corruption recovery through the pool (truncate the warm c1
+# entry file, rerun: one RuntimeWarning naming its key, cold rows,
+# and a following warm run again with zero worker prepare.* spans),
 # then a PlacementService submit/result round-trip asserting
 # bit-identical rows.
 smoke-service:

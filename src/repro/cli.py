@@ -156,7 +156,8 @@ def cmd_suite(args: argparse.Namespace) -> int:
                            **kwargs)
     except FlowError as exc:
         return _fail(f"{exc} (see `hidap flows`)")
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
+        # OSError: an unusable --store path (e.g. a file).
         return _fail(str(exc))
     print()
     print(format_table3(result.rows, result.design_info))
@@ -197,7 +198,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
                                    store=args.store,
                                    workers=args.workers,
                                    options=options)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
+        # OSError: an unusable --store path (e.g. a file).
         return _fail(str(exc))
     with service:
         emit({"event": "ready", "scale": args.scale,

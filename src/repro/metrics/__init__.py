@@ -21,6 +21,12 @@ into batched array kernels:
   edges with a topological levelization (:class:`TimingArrays`) and
   batches the slack analysis level by level.
 
+The three compiled records are frozen dataclasses of plain ndarrays,
+each cached on its source object by its ``*_arrays_for`` function
+behind a cheap shape fingerprint.  None has a serializer of its own:
+the compiled-design store (:mod:`repro.service.store`) pickles them
+with the prepared design, their arrays as out-of-band buffers.
+
 The referee (:func:`repro.api.run.evaluate_placement`) and the layout
 cost model always run the NumPy kernels.  Tests compare them with the
 oracle by passing an instance: ``evaluate_placement(...,
@@ -35,28 +41,19 @@ from repro.metrics.backends import (
 from repro.metrics.netarrays import (
     NetArrays,
     compile_net_arrays,
-    install_net_arrays,
     locate_endpoints,
     net_arrays_for,
-    net_arrays_from_buffers,
-    net_arrays_to_buffers,
 )
 from repro.metrics.numpy_backend import NumpyBackend
 from repro.metrics.stdcell_kernel import (
     StdcellArrays,
     compile_stdcell_arrays,
-    install_stdcell_arrays,
     stdcell_arrays_for,
-    stdcell_arrays_from_buffers,
-    stdcell_arrays_to_buffers,
 )
 from repro.metrics.timing_kernel import (
     TimingArrays,
     compile_timing_arrays,
-    install_timing_arrays,
     timing_arrays_for,
-    timing_arrays_from_buffers,
-    timing_arrays_to_buffers,
 )
 
 __all__ = [
@@ -70,17 +67,8 @@ __all__ = [
     "compile_net_arrays",
     "compile_stdcell_arrays",
     "compile_timing_arrays",
-    "install_net_arrays",
-    "install_stdcell_arrays",
-    "install_timing_arrays",
     "locate_endpoints",
     "net_arrays_for",
-    "net_arrays_from_buffers",
-    "net_arrays_to_buffers",
     "stdcell_arrays_for",
-    "stdcell_arrays_from_buffers",
-    "stdcell_arrays_to_buffers",
     "timing_arrays_for",
-    "timing_arrays_from_buffers",
-    "timing_arrays_to_buffers",
 ]

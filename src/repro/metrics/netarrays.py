@@ -162,8 +162,8 @@ def net_arrays_for(flat: FlatDesign) -> NetArrays:
     mutations require dropping ``flat._net_arrays`` manually.
 
     The ``prepare.net_arrays`` span fires only on an actual compile —
-    a cache hit (including arrays installed from the compiled-design
-    store) records nothing.
+    a cache hit (including arrays unpickled from a compiled-design
+    store entry) records nothing.
     """
     from repro.obs import current_tracer
 
@@ -176,50 +176,6 @@ def net_arrays_for(flat: FlatDesign) -> NetArrays:
         arrays = compile_net_arrays(flat)
     flat._net_arrays = (fingerprint, arrays)
     return arrays
-
-
-def install_net_arrays(flat: FlatDesign, arrays: NetArrays) -> None:
-    """Seed the per-design compile cache with precompiled ``arrays``.
-
-    The compiled-design store uses this to hand a memory-mapped (or
-    shared-memory) :class:`NetArrays` to a process without recompiling;
-    the arrays must describe ``flat`` — the fingerprint recorded here
-    is validated by the caller against the store entry's metadata.
-    """
-    flat._net_arrays = (_fingerprint(flat), arrays)
-
-
-#: ``NetArrays`` fields that serialize as raw numpy buffers.
-_NET_ARRAY_FIELDS = ("net_offsets", "net_of_row", "kind", "ref",
-                     "pin_dx", "pin_dy", "macro_cells", "macro_w",
-                     "macro_h")
-
-
-def net_arrays_to_buffers(arrays: NetArrays):
-    """Split ``arrays`` into ``(buffers, meta)`` for persistence.
-
-    ``buffers`` maps field name to its ndarray; ``meta`` is the
-    JSON-able remainder.  :func:`net_arrays_from_buffers` inverts this
-    bit-for-bit (``.npy`` round-trips preserve dtype and every byte).
-    """
-    buffers = {name: getattr(arrays, name) for name in _NET_ARRAY_FIELDS}
-    meta = {"n_nets": arrays.n_nets, "n_cells": arrays.n_cells,
-            "port_names": list(arrays.port_names)}
-    return buffers, meta
-
-
-def net_arrays_from_buffers(buffers, meta) -> NetArrays:
-    """Rebuild :class:`NetArrays` from :func:`net_arrays_to_buffers` parts.
-
-    The buffers are used as-is (zero-copy): memory-mapped or
-    shared-memory views work directly because every kernel only reads
-    the compiled arrays.
-    """
-    return NetArrays(
-        n_nets=int(meta["n_nets"]),
-        n_cells=int(meta["n_cells"]),
-        port_names=tuple(meta["port_names"]),
-        **{name: buffers[name] for name in _NET_ARRAY_FIELDS})
 
 
 def locate_endpoints(arrays: NetArrays, placement: MacroPlacement,

@@ -165,8 +165,8 @@ def stdcell_arrays_for(clustered: "ClusteredNetlist") -> StdcellArrays:
     """Compiled arrays for ``clustered``, built once and cached on it.
 
     The ``prepare.stdcell_arrays`` span fires only on an actual compile
-    — a cache hit (including arrays installed from the compiled-design
-    store) records nothing.
+    — a cache hit (including arrays unpickled from a compiled-design
+    store entry) records nothing.
     """
     from repro.obs import current_tracer
 
@@ -178,45 +178,6 @@ def stdcell_arrays_for(clustered: "ClusteredNetlist") -> StdcellArrays:
         arrays = compile_stdcell_arrays(clustered)
     clustered._stdcell_arrays = (len(clustered.nets), arrays)
     return arrays
-
-
-def install_stdcell_arrays(clustered: "ClusteredNetlist",
-                           arrays: StdcellArrays) -> None:
-    """Seed the per-design compile cache with precompiled ``arrays``.
-
-    Used by the compiled-design store to hand memory-mapped /
-    shared-memory arrays to a process without recompiling; callers
-    validate the store entry's fingerprint against ``clustered`` first.
-    """
-    clustered._stdcell_arrays = (len(clustered.nets), arrays)
-
-
-#: ``StdcellArrays`` fields that serialize as raw numpy buffers.
-_STDCELL_ARRAY_FIELDS = ("weight", "ep_counts", "ep_offsets", "eps",
-                         "fixed_offsets", "fixed_kind", "fixed_ref",
-                         "macro_cells", "pair_rows", "pair_cols",
-                         "pair_counts")
-
-
-def stdcell_arrays_to_buffers(arrays: StdcellArrays):
-    """Split ``arrays`` into ``(buffers, meta)`` for persistence."""
-    buffers = {name: getattr(arrays, name)
-               for name in _STDCELL_ARRAY_FIELDS}
-    meta = {"n_nets": arrays.n_nets, "n_clusters": arrays.n_clusters,
-            "port_names": list(arrays.port_names)}
-    return buffers, meta
-
-
-def stdcell_arrays_from_buffers(buffers, meta) -> StdcellArrays:
-    """Rebuild :class:`StdcellArrays` from its persisted parts.
-
-    Buffers are adopted zero-copy — every kernel only reads them.
-    """
-    return StdcellArrays(
-        n_nets=int(meta["n_nets"]),
-        n_clusters=int(meta["n_clusters"]),
-        port_names=tuple(meta["port_names"]),
-        **{name: buffers[name] for name in _STDCELL_ARRAY_FIELDS})
 
 
 def assemble_quadratic_system(arrays: StdcellArrays,

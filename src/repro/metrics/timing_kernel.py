@@ -165,8 +165,8 @@ def timing_arrays_for(gseq: "Gseq", flat: "FlatDesign") -> TimingArrays:
     """Compiled arrays for ``gseq``, built once and cached on it.
 
     The ``prepare.timing_arrays`` span fires only on an actual compile
-    — a cache hit (including arrays installed from the compiled-design
-    store) records nothing.
+    — a cache hit (including arrays unpickled from a compiled-design
+    store entry) records nothing.
     """
     from repro.obs import current_tracer
 
@@ -179,67 +179,6 @@ def timing_arrays_for(gseq: "Gseq", flat: "FlatDesign") -> TimingArrays:
         arrays = compile_timing_arrays(gseq, flat)
     gseq._timing_arrays = (fingerprint, arrays)
     return arrays
-
-
-def install_timing_arrays(gseq: "Gseq", flat: "FlatDesign",
-                          arrays: TimingArrays) -> None:
-    """Seed the per-design compile cache with precompiled ``arrays``.
-
-    Used by the compiled-design store to hand memory-mapped /
-    shared-memory arrays to a process without recompiling; callers
-    validate the store entry's fingerprint against ``gseq`` first.
-    """
-    gseq._timing_arrays = ((gseq.n_nodes, gseq.n_edges,
-                            len(flat.cells)), arrays)
-
-
-#: ``TimingArrays`` ndarray fields persisted one buffer each
-#: (``level_edges`` is a tuple of arrays and travels concatenated).
-_TIMING_ARRAY_FIELDS = ("edge_u", "edge_v", "node_kind", "macro_cell",
-                        "cell_offsets", "node_cells",
-                        "node_of_cell_row", "node_level")
-
-
-def timing_arrays_to_buffers(arrays: TimingArrays):
-    """Split ``arrays`` into ``(buffers, meta)`` for persistence.
-
-    ``level_edges`` (a tuple of per-level index arrays) is stored as
-    one concatenated buffer plus a CSR-style offsets buffer.
-    """
-    buffers = {name: getattr(arrays, name)
-               for name in _TIMING_ARRAY_FIELDS}
-    if arrays.level_edges:
-        buffers["level_edges_cat"] = np.concatenate(arrays.level_edges)
-        sizes = [level.size for level in arrays.level_edges]
-    else:
-        buffers["level_edges_cat"] = np.zeros(0, dtype=np.int64)
-        sizes = []
-    buffers["level_offsets"] = np.concatenate(
-        [[0], np.cumsum(np.asarray(sizes, dtype=np.int64))]
-    ).astype(np.int64)
-    meta = {"n_nodes": arrays.n_nodes, "n_edges": arrays.n_edges,
-            "n_cells": arrays.n_cells,
-            "node_names": list(arrays.node_names)}
-    return buffers, meta
-
-
-def timing_arrays_from_buffers(buffers, meta) -> TimingArrays:
-    """Rebuild :class:`TimingArrays` from its persisted parts.
-
-    The per-level views are slices of the concatenated buffer —
-    zero-copy, like every other adopted buffer.
-    """
-    offsets = buffers["level_offsets"]
-    cat = buffers["level_edges_cat"]
-    level_edges = tuple(cat[int(offsets[i]):int(offsets[i + 1])]
-                        for i in range(len(offsets) - 1))
-    return TimingArrays(
-        n_nodes=int(meta["n_nodes"]),
-        n_edges=int(meta["n_edges"]),
-        n_cells=int(meta["n_cells"]),
-        node_names=tuple(meta["node_names"]),
-        level_edges=level_edges,
-        **{name: buffers[name] for name in _TIMING_ARRAY_FIELDS})
 
 
 def _node_coordinates(arrays: TimingArrays, placement: "MacroPlacement",

@@ -10,12 +10,13 @@ package is the amortization layer:
 * :class:`CompiledDesignStore` — a persistent on-disk cache of
   compiled designs, keyed by design content hash and salted with a
   digest of the compiler sources so stale entries self-invalidate.
-  Arrays persist as ``.npy`` files and memory-map back; the prepared
-  object graph rides along as a pickle blob.
+  An entry is one file: the prepared design pickled with protocol 5,
+  then every compiled array as an out-of-band buffer; a load
+  memory-maps it and adopts the arrays zero-copy.
 * :mod:`repro.service.shm` — zero-copy handoff of a store entry to
-  worker processes through one ``multiprocessing.shared_memory``
-  segment per design; workers attach read-only views instead of
-  recompiling.
+  worker processes: the entry's file image, copied verbatim into one
+  ``multiprocessing.shared_memory`` segment per design; workers
+  unpickle over read-only views of it instead of recompiling.
 * :class:`PlacementService` — a submit/result job front end
   (``submit(design, flow) -> JobHandle``, whose ``future`` is a
   :class:`concurrent.futures.Future`) over a warm worker pool or

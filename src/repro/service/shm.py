@@ -1,18 +1,20 @@
 """Zero-copy handoff of compiled designs through shared memory.
 
-One :class:`ShmHandoff` describes one design's compiled state packed
-into a single ``multiprocessing.shared_memory`` segment: every array
-buffer of the three compiled records at 64-byte-aligned offsets, plus
-the pickled prepared-graph blob.  The descriptor itself is tiny and
+One :class:`ShmHandoff` describes one design's compiled state copied
+into a single ``multiprocessing.shared_memory`` segment: the store
+entry's file image, verbatim (pickle blob, then every out-of-band
+array buffer at a 64-byte-aligned offset; the layout is
+:mod:`repro.service.store`'s).  The descriptor itself is tiny and
 picklable — it travels to pool workers as a task argument; the array
 bytes travel exactly once, through the kernel's shared mapping, never
 through the pickle channel.
 
 Worker side, :meth:`ShmHandoff.materialize` attaches the segment,
-wraps the offsets as **read-only** numpy views (REP008 proves the
-kernels never write compiled arrays, so sharing pages is safe),
-unpickles the graph blob and seeds the compile caches — the design
-evaluates placements without a single ``prepare.*`` compile span.
+wraps each buffer span as a **read-only** uint8 view (REP008 proves
+the kernels never write compiled arrays, so sharing pages is safe) and
+unpickles the blob over them: every compiled array is adopted
+zero-copy, and the design evaluates placements without a single
+``prepare.*`` compile span.
 
 Python 3.11 note: ``SharedMemory`` attach registers the segment with
 the resource tracker (no ``track=`` parameter until 3.13), which
@@ -35,21 +37,12 @@ from __future__ import annotations
 import pickle
 from dataclasses import dataclass, field
 from multiprocessing import resource_tracker, shared_memory
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.api.prepared import PreparedDesign
 from repro.obs import current_tracer
-
-#: Segment offsets are rounded up to this many bytes so every array
-#: view starts cache-line- (and dtype-) aligned.
-_ALIGN = 64
-
-
-def _aligned(offset: int) -> int:
-    return (offset + _ALIGN - 1) & ~(_ALIGN - 1)
-
 
 #: Process-lifetime pin of every attached segment, keyed by name.
 #: A numpy view built over ``shm.buf`` keeps the underlying ``mmap``
@@ -86,19 +79,15 @@ def _attach(name: str) -> shared_memory.SharedMemory:
 class ShmHandoff:
     """Picklable descriptor of one design's shared compiled state.
 
-    ``toc`` rows are ``(group, field, dtype, shape, offset)``; the
-    blob row uses group ``"pkl"``.  ``array_meta`` and
-    ``fingerprints`` mirror the store entry's metadata so the worker
-    can validate before installing.
+    The segment holds a store entry's file image: ``blob_size`` bytes
+    of pickle blob at offset 0, then one out-of-band buffer per
+    ``(offset, size)`` row of ``spans``.
     """
 
     design: str
     segment: str
-    toc: Tuple[Tuple[str, str, str, Tuple[int, ...], int], ...]
-    array_meta: Dict[str, Dict]
-    fingerprints: Dict
-    blob_offset: int
     blob_size: int
+    spans: Tuple[Tuple[int, int], ...]
     #: Worker-local attachment handle (never pickled to another
     #: process: the descriptor re-attaches by name).
     _shm: Optional[shared_memory.SharedMemory] = field(
@@ -109,17 +98,16 @@ class ShmHandoff:
         state["_shm"] = None
         return state
 
-    def arrays(self, shm: shared_memory.SharedMemory
-               ) -> Dict[str, Tuple[Dict[str, np.ndarray], Dict]]:
-        """Read-only array views over the attached segment."""
-        groups: Dict[str, Dict[str, np.ndarray]] = {}
-        for group, name, dtype, shape, offset in self.toc:
-            view = np.ndarray(shape, dtype=np.dtype(dtype),
-                              buffer=shm.buf, offset=offset)
+    def buffers(self, shm: shared_memory.SharedMemory
+                ) -> List[np.ndarray]:
+        """Read-only uint8 views of each buffer span in the segment."""
+        views = []
+        for offset, size in self.spans:
+            view = np.ndarray((size,), dtype=np.uint8, buffer=shm.buf,
+                              offset=offset)
             view.flags.writeable = False
-            groups.setdefault(group, {})[name] = view
-        return {group: (buffers, self.array_meta[group])
-                for group, buffers in groups.items()}
+            views.append(view)
+        return views
 
     def materialize(self) -> PreparedDesign:
         """Attach and rebuild a fully warm prepared design (worker side).
@@ -129,20 +117,13 @@ class ShmHandoff:
         calls reuse it.  Emits a ``store.attach`` span — never a
         ``prepare.*`` one.
         """
-        from repro.service.store import install_arrays
-
         with current_tracer().span("store.attach", design=self.design,
                                    segment=self.segment):
             if self._shm is None:
                 self._shm = _attach(self.segment)
             shm = self._shm
-            blob = bytes(
-                shm.buf[self.blob_offset:self.blob_offset
-                        + self.blob_size])
-            prepared = pickle.loads(blob)
-            install_arrays(prepared, self.arrays(shm),
-                           self.fingerprints)
-        return prepared
+            blob = bytes(shm.buf[:self.blob_size])
+            return pickle.loads(blob, buffers=self.buffers(shm))
 
     def close(self) -> None:
         """Drop this process's attachment (does not unlink).
@@ -184,46 +165,20 @@ class SegmentOwner:
 
 
 def export_entry(entry) -> SegmentOwner:
-    """Pack a store entry into one shared-memory segment.
+    """Copy a store entry's file image into one shared-memory segment.
 
-    Copies each persisted array buffer (typically a read-only memmap of
-    the store's ``.npy`` files) and the prepared-graph blob into a
-    fresh segment, returning the owner handle whose ``handoff`` field
-    is the picklable worker descriptor.
+    Returns the owner handle whose ``handoff`` field is the picklable
+    worker descriptor.
     """
-    blob = entry.blob()
-    toc = []
-    offset = 0
-    for group, (buffers, _meta) in sorted(entry.arrays.items()):
-        for name, array in sorted(buffers.items()):
-            offset = _aligned(offset)
-            toc.append((group, name, array.dtype.str,
-                        tuple(int(s) for s in array.shape), offset))
-            offset += int(array.nbytes)
-    blob_offset = _aligned(offset)
-    total = max(1, blob_offset + len(blob))
-
-    shm = shared_memory.SharedMemory(create=True, size=total)
+    image = entry.image
+    shm = shared_memory.SharedMemory(create=True,
+                                     size=max(1, image.nbytes))
     try:
-        for (group, name, dtype, shape, off) in toc:
-            source = entry.arrays[group][0][name]
-            dest = np.ndarray(shape, dtype=np.dtype(dtype),
-                              buffer=shm.buf, offset=off)
-            dest[...] = source
-        shm.buf[blob_offset:blob_offset + len(blob)] = blob
+        shm.buf[:image.nbytes] = image
     except BaseException:  # pragma: no cover - partial export
         shm.close()
         shm.unlink()
         raise
-
-    array_meta = {group: dict(meta)
-                  for group, (_buffers, meta) in entry.arrays.items()}
-    handoff = ShmHandoff(
-        design=entry.design_name,
-        segment=shm.name,
-        toc=tuple(toc),
-        array_meta=array_meta,
-        fingerprints=dict(entry.fingerprints),
-        blob_offset=blob_offset,
-        blob_size=len(blob))
+    handoff = ShmHandoff(design=entry.design_name, segment=shm.name,
+                         blob_size=entry.blob_size, spans=entry.spans)
     return SegmentOwner(handoff, shm)

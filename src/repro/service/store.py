@@ -1,37 +1,47 @@
 """Persistent compiled-design store: compile once, memory-map forever.
 
 A :class:`CompiledDesignStore` caches everything that is expensive to
-rebuild per process and placement-independent for a design:
+rebuild per process and placement-independent for a design: the
+:class:`~repro.api.prepared.PreparedDesign` with its cached
+``flat``/``gnet``/``gseq``/``tree``, the clustered netlist, and the
+three compiled referee array records
+(:class:`~repro.metrics.netarrays.NetArrays`,
+:class:`~repro.metrics.stdcell_kernel.StdcellArrays`,
+:class:`~repro.metrics.timing_kernel.TimingArrays`) in their
+``*_arrays_for`` caches.  A warm process skips design generation,
+flattening, graph construction and array compilation entirely.
 
-* the three compiled referee array records
-  (:class:`~repro.metrics.netarrays.NetArrays`,
-  :class:`~repro.metrics.stdcell_kernel.StdcellArrays`,
-  :class:`~repro.metrics.timing_kernel.TimingArrays`), persisted one
-  ``.npy`` file per array field and loaded back with
-  ``np.load(mmap_mode="r")`` — warm loads touch no compile code and
-  share pages across processes;
-* the prepared object graph (the
-  :class:`~repro.api.prepared.PreparedDesign` with its cached
-  ``flat``/``gnet``/``gseq``/``tree`` and clustered netlist), as one
-  pickle blob, so a warm process skips design generation, flattening
-  and graph construction entirely.
+Entry format
+------------
+This module is the only one that knows it.  An entry is a directory
+holding ``meta.json`` and one data file, ``prepared.pkl``: the
+prepared design pickled with protocol 5, every compiled ndarray
+leaving the pickle as an out-of-band buffer.  The file is the pickle
+blob followed by each buffer at a 64-byte-aligned offset;
+``meta.json`` records the blob length and each buffer's
+``[offset, size]``.  A load maps the file read-only (``np.memmap``)
+and unpickles the blob over uint8 views of the mapping, so every
+compiled array comes back read-only, aligned and zero-copy.  The
+shared-memory handoff (:mod:`repro.service.shm`) copies the same file
+image into a segment verbatim.
 
 Keying and versioning
 ---------------------
 Entries are keyed by content hash: the SHA-256 of a suite design's
 canonical :class:`~repro.gen.spec.DesignSpec` JSON (the spec fully
-determines the generated netlist) — the
-:func:`repro.metrics.netarrays._fingerprint` seam then re-validates
-the cheap (cells, nets, rows) shape at install time.  Every key is
-salted with :func:`store_version`, a digest of the compiler/generator
-sources, so changing any compile-relevant module silently invalidates
-old entries (they become unreachable keys, never wrong answers).
+determines the generated netlist).  Every key is salted with
+:func:`store_version`, a digest of the sources of every module the
+pickle references plus the generator and compiler modules, so
+changing any of them silently invalidates old entries (they become
+unreachable keys, never wrong answers).  The ``*_arrays_for`` caches
+re-check their cheap shape fingerprints on first use.
 
 Writes are atomic (temp directory + ``os.replace``), so concurrent
 writers of the same key are safe: the first complete write wins and
 later ones, bit-identical by the determinism contract, are dropped.
-An existing entry that does not load (a truncated or missing file) is
-replaced by the fresh write with a ``RuntimeWarning``.
+An existing entry that does not load (a truncated or missing file, or
+a data file whose size disagrees with ``meta.json``) is replaced by
+the fresh write with a ``RuntimeWarning``.
 """
 
 from __future__ import annotations
@@ -45,7 +55,7 @@ import tempfile
 import warnings
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -57,13 +67,19 @@ from repro.api.prepared import (
 from repro.gen.spec import DesignSpec
 from repro.obs import current_tracer, wall_seconds
 
-#: Array-group prefixes inside one store entry.
-GROUPS = ("net", "std", "tim")
+#: The entry's one data file: pickle blob, then out-of-band buffers.
+ENTRY_FILE = "prepared.pkl"
+
+#: Buffer offsets inside the entry file are rounded up to this many
+#: bytes so every adopted array starts cache-line- (and dtype-)
+#: aligned.
+_ALIGN = 64
 
 #: Source modules whose digest salts every store key.  Anything that
 #: changes the generated netlist, the derived graphs or the compiled
-#: arrays must be listed — a stale entry must become unreachable, not
-#: wrong.
+#: arrays must be listed, and so must every module whose classes the
+#: entry's pickle references — a stale entry must become unreachable,
+#: not wrong.
 _VERSION_SOURCES = (
     "repro/gen/designs.py",
     "repro/gen/macros.py",
@@ -111,44 +127,6 @@ def store_version() -> str:
     return _STORE_VERSION_CACHE
 
 
-def _strip_compile_caches(prepared: PreparedDesign) -> Dict[str, object]:
-    """Detach the array-compile caches before pickling the graph blob.
-
-    The compiled arrays persist separately as ``.npy`` files; pickling
-    them again inside the blob would double the entry size and defeat
-    the memory-mapped load.  Returns the detached values so
-    :func:`_restore_compile_caches` can put them back on the live
-    objects (saving must not perturb the caller's caches).
-    """
-    stripped: Dict[str, object] = {}
-    flat = prepared._flat
-    if flat is not None:
-        stripped["net"] = flat.__dict__.pop("_net_arrays", None)
-        clustered = getattr(flat, "_clustered", None)
-        if clustered is not None:
-            stripped["std"] = clustered[1].__dict__.pop(
-                "_stdcell_arrays", None)
-    gseq = prepared._gseq
-    if gseq is not None:
-        stripped["tim"] = gseq.__dict__.pop("_timing_arrays", None)
-    return stripped
-
-
-def _restore_compile_caches(prepared: PreparedDesign,
-                            stripped: Dict[str, object]) -> None:
-    """Reattach the caches detached by :func:`_strip_compile_caches`."""
-    flat = prepared._flat
-    if flat is not None:
-        if stripped.get("net") is not None:
-            flat._net_arrays = stripped["net"]
-        clustered = getattr(flat, "_clustered", None)
-        if clustered is not None and stripped.get("std") is not None:
-            clustered[1]._stdcell_arrays = stripped["std"]
-    gseq = prepared._gseq
-    if gseq is not None and stripped.get("tim") is not None:
-        gseq._timing_arrays = stripped["tim"]
-
-
 def compile_prepared(prepared: PreparedDesign) -> None:
     """Force every derived structure and compiled array to exist.
 
@@ -163,105 +141,56 @@ def compile_prepared(prepared: PreparedDesign) -> None:
     prepared.timing_arrays
 
 
-def _array_parts(prepared: PreparedDesign):
-    """``(buffers, meta)`` per group plus the validation fingerprints."""
-    from repro.metrics import (
-        net_arrays_to_buffers,
-        stdcell_arrays_to_buffers,
-        timing_arrays_to_buffers,
-    )
-    from repro.metrics.netarrays import _fingerprint as net_fingerprint
-    from repro.placement.cluster import clustered_for
-
-    flat = prepared.flat
-    clustered = clustered_for(flat)
-    gseq = prepared.gseq
-    parts = {
-        "net": net_arrays_to_buffers(prepared.net_arrays),
-        "std": stdcell_arrays_to_buffers(prepared.stdcell_arrays),
-        "tim": timing_arrays_to_buffers(prepared.timing_arrays),
-    }
-    fingerprints = {
-        "net": list(net_fingerprint(flat)),
-        "std": len(clustered.nets),
-        "tim": [gseq.n_nodes, gseq.n_edges, len(flat.cells)],
-    }
-    return parts, fingerprints
-
-
-def install_arrays(prepared: PreparedDesign,
-                   arrays: Dict[str, Tuple[Dict[str, np.ndarray], Dict]],
-                   fingerprints: Dict) -> bool:
-    """Seed ``prepared``'s compile caches from store/shm buffers.
-
-    Validates each group's fingerprint against the live graphs first;
-    on any mismatch nothing is installed and ``False`` is returned (the
-    caller falls back to compiling).  Buffer adoption is zero-copy.
-    """
-    from repro.metrics import (
-        install_net_arrays,
-        install_stdcell_arrays,
-        install_timing_arrays,
-        net_arrays_from_buffers,
-        stdcell_arrays_from_buffers,
-        timing_arrays_from_buffers,
-    )
-    from repro.metrics.netarrays import _fingerprint as net_fingerprint
-    from repro.placement.cluster import clustered_for
-
-    flat = prepared.flat
-    clustered = clustered_for(flat)
-    gseq = prepared.gseq
-    if (list(net_fingerprint(flat)) != list(fingerprints["net"])
-            or len(clustered.nets) != fingerprints["std"]
-            or [gseq.n_nodes, gseq.n_edges, len(flat.cells)]
-            != list(fingerprints["tim"])):
-        return False
-    install_net_arrays(flat, net_arrays_from_buffers(*arrays["net"]))
-    install_stdcell_arrays(
-        clustered, stdcell_arrays_from_buffers(*arrays["std"]))
-    install_timing_arrays(
-        gseq, flat, timing_arrays_from_buffers(*arrays["tim"]))
-    return True
+def _aligned(offset: int) -> int:
+    return (offset + _ALIGN - 1) & ~(_ALIGN - 1)
 
 
 @dataclass
 class StoreEntry:
     """One loaded (or freshly saved) compiled-design entry.
 
-    ``arrays`` maps each group to its ``(buffers, meta)`` pair — on a
-    warm load the buffers are read-only ``np.memmap`` views of the
-    entry's ``.npy`` files.  ``meta`` is the entry's ``meta.json``
-    contents (fingerprints, version, design name, creation wall time).
+    ``image`` is the entry file mapped read-only (a uint8
+    ``np.memmap``); ``meta`` is the entry's ``meta.json`` contents
+    (version, design name, blob length, buffer spans, creation wall
+    time).
     """
 
     key: str
     path: Path
     meta: Dict
-    arrays: Dict[str, Tuple[Dict[str, np.ndarray], Dict]]
+    image: np.ndarray
 
     @property
     def design_name(self) -> str:
         return self.meta.get("design", "?")
 
     @property
-    def fingerprints(self) -> Dict:
-        return self.meta["fingerprints"]
+    def blob_size(self) -> int:
+        """Length of the pickle blob at the start of :attr:`image`."""
+        return int(self.meta["blob_size"])
+
+    @property
+    def spans(self) -> Tuple[Tuple[int, int], ...]:
+        """``(offset, size)`` of each out-of-band buffer in
+        :attr:`image`, in pickle order."""
+        return tuple((int(offset), int(size))
+                     for offset, size in self.meta["buffers"])
 
     def blob(self) -> bytes:
-        """The pickled prepared-graph blob (read fresh from disk)."""
-        return (self.path / "prepared.pkl").read_bytes()
+        """The pickled prepared-design blob."""
+        return self.image[:self.blob_size].tobytes()
 
     def materialize(self) -> PreparedDesign:
         """Rebuild a fully warm :class:`PreparedDesign` from this entry.
 
-        Unpickles the graph blob and installs the memory-mapped arrays
-        into its compile caches; the result evaluates placements with
-        zero ``prepare.*`` compile spans.
+        Unpickles the blob over read-only views of the mapped buffers:
+        every compiled array is adopted zero-copy, and the result
+        evaluates placements with zero ``prepare.*`` compile spans.
         """
-        prepared = pickle.loads(self.blob())
-        install_arrays(prepared, self.arrays, self.fingerprints)
-        return prepared
+        buffers = [self.image[offset:offset + size]
+                   for offset, size in self.spans]
+        return pickle.loads(self.image[:self.blob_size],
+                            buffers=buffers)
 
 
 class CompiledDesignStore:
@@ -297,7 +226,13 @@ class CompiledDesignStore:
     # -- load / save --------------------------------------------------------
 
     def load(self, key: str) -> Optional[StoreEntry]:
-        """Load entry ``key``, or ``None`` on a miss / stale entry."""
+        """Load entry ``key``, or ``None`` on a miss / stale entry.
+
+        An entry whose data file is not exactly as long as
+        ``meta.json`` says (the last buffer's end, or the blob length
+        when there is no buffer) does not load either, so a truncated
+        entry is a miss that :meth:`save` replaces.
+        """
         path = self._entry_path(key)
         meta_path = path / "meta.json"
         if not meta_path.exists():
@@ -306,58 +241,52 @@ class CompiledDesignStore:
             meta = json.loads(meta_path.read_text())
             if meta.get("version") != store_version():
                 return None
-            arrays = {}
-            for group in GROUPS:
-                manifest = meta["arrays"][group]
-                buffers = {
-                    name: np.load(path / filename, mmap_mode="r")
-                    for name, filename in manifest.items()}
-                arrays[group] = (buffers, meta["array_meta"][group])
+            spans = meta["buffers"]
+            size = (spans[-1][0] + spans[-1][1] if spans
+                    else meta["blob_size"])
+            data = path / ENTRY_FILE
+            if data.stat().st_size != size:
+                return None
+            image = np.memmap(data, mode="r")
         except (OSError, KeyError, ValueError):
             return None
-        return StoreEntry(key=key, path=path, meta=meta, arrays=arrays)
+        return StoreEntry(key=key, path=path, meta=meta, image=image)
 
     def save(self, key: str, prepared: PreparedDesign) -> StoreEntry:
         """Persist a fully compiled ``prepared`` under ``key``.
 
-        The caller's live caches are untouched: the graph blob is
-        pickled with the array caches temporarily detached, then they
-        are reattached.  The write is atomic.
+        Pickling leaves the caller's live caches untouched.  The write
+        is atomic.
         """
         with current_tracer().span("store.save", key=key[:12],
                                    design=prepared.name):
             compile_prepared(prepared)
-            parts, fingerprints = _array_parts(prepared)
+            buffers: List[pickle.PickleBuffer] = []
+            blob = pickle.dumps(prepared, protocol=5,
+                                buffer_callback=buffers.append)
             path = self._entry_path(key)
             path.parent.mkdir(parents=True, exist_ok=True)
             tmp = Path(tempfile.mkdtemp(prefix=f".tmp-{key[:8]}-",
                                         dir=path.parent))
             try:
-                manifest = {}
-                array_meta = {}
-                for group, (buffers, meta) in parts.items():
-                    manifest[group] = {}
-                    array_meta[group] = meta
-                    for name, array in buffers.items():
-                        filename = f"{group}__{name}.npy"
-                        np.save(tmp / filename,
-                                np.ascontiguousarray(array))
-                        manifest[group][name] = filename
-                stripped = _strip_compile_caches(prepared)
-                try:
-                    (tmp / "prepared.pkl").write_bytes(
-                        pickle.dumps(prepared,
-                                     protocol=pickle.HIGHEST_PROTOCOL))
-                finally:
-                    _restore_compile_caches(prepared, stripped)
+                spans = []
+                with open(tmp / ENTRY_FILE, "wb") as handle:
+                    handle.write(blob)
+                    end = len(blob)
+                    for buffer in buffers:
+                        raw = buffer.raw()
+                        offset = _aligned(end)
+                        handle.write(bytes(offset - end))
+                        handle.write(raw)
+                        spans.append([offset, raw.nbytes])
+                        end = offset + raw.nbytes
                 meta = {
                     "key": key,
                     "version": store_version(),
                     "design": prepared.name,
                     "min_bits": prepared.min_bits,
-                    "fingerprints": fingerprints,
-                    "arrays": manifest,
-                    "array_meta": array_meta,
+                    "blob_size": len(blob),
+                    "buffers": spans,
                     "created_wall": wall_seconds(),
                 }
                 (tmp / "meta.json").write_text(

@@ -73,6 +73,18 @@ class TestCommands:
         assert "Table III" in out
         assert "c1" in out
 
+    @pytest.mark.parametrize("command", ["suite", "serve"])
+    def test_store_that_is_a_file(self, command, tmp_path, monkeypatch,
+                                  capsys):
+        store = tmp_path / "not-a-dir"
+        store.write_text("")
+        monkeypatch.setattr("sys.stdin", io.StringIO(""))
+        assert main([command, "--scale", "tiny", "--designs", "c1",
+                     "--store", str(store)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("hidap: error: ")
+        assert str(store) in err
+
     def test_serve_reports_every_request(self, monkeypatch, capsys):
         requests = [
             {"design": "c1", "flow": "indeda"},

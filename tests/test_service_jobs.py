@@ -147,11 +147,17 @@ class TestShmHandoff:
         try:
             handoff = pickle.loads(pickle.dumps(owner.handoff))
             prepared = handoff.materialize()
-            entry_net, _meta = entry.arrays["net"]
-            np.testing.assert_array_equal(
-                np.asarray(prepared.net_arrays.net_offsets),
-                entry_net["net_offsets"])
-            assert not prepared.net_arrays.net_offsets.flags.writeable
+            segment = np.ndarray((entry.image.nbytes,), dtype=np.uint8,
+                                 buffer=handoff._shm.buf)
+            np.testing.assert_array_equal(segment, entry.image)
+            for record in (prepared.net_arrays, prepared.stdcell_arrays,
+                           prepared.timing_arrays):
+                arrays = [value for value in vars(record).values()
+                          if isinstance(value, np.ndarray)]
+                assert arrays, record
+                for array in arrays:
+                    assert not array.flags.writeable
+                    assert np.shares_memory(array, segment)
             handoff.close()
         finally:
             owner.unlink()

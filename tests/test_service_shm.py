@@ -25,21 +25,24 @@ from repro.service.shm import SegmentOwner, ShmHandoff, _attach, export_entry
 
 
 class FakeEntry:
-    """Minimal stand-in for a CompiledDesignStore entry."""
+    """Minimal stand-in for a CompiledDesignStore entry: a pickle blob
+    plus one out-of-band buffer, laid out as the store lays it out."""
 
     design_name = "fake-design"
-    fingerprints = {"graph": "deadbeef"}
 
     def __init__(self):
-        vals = np.arange(6, dtype=np.float64)
-        mask = np.array([1, 0, 1], dtype=np.int64)
-        self.arrays = {
-            "core": ({"vals": vals}, {"n": 6}),
-            "aux": ({"mask": mask}, {"rows": 3}),
-        }
-
-    def blob(self):
-        return pickle.dumps({"design": self.design_name})
+        buffers = []
+        blob = pickle.dumps(
+            {"design": self.design_name,
+             "vals": np.arange(6, dtype=np.float64)},
+            protocol=5, buffer_callback=buffers.append)
+        (raw,) = (buffer.raw() for buffer in buffers)
+        offset = -(-len(blob) // 64) * 64
+        self.image = np.zeros(offset + raw.nbytes, dtype=np.uint8)
+        self.image[:len(blob)] = np.frombuffer(blob, dtype=np.uint8)
+        self.image[offset:] = np.frombuffer(raw, dtype=np.uint8)
+        self.blob_size = len(blob)
+        self.spans = ((offset, raw.nbytes),)
 
 
 @pytest.fixture
@@ -58,17 +61,17 @@ def owner():
 def test_export_round_trips_arrays_readonly(owner):
     handoff = owner.handoff
     shm = _attach(handoff.segment)
-    groups = handoff.arrays(shm)
-    assert set(groups) == {"core", "aux"}
-    buffers, meta = groups["core"]
-    assert meta == {"n": 6}
-    assert np.array_equal(buffers["vals"], np.arange(6, dtype=np.float64))
-    assert not buffers["vals"].flags.writeable
+    (view,) = handoff.buffers(shm)
+    assert not view.flags.writeable
+    blob = bytes(shm.buf[:handoff.blob_size])
+    payload = pickle.loads(blob, buffers=[view])
+    vals = payload["vals"]
+    assert payload["design"] == "fake-design"
+    assert np.array_equal(vals, np.arange(6, dtype=np.float64))
+    assert not vals.flags.writeable
+    assert np.shares_memory(vals, view)
     with pytest.raises((ValueError, RuntimeError)):
-        buffers["vals"][0] = 99.0
-    blob = bytes(shm.buf[handoff.blob_offset:
-                         handoff.blob_offset + handoff.blob_size])
-    assert pickle.loads(blob) == {"design": "fake-design"}
+        vals[0] = 99.0
 
 
 def test_handoff_close_is_idempotent(owner):
@@ -123,7 +126,8 @@ def test_handoff_pickles_without_attachment(owner):
     clone = pickle.loads(pickle.dumps(handoff))
     assert clone._shm is None
     assert clone.segment == handoff.segment
-    assert clone.toc == handoff.toc
+    assert clone.spans == handoff.spans
+    assert clone.blob_size == handoff.blob_size
     assert isinstance(clone, ShmHandoff)
 
 

@@ -1,5 +1,10 @@
 """CompiledDesignStore: keys, versioning, mmap loads, materialize."""
 
+import json
+import pickletools
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -9,11 +14,7 @@ from repro.gen.designs import suite_specs
 from repro.obs import Tracer, iter_spans, use_tracer
 from repro.service import CompiledDesignStore, store_version
 from repro.service import store as store_mod
-from repro.service.store import (
-    _restore_compile_caches,
-    _strip_compile_caches,
-    compile_prepared,
-)
+from repro.service.store import ENTRY_FILE, compile_prepared
 
 
 def _spec(name="c1"):
@@ -56,35 +57,57 @@ class TestKeys:
         assert len(store_version()) == 64
         assert store_version() == store_version()
 
+    def test_salt_covers_every_pickled_module(self, tmp_path):
+        """Every ``repro`` module an entry's pickle references is a
+        salted source, and every salted source exists: an unsalted
+        module would let a stale entry unpickle into wrong objects."""
+        src_root = Path(store_mod.__file__).resolve().parents[2]
+        for relpath in store_mod._VERSION_SOURCES:
+            assert (src_root / relpath).is_file(), relpath
+        store = CompiledDesignStore(tmp_path)
+        for spec in suite_specs("tiny"):
+            blob = store.ensure_spec(spec).blob()
+            modules = {arg for _op, arg, _pos in pickletools.genops(blob)
+                       if isinstance(arg, str)
+                       and re.fullmatch(r"repro(\.\w+)+", arg)}
+            assert "repro.api.prepared" in modules, spec.name
+            for module in modules:
+                relpath = module.replace(".", "/") + ".py"
+                assert relpath in store_mod._VERSION_SOURCES, \
+                    (spec.name, module)
+
 
 class TestRoundTrip:
     def test_cold_ensure_compiles_and_saves(self, warm_store):
         store, entry = warm_store
-        assert (entry.path / "meta.json").exists()
-        assert (entry.path / "prepared.pkl").exists()
+        assert sorted(p.name for p in entry.path.iterdir()) \
+            == ["meta.json", ENTRY_FILE]
         assert entry.design_name == "c1"
 
-    def test_warm_load_is_memory_mapped(self, warm_store):
+    def test_materialize_adopts_mapped_buffers(self, warm_store):
         store, _entry = warm_store
         entry = store.load(store.key_for_spec(_spec()))
         assert entry is not None
-        buffers, _meta = entry.arrays["net"]
-        assert all(isinstance(a, np.memmap) for a in buffers.values())
-        assert all(not a.flags.writeable for a in buffers.values())
+        assert isinstance(entry.image, np.memmap)
+        assert not entry.image.flags.writeable
+        prepared = entry.materialize()
+        for record in (prepared.net_arrays, prepared.stdcell_arrays,
+                       prepared.timing_arrays):
+            arrays = [value for value in vars(record).values()
+                      if isinstance(value, np.ndarray)]
+            assert arrays, record
+            for array in arrays:
+                assert not array.flags.writeable
+                assert np.shares_memory(array, entry.image)
 
     def test_loaded_arrays_equal_fresh_compile(self, warm_store):
         store, _ = warm_store
-        entry = store.load(store.key_for_spec(_spec()))
+        prepared = store.load(store.key_for_spec(_spec())).materialize()
         fresh = prepare_design(_spec())
         compile_prepared(fresh)
-        net_buffers, _ = entry.arrays["net"]
-        np.testing.assert_array_equal(
-            net_buffers["net_offsets"],
-            np.asarray(fresh.net_arrays.net_offsets))
-        tim_buffers, _ = entry.arrays["tim"]
-        np.testing.assert_array_equal(
-            tim_buffers["edge_u"],
-            np.asarray(fresh.timing_arrays.edge_u))
+        for name in ("net_arrays", "stdcell_arrays", "timing_arrays"):
+            np.testing.assert_equal(vars(getattr(prepared, name)),
+                                    vars(getattr(fresh, name)))
 
     def test_materialize_rows_match_fresh(self, warm_store):
         from repro.service.engine import execute_cell
@@ -109,33 +132,41 @@ class TestRoundTrip:
         assert prepared.flat._net_arrays is before
         assert prepared.net_arrays is before[1]
 
-    def test_strip_restore_is_lossless(self):
-        prepared = prepare_design(_spec())
-        compile_prepared(prepared)
-        net = prepared.flat._net_arrays
-        stripped = _strip_compile_caches(prepared)
-        assert not hasattr(prepared.flat, "_net_arrays")
-        _restore_compile_caches(prepared, stripped)
-        assert prepared.flat._net_arrays is net
-
 
 def _scores(row):
     return (row.wl_meters, row.wl_norm, row.grc_percent, row.wns_percent,
             row.tns, row.macro_overlap)
 
 
+def _truncate(entry_path, region):
+    """Cut ``region`` of a saved entry short: inside the pickle blob,
+    inside the first or the last out-of-band buffer, or ``meta.json``
+    itself."""
+    if region == "meta.json":
+        victim = entry_path / "meta.json"
+        victim.write_bytes(victim.read_bytes()[:64])
+        return
+    meta = json.loads((entry_path / "meta.json").read_text())
+    cut = {"blob": meta["blob_size"] // 2,
+           "first-buffer": meta["buffers"][0][0] + 1,
+           "last-buffer": sum(meta["buffers"][-1]) - 1}[region]
+    victim = entry_path / ENTRY_FILE
+    victim.write_bytes(victim.read_bytes()[:cut])
+
+
 class TestCorruption:
-    def test_truncated_array_recompiles_with_warning(self, tmp_path):
-        """A warm entry with a truncated ``.npy`` is replaced by a
-        fresh compile (with a warning naming the key), and the repaired
+    @pytest.mark.parametrize(
+        "region", ["blob", "first-buffer", "last-buffer", "meta.json"])
+    def test_truncated_entry_recompiles_with_warning(self, tmp_path,
+                                                     region):
+        """A warm entry with a truncated file is replaced by a fresh
+        compile (with a warning naming the key), and the repaired
         entry scores the Table III flows exactly like a fresh design."""
         from repro.service.engine import execute_cell
 
         store = CompiledDesignStore(tmp_path)
         key = store.key_for_spec(_spec())
-        store.ensure_spec(_spec())
-        victim = sorted(tmp_path.rglob("net__*.npy"))[0]
-        victim.write_bytes(victim.read_bytes()[:64])
+        _truncate(store.ensure_spec(_spec()).path, region)
         assert store.load(key) is None
 
         with pytest.warns(RuntimeWarning, match=key):

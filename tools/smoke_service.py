@@ -10,7 +10,11 @@ every build:
    asserting the workers record **zero** ``prepare.*`` compile spans
    (they attach shared memory instead) and the main process saw only
    store hits;
-3. a ``PlacementService`` submit/result round-trip over the same
+3. corruption recovery through the pool: truncate the warm c1 entry
+   file, rerun the 2-worker suite and assert exactly one
+   ``RuntimeWarning`` naming the entry's key and rows equal to the
+   cold run's, then repeat step 2's warm-run checks;
+4. a ``PlacementService`` submit/result round-trip over the same
    store, asserting the rows are bit-identical to the suite's.
 
 Exits non-zero with a named assertion on any violation.
@@ -20,6 +24,7 @@ from __future__ import annotations
 
 import sys
 import tempfile
+import warnings
 
 from repro.api import (
     PlacementService,
@@ -28,7 +33,10 @@ from repro.api import (
     run_suite,
 )
 from repro.core.config import Effort
+from repro.gen.designs import suite_specs
 from repro.obs import iter_spans
+from repro.service import CompiledDesignStore
+from repro.service.store import ENTRY_FILE
 
 DESIGNS = ("c1", "c2")
 FLOWS = ("indeda", "handfp-strip")
@@ -39,9 +47,35 @@ def _key_rows(rows):
              r.wns_percent, r.tns, r.wl_norm) for r in rows]
 
 
+def _warm_run(store_dir, cold) -> None:
+    """A traced warm 2-worker suite: cold rows, zero worker compiles."""
+    trace_opts = RunOptions(seed=1, effort=Effort.FAST, trace=True)
+    warm = run_suite(scale="tiny", designs=list(DESIGNS), flows=FLOWS,
+                     options=trace_opts, workers=2, store=store_dir)
+    assert _key_rows(warm.rows) == _key_rows(cold.rows), \
+        "warm-store rows differ from cold-store rows"
+
+    worker_names = {span["name"]
+                    for payload in warm.trace[1:]
+                    for _depth, span in iter_spans(payload)}
+    compile_spans = sorted(n for n in worker_names
+                           if n.startswith("prepare."))
+    assert not compile_spans, (
+        f"warm-store workers must compile nothing, saw "
+        f"{compile_spans}")
+    assert "store.attach" in worker_names, \
+        "warm-store workers must attach shared memory"
+    main_names = {span["name"]
+                  for _depth, span in iter_spans(warm.trace[0])}
+    assert "store.hit" in main_names, "warm run must hit the store"
+    assert "store.miss" not in main_names, \
+        "warm run must not miss the store"
+    print(f"  workers attached shm; zero prepare.* spans "
+          f"({len(worker_names)} distinct worker span names)")
+
+
 def main() -> int:
     opts = RunOptions(seed=1, effort=Effort.FAST)
-    trace_opts = RunOptions(seed=1, effort=Effort.FAST, trace=True)
     with tempfile.TemporaryDirectory(prefix="hidap-smoke-store-") \
             as store_dir:
         print(f"cold 2-worker suite (populating store {store_dir})")
@@ -50,30 +84,30 @@ def main() -> int:
                          store=store_dir)
 
         print("warm 2-worker suite (traced)")
-        warm = run_suite(scale="tiny", designs=list(DESIGNS),
-                         flows=FLOWS, options=trace_opts, workers=2,
-                         store=store_dir)
-        assert _key_rows(warm.rows) == _key_rows(cold.rows), \
-            "warm-store rows differ from cold-store rows"
+        _warm_run(store_dir, cold)
 
-        worker_names = {span["name"]
-                        for payload in warm.trace[1:]
-                        for _depth, span in iter_spans(payload)}
-        compile_spans = sorted(n for n in worker_names
-                               if n.startswith("prepare."))
-        assert not compile_spans, (
-            f"warm-store workers must compile nothing, saw "
-            f"{compile_spans}")
-        assert "store.attach" in worker_names, \
-            "warm-store workers must attach shared memory"
-        main_names = {span["name"]
-                      for _depth, span in iter_spans(warm.trace[0])}
-        assert "store.hit" in main_names, \
-            "warm run must hit the store"
-        assert "store.miss" not in main_names, \
-            "warm run must not miss the store"
-        print(f"  workers attached shm; zero prepare.* spans "
-              f"({len(worker_names)} distinct worker span names)")
+        store = CompiledDesignStore(store_dir)
+        key = store.key_for_spec(
+            next(s for s in suite_specs("tiny") if s.name == "c1"))
+        victim = store.load(key).path / ENTRY_FILE
+        print(f"truncated c1 entry {victim.name}: 2-worker suite")
+        victim.write_bytes(victim.read_bytes()[:victim.stat().st_size // 2])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            repaired = run_suite(scale="tiny", designs=list(DESIGNS),
+                                 flows=FLOWS, options=opts, workers=2,
+                                 store=store_dir)
+        store_warnings = [str(w.message) for w in caught
+                          if issubclass(w.category, RuntimeWarning)]
+        assert len(store_warnings) == 1 and key in store_warnings[0], (
+            f"a truncated entry must warn once naming {key}, saw "
+            f"{store_warnings}")
+        assert _key_rows(repaired.rows) == _key_rows(cold.rows), \
+            "repaired-store rows differ from cold-store rows"
+        print("  recompiled with one warning; rows match the cold run")
+
+        print("warm 2-worker suite after the repair (traced)")
+        _warm_run(store_dir, cold)
 
         print("submit/result round-trip via PlacementService")
         with PlacementService(scale="tiny", designs=DESIGNS,
@@ -87,8 +121,8 @@ def main() -> int:
             "PlacementService rows differ from run_suite rows"
 
     print(f"PASS: {len(cold.rows)} rows bit-identical across "
-          f"cold store, warm store, and submit/result; warm workers "
-          f"compiled nothing")
+          f"cold store, warm store, a repaired store, and "
+          f"submit/result; warm workers compiled nothing")
     return 0
 
 
