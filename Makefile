@@ -34,9 +34,11 @@ analyze:
 # One verification entry point for builders and CI (the ci.yml "check"
 # job runs exactly this): lint, the repro-analyze gate, tier-1 tests
 # (tests/ only, the benchmark reproductions are excluded for speed),
-# the API smoke, and the referee benchmark — bit-identity between the
-# python oracle and the numpy kernels is the hard gate there; the >= 3x
-# speedup gate warns on loaded runners.
+# the API, trace and service smokes, the referee benchmark — bit-identity
+# between the python oracle and the numpy kernels is the hard gate
+# there; the >= 3x speedup gate warns on loaded runners — and the
+# annealing benchmark, which fails when incremental and full placements
+# differ or the expansion ratio drops below 3.
 check:
 	$(MAKE) lint
 	$(MAKE) analyze
@@ -45,6 +47,7 @@ check:
 	$(MAKE) smoke-trace
 	$(MAKE) smoke-service
 	$(MAKE) bench-referee
+	$(MAKE) bench-anneal
 
 # Fast smoke of the unified repro.api surface (registry, pipeline,
 # parallel suite).
@@ -73,8 +76,9 @@ smoke-trace:
 smoke-service:
 	python tools/smoke_service.py
 
-# Incremental-vs-full annealing cost evaluation; verifies bit-identical
-# placements and writes benchmarks/artifacts/BENCH_anneal.json.
+# Incremental-vs-full annealing cost evaluation on tiny c1+c2; fails
+# unless placements are bit-identical and the expansion ratio is >= 3,
+# and writes benchmarks/artifacts/BENCH_anneal.json.
 bench-anneal:
 	python benchmarks/bench_anneal.py
 

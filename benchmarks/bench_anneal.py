@@ -3,9 +3,9 @@
 
 Places each requested suite design twice with the HiDaP flow — once
 with ``HiDaPConfig.incremental=True`` (cached subtree shape curves,
-memoized compositions, reused budgeted sub-layouts, transposition
-table) and once with full re-evaluation — then verifies the placements
-are bit-identical and writes wall-clock and cache-hit statistics to
+memoized compositions, expression-cost transposition tables) and once
+with full re-evaluation — then verifies the placements are
+bit-identical and writes wall-clock and cache-hit statistics to
 ``benchmarks/artifacts/BENCH_anneal.json`` so future PRs have a
 performance trajectory to compare against.  Also micro-benchmarks the
 disabled-mode tracer span (the instrumentation the annealer leaves in

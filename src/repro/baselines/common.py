@@ -10,6 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.core.result import MacroPlacement, PlacedMacro
 from repro.geometry.orientation import Orientation
 from repro.geometry.rect import Point, Rect
@@ -137,7 +139,8 @@ def order_cost(order: Sequence[int], rects: Sequence[Rect],
                matrix: Sequence[Sequence[float]],
                port_pulls: Sequence[List[Tuple[Point, float]]]) -> float:
     """Affinity-weighted distance of a packing (macro indices in
-    ``order`` occupy ``rects`` positionally)."""
+    ``order`` occupy ``rects`` positionally); :class:`OrderCost` is
+    the vectorized form the baselines use."""
     centers = [r.center for r in rects]
     pos_of = {m: centers[slot] for slot, m in enumerate(order)}
     total = 0.0
@@ -155,6 +158,48 @@ def order_cost(order: Sequence[int], rects: Sequence[Rect],
     return total
 
 
+class OrderCost:
+    """:func:`order_cost` compiled for one ``matrix`` and ``port_pulls``.
+
+    Every term is computed with the reference's IEEE expression and laid
+    out in its visit order — slot ``si``'s pairs with the later slots,
+    then its macro's port pulls — with exact zeros for skipped pairs and
+    padding; the row-major sequence is reduced left to right, so a call
+    is bit-identical to :func:`order_cost`.
+    """
+
+    def __init__(self, matrix: Sequence[Sequence[float]],
+                 port_pulls: Sequence[List[Tuple[Point, float]]]):
+        n = len(port_pulls)
+        m = np.array(matrix, dtype=float, ndmin=2)[:n, :n]
+        self._sym = m + m.T
+        width = max((len(pulls) for pulls in port_pulls), default=0)
+        self._port_a = np.zeros((n, width))
+        self._port_x = np.zeros((n, width))
+        self._port_y = np.zeros((n, width))
+        for i, pulls in enumerate(port_pulls):
+            for k, (p, a) in enumerate(pulls):
+                self._port_a[i, k] = a
+                self._port_x[i, k] = p.x
+                self._port_y[i, k] = p.y
+
+    def __call__(self, order: Sequence[int], rects: Sequence[Rect]
+                 ) -> float:
+        if not order:
+            return 0.0
+        slots = np.asarray(order, dtype=np.intp)
+        cx = np.array([r.x + r.w / 2.0 for r in rects])
+        cy = np.array([r.y + r.h / 2.0 for r in rects])
+        a = self._sym[np.ix_(slots, slots)]
+        dist = np.abs(cx[:, None] - cx) + np.abs(cy[:, None] - cy)
+        pairs = np.triu(np.where(a > 0, a * dist, 0.0), 1)
+        ports = self._port_a[slots] * (
+            np.abs(cx[:, None] - self._port_x[slots])
+            + np.abs(cy[:, None] - self._port_y[slots]))
+        terms = np.concatenate([pairs, ports], axis=1).ravel()
+        return float(np.add.accumulate(terms)[-1])
+
+
 def refine_order(order: List[int],
                  repack,
                  matrix: Sequence[Sequence[float]],
@@ -165,8 +210,9 @@ def refine_order(order: List[int],
     ``repack(order)`` must return the rect list for an order.  Accepts
     any swap that lowers the cost; repeats up to ``passes`` sweeps.
     """
+    cost_of = OrderCost(matrix, port_pulls)
     rects = repack(order)
-    best_cost = order_cost(order, rects, matrix, port_pulls)
+    best_cost = cost_of(order, rects)
     n = len(order)
     for _ in range(passes):
         improved = False
@@ -175,7 +221,7 @@ def refine_order(order: List[int],
                 b = a + stride
                 order[a], order[b] = order[b], order[a]
                 cand_rects = repack(order)
-                cost = order_cost(order, cand_rects, matrix, port_pulls)
+                cost = cost_of(order, cand_rects)
                 if cost < best_cost - 1e-9:
                     best_cost = cost
                     rects = cand_rects

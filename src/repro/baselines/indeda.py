@@ -69,7 +69,7 @@ def place_indeda(design, die_w: float, die_h: float,
     :class:`repro.api.prepared.PreparedDesign`) to avoid rebuilding
     them; they must belong to the same flattened design.
     """
-    from repro.baselines.common import order_cost
+    from repro.baselines.common import OrderCost
 
     start = perf_seconds()
     flat = design if isinstance(design, FlatDesign) else flatten(design)
@@ -105,9 +105,8 @@ def place_indeda(design, die_w: float, die_h: float,
     for k in range(0, max(1, n), max(1, n // 8)):
         candidates.append(order[k:] + order[:k])
     candidates.append(list(reversed(order)))
-    order = min(candidates,
-                key=lambda o: order_cost(o, repack(o), matrix,
-                                         port_pulls))
+    cost_of = OrderCost(matrix, port_pulls)
+    order = min(candidates, key=lambda o: cost_of(o, repack(o)))
 
     order, rects = refine_order(order, repack, matrix, port_pulls,
                                 passes=refinement_passes)

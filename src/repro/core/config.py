@@ -57,9 +57,9 @@ class HiDaPConfig:
     #: routing/keepout room around macro layouts.
     curve_inflation: float = 1.08
     #: Incremental cost evaluation in both annealing problems (cached
-    #: subtree shape curves, memoized compositions, reused budgeted
-    #: sub-layouts).  Bit-identical to full re-evaluation under a fixed
-    #: seed; disable only to cross-check that claim.
+    #: subtree shape curves, memoized compositions and expression
+    #: costs).  Bit-identical to full re-evaluation under a fixed seed;
+    #: disable only to cross-check that claim.
     incremental: bool = True
     #: Run the macro-flipping orientation post-pass.
     flipping: bool = True

@@ -12,7 +12,6 @@ moving area between siblings at increasing penalty severity
 from repro.floorplan.blocks import Block, Terminal
 from repro.floorplan.budget import (
     BudgetReport,
-    SubLayout,
     budgeted_layout,
 )
 from repro.floorplan.cost import CostModel, CostWeights
@@ -26,7 +25,6 @@ from repro.floorplan.engine import (
 __all__ = [
     "Block",
     "BudgetReport",
-    "SubLayout",
     "CostModel",
     "CostWeights",
     "LayoutConfig",

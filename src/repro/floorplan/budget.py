@@ -14,14 +14,10 @@ the slice ``tokens[lo:hi]``, see :mod:`repro.slicing.tree`), splits each
 at the right-operand start that one
 :func:`~repro.slicing.tree.slice_starts` pass found, and asks a
 :class:`~repro.slicing.tree.SubtreeCache` for the children's 〈Γ, a_m,
-a_t〉 at each split; the root's own curve is never needed.  The
-expansion of one subtree depends only on its slice and the rectangle it
-receives, so sub-layouts are memoizable: a memo keyed by ``(slice,
-rect)`` lets the annealing engine reuse the budgeted layout of every
-subtree a perturbation did not touch.  Violation accounting is kept as
-per-node contribution sequences and folded left-to-right in depth-first
-order at the end, so memoized and full evaluation produce bit-identical
-deficits.
+a_t〉 at each split; the root's own curve is never needed.  Leaf
+rectangles and per-node deficit contributions are appended to flat
+lists in pre-order (node, left, right) and each deficit is folded with
+one ``sum`` at the end.
 """
 
 from __future__ import annotations
@@ -31,7 +27,6 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.floorplan.blocks import Block
 from repro.geometry.rect import Rect
-from repro.memo import BoundedStore
 from repro.shapecurve.curve import MAX_POINTS, ShapeCurve
 from repro.slicing.polish import H, PolishExpression, Token
 from repro.slicing.tree import EvalStats, SubtreeCache, slice_starts
@@ -50,9 +45,9 @@ class BudgetReport:
     macro_deficit: float = 0.0     # macros do not fit (relative shortfall)
     repairs: int = 0               # how many sibling area moves happened
     leaf_rects: Dict[int, Rect] = field(default_factory=dict)
-    #: ``block -> (cx, cy)`` rectangle centers, carried from the cached
-    #: sub-layouts so the cost model's distance term does not recompute
-    #: them per evaluation.  Values equal ``leaf_rects[b].center``.
+    #: ``block -> (cx, cy)`` rectangle centers, recorded during the
+    #: expansion so the cost model's distance term does not recompute
+    #: them.  Values equal ``leaf_rects[b].center``.
     leaf_centers: Dict[int, Tuple[float, float]] = field(
         default_factory=dict)
 
@@ -61,25 +56,19 @@ class BudgetReport:
         return self.macro_deficit <= 1e-9 and self.min_deficit <= 1e-9
 
 
-@dataclass(frozen=True)
-class SubLayout:
-    """The budgeted expansion of one subtree inside one rectangle.
+class _Flat:
+    """The pre-order accumulator of one expansion."""
 
-    ``rects`` lists ``(block, rect)`` pairs and the ``*_contribs``
-    tuples list per-node deficit contributions, both in depth-first
-    (parent, left, right) order — the exact order the historical
-    recursive accumulator produced them in, which is what keeps cached
-    folds bit-identical to full evaluation.  ``centers`` caches each
-    leaf rectangle's ``(block, cx, cy)`` center so repeated cost
-    evaluations (and the distance kernel) never recompute it.
-    """
+    __slots__ = ("rects", "centers", "target", "minimum", "macro",
+                 "repairs")
 
-    rects: Tuple[Tuple[int, Rect], ...]
-    centers: Tuple[Tuple[int, float, float], ...]
-    target_contribs: Tuple[float, ...]
-    min_contribs: Tuple[float, ...]
-    macro_contribs: Tuple[float, ...]
-    repairs: int
+    def __init__(self) -> None:
+        self.rects: Dict[int, Rect] = {}
+        self.centers: Dict[int, Tuple[float, float]] = {}
+        self.target: List[float] = []
+        self.minimum: List[float] = []
+        self.macro: List[float] = []
+        self.repairs = 0
 
 
 def block_subtrees(blocks: List[Block], limit: int = MAX_POINTS,
@@ -131,9 +120,9 @@ def _area_violation(area_min: float, area_target: float, got_area: float
     return target, minimum
 
 
-def _leaf_layout(index: int, rect: Rect, blocks: List[Block]) -> SubLayout:
+def _leaf(index: int, rect: Rect, blocks: List[Block], out: _Flat
+          ) -> None:
     block = blocks[index]
-    macro = ()
     if not block.curve.feasible(rect.w, rect.h):
         # Relative shortfall of the best curve point vs the rect.
         best = 1e18
@@ -144,107 +133,84 @@ def _leaf_layout(index: int, rect: Rect, blocks: List[Block]) -> SubLayout:
             best = min(best, shortfall / ref)
         if block.curve.is_trivial:
             best = 0.0
-        macro = (min(best, 4.0),)
+        out.macro.append(min(best, 4.0))
     target, minimum = _area_violation(block.area_min, block.area_target,
                                       rect.area)
-    return SubLayout(
-        rects=((index, rect),),
-        centers=((index, rect.x + rect.w / 2.0, rect.y + rect.h / 2.0),),
-        target_contribs=(target,) if target else (),
-        min_contribs=(minimum,) if minimum else (),
-        macro_contribs=macro,
-        repairs=0)
+    if target:
+        out.target.append(target)
+    if minimum:
+        out.minimum.append(minimum)
+    out.rects[index] = rect
+    out.centers[index] = (rect.x + rect.w / 2.0, rect.y + rect.h / 2.0)
 
 
 def _expand(tokens: Tuple[Token, ...], starts: List[int], lo: int, hi: int,
             rect: Rect, blocks: List[Block], subtrees: SubtreeCache,
-            memo: Optional[BoundedStore], stats: EvalStats) -> SubLayout:
-    """Expand the subtree ``tokens[lo:hi]`` into ``rect``, memoized.
+            out: _Flat, stats: EvalStats) -> None:
+    """Expand the subtree ``tokens[lo:hi]`` into ``rect``, appending to
+    ``out``.
 
     ``starts`` is :func:`~repro.slicing.tree.slice_starts` of
     ``tokens``: the right operand begins at ``starts[hi - 2]``.
     """
-    if memo is not None:
-        key = (tokens[lo:hi], rect.x, rect.y, rect.w, rect.h)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
     stats.layout_nodes_expanded += 1
-
     if hi - lo == 1:
-        sub = _leaf_layout(tokens[lo], rect, blocks)
+        _leaf(tokens[lo], rect, blocks, out)
+        return
+
+    split = starts[hi - 2]
+    left_curve, _, left_target = subtrees.annotation(tokens, lo, split)
+    right_curve, _, right_target = subtrees.annotation(tokens, split, hi - 1)
+    horizontal_split = tokens[hi - 1] != H  # V cut -> side by side
+    total_target = max(left_target + right_target, 1e-12)
+    if horizontal_split:
+        span, across = rect.w, rect.h
     else:
-        split = starts[hi - 2]
-        left_curve, _, left_target = subtrees.annotation(tokens, lo, split)
-        right_curve, _, right_target = subtrees.annotation(
-            tokens, split, hi - 1)
-        horizontal_split = tokens[hi - 1] != H  # V cut -> side by side
-        total_target = max(left_target + right_target, 1e-12)
-        if horizontal_split:
-            span, across = rect.w, rect.h
-        else:
-            span, across = rect.h, rect.w
+        span, across = rect.h, rect.w
 
-        left_share = span * left_target / total_target
-        left_min = _min_side(left_curve, across, horizontal_split)
-        right_min = _min_side(right_curve, across, horizontal_split)
+    left_share = span * left_target / total_target
+    left_min = _min_side(left_curve, across, horizontal_split)
+    right_min = _min_side(right_curve, across, horizontal_split)
 
-        own_macro: Tuple[float, ...] = ()
-        repairs = 0
-        if left_min + right_min > span + 1e-9:
-            # Even yielding all sibling area cannot fit both macro sets:
-            # split proportionally to the minimum needs and charge the
-            # relative overflow as a macro violation.  A subtree that
-            # fits at no width reports an infinite need; cap it at the
-            # span so the proportional split stays finite.
-            overflow = (left_min + right_min - span) / max(span, 1e-12)
-            own_macro = (min(overflow, 4.0),)
-            repairs = 1
-            lm = min(left_min, span)
-            rm = min(right_min, span)
-            denom = max(lm + rm, 1e-12)
-            left_share = span * (lm / denom)
-        else:
-            low = left_min
-            high = span - right_min
-            clamped = min(max(left_share, low), high)
-            if abs(clamped - left_share) > 1e-12:
-                repairs = 1
-            left_share = clamped
+    if left_min + right_min > span + 1e-9:
+        # Even yielding all sibling area cannot fit both macro sets:
+        # split proportionally to the minimum needs and charge the
+        # relative overflow as a macro violation.  A subtree that
+        # fits at no width reports an infinite need; cap it at the
+        # span so the proportional split stays finite.
+        overflow = (left_min + right_min - span) / max(span, 1e-12)
+        out.macro.append(min(overflow, 4.0))
+        out.repairs += 1
+        lm = min(left_min, span)
+        rm = min(right_min, span)
+        denom = max(lm + rm, 1e-12)
+        left_share = span * (lm / denom)
+    else:
+        low = left_min
+        high = span - right_min
+        clamped = min(max(left_share, low), high)
+        if abs(clamped - left_share) > 1e-12:
+            out.repairs += 1
+        left_share = clamped
 
-        # Guard float noise: shares live in [0, span] exactly.
-        left_share = min(max(left_share, 0.0), span)
-        right_share = max(span - left_share, 0.0)
-        if horizontal_split:
-            left_rect = Rect(rect.x, rect.y, left_share, rect.h)
-            right_rect = Rect(rect.x + left_share, rect.y,
-                              right_share, rect.h)
-        else:
-            left_rect = Rect(rect.x, rect.y, rect.w, left_share)
-            right_rect = Rect(rect.x, rect.y + left_share,
-                              rect.w, right_share)
+    # Guard float noise: shares live in [0, span] exactly.
+    left_share = min(max(left_share, 0.0), span)
+    right_share = max(span - left_share, 0.0)
+    if horizontal_split:
+        left_rect = Rect(rect.x, rect.y, left_share, rect.h)
+        right_rect = Rect(rect.x + left_share, rect.y, right_share, rect.h)
+    else:
+        left_rect = Rect(rect.x, rect.y, rect.w, left_share)
+        right_rect = Rect(rect.x, rect.y + left_share, rect.w, right_share)
 
-        left = _expand(tokens, starts, lo, split, left_rect, blocks,
-                       subtrees, memo, stats)
-        right = _expand(tokens, starts, split, hi - 1, right_rect, blocks,
-                        subtrees, memo, stats)
-        sub = SubLayout(
-            rects=left.rects + right.rects,
-            centers=left.centers + right.centers,
-            target_contribs=left.target_contribs + right.target_contribs,
-            min_contribs=left.min_contribs + right.min_contribs,
-            macro_contribs=(own_macro + left.macro_contribs
-                            + right.macro_contribs),
-            repairs=repairs + left.repairs + right.repairs)
-
-    if memo is not None:
-        memo.put(key, sub)
-    return sub
+    _expand(tokens, starts, lo, split, left_rect, blocks, subtrees, out,
+            stats)
+    _expand(tokens, starts, split, hi - 1, right_rect, blocks, subtrees,
+            out, stats)
 
 
 def budgeted_layout(expr: PolishExpression, region: Rect,
                     blocks: List[Block], subtrees: SubtreeCache,
-                    memo: Optional[BoundedStore] = None,
                     stats: Optional[EvalStats] = None) -> BudgetReport:
     """Assign every leaf block a rectangle inside ``region``.
 
@@ -254,22 +220,15 @@ def budgeted_layout(expr: PolishExpression, region: Rect,
     and the violation accounting used by the cost model; rectangles
     always tile ``region`` exactly.  Each expanded node counts into
     ``stats.layout_nodes_expanded``.
-
-    With a ``memo`` (a :class:`~repro.memo.BoundedStore` kept for one
-    evaluation context), unchanged subtrees reuse their previous
-    expansion; the report is bit-identical to the unmemoized one
-    (``sum`` folds the contributions left-to-right in depth-first order,
-    the historical accumulation order).
     """
     tokens = tuple(expr.tokens)
-    sub = _expand(tokens, slice_starts(tokens), 0, len(tokens), region,
-                  blocks, subtrees, memo,
-                  stats if stats is not None else EvalStats())
+    out = _Flat()
+    _expand(tokens, slice_starts(tokens), 0, len(tokens), region, blocks,
+            subtrees, out, stats if stats is not None else EvalStats())
     return BudgetReport(
-        target_deficit=sum(sub.target_contribs),
-        min_deficit=sum(sub.min_contribs),
-        macro_deficit=sum(sub.macro_contribs),
-        repairs=sub.repairs,
-        leaf_rects=dict(sub.rects),
-        leaf_centers={block: (cx, cy)
-                      for block, cx, cy in sub.centers})
+        target_deficit=sum(out.target),
+        min_deficit=sum(out.minimum),
+        macro_deficit=sum(out.macro),
+        repairs=out.repairs,
+        leaf_rects=out.rects,
+        leaf_centers=out.centers)

@@ -101,7 +101,7 @@ class CostModel:
         """Affinity-weighted sum of Manhattan center distances.
 
         ``centers`` optionally passes pre-computed ``(cx, cy)`` block
-        centers (e.g. the ones cached on budgeted sub-layouts) so the
+        centers (e.g. ``BudgetReport.leaf_centers``) so the
         evaluation skips recomputing every rectangle center; values
         must equal ``rect.center`` of the corresponding rectangle.  The
         sum is the NumPy referee's ``affinity_distance`` kernel, which
@@ -125,9 +125,8 @@ class CostModel:
     def cost(self, report: BudgetReport) -> float:
         """The paper's objective for one budgeted layout.
 
-        Uses the centers cached on the report's sub-layouts (when the
-        report carries them) instead of recomputing every rectangle
-        center per evaluation.
+        Uses the centers recorded on the report (when it carries them)
+        instead of recomputing every rectangle center.
         """
         term = self.distance_term(report.leaf_rects,
                                   centers=report.leaf_centers or None)

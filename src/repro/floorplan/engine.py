@@ -8,15 +8,15 @@ a direct assignment.
 
 Cost evaluation is **incremental** by default (``LayoutConfig.incremental``):
 a whole-expression transposition table short-circuits re-proposed
-candidates, a :class:`~repro.slicing.tree.SubtreeCache` reuses the
+candidates, and a :class:`~repro.slicing.tree.SubtreeCache` reuses the
 composed shape curves and area annotations of every token slice
-(subtree) a perturbation did not touch, and a ``(slice, rect)`` memo
-reuses their budgeted sub-layouts.  The expression's token tuple is the
-tree: nothing is built per move.  All three caches return exactly what
-full re-evaluation would compute, so results are bit-identical under a
-fixed seed — the ``incremental=False`` fallback, which starts every
-evaluation from a fresh subtree cache and no memo, exists for
-cross-checking, not because the answers differ.
+(subtree) a perturbation did not touch; every other candidate is
+expanded in full.  The expression's token tuple is the tree: nothing is
+built per move.  Both caches return exactly what full re-evaluation
+would compute, so results are bit-identical under a fixed seed — the
+``incremental=False`` fallback, which starts every evaluation from a
+fresh subtree cache and no cost memo, exists for cross-checking, not
+because the answers differ.
 :class:`~repro.slicing.tree.EvalStats` counters on the
 :class:`LayoutResult` report how much work was saved.
 """
@@ -72,7 +72,7 @@ class LayoutConfig:
     final_curve_limit: int = 32
     anneal: AnnealConfig = None
     restarts: int = 2
-    #: Reuse cached subtree curves/areas and budgeted sub-layouts
+    #: Reuse memoized expression costs and cached subtree curves/areas
     #: between cost evaluations.  Bit-identical to full re-evaluation
     #: under a fixed seed; disable only to cross-check that claim.
     incremental: bool = True
@@ -110,12 +110,11 @@ class LayoutEvaluator:
     """Expression -> budgeted layout/cost, optionally incremental.
 
     One evaluator serves one (problem, curve limit) context.  In
-    incremental mode it keeps three cooperating caches — a
-    whole-expression cost transposition table, the per-slice
-    curve/area annotations and the per-(slice, rect) budgeted
-    sub-layouts — which count their effect into ``stats``.  All cached
-    values equal what full evaluation computes, so the two modes yield
-    bit-identical costs and layouts.
+    incremental mode it keeps two caches — a whole-expression cost
+    transposition table and the per-slice curve/area annotations —
+    which count their effect into ``stats``.  Cached values equal what
+    full evaluation computes, so the two modes yield bit-identical
+    costs and layouts.
     """
 
     def __init__(self, problem: LayoutProblem, model: CostModel,
@@ -126,11 +125,10 @@ class LayoutEvaluator:
         self.curve_limit = curve_limit
         self.stats = stats if stats is not None else EvalStats()
         self._n_nodes = max(1, 2 * len(problem.blocks) - 1)
-        self._subtrees = self._layouts = self._costs = None
+        self._subtrees = self._costs = None
         if incremental:
             self._subtrees = block_subtrees(problem.blocks, curve_limit,
                                             self.stats)
-            self._layouts = BoundedStore()
             self._costs = BoundedStore()
 
     def report(self, expr: PolishExpression) -> BudgetReport:
@@ -141,8 +139,7 @@ class LayoutEvaluator:
         if subtrees is None:
             subtrees = block_subtrees(self.problem.blocks, self.curve_limit)
         return budgeted_layout(expr, self.problem.region,
-                               self.problem.blocks, subtrees,
-                               self._layouts, self.stats)
+                               self.problem.blocks, subtrees, self.stats)
 
     def cost(self, expr: PolishExpression) -> float:
         """The annealing objective; memoized per expression."""
@@ -177,7 +174,9 @@ def generate_layout(problem: LayoutProblem,
     config = config or LayoutConfig()
     with current_tracer().span("layout", blocks=len(problem.blocks)) as span:
         result = _generate_layout(problem, config)
-        span.set(penalty=result.penalty, is_legal=result.is_legal)
+        span.set(penalty=result.penalty, is_legal=result.is_legal,
+                 cost_hits=result.stats.cost_cache_hits,
+                 expanded=result.stats.layout_nodes_expanded)
         return result
 
 

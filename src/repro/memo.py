@@ -1,8 +1,8 @@
 """Bounded deterministic memo store for the incremental evaluators.
 
 Every incremental-evaluation cache (pairwise curve composition, subtree
-annotations, budgeted sub-layouts, whole-expression transposition
-tables) is or wraps this store.  It is a ``dict`` subclass — lookups
+annotations, whole-expression transposition tables) is or wraps this
+store.  It is a ``dict`` subclass — lookups
 are the builtin ``dict.get``, the annealer's hottest call — with one
 policy on insertion: :meth:`BoundedStore.put` clears the store wholesale
 once ``max_entries`` is reached.  Unlike LRU eviction, a full clear

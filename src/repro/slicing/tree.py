@@ -171,8 +171,9 @@ class EvalStats:
       entire evaluation was skipped);
     * ``layout_nodes_total`` / ``layout_nodes_expanded`` — slicing-tree
       nodes a full evaluator would have expanded vs. the nodes
-      actually expanded: budgeted into rectangles by the layout engine,
-      composed by the shape-curve search (which has no budgeting step);
+      actually expanded: the layout engine budgets every node of every
+      evaluation that misses the transposition table, the shape-curve
+      search composes only subtrees missing from its cache;
     * ``subtree_hits`` / ``subtree_misses`` — :class:`SubtreeCache`
       lookups that ended on a cached subtree (its descendants are not
       visited) vs. subtrees actually annotated;
@@ -199,13 +200,6 @@ class EvalStats:
 
     def as_dict(self) -> Dict[str, int]:
         return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @property
-    def expansion_ratio(self) -> float:
-        """How many times fewer nodes were expanded than full eval."""
-        if self.layout_nodes_expanded <= 0:
-            return float("inf") if self.layout_nodes_total else 1.0
-        return self.layout_nodes_total / self.layout_nodes_expanded
 
 
 class SubtreeCache:

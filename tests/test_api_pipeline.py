@@ -151,8 +151,9 @@ class TestLegalizeStage:
     def test_trace_reports_moves_and_level_legality(self):
         """Tiny c2 at λ=0.2 needs the safety net.  A traced run counts
         its moves as ``legalize_moves``, every ``layout`` span records
-        the chosen layout's penalty and legality, and the row equals
-        the untraced one."""
+        the chosen layout's penalty and legality, its cost-memo hits
+        and the nodes it budgeted (all 2n - 1 per memo miss), and the
+        row equals the untraced one."""
         from repro.api import prepare_suite_design
         from repro.obs import iter_spans
 
@@ -174,6 +175,11 @@ class TestLegalizeStage:
         assert all(attrs["penalty"] >= 1.0
                    and isinstance(attrs["is_legal"], bool)
                    for attrs in layouts)
+        assert any(attrs["cost_hits"] > 0 for attrs in layouts)
+        for attrs in layouts:
+            n_nodes = 2 * attrs["blocks"] - 1
+            assert attrs["expanded"] >= n_nodes
+            assert attrs["expanded"] % n_nodes == 0
         assert _row_key(traced_row) == _row_key(row)
 
 

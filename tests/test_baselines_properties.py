@@ -1,9 +1,11 @@
 """Property-based tests for the baseline packing machinery."""
 
+import random
+
 from hypothesis import given, settings, strategies as st
 
-from repro.baselines.common import pack_perimeter
-from repro.geometry.rect import Rect, total_overlap_area
+from repro.baselines.common import OrderCost, order_cost, pack_perimeter
+from repro.geometry.rect import Point, Rect, total_overlap_area
 
 dims_strategy = st.lists(
     st.tuples(st.floats(min_value=1.0, max_value=12.0),
@@ -46,3 +48,30 @@ class TestPackPerimeterProperties:
         assert a == b
         swapped = pack_perimeter(die, [dims[1], dims[0], dims[2]])
         assert swapped != a
+
+
+class TestOrderCostProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=0, max_value=30),
+           st.integers(min_value=0, max_value=4),
+           st.integers(min_value=0, max_value=10 ** 6))
+    def test_compiled_equals_reference(self, n, n_ports, seed):
+        """The vectorized cost equals the reference loop bit for bit on
+        sparse affinity, for whole orders and for strip-style subsets."""
+        rng = random.Random(seed)
+        size = n + n_ports
+        matrix = [[rng.uniform(0.0, 3.0) if rng.random() < 0.3 else 0.0
+                   for _ in range(size)] for _ in range(size)]
+        port_pulls = [[(Point(rng.uniform(0, 50), rng.uniform(0, 50)),
+                        matrix[i][n + t] + matrix[n + t][i])
+                       for t in range(n_ports)
+                       if matrix[i][n + t] + matrix[n + t][i] > 0]
+                      for i in range(n)]
+        cost = OrderCost(matrix, port_pulls)
+        die = Rect(0, 0, 200, 200)
+        dims = [(rng.uniform(1, 12), rng.uniform(1, 12)) for _ in range(n)]
+        for _ in range(5):
+            order = rng.sample(range(n), rng.randint(0, n))
+            rects = pack_perimeter(die, [dims[m] for m in order])
+            assert cost(order, rects) \
+                == order_cost(order, rects, matrix, port_pulls)

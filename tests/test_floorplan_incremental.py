@@ -1,11 +1,11 @@
 """Incremental vs full cost evaluation must be bit-identical.
 
 The incremental engine (transposition table + cached subtree
-annotations + reused budgeted sub-layouts) is a pure speedup: under a
-fixed seed it must return exactly the layouts, expressions and costs of
-full re-evaluation.  These tests lock that in at the layout-engine
-level on problems derived from two generated suite designs, and at the
-whole-flow level on the smallest suite design.
+annotations) is a pure speedup: under a fixed seed it must return
+exactly the layouts, expressions and costs of full re-evaluation.
+These tests lock that in at the budget-report and layout-engine levels
+on generated problems and on problems derived from two suite designs,
+and at the whole-flow level on the smallest suite design.
 """
 
 from __future__ import annotations
@@ -18,9 +18,15 @@ from hypothesis import given, settings, strategies as st
 from repro.core.config import Effort, HiDaPConfig
 from repro.core.hidap import HiDaP
 from repro.floorplan.blocks import Block, Terminal
-from repro.floorplan.engine import LayoutConfig, LayoutProblem, generate_layout
+from repro.floorplan.cost import CostModel
+from repro.floorplan.engine import (
+    LayoutConfig,
+    LayoutEvaluator,
+    LayoutProblem,
+    generate_layout,
+)
 from repro.gen.designs import build_design, suite_specs
-from repro.geometry.rect import Point, Rect
+from repro.geometry.rect import Point, Rect, total_overlap_area
 from repro.netlist.flatten import flatten
 from repro.shapecurve.curve import ShapeCurve
 from repro.shapecurve.generation import ShapeGenConfig, curve_for_macros
@@ -78,15 +84,18 @@ class TestEngineEquivalence:
         assert inc.rects == full.rects
 
     def test_incremental_actually_reuses(self):
-        problem = _problem_from_design(0)
-        result = generate_layout(problem,
-                                 LayoutConfig(seed=3, incremental=True))
-        stats = result.stats
-        assert stats is not None
-        assert stats.cost_evals > 0
-        assert stats.layout_nodes_expanded < stats.layout_nodes_total
-        assert stats.subtree_hits > 0
-        assert stats.expansion_ratio > 1.0
+        """Every evaluation that misses the cost memo budgets all
+        2n - 1 nodes; the saving is the memo hits and subtree hits."""
+        for spec_index in (0, 1):   # c1, c2
+            problem = _problem_from_design(spec_index)
+            result = generate_layout(problem,
+                                     LayoutConfig(seed=3, incremental=True))
+            stats = result.stats
+            n_nodes = 2 * len(problem.blocks) - 1
+            assert stats.layout_nodes_expanded == (
+                stats.cost_evals - stats.cost_cache_hits) * n_nodes
+            assert stats.cost_cache_hits > 0
+            assert stats.subtree_hits > 0
 
     def test_full_eval_expands_everything(self):
         problem = _problem_from_design(0)
@@ -238,6 +247,58 @@ class TestRandomProblemEquivalence:
         assert full.stats.subtree_hits == full.stats.subtree_misses == 0
 
 
+#: One block: rigid (a three-point macro curve) or a trivial soft block,
+#: with a base width and height.
+_BLOCK = st.tuples(st.booleans(), st.floats(1.0, 8.0), st.floats(1.0, 8.0))
+
+
+class TestReportIdentity:
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(_BLOCK, min_size=2, max_size=9),
+           st.floats(0.7, 1.6), st.floats(0.4, 2.5),
+           st.integers(min_value=0, max_value=10 ** 6))
+    def test_warm_report_equals_fresh_full(self, shapes, slack, aspect,
+                                           seed):
+        """Along a perturbation walk, one warm incremental evaluator
+        reports every expression exactly as a fresh full one does."""
+        blocks = []
+        for i, (rigid, w, h) in enumerate(shapes):
+            curve = (ShapeCurve([(w, h), (w * 1.7, h * 0.5),
+                                 (w * 0.6, h * 1.8)])
+                     if rigid else ShapeCurve.trivial())
+            blocks.append(Block(index=i, name=f"b{i}", curve=curve,
+                                area_min=w * h,
+                                area_target=w * h * 1.3))
+        side = (sum(b.area_target for b in blocks) * slack) ** 0.5
+        region = Rect(0.0, 0.0, side * aspect ** 0.5, side / aspect ** 0.5)
+        n = len(blocks)
+        problem = LayoutProblem(region=region, blocks=blocks,
+                                affinity=[[0.0] * n for _ in range(n)])
+        model = CostModel(blocks, [], problem.affinity)
+        warm = LayoutEvaluator(problem, model, 6, incremental=True)
+        rng = random.Random(seed)
+        expr = PolishExpression.initial(n, rng)
+        for _ in range(30):
+            inc = warm.report(expr)
+            full = LayoutEvaluator(problem, model, 6,
+                                   incremental=False).report(expr)
+            assert inc.target_deficit == full.target_deficit
+            assert inc.min_deficit == full.min_deficit
+            assert inc.macro_deficit == full.macro_deficit
+            assert inc.repairs == full.repairs
+            assert inc.leaf_rects == full.leaf_rects
+            assert inc.leaf_centers == full.leaf_centers
+            rects = list(inc.leaf_rects.values())
+            assert len(rects) == n
+            assert all(region.contains_rect(r, tol=1e-6) for r in rects)
+            assert sum(r.area for r in rects) \
+                == pytest.approx(region.area, rel=1e-9)
+            assert total_overlap_area(rects) \
+                == pytest.approx(0.0, abs=1e-6 * region.area)
+            perturb(expr, rng)
+        assert warm.stats.subtree_hits > 0
+
+
 class TestFlowEquivalence:
     def test_hidap_placements_identical(self, tiny_c1, tiny_c1_flat):
         _design, _truth, die_w, die_h = tiny_c1
@@ -258,7 +319,9 @@ class TestFlowEquivalence:
         assert inc_key == full_key
         # Both ran the same search...
         assert inc_counters["cost_evals"] == full_counters["cost_evals"]
-        # ...but the incremental one expanded far fewer layout nodes.
+        # ...but the incremental one expanded far fewer nodes: the cost
+        # memo skips re-proposed layouts and the shape-curve search
+        # reuses cached subtrees.
         assert inc_counters["layout_nodes_expanded"] * 2 \
             < full_counters["layout_nodes_expanded"]
         assert full_counters["layout_nodes_expanded"] \
