@@ -41,8 +41,9 @@ from repro.netlist.verilog import design_to_verilog
 from repro.viz.svg import svg_floorplan
 
 
-class _UnknownDesign(Exception):
-    """A suite design name the scale does not have (reported by main)."""
+class _BadDesign(Exception):
+    """A design argument naming no suite design of the scale, or a
+    ``.json`` file that cannot be loaded (reported by main)."""
 
 
 def _spec_by_name(name: str, scale: str):
@@ -51,8 +52,20 @@ def _spec_by_name(name: str, scale: str):
         if spec.name == name:
             return spec
     known = ", ".join(spec.name for spec in specs)
-    raise _UnknownDesign(f"unknown suite design {name!r} for scale "
-                         f"{scale!r} (known: {known})")
+    raise _BadDesign(f"unknown suite design {name!r} for scale "
+                     f"{scale!r} (known: {known})")
+
+
+def _load_design(args: argparse.Namespace):
+    """``(design, truth)`` for ``args.design``: a suite name or a
+    ``.json`` design file (which carries no ground truth)."""
+    if args.design.endswith(".json"):
+        try:
+            return load_design(args.design), None
+        except (OSError, ValueError) as exc:
+            # ValueError covers DesignFormatError and JSONDecodeError.
+            raise _BadDesign(f"cannot load {args.design}: {exc}") from None
+    return build_design(_spec_by_name(args.design, args.scale))
 
 
 def _fail(message: str) -> int:
@@ -81,12 +94,7 @@ def cmd_place(args: argparse.Namespace) -> int:
         write_chrome_trace,
     )
 
-    if args.design.endswith(".json"):
-        design = load_design(args.design)
-        truth = None
-    else:
-        spec = _spec_by_name(args.design, args.scale)
-        design, truth = build_design(spec)
+    design, truth = _load_design(args)
     die_w, die_h = die_for(design) if args.die is None else args.die
 
     defaults = {"seed": args.seed, "effort": Effort(args.effort)}
@@ -255,11 +263,7 @@ def cmd_flows(args: argparse.Namespace) -> int:
 
 
 def cmd_info(args: argparse.Namespace) -> int:
-    if args.design.endswith(".json"):
-        design = load_design(args.design)
-    else:
-        design, _truth = build_design(_spec_by_name(args.design,
-                                                    args.scale))
+    design, _truth = _load_design(args)
     stats = design_stats(design)
     print(stats.summary())
     prepared = PreparedDesign(design=design, die_w=0.0, die_h=0.0)
@@ -366,7 +370,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except _UnknownDesign as exc:
+    except _BadDesign as exc:
         return _fail(str(exc))
 
 

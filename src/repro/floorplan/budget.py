@@ -9,66 +9,93 @@ curve Γ), area is moved from the sibling, and the move is penalized by
 the kind of area the sibling yielded — target slack (cheapest), minimum
 area, or macro area (infeasible, most severe).
 
-The expansion walks the Polish expression's token slices (a subtree is
-the slice ``tokens[lo:hi]``, see :mod:`repro.slicing.tree`), splits each
-at the right-operand start that one
-:func:`~repro.slicing.tree.slice_starts` pass found, and asks a
-:class:`~repro.slicing.tree.SubtreeCache` for the children's 〈Γ, a_m,
-a_t〉 at each split; the root's own curve is never needed.  Leaf
-rectangles and per-node deficit contributions are appended to flat
-lists in pre-order (node, left, right) and each deficit is folded with
-one ``sum`` at the end.
+The expansion is one loop over an explicit stack of plain
+``(lo, hi, x, y, w, h)`` boxes: a subtree is the token slice
+``tokens[lo:hi]`` (see :mod:`repro.slicing.tree`), split at the
+right-operand start that one :func:`~repro.slicing.tree.slice_starts`
+pass found, and the right child is pushed first so nodes expand in
+pre-order (node, left, right).  Each split asks a
+:class:`~repro.slicing.tree.SubtreeCache` for its children's 〈Γ, a_m,
+a_t〉; the root's own curve is never needed.  Leaf boxes and per-node
+deficit contributions are appended in that pre-order and each deficit
+is folded with one ``sum`` at the end.  No node builds a
+:class:`~repro.geometry.rect.Rect`: shares are clamped to ``[0, span]``,
+so every box is non-negative by construction, and :class:`BudgetReport`
+builds the leaf rectangles only when they are read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.floorplan.blocks import Block
 from repro.geometry.rect import Rect
-from repro.shapecurve.curve import MAX_POINTS, ShapeCurve
-from repro.slicing.polish import H, PolishExpression, Token
+from repro.shapecurve.curve import MAX_POINTS
+from repro.slicing.polish import H, PolishExpression
 from repro.slicing.tree import EvalStats, SubtreeCache, slice_starts
 
 
-@dataclass
+#: A leaf's ``(x, y, w, h)``.
+Box = Tuple[float, float, float, float]
+
+_INF = float("inf")
+
+
 class BudgetReport:
     """Violation accounting for one budgeted layout.
 
     All deficits are relative (fraction of the respective area), so the
-    penalty is scale-free.
+    penalty is scale-free.  A layout records each leaf as a plain
+    :data:`Box` and its centre; :attr:`leaf_rects` builds the
+    ``Rect`` view from the boxes on first read, so the annealer, which
+    scores centres only, never builds one.
     """
 
-    target_deficit: float = 0.0    # a_t violated, a_m still met
-    min_deficit: float = 0.0       # a_m violated
-    macro_deficit: float = 0.0     # macros do not fit (relative shortfall)
-    repairs: int = 0               # how many sibling area moves happened
-    leaf_rects: Dict[int, Rect] = field(default_factory=dict)
-    #: ``block -> (cx, cy)`` rectangle centers, recorded during the
-    #: expansion so the cost model's distance term does not recompute
-    #: them.  Values equal ``leaf_rects[b].center``.
-    leaf_centers: Dict[int, Tuple[float, float]] = field(
-        default_factory=dict)
+    __slots__ = ("target_deficit", "min_deficit", "macro_deficit",
+                 "repairs", "leaf_centers", "_boxes", "_rects")
+
+    def __init__(self, target_deficit: float = 0.0,
+                 min_deficit: float = 0.0, macro_deficit: float = 0.0,
+                 repairs: int = 0,
+                 leaf_rects: Optional[Dict[int, Rect]] = None,
+                 leaf_centers: Optional[Dict[int, Tuple[float, float]]]
+                 = None,
+                 leaf_boxes: Optional[Dict[int, Box]] = None):
+        self.target_deficit = target_deficit  # a_t violated, a_m met
+        self.min_deficit = min_deficit        # a_m violated
+        self.macro_deficit = macro_deficit    # macros do not fit
+        self.repairs = repairs                # sibling area moves
+        #: ``block -> (cx, cy)`` box centres, recorded during the
+        #: expansion so the cost model's distance term does not
+        #: recompute them.  Values equal ``leaf_rects[b].center``.
+        self.leaf_centers = {} if leaf_centers is None else leaf_centers
+        self._boxes = {} if leaf_boxes is None else leaf_boxes
+        self._rects = leaf_rects
+
+    @property
+    def leaf_rects(self) -> Dict[int, Rect]:
+        """``block -> Rect``, built from the leaf boxes on first read."""
+        if self._rects is None:
+            self._rects = {b: Rect(*box) for b, box in self._boxes.items()}
+        return self._rects
 
     @property
     def is_legal(self) -> bool:
         return self.macro_deficit <= 1e-9 and self.min_deficit <= 1e-9
 
+    def _fields(self) -> Tuple:
+        return (self.target_deficit, self.min_deficit, self.macro_deficit,
+                self.repairs, self.leaf_rects, self.leaf_centers)
 
-class _Flat:
-    """The pre-order accumulator of one expansion."""
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, BudgetReport):
+            return NotImplemented
+        return self._fields() == other._fields()
 
-    __slots__ = ("rects", "centers", "target", "minimum", "macro",
-                 "repairs")
-
-    def __init__(self) -> None:
-        self.rects: Dict[int, Rect] = {}
-        self.centers: Dict[int, Tuple[float, float]] = {}
-        self.target: List[float] = []
-        self.minimum: List[float] = []
-        self.macro: List[float] = []
-        self.repairs = 0
+    def __repr__(self) -> str:
+        return ("BudgetReport(target_deficit=%r, min_deficit=%r, "
+                "macro_deficit=%r, repairs=%r, leaf_rects=%r, "
+                "leaf_centers=%r)" % self._fields())
 
 
 def block_subtrees(blocks: List[Block], limit: int = MAX_POINTS,
@@ -80,135 +107,6 @@ def block_subtrees(blocks: List[Block], limit: int = MAX_POINTS,
                         stats=stats)
 
 
-def _min_side(curve: ShapeCurve, across: float, horizontal_split: bool
-              ) -> float:
-    """Minimum width (or height) a subtree needs given the other side.
-
-    ``across`` is the fixed perpendicular dimension; for a vertical cut
-    we ask the subtree's composed curve for the minimum width at height
-    ``across`` and vice versa.  Returns 0 when the subtree holds no
-    macros and ``inf`` when not even the most elongated curve point
-    fits.
-    """
-    if curve.is_trivial:
-        return 0.0
-    if horizontal_split:
-        needed = curve.min_width_for_height(across)
-    else:
-        needed = curve.min_height_for_width(across)
-    return float("inf") if needed is None else needed
-
-
-def _area_violation(area_min: float, area_target: float, got_area: float
-                    ) -> Tuple[float, float]:
-    """Classify a shrunken block's area against its a_t / a_m.
-
-    Returns ``(target_contrib, min_contrib)``.
-    """
-    if got_area >= area_target - 1e-9:
-        return 0.0, 0.0
-    if got_area >= area_min - 1e-9:
-        if area_target > 0:
-            return ((area_target - got_area) / area_target, 0.0)
-        return 0.0, 0.0
-    target = 0.0
-    minimum = 0.0
-    if area_target > 0:
-        target = (area_target - area_min) / area_target
-    if area_min > 0:
-        minimum = (area_min - got_area) / area_min
-    return target, minimum
-
-
-def _leaf(index: int, rect: Rect, blocks: List[Block], out: _Flat
-          ) -> None:
-    block = blocks[index]
-    if not block.curve.feasible(rect.w, rect.h):
-        # Relative shortfall of the best curve point vs the rect.
-        best = 1e18
-        for pw, ph in block.curve.points:
-            shortfall = (max(0.0, pw - rect.w) * max(1.0, ph)
-                         + max(0.0, ph - rect.h) * max(1.0, pw))
-            ref = max(pw * ph, 1e-12)
-            best = min(best, shortfall / ref)
-        if block.curve.is_trivial:
-            best = 0.0
-        out.macro.append(min(best, 4.0))
-    target, minimum = _area_violation(block.area_min, block.area_target,
-                                      rect.area)
-    if target:
-        out.target.append(target)
-    if minimum:
-        out.minimum.append(minimum)
-    out.rects[index] = rect
-    out.centers[index] = (rect.x + rect.w / 2.0, rect.y + rect.h / 2.0)
-
-
-def _expand(tokens: Tuple[Token, ...], starts: List[int], lo: int, hi: int,
-            rect: Rect, blocks: List[Block], subtrees: SubtreeCache,
-            out: _Flat, stats: EvalStats) -> None:
-    """Expand the subtree ``tokens[lo:hi]`` into ``rect``, appending to
-    ``out``.
-
-    ``starts`` is :func:`~repro.slicing.tree.slice_starts` of
-    ``tokens``: the right operand begins at ``starts[hi - 2]``.
-    """
-    stats.layout_nodes_expanded += 1
-    if hi - lo == 1:
-        _leaf(tokens[lo], rect, blocks, out)
-        return
-
-    split = starts[hi - 2]
-    left_curve, _, left_target = subtrees.annotation(tokens, lo, split)
-    right_curve, _, right_target = subtrees.annotation(tokens, split, hi - 1)
-    horizontal_split = tokens[hi - 1] != H  # V cut -> side by side
-    total_target = max(left_target + right_target, 1e-12)
-    if horizontal_split:
-        span, across = rect.w, rect.h
-    else:
-        span, across = rect.h, rect.w
-
-    left_share = span * left_target / total_target
-    left_min = _min_side(left_curve, across, horizontal_split)
-    right_min = _min_side(right_curve, across, horizontal_split)
-
-    if left_min + right_min > span + 1e-9:
-        # Even yielding all sibling area cannot fit both macro sets:
-        # split proportionally to the minimum needs and charge the
-        # relative overflow as a macro violation.  A subtree that
-        # fits at no width reports an infinite need; cap it at the
-        # span so the proportional split stays finite.
-        overflow = (left_min + right_min - span) / max(span, 1e-12)
-        out.macro.append(min(overflow, 4.0))
-        out.repairs += 1
-        lm = min(left_min, span)
-        rm = min(right_min, span)
-        denom = max(lm + rm, 1e-12)
-        left_share = span * (lm / denom)
-    else:
-        low = left_min
-        high = span - right_min
-        clamped = min(max(left_share, low), high)
-        if abs(clamped - left_share) > 1e-12:
-            out.repairs += 1
-        left_share = clamped
-
-    # Guard float noise: shares live in [0, span] exactly.
-    left_share = min(max(left_share, 0.0), span)
-    right_share = max(span - left_share, 0.0)
-    if horizontal_split:
-        left_rect = Rect(rect.x, rect.y, left_share, rect.h)
-        right_rect = Rect(rect.x + left_share, rect.y, right_share, rect.h)
-    else:
-        left_rect = Rect(rect.x, rect.y, rect.w, left_share)
-        right_rect = Rect(rect.x, rect.y + left_share, rect.w, right_share)
-
-    _expand(tokens, starts, lo, split, left_rect, blocks, subtrees, out,
-            stats)
-    _expand(tokens, starts, split, hi - 1, right_rect, blocks, subtrees,
-            out, stats)
-
-
 def budgeted_layout(expr: PolishExpression, region: Rect,
                     blocks: List[Block], subtrees: SubtreeCache,
                     stats: Optional[EvalStats] = None) -> BudgetReport:
@@ -216,19 +114,152 @@ def budgeted_layout(expr: PolishExpression, region: Rect,
 
     ``subtrees`` (see :func:`block_subtrees`) supplies the composed
     〈Γ, a_m, a_t〉 of each split's children; the root's own annotation
-    is never requested.  The returned report carries the leaf rectangles
-    and the violation accounting used by the cost model; rectangles
-    always tile ``region`` exactly.  Each expanded node counts into
-    ``stats.layout_nodes_expanded``.
+    is never requested.  The returned report carries the leaf boxes
+    and the violation accounting used by the cost model; the boxes
+    always tile ``region`` exactly.  Every node is expanded once, so
+    ``stats.layout_nodes_expanded`` grows by the token count.
+
+    ``max(a, b)`` and ``min(a, b)`` are spelled ``b if b > a else a``
+    and ``b if b < a else a``, which is what the builtins return, ties
+    included.
     """
     tokens = tuple(expr.tokens)
-    out = _Flat()
-    _expand(tokens, slice_starts(tokens), 0, len(tokens), region, blocks,
-            subtrees, out, stats if stats is not None else EvalStats())
-    return BudgetReport(
-        target_deficit=sum(out.target),
-        min_deficit=sum(out.minimum),
-        macro_deficit=sum(out.macro),
-        repairs=out.repairs,
-        leaf_rects=out.rects,
-        leaf_centers=out.centers)
+    starts = slice_starts(tokens)
+    annotation = subtrees.annotation
+    boxes: Dict[int, Box] = {}
+    centers: Dict[int, Tuple[float, float]] = {}
+    target: List[float] = []
+    minimum: List[float] = []
+    macro: List[float] = []
+    repairs = 0
+    stack = [(0, len(tokens), region.x, region.y, region.w, region.h)]
+    pop, push = stack.pop, stack.append
+    while stack:
+        lo, hi, x, y, w, h = pop()
+        if hi - lo == 1:
+            index = tokens[lo]
+            block = blocks[index]
+            points = block.curve.points     # empty: fits any box
+            if points:
+                fit_w, fit_h = w + 1e-9, h + 1e-9
+                for pw, ph in points:
+                    if pw <= fit_w and ph <= fit_h:
+                        break
+                else:
+                    # Relative shortfall of the best curve point.
+                    best = 1e18
+                    for pw, ph in points:
+                        dw, dh = pw - w, ph - h
+                        shortfall = ((dw if dw > 0.0 else 0.0)
+                                     * (ph if ph > 1.0 else 1.0)
+                                     + (dh if dh > 0.0 else 0.0)
+                                     * (pw if pw > 1.0 else 1.0))
+                        ref = pw * ph
+                        ratio = shortfall / (1e-12 if 1e-12 > ref else ref)
+                        best = ratio if ratio < best else best
+                    macro.append(4.0 if 4.0 < best else best)
+            area = w * h
+            area_target = block.area_target
+            if area < area_target - 1e-9:
+                area_min = block.area_min
+                if area >= area_min - 1e-9:
+                    # Yielded target slack only (a_t > area >= 0).
+                    target.append((area_target - area) / area_target)
+                else:
+                    if area_target > 0:
+                        share = (area_target - area_min) / area_target
+                        if share:
+                            target.append(share)
+                    if area_min > 0:
+                        minimum.append((area_min - area) / area_min)
+            boxes[index] = (x, y, w, h)
+            centers[index] = (x + w / 2.0, y + h / 2.0)
+            continue
+
+        split = starts[hi - 2]
+        left = annotation(tokens, lo, split, starts)
+        right = annotation(tokens, split, hi - 1, starts)
+        horizontal_split = tokens[hi - 1] != H  # V cut -> side by side
+        left_target = left[2]
+        total_target = left_target + right[2]
+        if 1e-12 > total_target:
+            total_target = 1e-12
+        # The minimum side a subtree needs across the fixed dimension:
+        # 0 without macros, inf when no curve point fits.  Points run
+        # strictly width-ascending and height-descending, so for a V
+        # cut the first point low enough is the narrowest, and for an
+        # H cut the last point narrow enough is the lowest.
+        if horizontal_split:
+            span, across = w, h
+            fit = across + 1e-9
+            points = left[0].points
+            left_min = _INF if points else 0.0
+            for pw, ph in points:
+                if ph <= fit:
+                    left_min = pw
+                    break
+            points = right[0].points
+            right_min = _INF if points else 0.0
+            for pw, ph in points:
+                if ph <= fit:
+                    right_min = pw
+                    break
+        else:
+            span, across = h, w
+            fit = across + 1e-9
+            points = left[0].points
+            left_min = _INF if points else 0.0
+            for pw, ph in reversed(points):
+                if pw <= fit:
+                    left_min = ph
+                    break
+            points = right[0].points
+            right_min = _INF if points else 0.0
+            for pw, ph in reversed(points):
+                if pw <= fit:
+                    right_min = ph
+                    break
+
+        left_share = span * left_target / total_target
+        if left_min + right_min > span + 1e-9:
+            # Even yielding all sibling area cannot fit both macro sets:
+            # split proportionally to the minimum needs and charge the
+            # relative overflow as a macro violation.  A subtree that
+            # fits at no width reports an infinite need; cap it at the
+            # span so the proportional split stays finite.
+            overflow = ((left_min + right_min - span)
+                        / (1e-12 if 1e-12 > span else span))
+            macro.append(4.0 if 4.0 < overflow else overflow)
+            repairs += 1
+            lm = span if span < left_min else left_min
+            rm = span if span < right_min else right_min
+            denom = lm + rm
+            left_share = span * (lm / (1e-12 if 1e-12 > denom else denom))
+        else:
+            high = span - right_min
+            clamped = left_min if left_min > left_share else left_share
+            if high < clamped:
+                clamped = high
+            if abs(clamped - left_share) > 1e-12:
+                repairs += 1
+            left_share = clamped
+
+        # Guard float noise: shares live in [0, span] exactly.
+        if 0.0 > left_share:
+            left_share = 0.0
+        if span < left_share:
+            left_share = span
+        right_share = span - left_share
+        if 0.0 > right_share:
+            right_share = 0.0
+        if horizontal_split:
+            push((split, hi - 1, x + left_share, y, right_share, h))
+            push((lo, split, x, y, left_share, h))
+        else:
+            push((split, hi - 1, x, y + left_share, w, right_share))
+            push((lo, split, x, y, w, left_share))
+
+    if stats is not None:
+        stats.layout_nodes_expanded += len(tokens)
+    return BudgetReport(sum(target), sum(minimum), sum(macro), repairs,
+                        leaf_centers=centers, leaf_boxes=boxes)

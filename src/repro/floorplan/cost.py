@@ -126,10 +126,13 @@ class CostModel:
         """The paper's objective for one budgeted layout.
 
         Uses the centers recorded on the report (when it carries them)
-        instead of recomputing every rectangle center.
+        instead of recomputing every rectangle center, so a budgeted
+        layout's rectangles are never built here.
         """
-        term = self.distance_term(report.leaf_rects,
-                                  centers=report.leaf_centers or None)
+        if report.leaf_centers:
+            term = self.distance_term({}, centers=report.leaf_centers)
+        else:
+            term = self.distance_term(report.leaf_rects)
         return self.penalty(report) * (term + self.weights.epsilon)
 
     def total_affinity(self) -> float:

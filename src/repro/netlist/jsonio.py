@@ -59,6 +59,12 @@ def cell_from_json(data: Dict) -> CellType:
         pin_geometry=geometry)
 
 
+class DesignFormatError(ValueError):
+    """A JSON design that is not a complete serialized design: it lacks
+    a key, holds a value of the wrong kind, or an instance references a
+    cell no module or library entry defines."""
+
+
 def design_to_json(design: Design) -> Dict:
     """Serialize a design (modules + referenced cell library) to a dict."""
     cells = design.cell_types()
@@ -86,7 +92,25 @@ def design_to_json(design: Design) -> Dict:
 
 
 def design_from_json(data: Dict) -> Design:
-    """Rebuild a design serialized with :func:`design_to_json`."""
+    """Rebuild a design serialized with :func:`design_to_json`.
+
+    Raises :class:`DesignFormatError` naming the first missing key or
+    unknown cell reference, or the error of a value of the wrong kind
+    (a list where an object belongs, an unknown pin direction, a
+    connection row of the wrong length, a bit slice out of range).
+    """
+    try:
+        return _design_from_json(data)
+    except DesignFormatError:
+        raise
+    except KeyError as exc:
+        raise DesignFormatError(
+            f"design JSON is missing key {exc.args[0]!r}") from None
+    except (TypeError, ValueError) as exc:
+        raise DesignFormatError(f"malformed design JSON: {exc}") from None
+
+
+def _design_from_json(data: Dict) -> Design:
     library = {c["name"]: cell_from_json(c) for c in data["library"]}
     design = Design(data["name"])
     modules: Dict[str, Module] = {}
@@ -103,13 +127,20 @@ def design_from_json(data: Dict) -> Design:
         for ndata in mdata["nets"]:
             module.add_net(ndata["name"], ndata["width"])
         for name, ref_name in mdata["instances"]:
-            ref = modules.get(ref_name) or library[ref_name]
+            ref = modules.get(ref_name) or library.get(ref_name)
+            if ref is None:
+                raise DesignFormatError(
+                    f"instance {name!r} of module {module.name!r} "
+                    f"references unknown cell {ref_name!r}")
             module.add_instance(name, ref)
         for ndata in mdata["nets"]:
             net = module.nets[ndata["name"]]
             for inst, pin, width, net_lsb, pin_lsb in ndata["conns"]:
                 net.connect(inst, pin, width, net_lsb, pin_lsb)
 
+    if data["top"] not in modules:
+        raise DesignFormatError(
+            f"top module {data['top']!r} is not a module of the design")
     design.set_top(data["top"])
     return design
 

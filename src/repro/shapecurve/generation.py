@@ -31,7 +31,7 @@ from repro.memo import BoundedStore
 from repro.shapecurve.curve import ShapeCurve, compose_many
 from repro.slicing.anneal import AnnealConfig, Annealer
 from repro.slicing.polish import PolishExpression
-from repro.slicing.tree import EvalStats, SubtreeCache
+from repro.slicing.tree import EvalStats, SubtreeCache, slice_starts
 
 
 @dataclass
@@ -103,7 +103,7 @@ def _area_cost(leaf_curves: List[ShapeCurve], ar_target: float,
         # The search has no budgeting step: the subtrees it composed
         # are its expansion work.
         composed = walk.stats.subtree_misses
-        curve = walk.curve(key)
+        curve = walk.curve(key, slice_starts(key))
         stats.layout_nodes_expanded += walk.stats.subtree_misses - composed
         value = _curve_area_score(curve, log_target, penalty)
         if memo is not None:
@@ -163,7 +163,8 @@ def curve_for_macros(curves: Sequence[ShapeCurve],
         walk = subtrees
         if walk is None:
             walk = SubtreeCache(real, config.compose_limit)
-        points.extend(walk.curve(tuple(result.best.tokens)).points)
+        tokens = tuple(result.best.tokens)
+        points.extend(walk.curve(tokens, slice_starts(tokens)).points)
 
     return ShapeCurve(points)
 

@@ -84,7 +84,7 @@ class PolishExpression:
         return [t for t in self.tokens if not is_operator(t)]
 
     def operand_positions(self) -> List[int]:
-        return [i for i, t in enumerate(self.tokens) if not is_operator(t)]
+        return [i for i, t in enumerate(self.tokens) if t != H and t != V]
 
     def operator_positions(self) -> List[int]:
         return [i for i, t in enumerate(self.tokens) if is_operator(t)]
@@ -92,17 +92,16 @@ class PolishExpression:
     def operator_chains(self) -> List[Tuple[int, int]]:
         """Maximal operator runs as (start, end) inclusive index pairs."""
         chains: List[Tuple[int, int]] = []
-        i = 0
-        n = len(self.tokens)
-        while i < n:
-            if is_operator(self.tokens[i]):
-                j = i
-                while j + 1 < n and is_operator(self.tokens[j + 1]):
-                    j += 1
-                chains.append((i, j))
-                i = j + 1
-            else:
-                i += 1
+        start = -1
+        for i, token in enumerate(self.tokens):
+            if token == H or token == V:
+                if start < 0:
+                    start = i
+            elif start >= 0:
+                chains.append((start, i - 1))
+                start = -1
+        if start >= 0:
+            chains.append((start, len(self.tokens) - 1))
         return chains
 
     def is_valid(self) -> bool:

@@ -2,18 +2,18 @@
 
 A valid Polish expression *is* its slicing tree: every subtree is a
 contiguous token slice ``tokens[lo:hi]`` ending in the subtree's
-operator (or holding a single block).  :func:`right_start` scans for
-where its right operand begins; :func:`slice_starts` finds every
-subtree's start in one pass, for walks that split many slices.  Both
+operator (or holding a single block).  :func:`slice_starts` finds
+every subtree's start in one pass, so a walk splits the slice
+``tokens[lo:hi]`` at ``starts[hi - 2]`` without scanning.  Both
 annealing problems — shape-curve generation (Sect. IV-A) and the
 budgeted layout (Sect. IV-E) — walk these slices through one
 :class:`SubtreeCache`, whose key is the slice itself, so a subtree
 shared by two expressions is annotated once.
 
 :func:`build_tree`, :func:`annotate_curves` and :func:`annotate_areas`
-build and annotate an explicit node tree instead.  No evaluator uses
-them; they are the independent reference the slice walk is tested
-against.
+build and annotate an explicit node tree instead, and
+:func:`right_start` scans back for one split.  No evaluator uses them;
+they are the independent references the slice walk is tested against.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.memo import DEFAULT_MAX_ENTRIES, BoundedStore
 from repro.shapecurve.curve import MAX_POINTS, ComposeCache, ShapeCurve
-from repro.slicing.polish import H, PolishExpression, Token, is_operator
+from repro.slicing.polish import H, V, PolishExpression, Token, is_operator
 
 
 class SlicingNode:
@@ -134,6 +134,8 @@ def right_start(tokens: Sequence[Token], lo: int, hi: int) -> int:
     ``tokens[hi - 1]`` is the subexpression's operator; walking back
     from it, the right operand is complete once its operands outnumber
     its operators by one.  The left operand is ``tokens[lo:start]``.
+    No evaluator calls this scan; it is the oracle :func:`slice_starts`
+    is tested against.
     """
     need = 1
     k = hi - 1
@@ -153,9 +155,10 @@ def slice_starts(tokens: Sequence[Token]) -> List[int]:
     ``starts[hi - 2]``, which is :func:`right_start` without the scan.
     """
     starts: List[int] = []
+    append = starts.append
     for k, token in enumerate(tokens):
-        starts.append(starts[starts[k - 1] - 1] if is_operator(token)
-                      else k)
+        append(starts[starts[k - 1] - 1] if token == H or token == V
+               else k)
     return starts
 
 
@@ -234,9 +237,14 @@ class SubtreeCache:
         self.compose = ComposeCache(self.stats, max_entries)
         self._store = BoundedStore(max_entries)
 
-    def annotation(self, tokens: Tuple[Token, ...], lo: int, hi: int
+    def annotation(self, tokens: Tuple[Token, ...], lo: int, hi: int,
+                   starts: Sequence[int]
                    ) -> Tuple[ShapeCurve, float, float]:
-        """``(curve, a_m, a_t)`` of the subtree ``tokens[lo:hi]``."""
+        """``(curve, a_m, a_t)`` of the subtree ``tokens[lo:hi]``.
+
+        ``starts`` is :func:`slice_starts` of ``tokens``; a miss splits
+        at ``starts[hi - 2]``.
+        """
         key = tokens[lo:hi]
         entry = self._store.get(key)
         if entry is not None:
@@ -248,11 +256,11 @@ class SubtreeCache:
             entry = (self.leaf_curves[block], self.area_min[block],
                      self.area_target[block])
         else:
-            split = right_start(tokens, lo, hi)
+            split = starts[hi - 2]
             left_curve, left_min, left_target = self.annotation(
-                tokens, lo, split)
+                tokens, lo, split, starts)
             right_curve, right_min, right_target = self.annotation(
-                tokens, split, hi - 1)
+                tokens, split, hi - 1, starts)
             entry = (self.compose.compose(
                          left_curve, right_curve,
                          horizontal=(tokens[hi - 1] != H), limit=self.limit),
@@ -260,6 +268,8 @@ class SubtreeCache:
         self._store.put(key, entry)
         return entry
 
-    def curve(self, tokens: Tuple[Token, ...]) -> ShapeCurve:
-        """The root curve of the whole expression ``tokens``."""
-        return self.annotation(tokens, 0, len(tokens))[0]
+    def curve(self, tokens: Tuple[Token, ...],
+              starts: Sequence[int]) -> ShapeCurve:
+        """The root curve of the whole expression ``tokens``, whose
+        :func:`slice_starts` are ``starts``."""
+        return self.annotation(tokens, 0, len(tokens), starts)[0]

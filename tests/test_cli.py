@@ -59,6 +59,23 @@ class TestCommands:
         assert err.startswith("hidap: error: unknown suite design 'c99'")
         assert "known: c1, c2" in err
 
+    @pytest.mark.parametrize("command", ["place", "info"])
+    @pytest.mark.parametrize("content,message", [
+        (None, "No such file or directory"),
+        ("not json {", "Expecting value"),
+        ('{"name": "x"}', "design JSON is missing key 'library'"),
+        ("[]", "malformed design JSON: list indices must be integers"),
+    ], ids=["missing", "not-json", "truncated", "wrong-type"])
+    def test_bad_json_design(self, command, content, message, tmp_path,
+                             capsys):
+        path = tmp_path / "x.json"
+        if content is not None:
+            path.write_text(content)
+        assert main([command, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"hidap: error: cannot load {path}: ")
+        assert message in err
+
     def test_place_indeda(self, capsys):
         assert main(["place", "c1", "--scale", "tiny", "--flow",
                      "indeda"]) == 0

@@ -8,7 +8,7 @@ from repro.floorplan.blocks import Block
 from repro.geometry.rect import Rect
 from repro.netlist.builder import ModuleBuilder, single_module_design
 from repro.netlist.core import Design, Module
-from repro.netlist.jsonio import design_from_json
+from repro.netlist.jsonio import DesignFormatError, design_from_json
 from repro.shapecurve.curve import ShapeCurve
 
 
@@ -20,7 +20,7 @@ class TestNetlistFailures:
             _ = design.top
 
     def test_truncated_json(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(DesignFormatError, match="missing key 'library'"):
             design_from_json({"name": "x"})
 
     def test_json_with_unknown_ref(self):
@@ -30,7 +30,26 @@ class TestNetlistFailures:
                 "name": "m", "ports": [],
                 "instances": [["i", "GHOST"]], "nets": []}],
         }
-        with pytest.raises(KeyError):
+        with pytest.raises(DesignFormatError,
+                           match="instance 'i' of module 'm' references "
+                                 "unknown cell 'GHOST'"):
+            design_from_json(data)
+
+    @pytest.mark.parametrize("port,conns,message", [
+        ({"name": "a", "dir": "sideways", "width": 1}, [],
+         "'sideways' is not a valid Direction"),
+        ({"name": "a", "dir": "input", "width": 1}, [["i", "a", 1]],
+         "not enough values to unpack"),
+    ], ids=["bad-enum", "short-conns-row"])
+    def test_json_with_malformed_value(self, port, conns, message):
+        data = {
+            "name": "x", "top": "m", "library": [],
+            "modules": [{
+                "name": "m", "ports": [port], "instances": [],
+                "nets": [{"name": "n", "width": 1, "conns": conns}]}],
+        }
+        with pytest.raises(DesignFormatError,
+                           match="malformed design JSON: " + message):
             design_from_json(data)
 
 

@@ -63,6 +63,25 @@ class TestCostModel:
         assert model.cost(illegal) > model.cost(legal)
 
 
+class TestBudgetReport:
+    def test_equality_and_repr_are_by_value(self):
+        """A report from leaf boxes equals one from the same ``Rect``s,
+        so results holding reports compare by value."""
+        from_boxes = BudgetReport(0.25, repairs=2,
+                                  leaf_centers={0: (1.5, 1.0)},
+                                  leaf_boxes={0: (0.0, 0.0, 3.0, 2.0)})
+        from_rects = BudgetReport(0.25, repairs=2,
+                                  leaf_centers={0: (1.5, 1.0)},
+                                  leaf_rects={0: Rect(0.0, 0.0, 3.0, 2.0)})
+        assert from_boxes == from_rects
+        assert from_boxes != BudgetReport(0.25, repairs=3,
+                                          leaf_centers={0: (1.5, 1.0)},
+                                          leaf_rects=from_rects.leaf_rects)
+        assert repr(from_boxes) == repr(from_rects)
+        assert repr(from_boxes).startswith(
+            "BudgetReport(target_deficit=0.25, min_deficit=0.0, ")
+
+
 class TestGenerateLayout:
     def fast_config(self, seed=1):
         return LayoutConfig(seed=seed, anneal=AnnealConfig(

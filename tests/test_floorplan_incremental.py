@@ -39,6 +39,7 @@ from repro.slicing.tree import (
     annotate_areas,
     annotate_curves,
     build_tree,
+    slice_starts,
 )
 
 
@@ -179,9 +180,10 @@ class TestSliceWalk:
             root = build_tree(expr)
             annotate_curves(root, leaves, 10)
             annotate_areas(root, area_min, area_target)
-            assert cache.curve(tokens).points == root.curve.points
+            starts = slice_starts(tokens)
+            assert cache.curve(tokens, starts).points == root.curve.points
             for lo, hi, node in _spans(root, 0):
-                curve, a_m, a_t = cache.annotation(tokens, lo, hi)
+                curve, a_m, a_t = cache.annotation(tokens, lo, hi, starts)
                 assert curve.points == node.curve.points
                 assert (a_m, a_t) == (node.area_min, node.area_target)
         assert stats.subtree_hits > 0
