@@ -33,23 +33,25 @@ analyze:
 
 # One verification entry point for builders and CI (the ci.yml "check"
 # job runs exactly this): lint, the repro-analyze gate, tier-1 tests
-# (tests/ only, the benchmark reproductions are excluded for speed),
-# the API, trace and service smokes, the referee benchmark — bit-identity
-# between the python oracle and the numpy kernels is the hard gate
-# there; the >= 3x speedup gate warns on loaded runners — and the
-# annealing benchmark, which fails when incremental and full placements
-# differ or the expansion ratio drops below 3.
+# (tests/ plus perfbench/test_perfbench.py, which proves every
+# perfbench PATCHES target still resolves; the benchmark reproductions
+# are excluded for speed), the API, trace and service smokes, the
+# referee benchmark — bit-identity between the python oracle and the
+# numpy kernels is the hard gate there; the >= 3x speedup gate warns
+# on loaded runners — and the annealing benchmark, which fails when
+# incremental and full placements differ or the expansion ratio drops
+# below 3.
 check:
 	$(MAKE) lint
 	$(MAKE) analyze
-	python -m pytest -x -q tests
+	python -m pytest -x -q tests perfbench/test_perfbench.py
 	$(MAKE) smoke-api
 	$(MAKE) smoke-trace
 	$(MAKE) smoke-service
 	$(MAKE) bench-referee
 	$(MAKE) bench-anneal
 
-# Fast smoke of the unified repro.api surface (registry, pipeline,
+# Fast smoke of the unified repro.api surface (registry, HiDaP stages,
 # parallel suite).
 smoke-api:
 	python -m pytest -q tests/test_api_registry.py \

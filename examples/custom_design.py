@@ -6,17 +6,18 @@ The example assembles a small video-pipeline-ish SoC: a line buffer
 feeding two parallel filter banks whose results merge into an output
 stage.  It shows the API surface a downstream user needs: cell types,
 module builders, hierarchy composition, placement and inspection —
-plus the staged-pipeline observer hooks, which report per-stage
-progress while the placer runs.
+plus a traced run, whose footer shows each of HiDaP's six stages as a
+span with its time, and the run's work counters.
 
 Run:  python examples/custom_design.py
 """
 
-from repro import HiDaP, HiDaPConfig, Design, PipelineObserver
+from repro import HiDaP, HiDaPConfig, Design
 from repro.netlist.builder import ModuleBuilder
 from repro.netlist.cells import Direction, PinGeometry, PortDef, Side, macro_cell
 from repro.netlist.stats import design_stats
 from repro.netlist.validate import assert_valid
+from repro.obs import Tracer, render_summary, use_tracer
 from repro.viz.ascii_art import ascii_floorplan
 
 WIDTH = 32
@@ -110,14 +111,12 @@ def main() -> None:
     assert_valid(design)
     print(design_stats(design).summary())
 
-    # Observe the staged pipeline while it runs:
-    # flatten -> graphs -> shape-curves -> floorplan -> flip -> legalize
-    class Progress(PipelineObserver):
-        def on_stage_end(self, stage, artifacts, seconds):
-            print(f"  [stage] {stage.name:12s} {seconds:6.2f}s")
-
-    placer = HiDaP(HiDaPConfig(seed=3), observers=[Progress()])
-    placement = placer.place(design, 90.0, 70.0)
+    # Trace the run: each stage is a span beneath ``place``
+    # (flatten -> graphs -> shape-curves -> floorplan -> flip -> legalize).
+    tracer = Tracer("custom_design")
+    with use_tracer(tracer):
+        placement = HiDaP(HiDaPConfig(seed=3)).place(design, 90.0, 70.0)
+    print(render_summary([tracer.payload()]))
     print(placement.summary())
     print(ascii_floorplan(
         placement.die,

@@ -8,9 +8,10 @@ top-down area budgeting, a synthetic industrial-design generator, two
 baseline flows, and a shared referee (cell placement, congestion, STA).
 
 All flows sit behind the unified :mod:`repro.api`: a flow registry
-(``get_flow``/``register_flow``/``available_flows``), a staged pipeline
-with observer hooks, prepared-design caching, and a parallel suite
-runner.
+(``get_flow``/``register_flow``/``available_flows``), prepared-design
+caching, and a parallel suite runner.  Runs are watched through one
+path, the :mod:`repro.obs` tracer: HiDaP's six stages are spans, its
+work counts are tracer counters.
 
 Quickstart
 ----------
@@ -48,14 +49,10 @@ Or drop to the classic object API:
 """
 
 from repro.api import (
-    Pipeline,
-    PipelineObserver,
     Placer,
     PreparedDesign,
     RunArtifacts,
-    Stage,
     available_flows,
-    build_hidap_pipeline,
     get_flow,
     prepare_suite_design,
     register_flow,
@@ -80,8 +77,6 @@ __all__ = [
     "HiDaP",
     "HiDaPConfig",
     "MacroPlacement",
-    "Pipeline",
-    "PipelineObserver",
     "PlacedMacro",
     "Placer",
     "Point",
@@ -89,11 +84,9 @@ __all__ = [
     "Rect",
     "RunArtifacts",
     "RunOptions",
-    "Stage",
     "__version__",
     "available_flows",
     "build_design",
-    "build_hidap_pipeline",
     "die_for",
     "flatten",
     "format_table2",

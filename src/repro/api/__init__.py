@@ -1,4 +1,4 @@
-"""The unified placement API: registry, pipeline, runs, suite, service.
+"""The unified placement API: registry, stages, runs, suite, service.
 
 This package is the single front door for every placement run:
 
@@ -7,10 +7,10 @@ This package is the single front door for every placement run:
   ``hidap:lam=0.8``) to :class:`Placer` objects.  The CLI, ``run_flow``
   and the suite runner all dispatch through it, so adding a flow is one
   ``register_flow`` call — no repro internals to edit.
-* **staged pipeline** — :class:`Pipeline` / :class:`Stage` run the
-  placer as observable stages (``flatten -> graphs -> shape-curves ->
-  floorplan -> flip -> legalize``) over a typed :class:`RunArtifacts`
-  record.
+* **stages** — ``HiDaP.place`` runs :data:`HIDAP_STAGES`
+  (``flatten -> graphs -> shape-curves -> floorplan -> flip ->
+  legalize``) over a typed :class:`RunArtifacts` record, each stage a
+  :mod:`repro.obs` span beneath ``place``.
 * **prepared designs** — :class:`PreparedDesign` caches
   ``flat``/``gnet``/``gseq`` so they are built once per design instead
   of once per consumer.
@@ -60,13 +60,7 @@ from repro.api.registry import (
     split_flow_specs,
     unregister_flow,
 )
-from repro.api.pipeline import (
-    HIDAP_STAGES,
-    Pipeline,
-    PipelineObserver,
-    Stage,
-    build_hidap_pipeline,
-)
+from repro.api.pipeline import HIDAP_STAGES
 from repro.api.run import (
     HIDAP_LAMBDAS,
     FlowMetrics,
@@ -113,18 +107,14 @@ __all__ = [
     "HiDaPFlow",
     "IndEDAFlow",
     "JobHandle",
-    "Pipeline",
-    "PipelineObserver",
     "PlacementService",
     "Placer",
     "PreparedDesign",
     "RunArtifacts",
     "RunOptions",
-    "Stage",
     "SuiteResult",
     "UnknownFlowError",
     "available_flows",
-    "build_hidap_pipeline",
     "evaluate_placement",
     "flow_descriptions",
     "format_table2",

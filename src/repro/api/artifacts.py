@@ -1,8 +1,8 @@
 """Typed records produced by a placement run.
 
 :class:`RunArtifacts` replaces the mutable grab-bag of instance
-attributes the original ``HiDaP`` class accumulated during a run.  A
-pipeline fills the record stage by stage; afterwards every intermediate
+attributes the original ``HiDaP`` class accumulated during a run.  The
+HiDaP stages fill the record one by one; afterwards every intermediate
 (graphs, curves, port positions) and the final placement are available
 as plain typed fields, so tools, figures and tests can inspect a run
 without reaching into placer internals.
@@ -31,7 +31,7 @@ class RunArtifacts:
     """Everything one placement run reads and produces.
 
     Inputs (``design``/``flat``, ``die``, ``config``) are set before
-    the pipeline runs; each stage fills in the fields it owns.  Fields
+    the stages run; each stage fills in the fields it owns.  Fields
     that are already populated are treated as caches and left alone,
     which is how prepared-design reuse avoids rebuilding ``flat`` /
     ``gnet`` / ``gseq`` for every consumer.
@@ -42,7 +42,7 @@ class RunArtifacts:
     flow_name: str = "hidap"
     design: Optional[Design] = None
 
-    # Stage products (in pipeline order).
+    # Stage products (in stage order).
     flat: Optional[FlatDesign] = None
     tree: Optional["HierTree"] = None
     gnet: Optional["Gnet"] = None
@@ -62,9 +62,9 @@ class RunArtifacts:
     #: annotated — the same meaning in both stages),
     #: ``curve_compose_hits``/``curve_compose_misses`` (see
     #: :class:`repro.slicing.tree.EvalStats`).  The caches count into
-    #: the stage's record directly.  Observers read them in
-    #: ``on_stage_end`` to report incremental-evaluation reuse; a traced
-    #: run records the same sums as tracer counters.  Stage timings
+    #: the stage's record directly.  Read them here after a run, or as
+    #: the tracer counters of the same names under ``use_tracer``
+    #: (both record the same sums).  Stage timings
     #: live in the stage spans, referee facts in the ``referee`` span;
     #: ``legalizer_moves`` is also the ``legalize_moves`` counter.
     eval_counters: Dict[str, int] = field(default_factory=dict)

@@ -32,14 +32,13 @@ def _coerce_effort(effort) -> Effort:
 
 
 def _cached_gseq(prepared: PreparedDesign, min_bits: int):
-    """``prepared.gseq`` if it was built with ``min_bits``, else ``None``.
+    """``prepared.gseq`` if ``min_bits`` is the threshold it is built
+    with (:data:`~repro.api.prepared.DEFAULT_MIN_BITS`), else ``None``.
 
-    A placer handed ``None`` builds its own gseq.  ``prepared.min_bits
-    is None`` marks a caller-supplied gseq of unknown provenance, which
-    never equals a threshold and so always forces a rebuild.  gnet is
+    A placer handed ``None`` builds its own gseq.  gnet is
     threshold-independent and always shareable.
     """
-    return prepared.gseq if prepared.min_bits == min_bits else None
+    return prepared.gseq if min_bits == DEFAULT_MIN_BITS else None
 
 
 class BaseFlow:
@@ -102,7 +101,7 @@ class HiDaPFlow(BaseFlow):
                                  gseq=_cached_gseq(prepared,
                                                    config.min_bits),
                                  tree=prepared.tree, curves=curves)
-        # Keep the run record for observers and callers.
+        # Keep the run record for callers.
         self.artifacts = placer.artifacts
         return placement
 
@@ -182,8 +181,7 @@ class IndEDAFlow(BaseFlow):
         from repro.baselines.indeda import place_indeda
         # Build the cached graphs first: their prepare.* spans are not
         # placement time.
-        flat, gnet, gseq = (prepared.flat, prepared.gnet,
-                            _cached_gseq(prepared, DEFAULT_MIN_BITS))
+        flat, gnet, gseq = prepared.flat, prepared.gnet, prepared.gseq
         with current_tracer().span("place", design=prepared.name,
                                    flow=self.name):
             return place_indeda(flat, prepared.die_w, prepared.die_h,
@@ -207,8 +205,7 @@ class HandFPStripFlow(BaseFlow):
             raise FlowError(
                 "handfp requires ground truth (a generated design)")
         flat, gnet, gseq, tree = (prepared.flat, prepared.gnet,
-                                  _cached_gseq(prepared, DEFAULT_MIN_BITS),
-                                  prepared.tree)
+                                  prepared.gseq, prepared.tree)
         with current_tracer().span("place", design=prepared.name,
                                    flow=self.name):
             return place_handfp(flat, prepared.truth, prepared.die_w,

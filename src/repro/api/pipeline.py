@@ -1,15 +1,15 @@
-"""The staged placement pipeline.
+"""The six stages of the HiDaP flow (paper Algorithm 1).
 
-A :class:`Pipeline` is an ordered list of :class:`Stage` objects, each
-a named function over a shared :class:`RunArtifacts` record.  Observers
-receive ``on_stage_start`` / ``on_stage_end`` callbacks, which is how
-progress reporting, tracing and per-stage profiling attach to a run
-without the placer knowing about them.
-
-:func:`build_hidap_pipeline` assembles the paper's Algorithm 1 as six
-stages::
+:data:`HIDAP_STAGE_TABLE` lists them once, as ``(name, function)``
+pairs over a shared :class:`RunArtifacts` record::
 
     flatten -> graphs -> shape-curves -> floorplan -> flip -> legalize
+
+:meth:`repro.core.hidap.HiDaP.place` runs them in that order, each
+under a tracer span of its name, so a run is watched through the one
+``repro.obs`` path: stage timings are those spans, and the annealing
+stages' evaluation counters go to ``artifacts.eval_counters`` and to
+the tracer's counters.
 
 Stages skip work whose product is already present on the artifacts
 (e.g. a cached ``flat``/``gnet``/``gseq`` injected from a
@@ -19,9 +19,7 @@ earlier run over the same tree and shape-search configuration).
 
 from __future__ import annotations
 
-import logging
-from dataclasses import dataclass
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, Tuple
 
 from repro.api.artifacts import RunArtifacts
 from repro.core.flipping import flip_macros
@@ -32,90 +30,10 @@ from repro.hiergraph.gnet import build_gnet
 from repro.hiergraph.gseq import build_gseq
 from repro.hiergraph.hierarchy import build_hierarchy
 from repro.netlist.flatten import flatten
-from repro.obs import current_tracer, perf_seconds
+from repro.obs import current_tracer
 from repro.shapecurve.curve import ShapeCurve
 from repro.shapecurve.generation import generate_shape_curves
 from repro.slicing.tree import EvalStats
-
-logger = logging.getLogger(__name__)
-
-
-@dataclass(frozen=True)
-class Stage:
-    """One named step of a pipeline; ``run`` mutates the artifacts."""
-
-    name: str
-    run: Callable[[RunArtifacts], None]
-
-    def __repr__(self) -> str:
-        return f"Stage({self.name!r})"
-
-
-class PipelineObserver:
-    """Hook base class; subclass and override what you need.
-
-    Observer exceptions never abort a run: :meth:`Pipeline.run` logs a
-    warning (and records an ``observer.error`` trace event) and keeps
-    placing.
-    """
-
-    def on_stage_start(self, stage: Stage,
-                       artifacts: RunArtifacts) -> None:
-        """Called before a stage runs."""
-
-    def on_stage_end(self, stage: Stage, artifacts: RunArtifacts,
-                     seconds: float) -> None:
-        """Called after a stage completed, with its wall-clock time."""
-
-
-class Pipeline:
-    """An ordered, observable sequence of stages."""
-
-    def __init__(self, stages: Sequence[Stage],
-                 observers: Sequence[PipelineObserver] = ()):
-        self.stages: Tuple[Stage, ...] = tuple(stages)
-        names = [s.name for s in self.stages]
-        if len(set(names)) != len(names):
-            raise ValueError(f"duplicate stage names in {names}")
-        self.observers: List[PipelineObserver] = list(observers)
-
-    def stage_names(self) -> Tuple[str, ...]:
-        return tuple(s.name for s in self.stages)
-
-    def add_observer(self, observer: PipelineObserver) -> "Pipeline":
-        self.observers.append(observer)
-        return self
-
-    def _notify(self, callback_name: str, *args) -> None:
-        """Invoke one observer hook on every observer, exception-safe.
-
-        A broken observer must never abort a placement: failures are
-        logged, recorded as zero-length ``observer.error`` spans, and
-        swallowed.
-        """
-        tracer = current_tracer()
-        for observer in self.observers:
-            try:
-                getattr(observer, callback_name)(*args)
-            except Exception as exc:
-                logger.warning("pipeline observer %r failed in %s: %s",
-                               observer, callback_name, exc)
-                with tracer.span("observer.error",
-                                 observer=type(observer).__name__,
-                                 callback=callback_name, error=repr(exc)):
-                    pass
-
-    def run(self, artifacts: RunArtifacts) -> RunArtifacts:
-        """Run every stage in order over ``artifacts``."""
-        tracer = current_tracer()
-        for stage in self.stages:
-            self._notify("on_stage_start", stage, artifacts)
-            with tracer.span(stage.name):
-                start = perf_seconds()
-                stage.run(artifacts)
-                seconds = perf_seconds() - start
-            self._notify("on_stage_end", stage, artifacts, seconds)
-        return artifacts
 
 
 # -- HiDaP stage implementations ------------------------------------------
@@ -203,23 +121,18 @@ def _stage_legalize(artifacts: RunArtifacts) -> None:
                                          artifacts.legalizer_moves)
 
 
+#: Algorithm 1 as ``(span name, stage function)`` pairs, in run order.
+#: Each stage reads its configuration from the
+#: :class:`~repro.api.artifacts.RunArtifacts` record it runs over.
+HIDAP_STAGE_TABLE: Tuple[Tuple[str, Callable[[RunArtifacts], None]], ...] = (
+    ("flatten", _stage_flatten),
+    ("graphs", _stage_graphs),
+    ("shape-curves", _stage_shape_curves),
+    ("floorplan", _stage_floorplan),
+    ("flip", _stage_flip),
+    ("legalize", _stage_legalize),
+)
+
 #: The canonical stage order of the HiDaP flow.
-HIDAP_STAGES: Tuple[str, ...] = ("flatten", "graphs", "shape-curves",
-                                 "floorplan", "flip", "legalize")
-
-
-def build_hidap_pipeline(observers: Sequence[PipelineObserver] = ()
-                         ) -> Pipeline:
-    """Algorithm 1 as a staged pipeline.
-
-    Stages read their configuration from the
-    :class:`~repro.api.artifacts.RunArtifacts` record they run over.
-    """
-    return Pipeline([
-        Stage("flatten", _stage_flatten),
-        Stage("graphs", _stage_graphs),
-        Stage("shape-curves", _stage_shape_curves),
-        Stage("floorplan", _stage_floorplan),
-        Stage("flip", _stage_flip),
-        Stage("legalize", _stage_legalize),
-    ], observers=observers)
+HIDAP_STAGES: Tuple[str, ...] = tuple(name for name, _run
+                                      in HIDAP_STAGE_TABLE)

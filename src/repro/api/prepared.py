@@ -40,12 +40,6 @@ class PreparedDesign:
     die_h: float
     truth: Optional[GroundTruth] = None
     spec: Optional[DesignSpec] = None
-    #: ``build_gseq`` width threshold the cached ``gseq`` was (or will
-    #: be) built with.  ``None`` means a caller supplied a ``gseq`` of
-    #: unknown provenance: the referee may use it, but placement flows
-    #: must rebuild their own rather than treat it as the default
-    #: cache.
-    min_bits: Optional[int] = DEFAULT_MIN_BITS
     _flat: Optional[FlatDesign] = field(default=None, repr=False)
     _gnet: Optional[Gnet] = field(default=None, repr=False)
     _gseq: Optional[Gseq] = field(default=None, repr=False)
@@ -80,10 +74,8 @@ class PreparedDesign:
         if self._gseq is None:
             with current_tracer().span("prepare.gseq",
                                        design=self.design.name):
-                self._gseq = build_gseq(
-                    self.gnet, self.flat,
-                    min_bits=(DEFAULT_MIN_BITS if self.min_bits is None
-                              else self.min_bits))
+                self._gseq = build_gseq(self.gnet, self.flat,
+                                        min_bits=DEFAULT_MIN_BITS)
         return self._gseq
 
     @property
@@ -145,22 +137,11 @@ class PreparedDesign:
 
     @classmethod
     def from_flat(cls, flat: FlatDesign, die_w: float, die_h: float,
-                  truth: Optional[GroundTruth] = None,
-                  gseq: Optional[Gseq] = None,
-                  min_bits: Optional[int] = None) -> "PreparedDesign":
-        """Wrap an already-flattened design (legacy entry points).
-
-        A supplied ``gseq`` is used by the referee; unless ``min_bits``
-        states what it was built with, placement flows treat its
-        provenance as unknown and rebuild their own graphs, matching
-        the pre-registry behaviour of ``run_flow``.
-        """
-        if gseq is None and min_bits is None:
-            min_bits = DEFAULT_MIN_BITS
+                  truth: Optional[GroundTruth] = None) -> "PreparedDesign":
+        """Wrap an already-flattened design."""
         prepared = cls(design=flat.design, die_w=die_w, die_h=die_h,
-                       truth=truth, min_bits=min_bits)
+                       truth=truth)
         prepared._flat = flat
-        prepared._gseq = gseq
         return prepared
 
 

@@ -180,8 +180,7 @@ def evaluate_placement(flat: FlatDesign, placement: MacroPlacement,
 def run_flow(flat: FlatDesign, truth: Optional[GroundTruth],
              flow: str, die_w: float, die_h: float,
              options: Optional[RunOptions] = None,
-             clock_period: Optional[float] = None,
-             gseq=None) -> FlowMetrics:
+             clock_period: Optional[float] = None) -> FlowMetrics:
     """Place with ``flow`` and evaluate with the shared referee.
 
     A thin shim over the flow registry (:mod:`repro.api.registry`):
@@ -199,7 +198,7 @@ def run_flow(flat: FlatDesign, truth: Optional[GroundTruth],
 
     opts = options if options is not None else RunOptions()
     prepared = PreparedDesign.from_flat(flat, die_w=die_w, die_h=die_h,
-                                        truth=truth, gseq=gseq)
+                                        truth=truth)
     placer = get_flow(flow, seed=opts.seed, effort=opts.effort)
     if not opts.tracing:
         return placer.evaluate(prepared, clock_period=clock_period)

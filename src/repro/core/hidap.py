@@ -1,8 +1,9 @@
 """The HiDaP top flow (paper Algorithm 1).
 
-``HiDaP.place`` runs the staged pipeline from :mod:`repro.api.pipeline`
+``HiDaP.place`` runs the six stages of :mod:`repro.api.pipeline`
 (``flatten -> graphs -> shape-curves -> floorplan -> flip ->
-legalize``) and returns a :class:`MacroPlacement`.  Intermediate
+legalize``), each under a tracer span of its name inside one ``place``
+span, and returns a :class:`MacroPlacement`.  Intermediate
 products live in a typed :class:`repro.api.artifacts.RunArtifacts`
 record kept as ``self.artifacts`` — read the last run's ``flat``,
 ``tree``, ``gnet``, ``gseq``, ``curves`` and ``port_positions`` there.
@@ -10,7 +11,7 @@ record kept as ``self.artifacts`` — read the last run's ``flat``,
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, TYPE_CHECKING, Union
+from typing import Dict, Optional, TYPE_CHECKING, Union
 
 from repro.core.config import HiDaPConfig
 from repro.core.result import MacroPlacement
@@ -22,7 +23,6 @@ from repro.shapecurve.curve import ShapeCurve
 
 if TYPE_CHECKING:  # pragma: no cover - lazy to avoid core<->api cycle
     from repro.api.artifacts import RunArtifacts
-    from repro.api.pipeline import PipelineObserver
 
 
 class HiDaP:
@@ -33,14 +33,14 @@ class HiDaP:
     >>> placer = HiDaP(HiDaPConfig(lam=0.5, seed=1))
     >>> placement = placer.place(design, die_width, die_height)
 
-    Observers (see :class:`repro.api.pipeline.PipelineObserver`) may be
-    passed to receive per-stage start/end callbacks.
+    Watch a run through :mod:`repro.obs`: under ``use_tracer`` each
+    stage is a span beneath ``place``, and the annealing stages'
+    evaluation counters land in the tracer's counters as well as in
+    ``placer.artifacts.eval_counters``.
     """
 
-    def __init__(self, config: Optional[HiDaPConfig] = None,
-                 observers: Sequence["PipelineObserver"] = ()):
+    def __init__(self, config: Optional[HiDaPConfig] = None):
         self.config = config or HiDaPConfig()
-        self.observers = tuple(observers)
         #: Artifacts of the last run (for tools/figures/tests).
         self.artifacts: Optional["RunArtifacts"] = None
 
@@ -56,14 +56,16 @@ class HiDaP:
         ``gnet``/``gseq``/``tree`` may be passed to reuse pre-built
         structures (e.g. from a
         :class:`repro.api.prepared.PreparedDesign` cache); the graphs
-        stage then skips reconstruction.  Callers are responsible for
-        passing a ``gseq`` built with the configured ``min_bits``.
+        stage then skips reconstruction.  A passed ``gseq`` must have
+        been built with the configured ``min_bits``: the placement
+        flows pass ``PreparedDesign.gseq`` only when that threshold is
+        the default one it was built with.
         Likewise ``curves`` (the ``curves`` of an earlier run on the
         same ``tree`` whose config had an equal ``shapegen_config()``)
         makes the shape-curves stage skip its search.
         """
         from repro.api.artifacts import RunArtifacts
-        from repro.api.pipeline import build_hidap_pipeline
+        from repro.api.pipeline import HIDAP_STAGE_TABLE
 
         start = perf_seconds()
         die = Rect(0.0, 0.0, float(die_width), float(die_height))
@@ -72,16 +74,16 @@ class HiDaP:
             die=die, config=self.config, flow_name=flow_name,
             design=design.design if flat is not None else design,
             flat=flat, gnet=gnet, gseq=gseq, tree=tree, curves=curves)
-
-        pipeline = build_hidap_pipeline(observers=self.observers)
         # Expose the record before running so partially filled
         # artifacts stay inspectable if a stage raises.
         self.artifacts = artifacts
         design_name = artifacts.design.name if artifacts.design else "?"
-        with current_tracer().span("place", design=design_name,
-                                   flow=flow_name,
-                                   lam=self.config.lam):
-            pipeline.run(artifacts)
+        tracer = current_tracer()
+        with tracer.span("place", design=design_name, flow=flow_name,
+                         lam=self.config.lam):
+            for name, stage in HIDAP_STAGE_TABLE:
+                with tracer.span(name):
+                    stage(artifacts)
 
         placement = artifacts.require_placement()
         placement.runtime_seconds = perf_seconds() - start

@@ -1,7 +1,7 @@
 """The single sanctioned wall-clock reader (the REP006 exception).
 
-Every timing the observability layer records — span durations, the
-seconds pipeline observers receive — flows through this module, so
+Every timing the observability layer records — span durations, a
+placement's ``runtime_seconds`` — flows through this module, so
 the repro-analyze REP006 rule (no wall-clock reads in kernel and
 cost-model code) stays enforceable everywhere else: kernel code may
 call :func:`perf_seconds` (which is not a ``time.*`` read at the call

@@ -59,11 +59,7 @@ from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.api.prepared import (
-    DEFAULT_MIN_BITS,
-    PreparedDesign,
-    prepare_design,
-)
+from repro.api.prepared import PreparedDesign, prepare_design
 from repro.gen.spec import DesignSpec
 from repro.obs import current_tracer, wall_seconds
 
@@ -209,14 +205,13 @@ class CompiledDesignStore:
 
     # -- keys ---------------------------------------------------------------
 
-    def key_for_spec(self, spec: DesignSpec,
-                     min_bits: int = DEFAULT_MIN_BITS) -> str:
+    def key_for_spec(self, spec: DesignSpec) -> str:
         """Content key for a generated suite design (spec-determined)."""
         canon = json.dumps(asdict(spec), sort_keys=True,
                            separators=(",", ":"))
         digest = hashlib.sha256()
         digest.update(store_version().encode())
-        digest.update(f"|spec|min_bits={min_bits}|".encode())
+        digest.update(b"|spec|")
         digest.update(canon.encode())
         return digest.hexdigest()
 
@@ -284,7 +279,6 @@ class CompiledDesignStore:
                     "key": key,
                     "version": store_version(),
                     "design": prepared.name,
-                    "min_bits": prepared.min_bits,
                     "blob_size": len(blob),
                     "buffers": spans,
                     "created_wall": wall_seconds(),
@@ -318,14 +312,13 @@ class CompiledDesignStore:
 
     # -- the one-call front door -------------------------------------------
 
-    def ensure_spec(self, spec: DesignSpec,
-                    min_bits: int = DEFAULT_MIN_BITS) -> StoreEntry:
+    def ensure_spec(self, spec: DesignSpec) -> StoreEntry:
         """Load the entry for ``spec``, compiling and saving on a miss.
 
         Emits ``store.hit`` / ``store.miss`` + ``store.compile`` spans;
         this is the primary seam the suite runner and the service use.
         """
-        key = self.key_for_spec(spec, min_bits)
+        key = self.key_for_spec(spec)
         tracer = current_tracer()
         entry = self.load(key)
         if entry is not None:

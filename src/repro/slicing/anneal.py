@@ -42,12 +42,6 @@ class AnnealConfig:
     min_moves: int = 400
     max_moves: int = 30000
     initial_acceptance: float = 0.85
-    #: With adaptive cooling (the default) the rate is derived from the
-    #: move budget so the temperature always sweeps from T0 down to
-    #: T0 * min_temperature_ratio within the run; this static rate is
-    #: only used when ``adaptive_cooling`` is off.
-    cooling: float = 0.94
-    adaptive_cooling: bool = True
     moves_per_temperature: int = 40
     min_temperature_ratio: float = 1e-4
     restarts: int = 1
@@ -62,8 +56,9 @@ class AnnealConfig:
         return max(self.min_moves, min(self.max_moves, moves))
 
     def cooling_rate(self, budget: int) -> float:
-        if not self.adaptive_cooling:
-            return self.cooling
+        """The geometric cooling rate that sweeps the temperature from
+        T0 down to T0 * ``min_temperature_ratio`` within ``budget``
+        moves."""
         steps = max(2.0, budget / max(1, self.moves_per_temperature))
         return self.min_temperature_ratio ** (1.0 / steps)
 

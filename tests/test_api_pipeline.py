@@ -1,15 +1,11 @@
-"""Tests for the staged pipeline, observers and RunArtifacts."""
+"""Tests for the HiDaP stages, their spans and RunArtifacts."""
 
 import pytest
 
 from repro.api import (
     HIDAP_STAGES,
-    Pipeline,
-    PipelineObserver,
     PreparedDesign,
     RunArtifacts,
-    Stage,
-    build_hidap_pipeline,
     get_flow,
 )
 from repro.core.config import Effort, HiDaPConfig
@@ -18,29 +14,22 @@ from repro.geometry.rect import Rect
 from repro.obs import Tracer, use_tracer
 
 
-class Recorder(PipelineObserver):
-    def __init__(self):
-        self.events = []
-
-    def on_stage_start(self, stage, artifacts):
-        self.events.append(("start", stage.name))
-
-    def on_stage_end(self, stage, artifacts, seconds):
-        assert seconds >= 0.0
-        self.events.append(("end", stage.name))
+def _traced_place(design, config):
+    """Run HiDaP under a fresh tracer; return (placer, placement,
+    the run's ``place`` span)."""
+    tracer = Tracer("test")
+    placer = HiDaP(config)
+    with use_tracer(tracer):
+        placement = placer.place(design, 40.0, 40.0)
+    (place,) = tracer.roots
+    assert place.name == "place"
+    return placer, placement, place
 
 
 class TestPipelineStructure:
     def test_hidap_stage_order(self):
-        pipeline = build_hidap_pipeline()
-        assert pipeline.stage_names() == HIDAP_STAGES
         assert HIDAP_STAGES == ("flatten", "graphs", "shape-curves",
                                 "floorplan", "flip", "legalize")
-
-    def test_duplicate_stage_names_rejected(self):
-        noop = Stage("s", lambda artifacts: None)
-        with pytest.raises(ValueError):
-            Pipeline([noop, Stage("s", lambda artifacts: None)])
 
     def test_require_placement_before_run(self):
         artifacts = RunArtifacts(die=Rect(0, 0, 10, 10))
@@ -51,21 +40,16 @@ class TestPipelineStructure:
 class TestPipelineRun:
     @pytest.fixture(scope="class")
     def run(self, two_stage_design):
-        recorder = Recorder()
-        placer = HiDaP(HiDaPConfig(seed=2, effort=Effort.FAST),
-                       observers=[recorder])
-        placement = placer.place(two_stage_design, 40.0, 40.0)
-        return placer, placement, recorder
+        return _traced_place(two_stage_design,
+                             HiDaPConfig(seed=2, effort=Effort.FAST))
 
     def test_observer_sees_every_stage_in_order(self, run):
-        _placer, _placement, recorder = run
-        expected = []
-        for name in HIDAP_STAGES:
-            expected += [("start", name), ("end", name)]
-        assert recorder.events == expected
+        """The tracer observes each stage as a child span of ``place``."""
+        _placer, _placement, place = run
+        assert tuple(s.name for s in place.children) == HIDAP_STAGES
 
     def test_artifacts_fully_populated(self, run):
-        placer, placement, _recorder = run
+        placer, placement, _place = run
         artifacts = placer.artifacts
         assert artifacts.flat is not None
         assert artifacts.tree is not None
@@ -87,7 +71,7 @@ class TestPipelineRun:
 
     def test_legacy_attributes_view_artifacts(self, run):
         # The last run's products live on the artifacts record only.
-        placer, _placement, _recorder = run
+        placer, _placement, _place = run
         for name in ("flat", "tree", "gnet", "gseq", "curves",
                      "port_positions"):
             assert getattr(placer.artifacts, name) is not None, name
@@ -97,7 +81,7 @@ class TestPipelineRun:
         assert HiDaP().artifacts is None
 
     def test_placement_is_legal(self, run):
-        _placer, placement, _recorder = run
+        _placer, placement, _place = run
         assert placement.macro_overlap_area() == pytest.approx(0.0)
         assert placement.macros_inside_die()
 
@@ -132,6 +116,27 @@ class TestPreparedCaching:
         assert placer.artifacts.flat is two_stage_flat
 
 
+class TestFailingStage:
+    def test_error_propagates_and_leaves_partial_artifacts(
+            self, two_stage_design, monkeypatch):
+        from repro.api import pipeline
+
+        def explode(*args, **kwargs):
+            raise RuntimeError("flip exploded")
+
+        monkeypatch.setattr(pipeline, "flip_macros", explode)
+        tracer = Tracer("test")
+        placer = HiDaP(HiDaPConfig(seed=2, effort=Effort.FAST))
+        with use_tracer(tracer), pytest.raises(RuntimeError,
+                                               match="flip exploded"):
+            placer.place(two_stage_design, 40.0, 40.0)
+        assert placer.artifacts.placement is not None
+        (place,) = tracer.roots
+        assert tuple(s.name for s in place.children) \
+            == ("flatten", "graphs", "shape-curves", "floorplan", "flip")
+        assert place.children[-1].attrs["error"] == "RuntimeError"
+
+
 class TestLegalizeStage:
     def test_legal_placement_untouched(self, two_stage_design):
         """On an already-legal layout the safety net moves nothing."""
@@ -141,12 +146,12 @@ class TestLegalizeStage:
         assert placement.macro_overlap_area() == pytest.approx(0.0)
 
     def test_gate_disables_stage(self, two_stage_design):
-        recorder = Recorder()
-        placer = HiDaP(HiDaPConfig(seed=2, effort=Effort.FAST,
-                                   legalize=False), observers=[recorder])
-        placer.place(two_stage_design, 40.0, 40.0)
+        placer, _placement, place = _traced_place(
+            two_stage_design,
+            HiDaPConfig(seed=2, effort=Effort.FAST, legalize=False))
         assert placer.artifacts.legalizer_moves == 0
-        assert ("end", "legalize") in recorder.events
+        # The gated stage still runs (as an empty span) in its slot.
+        assert tuple(s.name for s in place.children) == HIDAP_STAGES
 
     def test_trace_reports_moves_and_level_legality(self):
         """Tiny c2 at λ=0.2 needs the safety net.  A traced run counts
@@ -200,23 +205,14 @@ class TestBest3ConfigKwargs:
 
 
 class TestCachedGseq:
-    """One rule for reusing ``prepared.gseq``: built with this min_bits."""
+    """One rule for reusing ``prepared.gseq``: the default threshold."""
 
     def test_matching_threshold_reuses_the_cache(self, two_stage_flat):
         from repro.api.flows import _cached_gseq
-        prepared = PreparedDesign.from_flat(two_stage_flat, 40.0, 40.0)
-        assert _cached_gseq(prepared, prepared.min_bits) is prepared.gseq
-        assert _cached_gseq(prepared, prepared.min_bits + 1) is None
-
-    def test_unknown_provenance_forces_a_rebuild(self, two_stage_flat):
-        from repro.api.flows import _cached_gseq
         from repro.api.prepared import DEFAULT_MIN_BITS
-        supplied = PreparedDesign.from_flat(two_stage_flat, 40.0,
-                                            40.0).gseq
-        prepared = PreparedDesign.from_flat(two_stage_flat, 40.0, 40.0,
-                                            gseq=supplied)
-        assert prepared.min_bits is None
-        assert _cached_gseq(prepared, DEFAULT_MIN_BITS) is None
+        prepared = PreparedDesign.from_flat(two_stage_flat, 40.0, 40.0)
+        assert _cached_gseq(prepared, DEFAULT_MIN_BITS) is prepared.gseq
+        assert _cached_gseq(prepared, DEFAULT_MIN_BITS + 1) is None
 
 
 def _row_key(row):

@@ -146,24 +146,6 @@ class TestPortableEntries:
             unregister_flow("fast-hidap")
 
 
-class TestRunFlowGseqCompat:
-    def test_foreign_gseq_is_referee_only(self, two_stage_flat):
-        """A gseq passed to run_flow must not leak into placement
-        (pre-registry behaviour: flows rebuilt their own graphs)."""
-        from repro.api import run_flow
-        from repro.hiergraph.gnet import build_gnet
-        from repro.hiergraph.gseq import build_gseq
-
-        foreign = build_gseq(build_gnet(two_stage_flat),
-                             two_stage_flat, min_bits=8)
-        opts = RunOptions(seed=2, effort=Effort.FAST)
-        plain = run_flow(two_stage_flat, None, "hidap", 40.0, 40.0,
-                         options=opts)
-        with_gseq = run_flow(two_stage_flat, None, "hidap", 40.0, 40.0,
-                             options=opts, gseq=foreign)
-        assert with_gseq.wl_meters == plain.wl_meters
-
-
 class TestSuiteCli:
     def test_suite_with_workers(self, capsys):
         assert main(["suite", "--scale", "tiny", "--designs", "c1",

@@ -1,12 +1,9 @@
-"""Unit tests for repro.obs: tracer, registry, sinks, observer safety."""
+"""Unit tests for repro.obs: tracer, registry, sinks."""
 
 import json
-import logging
 
 import pytest
 
-from repro.api import Pipeline, PipelineObserver, RunArtifacts, Stage
-from repro.geometry.rect import Rect
 from repro.obs import (
     NULL_REGISTRY,
     NULL_TRACER,
@@ -199,50 +196,6 @@ class TestTraceDiff:
     def test_cli(self, tmp_path, capsys):
         assert trace_summary(["--diff", *self._traces(tmp_path)]) == 0
         assert "anneal" in capsys.readouterr().out
-
-
-# -- pipeline observer exception safety -------------------------------------
-
-class _FailingObserver(PipelineObserver):
-    def on_stage_start(self, stage, artifacts):
-        raise RuntimeError("observer exploded")
-
-
-class TestObserverSafety:
-    def _pipeline(self, observer):
-        ran = []
-        return ran, Pipeline([Stage("s", lambda a: ran.append("s"))],
-                             observers=[observer])
-
-    def test_failing_observer_does_not_abort_the_run(self, caplog):
-        ran, pipeline = self._pipeline(_FailingObserver())
-        with caplog.at_level(logging.WARNING, "repro.api.pipeline"):
-            pipeline.run(RunArtifacts(die=Rect(0, 0, 1, 1)))
-        assert ran == ["s"]
-        assert any("observer" in rec.message.lower()
-                   for rec in caplog.records)
-
-    def test_failure_is_recorded_as_a_trace_event(self):
-        tracer = Tracer("t")
-        _ran, pipeline = self._pipeline(_FailingObserver())
-        with use_tracer(tracer):
-            pipeline.run(RunArtifacts(die=Rect(0, 0, 1, 1)))
-        errors = [s for s in tracer.roots if s.name == "observer.error"]
-        assert errors
-        assert errors[0].attrs["observer"] == "_FailingObserver"
-        assert errors[0].attrs["callback"] == "on_stage_start"
-
-    def test_healthy_observers_still_called_after_a_failure(self):
-        calls = []
-
-        class Healthy(PipelineObserver):
-            def on_stage_start(self, stage, artifacts):
-                calls.append(stage.name)
-
-        pipeline = Pipeline([Stage("s", lambda a: None)],
-                            observers=[_FailingObserver(), Healthy()])
-        pipeline.run(RunArtifacts(die=Rect(0, 0, 1, 1)))
-        assert calls == ["s"]
 
 
 # -- CLI surface ------------------------------------------------------------

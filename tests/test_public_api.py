@@ -44,9 +44,8 @@ EXPECTED_API = {
     "UnknownFlowError", "available_flows", "flow_descriptions",
     "get_flow", "parse_flow_spec", "register_builtin_flows",
     "register_flow", "split_flow_specs", "unregister_flow",
-    # pipeline / artifacts
-    "HIDAP_STAGES", "Pipeline", "PipelineObserver", "RunArtifacts",
-    "Stage", "build_hidap_pipeline",
+    # stages / artifacts
+    "HIDAP_STAGES", "RunArtifacts",
     # prepared designs
     "PreparedDesign", "prepare_design", "prepare_suite_design",
     # single runs + knobs

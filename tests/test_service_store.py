@@ -38,11 +38,6 @@ class TestKeys:
         assert store.key_for_spec(_spec("c1")) \
             != store.key_for_spec(_spec("c2"))
 
-    def test_min_bits_is_part_of_the_key(self, tmp_path):
-        store = CompiledDesignStore(tmp_path)
-        assert store.key_for_spec(_spec(), min_bits=2) \
-            != store.key_for_spec(_spec(), min_bits=3)
-
     def test_version_salt_invalidates_keys(self, tmp_path,
                                            monkeypatch):
         store = CompiledDesignStore(tmp_path)

@@ -64,10 +64,6 @@ class TestAnnealer:
         steps = 1000 / 10
         assert rate ** steps == pytest.approx(1e-4, rel=0.05)
 
-    def test_static_cooling_respected(self):
-        config = AnnealConfig(adaptive_cooling=False, cooling=0.91)
-        assert config.cooling_rate(budget=12345) == 0.91
-
     def test_restarts_keep_best(self):
         def cost(expr):
             return float(count_h(expr))
