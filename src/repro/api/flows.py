@@ -17,7 +17,8 @@ from __future__ import annotations
 import dataclasses
 from typing import Optional, Tuple
 
-from repro.api.prepared import DEFAULT_MIN_BITS, PreparedDesign
+from repro.api.artifacts import RunArtifacts
+from repro.api.prepared import PreparedDesign
 from repro.api.registry import FlowError, register_flow
 from repro.core.config import Effort, HiDaPConfig
 from repro.core.hidap import HiDaP
@@ -31,14 +32,20 @@ def _coerce_effort(effort) -> Effort:
     return effort if isinstance(effort, Effort) else Effort(effort)
 
 
-def _cached_gseq(prepared: PreparedDesign, min_bits: int):
-    """``prepared.gseq`` if ``min_bits`` is the threshold it is built
-    with (:data:`~repro.api.prepared.DEFAULT_MIN_BITS`), else ``None``.
+def _place_hidap(prepared: PreparedDesign, config: HiDaPConfig,
+                 flow_name: str, curves=None
+                 ) -> Tuple[MacroPlacement, RunArtifacts]:
+    """One HiDaP run over ``prepared``'s cached graphs and tree.
 
-    A placer handed ``None`` builds its own gseq.  gnet is
-    threshold-independent and always shareable.
+    Returns the placement and the run's artifacts; ``curves`` (an
+    earlier run's) lets the shape-curves stage skip its search.
     """
-    return prepared.gseq if min_bits == DEFAULT_MIN_BITS else None
+    placer = HiDaP(config)
+    placement = placer.place(prepared.flat, prepared.die_w, prepared.die_h,
+                             flow_name=flow_name, gnet=prepared.gnet,
+                             gseq=prepared.gseq, tree=prepared.tree,
+                             curves=curves)
+    return placement, placer.artifacts
 
 
 class BaseFlow:
@@ -91,22 +98,10 @@ class HiDaPFlow(BaseFlow):
         self.config = HiDaPConfig(seed=self.seed, lam=lam,
                                   effort=self.effort, **config_kwargs)
 
-    def _run_hidap(self, prepared: PreparedDesign, config: HiDaPConfig,
-                   curves=None) -> MacroPlacement:
-        placer = HiDaP(config)
-        placement = placer.place(prepared.flat, prepared.die_w,
-                                 prepared.die_h,
-                                 flow_name=self.flow_label,
-                                 gnet=prepared.gnet,
-                                 gseq=_cached_gseq(prepared,
-                                                   config.min_bits),
-                                 tree=prepared.tree, curves=curves)
-        # Keep the run record for callers.
-        self.artifacts = placer.artifacts
-        return placement
-
     def place(self, prepared: PreparedDesign) -> MacroPlacement:
-        return self._run_hidap(prepared, self.config)
+        placement, self.artifacts = _place_hidap(prepared, self.config,
+                                                 self.flow_label)
+        return placement
 
     def evaluate(self, prepared: PreparedDesign,
                  clock_period: Optional[float] = None) -> FlowMetrics:
@@ -143,10 +138,11 @@ class HiDaPBest3Flow(HiDaPFlow):
         best = None
         curves = None
         for lam in self.lambdas:
-            # Carry every configured knob (min_bits, flipping, ...)
+            # Carry every configured knob (flipping, latency_k, ...)
             # into the sweep; only λ varies.
             config = dataclasses.replace(self.config, lam=lam)
-            placement = self._run_hidap(prepared, config, curves)
+            placement, self.artifacts = _place_hidap(
+                prepared, config, self.flow_label, curves)
             curves = self.artifacts.curves
             metrics = self._referee(prepared, placement, clock_period)
             metrics.lam = lam
@@ -238,11 +234,7 @@ class HandFPFlow(HandFPStripFlow):
                                  (self.seed + 202, 0.2)):
             config = HiDaPConfig(seed=expert_seed, lam=lam,
                                  effort=expert_effort)
-            candidate = HiDaP(config).place(
-                prepared.flat, prepared.die_w, prepared.die_h,
-                flow_name="handfp", gnet=prepared.gnet,
-                gseq=_cached_gseq(prepared, config.min_bits),
-                tree=prepared.tree)
+            candidate = _place_hidap(prepared, config, "handfp")[0]
             metrics = self._referee(prepared, candidate, clock_period)
             total_time += metrics.placer_seconds
             if metrics.wl_meters < best.wl_meters:

@@ -54,8 +54,7 @@ def _stage_graphs(artifacts: RunArtifacts) -> None:
     if artifacts.gnet is None:
         artifacts.gnet = build_gnet(flat)
     if artifacts.gseq is None:
-        artifacts.gseq = build_gseq(artifacts.gnet, flat,
-                                    min_bits=artifacts.config.min_bits)
+        artifacts.gseq = build_gseq(artifacts.gnet, flat)
 
 
 def _merge_eval_counters(artifacts: RunArtifacts, stats) -> None:

@@ -21,11 +21,6 @@ from repro.netlist.core import Design
 from repro.netlist.flatten import FlatDesign, flatten
 from repro.obs import current_tracer
 
-#: ``build_gseq`` width threshold used for the shared cache; flows whose
-#: configuration matches reuse the cached graph, others rebuild.
-DEFAULT_MIN_BITS = 2
-
-
 @dataclass
 class PreparedDesign:
     """A design plus lazily cached derived structures.
@@ -74,8 +69,7 @@ class PreparedDesign:
         if self._gseq is None:
             with current_tracer().span("prepare.gseq",
                                        design=self.design.name):
-                self._gseq = build_gseq(self.gnet, self.flat,
-                                        min_bits=DEFAULT_MIN_BITS)
+                self._gseq = build_gseq(self.gnet, self.flat)
         return self._gseq
 
     @property

@@ -52,9 +52,6 @@ class SuiteResult:
     #: row/table comparison.
     trace: Optional[List[Dict[str, Any]]] = None
 
-    def rows_for(self, design: str) -> List["FlowMetrics"]:
-        return [r for r in self.rows if r.design == design]
-
 
 def run_suite(scale: str = "bench",
               flows: Sequence[str] = DEFAULT_FLOWS,

@@ -21,7 +21,7 @@ from repro.netlist.flatten import FlatDesign
 
 
 def macro_affinity_matrix(gseq: Gseq, flat: FlatDesign, lam: float,
-                          latency_k: float, max_latency: int = 16
+                          latency_k: float
                           ) -> Tuple[List[int], List[List[float]],
                                      List[str]]:
     """Affinity between individual macros (and ports) via Gdf.
@@ -44,7 +44,7 @@ def macro_affinity_matrix(gseq: Gseq, flat: FlatDesign, lam: float,
                               [node.index]))
         port_names.append(node.name)
 
-    gdf = build_gdf(gseq, groups, max_latency=max_latency)
+    gdf = build_gdf(gseq, groups)
     size = len(groups)
     matrix = [[0.0] * size for _ in range(size)]
     for (i, j), edge in gdf.edges.items():

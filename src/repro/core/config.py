@@ -9,10 +9,9 @@ latency-decay exponent ``k`` controls ``score(h, k)``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
-from repro.floorplan.cost import CostWeights
 from repro.floorplan.engine import LayoutConfig
 from repro.shapecurve.generation import ShapeGenConfig
 from repro.slicing.anneal import AnnealConfig
@@ -32,7 +31,15 @@ class Effort(Enum):
 
 @dataclass
 class HiDaPConfig:
-    """All knobs of the HiDaP flow."""
+    """The knobs of the HiDaP flow that a run, figure or ablation sets.
+
+    Fixed choices live in the module that reads them: the gseq width
+    threshold is :func:`~repro.hiergraph.gseq.build_gseq`'s default,
+    the dataflow BFS depth :func:`~repro.hiergraph.gdf.build_gdf`'s,
+    the penalty severities :class:`~repro.floorplan.cost.CostWeights`'
+    and the shape-curve whitespace
+    :data:`repro.core.recursive.CURVE_INFLATION`.
+    """
 
     seed: int = 0
     #: λ — weight of block flow vs macro flow in the affinity blend.
@@ -45,17 +52,8 @@ class HiDaPConfig:
     #: Declustering: macro-free nodes above this fraction of area(nh)
     #: are opened to expose structure.
     open_area_frac: float = 0.40
-    #: Gseq array-width threshold (components narrower are discarded).
-    min_bits: int = 2
-    #: BFS depth bound for dataflow inference.
-    max_latency: int = 16
     #: Annealing effort preset.
     effort: Effort = Effort.NORMAL
-    #: Penalty severities of the layout cost model.
-    weights: CostWeights = field(default_factory=CostWeights)
-    #: Extra whitespace factor applied to macro shape curves, leaving
-    #: routing/keepout room around macro layouts.
-    curve_inflation: float = 1.08
     #: Incremental cost evaluation in both annealing problems (cached
     #: subtree shape curves, memoized compositions and expression
     #: costs).  Bit-identical to full re-evaluation under a fixed seed;
@@ -101,8 +99,7 @@ class HiDaPConfig:
             max_moves=int(6000 * mult),
             moves_per_temperature=28,
             restarts=2 if self.effort is not Effort.FAST else 1)
-        return LayoutConfig(seed=anneal.seed, weights=self.weights,
-                            anneal=anneal, incremental=self.incremental)
+        return LayoutConfig(anneal=anneal, incremental=self.incremental)
 
     def shapegen_config(self) -> ShapeGenConfig:
         """Shape-curve generation configuration (S_Γ, Sect. IV-A)."""

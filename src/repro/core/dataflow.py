@@ -75,8 +75,7 @@ def seq_nodes_for_seeds(gseq: Gseq, seeds: Sequence[BlockSeed]
 
 def infer_affinity(gseq: Gseq, seeds: Sequence[BlockSeed],
                    terminals: Sequence[TerminalSpec], lam: float,
-                   latency_k: float, max_latency: int = 16
-                   ) -> Tuple[Gdf, List[List[float]]]:
+                   latency_k: float) -> Tuple[Gdf, List[List[float]]]:
     """Run dataflow inference for one level.
 
     Returns the level's Gdf (blocks first, then terminals, in order)
@@ -96,7 +95,7 @@ def infer_affinity(gseq: Gseq, seeds: Sequence[BlockSeed],
         groups.append(GdfNode(len(seeds) + t, terminal.name,
                               terminal.kind, members))
 
-    gdf = build_gdf(gseq, groups, max_latency=max_latency)
+    gdf = build_gdf(gseq, groups)
 
     size = len(groups)
     matrix = [[0.0] * size for _ in range(size)]

@@ -56,13 +56,10 @@ class HiDaP:
         ``gnet``/``gseq``/``tree`` may be passed to reuse pre-built
         structures (e.g. from a
         :class:`repro.api.prepared.PreparedDesign` cache); the graphs
-        stage then skips reconstruction.  A passed ``gseq`` must have
-        been built with the configured ``min_bits``: the placement
-        flows pass ``PreparedDesign.gseq`` only when that threshold is
-        the default one it was built with.
-        Likewise ``curves`` (the ``curves`` of an earlier run on the
-        same ``tree`` whose config had an equal ``shapegen_config()``)
-        makes the shape-curves stage skip its search.
+        stage then skips reconstruction.  Likewise ``curves`` (the
+        ``curves`` of an earlier run on the same ``tree`` whose config
+        had an equal ``shapegen_config()``) makes the shape-curves stage
+        skip its search.
         """
         from repro.api.artifacts import RunArtifacts
         from repro.api.pipeline import HIDAP_STAGE_TABLE

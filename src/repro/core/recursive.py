@@ -33,6 +33,10 @@ from repro.slicing.tree import EvalStats
 #: deep in the recursion.
 MAX_EXT_TERMINALS = 18
 
+#: Extra whitespace factor applied to hierarchical blocks' shape
+#: curves, leaving routing/keepout room around macro layouts.
+CURVE_INFLATION = 1.08
+
 
 class RecursiveFloorplanner:
     """Carries the shared state of one HiDaP placement run."""
@@ -84,7 +88,7 @@ class RecursiveFloorplanner:
         curve = self.curves.get(seed.node.path, ShapeCurve.trivial())
         if curve.is_trivial:
             return curve
-        return curve.inflated(self.config.curve_inflation)
+        return curve.inflated(CURVE_INFLATION)
 
     def _cap_terminals(self, terms: List[TerminalSpec],
                        region: Rect) -> List[TerminalSpec]:
@@ -150,8 +154,7 @@ class RecursiveFloorplanner:
         else:
             gdf, matrix = infer_affinity(
                 gseq=self.gseq, seeds=seeds, terminals=terms,
-                lam=config.lam, latency_k=config.latency_k,
-                max_latency=config.max_latency)
+                lam=config.lam, latency_k=config.latency_k)
             block_members = [gdf.nodes[i].seq_nodes
                              for i in range(len(seeds))]
 

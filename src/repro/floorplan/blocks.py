@@ -41,10 +41,6 @@ class Block:
     def has_macros(self) -> bool:
         return self.macro_count > 0
 
-    @property
-    def is_soft(self) -> bool:
-        return self.curve.is_trivial
-
     def __repr__(self) -> str:
         return (f"Block({self.name}: macros={self.macro_count}, "
                 f"a_m={self.area_min:.0f}, a_t={self.area_target:.0f})")

@@ -14,11 +14,6 @@ from typing import Dict, List, Sequence, Tuple
 
 from repro.floorplan.blocks import Block, Terminal
 from repro.floorplan.budget import BudgetReport
-from repro.geometry.rect import Point, Rect
-from repro.metrics import AffinityPairs, NumpyBackend
-
-#: The referee kernels the distance term runs on (stateless).
-_KERNELS = NumpyBackend()
 
 
 @dataclass(frozen=True)
@@ -49,28 +44,27 @@ class CostModel:
     affinity:
         Dense symmetric matrix of size (n + len(terminals))^2; only
         pairs with non-zero affinity are kept.
-    weights:
-        Penalty severities.
     scale:
         A reference length; the distance term is divided by it so costs
         are comparable across die sizes (penalties stay scale-free).
     """
 
     def __init__(self, blocks: List[Block], terminals: List[Terminal],
-                 affinity: Sequence[Sequence[float]],
-                 weights: CostWeights = None, scale: float = 1.0):
+                 affinity: Sequence[Sequence[float]], scale: float = 1.0):
         self.blocks = blocks
         self.terminals = terminals
-        self.weights = weights or CostWeights()
+        self.weights = CostWeights()
         self.scale = max(scale, 1e-12)
-        self._pairs = None          # lazy metrics.AffinityPairs
         n = len(blocks)
         size = n + len(terminals)
         if len(affinity) != size:
             raise ValueError(
                 f"affinity matrix is {len(affinity)}x..., expected {size}")
+        #: ``(i, j, a)`` pairs of movable blocks.
         self.block_pairs: List[Tuple[int, int, float]] = []
-        self.terminal_pairs: List[Tuple[int, int, float]] = []
+        #: ``(i, (tx, ty), a)`` pairs of a block and a fixed position.
+        self.terminal_pairs: List[Tuple[int, Tuple[float, float],
+                                        float]] = []
         for i in range(n):
             for j in range(i + 1, n):
                 a = affinity[i][j] + affinity[j][i]
@@ -79,40 +73,28 @@ class CostModel:
             for t, terminal in enumerate(terminals):
                 a = affinity[i][n + t] + affinity[n + t][i]
                 if a > 0:
-                    self.terminal_pairs.append((i, terminal.index, a))
-        self._terminal_pos: Dict[int, Point] = {
-            t.index: t.pos for t in terminals}
+                    pos = terminal.pos
+                    self.terminal_pairs.append((i, (pos.x, pos.y), a))
 
     # -- pieces ------------------------------------------------------------
 
-    def _affinity_pairs(self):
-        """The distance kernel's compiled pair view (built once)."""
-        if self._pairs is None:
-            terminal_pairs = []
-            for i, t, a in self.terminal_pairs:
-                pos = self._terminal_pos[t]
-                terminal_pairs.append((i, (pos.x, pos.y), a))
-            self._pairs = AffinityPairs(self.block_pairs, terminal_pairs)
-        return self._pairs
-
-    def distance_term(self, rects: Dict[int, Rect],
-                      centers: Dict[int, Tuple[float, float]] = None
+    def distance_term(self, centers: Dict[int, Tuple[float, float]]
                       ) -> float:
-        """Affinity-weighted sum of Manhattan center distances.
+        """Affinity-weighted sum of Manhattan centre distances, scaled.
 
-        ``centers`` optionally passes pre-computed ``(cx, cy)`` block
-        centers (e.g. ``BudgetReport.leaf_centers``) so the
-        evaluation skips recomputing every rectangle center; values
-        must equal ``rect.center`` of the corresponding rectangle.  The
-        sum is the NumPy referee's ``affinity_distance`` kernel, which
-        reduces sequentially in pair order, so the result is
-        bit-identical to the historical Python accumulator.
+        ``centers`` maps each block to its ``(cx, cy)`` centre (e.g.
+        ``BudgetReport.leaf_centers``); a referenced block without one
+        is a ``KeyError``.  Block pairs are summed first, then terminal
+        pairs, each in construction order.
         """
-        if centers is None:
-            centers = {i: (r.x + r.w / 2.0, r.y + r.h / 2.0)
-                       for i, r in rects.items()}
-        total = _KERNELS.affinity_distance(self._affinity_pairs(),
-                                           centers)
+        total = 0.0
+        for i, j, a in self.block_pairs:
+            cxi, cyi = centers[i]
+            cxj, cyj = centers[j]
+            total += a * (abs(cxi - cxj) + abs(cyi - cyj))
+        for i, (tx, ty), a in self.terminal_pairs:
+            cxi, cyi = centers[i]
+            total += a * (abs(cxi - tx) + abs(cyi - ty))
         return total / self.scale
 
     def penalty(self, report: BudgetReport) -> float:
@@ -123,18 +105,7 @@ class CostModel:
                 + w.macro_area * report.macro_deficit)
 
     def cost(self, report: BudgetReport) -> float:
-        """The paper's objective for one budgeted layout.
-
-        Uses the centers recorded on the report (when it carries them)
-        instead of recomputing every rectangle center, so a budgeted
-        layout's rectangles are never built here.
-        """
-        if report.leaf_centers:
-            term = self.distance_term({}, centers=report.leaf_centers)
-        else:
-            term = self.distance_term(report.leaf_rects)
+        """The paper's objective for one budgeted layout, scored on the
+        centres the report records (its rectangles are never built)."""
+        term = self.distance_term(report.leaf_centers)
         return self.penalty(report) * (term + self.weights.epsilon)
-
-    def total_affinity(self) -> float:
-        return (sum(a for _i, _j, a in self.block_pairs)
-                + sum(a for _i, _t, a in self.terminal_pairs))

@@ -32,7 +32,7 @@ from repro.floorplan.budget import (
     block_subtrees,
     budgeted_layout,
 )
-from repro.floorplan.cost import CostModel, CostWeights
+from repro.floorplan.cost import CostModel
 from repro.geometry.rect import Rect
 from repro.memo import BoundedStore
 from repro.obs import current_tracer
@@ -62,27 +62,22 @@ class LayoutProblem:
 
 @dataclass
 class LayoutConfig:
-    """Search-effort knobs for one layout generation call."""
+    """Search-effort knobs for one layout generation call.
 
-    seed: int = 0
-    weights: CostWeights = field(default_factory=CostWeights)
+    The annealing schedule, seed and restart count are all ``anneal``'s;
+    HiDaP's per-level schedule is
+    :meth:`repro.core.config.HiDaPConfig.layout_config`.
+    """
+
     #: Pareto-point cap during annealing; the final evaluation uses the
     #: full curve resolution.
     anneal_curve_limit: int = 6
     final_curve_limit: int = 32
-    anneal: AnnealConfig = None
-    restarts: int = 2
+    anneal: AnnealConfig = field(default_factory=AnnealConfig)
     #: Reuse memoized expression costs and cached subtree curves/areas
     #: between cost evaluations.  Bit-identical to full re-evaluation
     #: under a fixed seed; disable only to cross-check that claim.
     incremental: bool = True
-
-    def __post_init__(self) -> None:
-        if self.anneal is None:
-            self.anneal = AnnealConfig(
-                seed=self.seed, moves_per_block=140, min_moves=240,
-                max_moves=6000, moves_per_temperature=28,
-                restarts=self.restarts)
 
 
 @dataclass
@@ -163,8 +158,7 @@ def _result_from(report: BudgetReport, model: CostModel,
     return LayoutResult(
         rects=dict(report.leaf_rects), report=report,
         cost=model.cost(report), penalty=model.penalty(report),
-        distance_term=model.distance_term(
-            report.leaf_rects, centers=report.leaf_centers or None),
+        distance_term=model.distance_term(report.leaf_centers),
         expression=expr, stats=stats)
 
 
@@ -184,7 +178,7 @@ def _generate_layout(problem: LayoutProblem,
                      config: LayoutConfig) -> LayoutResult:
     scale = max(problem.region.w + problem.region.h, 1e-12)
     model = CostModel(problem.blocks, problem.terminals, problem.affinity,
-                      config.weights, scale=scale)
+                      scale=scale)
 
     stats = EvalStats()
     final_eval = LayoutEvaluator(problem, model, config.final_curve_limit,

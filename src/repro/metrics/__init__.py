@@ -11,9 +11,8 @@ into batched array kernels:
   (:class:`RefereeBackend`) and the ``python`` reference loops, kept
   as the equivalence oracle for tests and ``make bench-referee``.
 * :mod:`repro.metrics.numpy_backend` holds the batched kernels
-  (segmented HPWL, congestion rasterization, affinity-pair distances)
-  that score every row, bit-identical to the reference loops by
-  construction.
+  (segmented HPWL, congestion rasterization) that score every row,
+  bit-identical to the reference loops by construction.
 * :mod:`repro.metrics.stdcell_kernel` compiles the clustered netlist's
   quadratic clique connectivity (:class:`StdcellArrays`) and assembles
   the cell placer's sparse system with ordered array scatters.
@@ -27,14 +26,14 @@ behind a cheap shape fingerprint.  None has a serializer of its own:
 the compiled-design store (:mod:`repro.service.store`) pickles them
 with the prepared design, their arrays as out-of-band buffers.
 
-The referee (:func:`repro.api.run.evaluate_placement`) and the layout
-cost model always run the NumPy kernels.  Tests compare them with the
-oracle by passing an instance: ``evaluate_placement(...,
-backend=PythonBackend())``.
+The referee (:func:`repro.api.run.evaluate_placement`) always runs the
+NumPy kernels.  Tests compare them with the oracle by passing an
+instance: ``evaluate_placement(..., backend=PythonBackend())``.  The
+layout cost model's distance term is the placer's own
+(:mod:`repro.floorplan.cost`), not a referee kernel.
 """
 
 from repro.metrics.backends import (
-    AffinityPairs,
     PythonBackend,
     RefereeBackend,
 )
@@ -57,7 +56,6 @@ from repro.metrics.timing_kernel import (
 )
 
 __all__ = [
-    "AffinityPairs",
     "NetArrays",
     "NumpyBackend",
     "PythonBackend",

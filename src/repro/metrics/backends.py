@@ -1,8 +1,8 @@
 """The referee kernel interface and its python oracle.
 
-The referee's five evaluation kernels — the quadratic stdcell system
-assembly, HPWL, congestion, the levelized timing analysis and the
-affinity-pair distance term — sit behind one small interface,
+The referee's four evaluation kernels — the quadratic stdcell system
+assembly, HPWL, congestion and the levelized timing analysis — sit
+behind one small interface,
 :class:`RefereeBackend`, with two implementations:
 
 * :class:`PythonBackend` — the reference per-net loops the repo started
@@ -23,7 +23,7 @@ tests put the oracle in their place.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
+from typing import Dict, Optional, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.result import MacroPlacement
@@ -89,72 +89,8 @@ class RefereeBackend:
                    coords=None) -> "CongestionReport":
         raise NotImplementedError
 
-    def affinity_distance(self, pairs: "AffinityPairs",
-                          centers: Dict[int, Tuple[float, float]]) -> float:
-        """Unscaled ``sum(a * manhattan)`` over the compiled pairs."""
-        raise NotImplementedError
-
     def __repr__(self) -> str:
         return f"<RefereeBackend {self.name!r}>"
-
-
-class AffinityPairs:
-    """The distance kernel's compiled view of a cost model's pairs.
-
-    ``block_pairs`` are ``(i, j, a)`` with both ends movable;
-    ``terminal_pairs`` are ``(i, (tx, ty), a)`` with a fixed end.  Kept
-    in the cost model's historical iteration order so sequential
-    reduction matches the reference accumulator bit for bit.  NumPy
-    column views are materialized lazily on first use.
-    """
-
-    __slots__ = ("block_pairs", "terminal_pairs", "_columns",
-                 "_required")
-
-    def __init__(self,
-                 block_pairs: List[Tuple[int, int, float]],
-                 terminal_pairs: List[Tuple[int, Tuple[float, float],
-                                            float]]):
-        self.block_pairs = block_pairs
-        self.terminal_pairs = terminal_pairs
-        self._columns = None
-        self._required = None
-
-    def __len__(self) -> int:
-        return len(self.block_pairs) + len(self.terminal_pairs)
-
-    def required_indices(self) -> Tuple[int, ...]:
-        """Every block index the pairs reference (sorted, deduped).
-
-        Kernels look these up in the caller's ``centers`` mapping, so a
-        missing index raises ``KeyError`` on every backend alike.
-        """
-        if self._required is None:
-            indices = {i for i, _j, _a in self.block_pairs}
-            indices.update(j for _i, j, _a in self.block_pairs)
-            indices.update(i for i, _pos, _a in self.terminal_pairs)
-            self._required = tuple(sorted(indices))
-        return self._required
-
-    def columns(self):
-        """``(bi, bj, ba, ti, tx, ty, ta)`` int64/float64 arrays."""
-        if self._columns is None:
-            import numpy as np
-
-            bi = np.array([p[0] for p in self.block_pairs], dtype=np.int64)
-            bj = np.array([p[1] for p in self.block_pairs], dtype=np.int64)
-            ba = np.array([p[2] for p in self.block_pairs],
-                          dtype=np.float64)
-            ti = np.array([p[0] for p in self.terminal_pairs],
-                          dtype=np.int64)
-            tx = np.array([p[1][0] for p in self.terminal_pairs],
-                          dtype=np.float64)
-            ty = np.array([p[1][1] for p in self.terminal_pairs],
-                          dtype=np.float64)
-            ta = np.array([p[2] for p in self.terminal_pairs],
-                          dtype=np.float64)
-            self._columns = (bi, bj, ba, ti, tx, ty, ta)
-        return self._columns
 
 
 class PythonBackend(RefereeBackend):
@@ -188,15 +124,3 @@ class PythonBackend(RefereeBackend):
         from repro.routing.congestion import congestion_reference
         return congestion_reference(flat, placement, cells,
                                     port_positions, bins=bins)
-
-    def affinity_distance(self, pairs, centers):
-        total = 0.0
-        for i, j, a in pairs.block_pairs:
-            cxi, cyi = centers[i]
-            cxj, cyj = centers[j]
-            total += a * (abs(cxi - cxj) + abs(cyi - cyj))
-        for i, (tx, ty), a in pairs.terminal_pairs:
-            cxi, cyi = centers[i]
-            total += a * (abs(cxi - tx) + abs(cyi - ty))
-        return total
-

@@ -4,7 +4,7 @@ Each kernel is engineered to be *bit-identical* to its Python
 reference loop, not merely close:
 
 * elementwise arithmetic replicates the reference IEEE expressions
-  (same operands, same order), so every per-net / per-pair term matches
+  (same operands, same order), so every per-net term matches
   exactly;
 * scalar accumulators are replaced by ``cumsum`` (``np.add.accumulate``),
   which reduces sequentially in the reference visit order — unlike
@@ -25,11 +25,6 @@ import numpy as np
 from repro.metrics.backends import RefereeBackend
 from repro.metrics.netarrays import locate_endpoints, net_arrays_for
 
-#: Below this pair count the distance kernel's array overhead beats the
-#: loop; fall back to the reference implementation (identical result).
-_MIN_VECTOR_PAIRS = 32
-
-
 def _sequential_sum(values: np.ndarray) -> float:
     """Left-to-right float64 sum, bit-identical to a Python ``+=`` loop."""
     if values.size == 0:
@@ -39,8 +34,7 @@ def _sequential_sum(values: np.ndarray) -> float:
 
 class NumpyBackend(RefereeBackend):
     """Array-compiled referee: batched stdcell assembly, segmented HPWL,
-    rasterized congestion, levelized timing, gathered affinity
-    distances."""
+    rasterized congestion, levelized timing."""
 
     name = "numpy"
     uses_net_arrays = True
@@ -143,27 +137,3 @@ class NumpyBackend(RefereeBackend):
             grid.add_l_routes(x[:-1][same], y[:-1][same],
                               x[1:][same], y[1:][same], weight=1.0)
         return congestion_report_from(grid)
-
-    # -- affinity distance --------------------------------------------------
-
-    def affinity_distance(self, pairs, centers):
-        if len(pairs) < _MIN_VECTOR_PAIRS:
-            # Identical value (see module docstring); the loop is
-            # faster than array setup at this size.
-            from repro.metrics.backends import PythonBackend
-            return PythonBackend.affinity_distance(self, pairs, centers)
-        bi, bj, ba, ti, tx, ty, ta = pairs.columns()
-        required = pairs.required_indices()
-        n = required[-1] + 1 if required else 0
-        cx = np.zeros(n)
-        cy = np.zeros(n)
-        # Indexing ``centers`` (not iterating it) keeps the oracle's
-        # contract: a referenced block without a center is a KeyError,
-        # never a silent (0, 0).
-        for index in required:
-            cx[index], cy[index] = centers[index]
-        block_terms = ba * (np.abs(cx[bi] - cx[bj])
-                            + np.abs(cy[bi] - cy[bj]))
-        terminal_terms = ta * (np.abs(cx[ti] - tx) + np.abs(cy[ti] - ty))
-        return _sequential_sum(np.concatenate([block_terms,
-                                               terminal_terms]))

@@ -199,6 +199,19 @@ def test_rep008_fires_through_a_call_edge():
     assert "'x'" in finding.message      # the kernel parameter
 
 
+def test_rep008_roots_are_the_referee_kernels():
+    # REP008 roots its purity check at RefereeBackend's public methods;
+    # a kernel deleted from the interface must leave no stale root.
+    import inspect
+
+    from repro.metrics import RefereeBackend
+    from tools.analyze.interproc import KERNELS
+    methods = [name for name, _f in
+               inspect.getmembers(RefereeBackend, inspect.isfunction)
+               if not name.startswith("_")]
+    assert sorted(KERNELS) == sorted(methods)
+
+
 def test_rep009_fires_through_a_call_edge():
     report = analyze_fixture("interproc_rep009")
     assert rules_hit(report) == {"REP009"}

@@ -4,9 +4,11 @@ import pytest
 
 from repro.api import (
     HIDAP_STAGES,
+    FlowError,
     PreparedDesign,
     RunArtifacts,
     get_flow,
+    prepare_suite_design,
 )
 from repro.core.config import Effort, HiDaPConfig
 from repro.core.hidap import HiDaP
@@ -192,27 +194,45 @@ class TestBest3ConfigKwargs:
     def test_extra_config_carried_into_sweep(self):
         import dataclasses
 
-        from repro.api import get_flow
-        flow = get_flow("hidap-best3:flipping=false,min_bits=4")
+        flow = get_flow("hidap-best3:flipping=false,latency_k=2")
         assert flow.config.flipping is False
-        assert flow.config.min_bits == 4
+        assert flow.config.latency_k == 2
         # The sweep varies only λ over the stored config.
         for lam in flow.lambdas:
             config = dataclasses.replace(flow.config, lam=lam)
             assert config.flipping is False
-            assert config.min_bits == 4
+            assert config.latency_k == 2
             assert config.lam == lam
 
 
-class TestCachedGseq:
-    """One rule for reusing ``prepared.gseq``: the default threshold."""
+class TestFixedChoices:
+    """The gseq width threshold and the dataflow BFS depth are not
+    knobs: a spec naming one is rejected, never silently ignored, and
+    every HiDaP run reuses the prepared design's gseq."""
 
-    def test_matching_threshold_reuses_the_cache(self, two_stage_flat):
-        from repro.api.flows import _cached_gseq
-        from repro.api.prepared import DEFAULT_MIN_BITS
-        prepared = PreparedDesign.from_flat(two_stage_flat, 40.0, 40.0)
-        assert _cached_gseq(prepared, DEFAULT_MIN_BITS) is prepared.gseq
-        assert _cached_gseq(prepared, DEFAULT_MIN_BITS + 1) is None
+    @pytest.mark.parametrize("spec,param", [
+        ("hidap:min_bits=4", "min_bits"),
+        ("hidap:max_latency=8", "max_latency")])
+    def test_removed_knob_is_rejected(self, spec, param):
+        with pytest.raises(FlowError, match=param):
+            get_flow(spec)
+
+    @pytest.mark.parametrize("flow", ["hidap-best3", "handfp"])
+    def test_prepared_gseq_is_reused(self, flow, monkeypatch):
+        import repro.api.pipeline as pipeline
+
+        prepared = prepare_suite_design("c1", "tiny")
+        prepared.gseq   # built before the flow runs
+        calls = []
+        real = pipeline.build_gseq
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "build_gseq", counting)
+        get_flow(flow, seed=1, effort="fast").evaluate(prepared)
+        assert calls == []
 
 
 def _row_key(row):

@@ -4,7 +4,11 @@ import pytest
 
 from repro.core.config import Effort, HiDaPConfig
 from repro.core.dataflow import TerminalSpec
-from repro.core.recursive import MAX_EXT_TERMINALS, RecursiveFloorplanner
+from repro.core.recursive import (
+    CURVE_INFLATION,
+    MAX_EXT_TERMINALS,
+    RecursiveFloorplanner,
+)
 from repro.geometry.rect import Point, Rect
 from repro.hiergraph.gnet import build_gnet
 from repro.hiergraph.gseq import build_gseq
@@ -78,7 +82,7 @@ class TestCurveForSeed:
         raw = floorplanner.curves["sa"]
         # Inflation adds whitespace: the min area grows by the factor.
         assert curve.min_area == pytest.approx(
-            raw.min_area * floorplanner.config.curve_inflation, rel=1e-6)
+            raw.min_area * CURVE_INFLATION, rel=1e-6)
 
 
 class TestRunProducesConsistentState:

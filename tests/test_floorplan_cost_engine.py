@@ -4,7 +4,7 @@ import pytest
 
 from repro.floorplan.blocks import Block, Terminal
 from repro.floorplan.budget import BudgetReport
-from repro.floorplan.cost import CostModel, CostWeights
+from repro.floorplan.cost import CostModel
 from repro.floorplan.engine import (
     LayoutConfig,
     LayoutProblem,
@@ -23,9 +23,8 @@ class TestCostModel:
     def test_penalty_ordering(self):
         """Macro violations cost more than a_m, which cost more than
         a_t (the paper's severity order)."""
-        weights = CostWeights()
         blocks = [soft(0, "a", 1)]
-        model = CostModel(blocks, [], [[0.0]], weights)
+        model = CostModel(blocks, [], [[0.0]])
         base = BudgetReport()
         t = BudgetReport(target_deficit=0.5)
         m = BudgetReport(min_deficit=0.5)
@@ -37,18 +36,17 @@ class TestCostModel:
         blocks = [soft(0, "a", 1), soft(1, "b", 1)]
         aff = [[0, 2.0], [2.0, 0]]
         model = CostModel(blocks, [], aff, scale=1.0)
-        rects = {0: Rect(0, 0, 2, 2), 1: Rect(4, 0, 2, 2)}
         # centers (1,1) and (5,1): manhattan 4; affinity both ways = 4.
-        assert model.distance_term(rects) == pytest.approx(16.0)
+        assert model.distance_term({0: (1.0, 1.0), 1: (5.0, 1.0)}) \
+            == pytest.approx(16.0)
 
     def test_terminal_pairs(self):
         blocks = [soft(0, "a", 1)]
         term = Terminal(1, "p", Point(10, 0))
         aff = [[0, 3.0], [3.0, 0]]
         model = CostModel(blocks, [term], aff, scale=1.0)
-        rects = {0: Rect(0, 0, 2, 2)}
         # center (1,1) to (10,0): 9 + 1 = 10; affinity 6.
-        assert model.distance_term(rects) == pytest.approx(60.0)
+        assert model.distance_term({0: (1.0, 1.0)}) == pytest.approx(60.0)
 
     def test_matrix_size_checked(self):
         with pytest.raises(ValueError):
@@ -84,7 +82,7 @@ class TestBudgetReport:
 
 class TestGenerateLayout:
     def fast_config(self, seed=1):
-        return LayoutConfig(seed=seed, anneal=AnnealConfig(
+        return LayoutConfig(anneal=AnnealConfig(
             seed=seed, moves_per_block=60, min_moves=120, max_moves=1200,
             moves_per_temperature=24, restarts=1))
 

@@ -42,6 +42,11 @@ from repro.slicing.tree import (
     slice_starts,
 )
 
+#: The engine-level equivalence schedule (seed 3, two restarts).
+_ANNEAL = AnnealConfig(seed=3, moves_per_block=140, min_moves=240,
+                       max_moves=6000, moves_per_temperature=28,
+                       restarts=2)
+
 
 def _problem_from_design(spec_index: int, n_blocks: int = 8
                          ) -> LayoutProblem:
@@ -75,10 +80,10 @@ class TestEngineEquivalence:
     @pytest.mark.parametrize("spec_index", [0, 1])   # c1, c2
     def test_identical_best_and_cost(self, spec_index):
         problem = _problem_from_design(spec_index)
-        inc = generate_layout(problem,
-                              LayoutConfig(seed=3, incremental=True))
-        full = generate_layout(problem,
-                               LayoutConfig(seed=3, incremental=False))
+        inc = generate_layout(problem, LayoutConfig(anneal=_ANNEAL,
+                                                    incremental=True))
+        full = generate_layout(problem, LayoutConfig(anneal=_ANNEAL,
+                                                     incremental=False))
         assert inc.expression == full.expression
         assert inc.cost == full.cost
         assert inc.penalty == full.penalty
@@ -89,8 +94,8 @@ class TestEngineEquivalence:
         2n - 1 nodes; the saving is the memo hits and subtree hits."""
         for spec_index in (0, 1):   # c1, c2
             problem = _problem_from_design(spec_index)
-            result = generate_layout(problem,
-                                     LayoutConfig(seed=3, incremental=True))
+            result = generate_layout(problem, LayoutConfig(
+                anneal=_ANNEAL, incremental=True))
             stats = result.stats
             n_nodes = 2 * len(problem.blocks) - 1
             assert stats.layout_nodes_expanded == (
@@ -100,8 +105,8 @@ class TestEngineEquivalence:
 
     def test_full_eval_expands_everything(self):
         problem = _problem_from_design(0)
-        result = generate_layout(problem,
-                                 LayoutConfig(seed=3, incremental=False))
+        result = generate_layout(problem, LayoutConfig(
+            anneal=_ANNEAL, incremental=False))
         stats = result.stats
         assert stats.layout_nodes_expanded == stats.layout_nodes_total
         assert stats.cost_cache_hits == 0
@@ -239,7 +244,7 @@ class TestRandomProblemEquivalence:
                                   min_moves=60, max_moves=400,
                                   moves_per_temperature=12, restarts=2)
             return generate_layout(problem, LayoutConfig(
-                seed=seed, anneal=anneal, incremental=incremental))
+                anneal=anneal, incremental=incremental))
 
         inc, full = layout(True), layout(False)
         assert inc.expression == full.expression

@@ -267,7 +267,31 @@ class TestDegenerateNets:
         assert with_degen.total_units == without.total_units
 
 
+def _oracle_distance(affinity, terminals, centers):
+    """The reference distance loop, read off the dense matrix: every
+    block pair, then every block-terminal pair, summed in order."""
+    n = len(affinity) - len(terminals)
+    total = 0.0
+    for i in range(n):
+        for j in range(i + 1, n):
+            a = affinity[i][j] + affinity[j][i]
+            if a > 0:
+                cxi, cyi = centers[i]
+                cxj, cyj = centers[j]
+                total += a * (abs(cxi - cxj) + abs(cyi - cyj))
+    for i in range(n):
+        for t, terminal in enumerate(terminals):
+            a = affinity[i][n + t] + affinity[n + t][i]
+            if a > 0:
+                cxi, cyi = centers[i]
+                total += a * (abs(cxi - terminal.pos.x)
+                              + abs(cyi - terminal.pos.y))
+    return total
+
+
 class TestDistanceKernel:
+    """The cost model's distance term against the reference loop."""
+
     def _random_model(self, rng, n_blocks, n_terminals, density):
         size = n_blocks + n_terminals
         affinity = [[0.0] * size for _ in range(size)]
@@ -275,8 +299,7 @@ class TestDistanceKernel:
             for j in range(size):
                 if i != j and rng.random() < density:
                     affinity[i][j] = rng.uniform(0.1, 3.0)
-        blocks = [Block(i, f"b{i}",
-                        ShapeCurve.for_rect(1.0 + i % 3, 2.0),
+        blocks = [Block(i, f"b{i}", ShapeCurve.trivial(),
                         area_min=1.0, area_target=2.0)
                   for i in range(n_blocks)]
         terminals = [Terminal(index=n_blocks + t, name=f"t{t}",
@@ -284,52 +307,33 @@ class TestDistanceKernel:
                                         rng.uniform(-5, 30)))
                      for t in range(n_terminals)]
         model = CostModel(blocks, terminals, affinity, scale=7.3)
-        rects = {i: Rect(rng.uniform(0, 20), rng.uniform(0, 20),
-                         rng.uniform(0.5, 6), rng.uniform(0.5, 6))
-                 for i in range(n_blocks)}
-        return model, rects
-
-    @staticmethod
-    def _centers(rects):
-        return {i: (r.x + r.w / 2.0, r.y + r.h / 2.0)
-                for i, r in rects.items()}
+        centers = {i: (rng.uniform(0, 20), rng.uniform(0, 20))
+                   for i in range(n_blocks)}
+        return model, affinity, terminals, centers
 
     @pytest.mark.parametrize("n_blocks,density", [
-        (3, 1.0),      # below the vectorization threshold
-        (14, 0.8),     # above it
+        (3, 1.0),      # below 32 pairs
+        (14, 0.8),     # above
         (25, 0.5),
     ])
     def test_backends_bit_identical(self, n_blocks, density):
         rng = random.Random(n_blocks * 1000 + int(density * 10))
-        model, rects = self._random_model(rng, n_blocks, 3, density)
-        pairs = model._affinity_pairs()
-        centers = self._centers(rects)
-        oracle = PythonBackend().affinity_distance(pairs, centers)
-        assert NumpyBackend().affinity_distance(pairs, centers) == oracle
-        assert model.distance_term(rects) == oracle / model.scale
+        model, affinity, terminals, centers = self._random_model(
+            rng, n_blocks, 3, density)
+        n_pairs = len(model.block_pairs) + len(model.terminal_pairs)
+        assert (n_pairs < 32) == (n_blocks == 3)
+        oracle = _oracle_distance(affinity, terminals, centers)
+        assert model.distance_term(centers) == oracle / model.scale
 
-    @pytest.mark.parametrize("backend", [
-        pytest.param(PythonBackend(), id="python"),
-        pytest.param(NumpyBackend(), id="numpy")])
-    def test_missing_center_raises_on_every_backend(self, backend):
-        # Dense 14-block model -> well above the vectorization
-        # threshold; a referenced block without a center must be a
-        # KeyError on both kernels, never a silent (0, 0).
+    def test_missing_center_raises(self):
+        # A referenced block without a center is a KeyError, never a
+        # silent (0, 0).
         rng = random.Random(5)
-        model, rects = self._random_model(rng, 14, 2, 1.0)
-        missing = next(i for i, _j, _a in model.block_pairs)
-        del rects[missing]
+        model, _affinity, _terminals, centers = self._random_model(
+            rng, 14, 2, 1.0)
+        del centers[next(i for i, _j, _a in model.block_pairs)]
         with pytest.raises(KeyError):
-            backend.affinity_distance(model._affinity_pairs(),
-                                      self._centers(rects))
-
-    def test_cached_centers_equal_recomputed(self):
-        rng = random.Random(99)
-        model, rects = self._random_model(rng, 10, 2, 0.7)
-        centers = {i: (r.x + r.w / 2.0, r.y + r.h / 2.0)
-                   for i, r in rects.items()}
-        assert model.distance_term(rects, centers=centers) \
-            == model.distance_term(rects)
+            model.distance_term(centers)
 
 
 class TestCachedCenters:

@@ -44,7 +44,7 @@ class TestLargeExpressions:
         for i in range(23):
             aff[i][i + 1] = aff[i + 1][i] = 8.0
         problem = LayoutProblem(Rect(0, 0, side, side), blocks, aff)
-        config = LayoutConfig(seed=2, anneal=AnnealConfig(
+        config = LayoutConfig(anneal=AnnealConfig(
             seed=2, moves_per_block=80, max_moves=3000,
             moves_per_temperature=30, restarts=1))
         start = time.perf_counter()

@@ -26,9 +26,8 @@ _SELFISH = ("self", "cls")
 
 #: Class-name suffix that marks a referee backend for REP008.
 BACKEND_BASE = "RefereeBackend"
-#: The five referee kernels every backend owns (REP008 roots).
-KERNELS = ("stdcell_system", "hpwl", "congestion", "timing",
-           "affinity_distance")
+#: The four referee kernels every backend owns (REP008 roots).
+KERNELS = ("stdcell_system", "hpwl", "congestion", "timing")
 
 
 def _label(program: Program, function: FunctionId) -> str:
