@@ -325,15 +325,22 @@ class TestDistanceKernel:
         oracle = _oracle_distance(affinity, terminals, centers)
         assert model.distance_term(centers) == oracle / model.scale
 
-    def test_missing_center_raises(self):
-        # A referenced block without a center is a KeyError, never a
-        # silent (0, 0).
+    @pytest.mark.parametrize("as_number", [
+        pytest.param(float, id="python"),
+        pytest.param(np.float64, id="numpy")])
+    def test_missing_center_raises_on_every_backend(self, as_number):
+        # Centres held as python floats or as numpy scalars (read off
+        # an array) score the same; a referenced block without a
+        # center is a KeyError either way, never a silent (0, 0).
         rng = random.Random(5)
         model, _affinity, _terminals, centers = self._random_model(
             rng, 14, 2, 1.0)
-        del centers[next(i for i, _j, _a in model.block_pairs)]
+        typed = {i: (as_number(cx), as_number(cy))
+                 for i, (cx, cy) in centers.items()}
+        assert model.distance_term(typed) == model.distance_term(centers)
+        del typed[next(i for i, _j, _a in model.block_pairs)]
         with pytest.raises(KeyError):
-            model.distance_term(centers)
+            model.distance_term(typed)
 
 
 class TestCachedCenters:
