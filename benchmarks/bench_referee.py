@@ -55,7 +55,8 @@ from repro.metrics import (
 from repro.placement.cluster import clustered_for
 from repro.placement.hpwl import hpwl_report
 from repro.placement.stdcell import (
-    PlacerConfig,
+    CG_MAXITER,
+    CG_TOL,
     place_cells,
     solve_quadratic_xy,
 )
@@ -113,7 +114,6 @@ def _bench_design(name: str, scale: str, flow: str, seed: int,
     flat = prepared.flat
     placement = get_flow(flow, seed=seed).place(prepared)
     ports = assign_port_positions(flat.design, placement.die)
-    config = PlacerConfig()
 
     t0 = time.perf_counter()
     arrays = net_arrays_for(flat)
@@ -130,7 +130,7 @@ def _bench_design(name: str, scale: str, flow: str, seed: int,
         seconds = {}
         seconds["stdcell"], system = _best_of(
             lambda: backend.stdcell_system(flat, placement, ports,
-                                           config, clustered),
+                                           clustered),
             repeats)
         seconds["hpwl"], wl = _best_of(
             lambda: hpwl_report(flat, placement, cells, ports,
@@ -158,18 +158,15 @@ def _bench_design(name: str, scale: str, flow: str, seed: int,
     y0 = np.full(n, placement.die.center.y)
 
     def _solve_sequential():
-        x, _ = cg(laplacian, bx, x0=x0, rtol=config.cg_tol,
-                  maxiter=config.cg_maxiter)
-        y, _ = cg(laplacian, by, x0=y0, rtol=config.cg_tol,
-                  maxiter=config.cg_maxiter)
+        x, _ = cg(laplacian, bx, x0=x0, rtol=CG_TOL, maxiter=CG_MAXITER)
+        y, _ = cg(laplacian, by, x0=y0, rtol=CG_TOL, maxiter=CG_MAXITER)
         return x, y
 
     cg_sequential_seconds, (seq_x, seq_y) = _best_of(
         _solve_sequential, repeats)
     cg_paired_seconds, (pair_x, pair_y) = _best_of(
         lambda: solve_quadratic_xy(laplacian, bx, by, x0, y0,
-                                   rtol=config.cg_tol,
-                                   maxiter=config.cg_maxiter),
+                                   rtol=CG_TOL, maxiter=CG_MAXITER),
         repeats)
 
     solved = {backend.name: place_cells(flat, placement, ports,

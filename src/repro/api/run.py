@@ -35,7 +35,7 @@ from repro.hiergraph.gnet import build_gnet
 from repro.hiergraph.gseq import build_gseq
 from repro.netlist.flatten import FlatDesign
 from repro.obs import current_tracer
-from repro.placement.stdcell import PlacerConfig, place_cells
+from repro.placement.stdcell import place_cells
 from repro.timing.sta import analyze_timing
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -108,7 +108,6 @@ class FlowMetrics:
 
 def evaluate_placement(flat: FlatDesign, placement: MacroPlacement,
                        gseq=None, clock_period: Optional[float] = None,
-                       placer_config: Optional[PlacerConfig] = None,
                        backend: Optional["RefereeBackend"] = None
                        ) -> FlowMetrics:
     """The shared referee: cell placement + WL + congestion + timing.
@@ -146,7 +145,7 @@ def evaluate_placement(flat: FlatDesign, placement: MacroPlacement,
                      flow=placement.flow_name, backend=kernels.name):
         with tracer.span("referee.stdcell"):
             cells = place_cells(flat, placement, port_positions,
-                                config=placer_config, backend=kernels)
+                                backend=kernels)
         # Locate every endpoint once; both array kernels share the
         # result.
         coords = None

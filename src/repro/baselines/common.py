@@ -7,7 +7,6 @@ differ in what affinity they can see and in how the die is partitioned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -51,14 +50,6 @@ def macro_affinity_matrix(gseq: Gseq, flat: FlatDesign, lam: float,
         a = edge.affinity(lam, latency_k)
         matrix[i][j] += a
     return macro_cells, matrix, port_names
-
-
-@dataclass
-class Shelf:
-    """One wall run of perimeter packing."""
-
-    wall: str           # 'W' | 'N' | 'E' | 'S'
-    inset: float        # distance from the die edge (ring offset)
 
 
 def pack_perimeter(die: Rect, dims: Sequence[Tuple[float, float]],

@@ -61,14 +61,3 @@ def assign_port_positions(design: Design, die: Rect) -> Dict[str, Point]:
             t = start + span * ((i + 0.5) / n)
             positions[name] = _perimeter_point(die, t)
     return positions
-
-
-def port_side(die: Rect, pos: Point, tol: float = 1e-6) -> str:
-    """Which die edge a port position sits on ('W','E','N','S')."""
-    if abs(pos.x - die.x) < tol:
-        return "W"
-    if abs(pos.x - die.x2) < tol:
-        return "E"
-    if abs(pos.y - die.y) < tol:
-        return "S"
-    return "N"

@@ -100,37 +100,3 @@ class MacroPlacement:
                 f"{len(self.macros)} macros placed, "
                 f"overlap={self.macro_overlap_area():.1f}, "
                 f"{self.runtime_seconds:.1f}s")
-
-    # -- serialization --------------------------------------------------------
-
-    def to_json(self) -> dict:
-        """A JSON-ready dict (macro rects, orientations, block rects)."""
-        return {
-            "design": self.design_name,
-            "flow": self.flow_name,
-            "die": [self.die.x, self.die.y, self.die.w, self.die.h],
-            "runtime_seconds": self.runtime_seconds,
-            "macros": [
-                {"cell": m.cell_index, "path": m.path,
-                 "rect": [m.rect.x, m.rect.y, m.rect.w, m.rect.h],
-                 "orientation": m.orientation.value}
-                for m in self.macros.values()],
-            "blocks": {path: [r.x, r.y, r.w, r.h]
-                       for path, r in self.block_rects.items()},
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "MacroPlacement":
-        """Rebuild a placement serialized with :meth:`to_json`."""
-        placement = cls(
-            design_name=data["design"], flow_name=data["flow"],
-            die=Rect(*data["die"]),
-            runtime_seconds=data.get("runtime_seconds", 0.0))
-        for m in data["macros"]:
-            placement.macros[m["cell"]] = PlacedMacro(
-                cell_index=m["cell"], path=m["path"],
-                rect=Rect(*m["rect"]),
-                orientation=Orientation(m["orientation"]))
-        for path, rect in data.get("blocks", {}).items():
-            placement.block_rects[path] = Rect(*rect)
-        return placement

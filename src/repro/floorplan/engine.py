@@ -40,6 +40,11 @@ from repro.slicing.anneal import AnnealConfig, Annealer
 from repro.slicing.polish import H, PolishExpression, V
 from repro.slicing.tree import EvalStats
 
+#: Pareto-point cap of the curves composed during annealing; the final
+#: evaluation of the chosen expression uses the full resolution.
+ANNEAL_CURVE_LIMIT = 6
+FINAL_CURVE_LIMIT = 32
+
 
 def _chain(n_blocks: int, operators) -> PolishExpression:
     """A chain expression ``0 1 op 2 op ...`` cycling over ``operators``."""
@@ -69,10 +74,6 @@ class LayoutConfig:
     :meth:`repro.core.config.HiDaPConfig.layout_config`.
     """
 
-    #: Pareto-point cap during annealing; the final evaluation uses the
-    #: full curve resolution.
-    anneal_curve_limit: int = 6
-    final_curve_limit: int = 32
     anneal: AnnealConfig = field(default_factory=AnnealConfig)
     #: Reuse memoized expression costs and cached subtree curves/areas
     #: between cost evaluations.  Bit-identical to full re-evaluation
@@ -181,7 +182,7 @@ def _generate_layout(problem: LayoutProblem,
                       scale=scale)
 
     stats = EvalStats()
-    final_eval = LayoutEvaluator(problem, model, config.final_curve_limit,
+    final_eval = LayoutEvaluator(problem, model, FINAL_CURVE_LIMIT,
                                  incremental=False, stats=stats)
 
     if len(problem.blocks) == 1:
@@ -189,7 +190,7 @@ def _generate_layout(problem: LayoutProblem,
         report = final_eval.report(expr)
         return _result_from(report, model, expr, stats)
 
-    sa_eval = LayoutEvaluator(problem, model, config.anneal_curve_limit,
+    sa_eval = LayoutEvaluator(problem, model, ANNEAL_CURVE_LIMIT,
                               incremental=config.incremental, stats=stats)
 
     # Deterministic seed structures: a vertical stack, a horizontal row

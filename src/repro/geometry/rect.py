@@ -7,7 +7,6 @@ abstract "site" units; the evaluation layer decides the physical scale.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 
@@ -21,14 +20,6 @@ class Point:
     def manhattan(self, other: "Point") -> float:
         """Manhattan (L1) distance to ``other``."""
         return abs(self.x - other.x) + abs(self.y - other.y)
-
-    def euclidean(self, other: "Point") -> float:
-        """Euclidean (L2) distance to ``other``."""
-        return math.hypot(self.x - other.x, self.y - other.y)
-
-    def translated(self, dx: float, dy: float) -> "Point":
-        """Return a copy shifted by ``(dx, dy)``."""
-        return Point(self.x + dx, self.y + dy)
 
 
 @dataclass(frozen=True)
@@ -64,13 +55,6 @@ class Rect:
     def center(self) -> Point:
         return Point(self.x + self.w / 2.0, self.y + self.h / 2.0)
 
-    @property
-    def aspect_ratio(self) -> float:
-        """Height over width; ``inf`` for zero-width rectangles."""
-        if self.w == 0:
-            return math.inf
-        return self.h / self.w
-
     def contains_point(self, p: Point, tol: float = 0.0) -> bool:
         """Whether ``p`` lies inside (or within ``tol`` of) the rectangle."""
         return (self.x - tol <= p.x <= self.x2 + tol
@@ -99,44 +83,6 @@ class Rect:
         x2 = min(self.x2, other.x2)
         y2 = min(self.y2, other.y2)
         return Rect(x, y, max(0.0, x2 - x), max(0.0, y2 - y))
-
-    def union_bbox(self, other: "Rect") -> "Rect":
-        """Smallest rectangle covering both rectangles."""
-        x = min(self.x, other.x)
-        y = min(self.y, other.y)
-        x2 = max(self.x2, other.x2)
-        y2 = max(self.y2, other.y2)
-        return Rect(x, y, x2 - x, y2 - y)
-
-    # -- transforms -------------------------------------------------------
-
-    def translated(self, dx: float, dy: float) -> "Rect":
-        return Rect(self.x + dx, self.y + dy, self.w, self.h)
-
-    def inset(self, margin: float) -> "Rect":
-        """Shrink by ``margin`` on every side (clamped at zero size)."""
-        w = max(0.0, self.w - 2 * margin)
-        h = max(0.0, self.h - 2 * margin)
-        return Rect(self.x + margin, self.y + margin, w, h)
-
-    def corners(self) -> tuple:
-        """The four corner points (ll, lr, ur, ul)."""
-        return (Point(self.x, self.y), Point(self.x2, self.y),
-                Point(self.x2, self.y2), Point(self.x, self.y2))
-
-
-def bounding_box(rects) -> Rect:
-    """Smallest rectangle covering every rectangle in ``rects``.
-
-    Raises ``ValueError`` on an empty sequence.
-    """
-    rects = list(rects)
-    if not rects:
-        raise ValueError("bounding_box of an empty collection")
-    box = rects[0]
-    for r in rects[1:]:
-        box = box.union_bbox(r)
-    return box
 
 
 def total_overlap_area(rects) -> float:

@@ -15,7 +15,6 @@ of the input design.
 
 from repro.hiergraph.hierarchy import HierNode, HierTree, build_hierarchy
 from repro.hiergraph.gnet import Gnet, NodeKind, build_gnet
-from repro.hiergraph.arrays import cluster_names
 from repro.hiergraph.histogram import LatencyHistogram
 from repro.hiergraph.gseq import Gseq, SeqKind, SeqNode, build_gseq
 from repro.hiergraph.gdf import Gdf, GdfEdge, build_gdf
@@ -35,5 +34,4 @@ __all__ = [
     "build_gnet",
     "build_gseq",
     "build_hierarchy",
-    "cluster_names",
 ]

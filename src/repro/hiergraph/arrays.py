@@ -10,7 +10,7 @@ dataflow-affinity metric.
 from __future__ import annotations
 
 import re
-from typing import Dict, Iterable, List, Tuple
+from typing import Tuple
 
 _BRACKET = re.compile(r"^(?P<base>.+)\[(?P<index>\d+)\]$")
 _SUFFIX = re.compile(r"^(?P<base>.+?)_(?P<index>\d+)$")
@@ -27,16 +27,3 @@ def array_base(name: str) -> Tuple[str, int]:
     if match is None:
         return (name, 0)
     return (match.group("base"), int(match.group("index")))
-
-
-def cluster_names(names: Iterable[str]) -> Dict[str, List[str]]:
-    """Group names by their array base, preserving insertion order.
-
-    >>> cluster_names(["a[0]", "a[1]", "b"])
-    {'a': ['a[0]', 'a[1]'], 'b': ['b']}
-    """
-    groups: Dict[str, List[str]] = {}
-    for name in names:
-        base, _index = array_base(name)
-        groups.setdefault(base, []).append(name)
-    return groups

@@ -79,16 +79,6 @@ class Gdf:
                 return node
         raise KeyError(f"no Gdf node named {name!r}")
 
-    def affinity_between(self, i: int, j: int, lam: float,
-                         k: float) -> float:
-        """Symmetric affinity: both edge directions summed."""
-        total = 0.0
-        for key in ((i, j), (j, i)):
-            edge = self.edges.get(key)
-            if edge is not None:
-                total += edge.affinity(lam, k)
-        return total
-
     def __repr__(self) -> str:
         return f"Gdf({len(self.nodes)} nodes, {len(self.edges)} edges)"
 

@@ -43,10 +43,6 @@ class LatencyHistogram:
     def total_bits(self) -> float:
         return sum(self.bins.values())
 
-    @property
-    def min_latency(self) -> int:
-        return min(self.bins) if self.bins else 0
-
     def is_empty(self) -> bool:
         return not self.bins
 

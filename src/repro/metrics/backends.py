@@ -33,7 +33,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.netlist.flatten import FlatDesign
     from repro.placement.cluster import ClusteredNetlist
     from repro.placement.hpwl import HpwlReport
-    from repro.placement.stdcell import CellPlacement, PlacerConfig
+    from repro.placement.stdcell import CellPlacement
     from repro.routing.congestion import CongestionReport
     from repro.timing.delay import DelayModel
     from repro.timing.sta import TimingReport
@@ -59,7 +59,6 @@ class RefereeBackend:
     def stdcell_system(self, flat: "FlatDesign",
                        placement: "MacroPlacement",
                        port_positions: Dict[str, "Point"],
-                       config: "PlacerConfig",
                        clustered: "ClusteredNetlist"):
         """``(laplacian, bx, by)`` of the quadratic clique system.
 
@@ -100,11 +99,9 @@ class PythonBackend(RefereeBackend):
     name = "python"
     uses_net_arrays = False
 
-    def stdcell_system(self, flat, placement, port_positions, config,
-                       clustered):
+    def stdcell_system(self, flat, placement, port_positions, clustered):
         from repro.placement.stdcell import _build_system
-        return _build_system(clustered, flat, placement, port_positions,
-                             config)
+        return _build_system(clustered, flat, placement, port_positions)
 
     def timing(self, flat, gseq, placement, cells, port_positions,
                clock_period, model):

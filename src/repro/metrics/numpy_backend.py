@@ -41,8 +41,7 @@ class NumpyBackend(RefereeBackend):
 
     # -- quadratic stdcell system -------------------------------------------
 
-    def stdcell_system(self, flat, placement, port_positions, config,
-                       clustered):
+    def stdcell_system(self, flat, placement, port_positions, clustered):
         from repro.metrics.stdcell_kernel import (
             assemble_quadratic_system,
             stdcell_arrays_for,
@@ -50,7 +49,7 @@ class NumpyBackend(RefereeBackend):
 
         return assemble_quadratic_system(stdcell_arrays_for(clustered),
                                          clustered, flat, placement,
-                                         port_positions, config)
+                                         port_positions)
 
     # -- timing -------------------------------------------------------------
 

@@ -36,7 +36,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.geometry.rect import Point
     from repro.netlist.flatten import FlatDesign
     from repro.placement.cluster import ClusteredNetlist
-    from repro.placement.stdcell import PlacerConfig
 
 #: Fixed-anchor candidate kinds (``StdcellArrays.fixed_kind``).
 FIXED_MACRO = 0
@@ -184,8 +183,7 @@ def assemble_quadratic_system(arrays: StdcellArrays,
                               clustered: "ClusteredNetlist",
                               flat: "FlatDesign",
                               placement: "MacroPlacement",
-                              port_positions: Dict[str, "Point"],
-                              config: "PlacerConfig"):
+                              port_positions: Dict[str, "Point"]):
     """The numpy stdcell kernel: ``(laplacian, bx, by)`` for one placement.
 
     Bit-identical to :func:`repro.placement.stdcell._build_system` (see
@@ -193,7 +191,7 @@ def assemble_quadratic_system(arrays: StdcellArrays,
     """
     from scipy.sparse import coo_matrix
 
-    from repro.placement.stdcell import _CLIQUE_CAP
+    from repro.placement.stdcell import _CLIQUE_CAP, REGION_PULL
 
     n = arrays.n_clusters
     diag = np.zeros(n)
@@ -287,7 +285,7 @@ def assemble_quadratic_system(arrays: StdcellArrays,
             center = placement.region_of_cell(flat,
                                               cluster.cells[0]).center
             region_centers[path] = center
-        pull = config.region_pull * max(1.0, cluster.area) ** 0.5
+        pull = REGION_PULL * max(1.0, cluster.area) ** 0.5
         diag[cluster.index] += pull
         bx[cluster.index] += pull * center.x
         by[cluster.index] += pull * center.y

@@ -15,7 +15,7 @@ from repro.netlist.cells import (
     DEFAULT_FLOP,
     Direction,
 )
-from repro.netlist.core import Design, Instance, Module, Net
+from repro.netlist.core import Instance, Module, Net
 
 
 class ModuleBuilder:
@@ -166,10 +166,3 @@ class ModuleBuilder:
 
     def build(self) -> Module:
         return self.module
-
-
-def single_module_design(builder: ModuleBuilder,
-                         name: Optional[str] = None) -> Design:
-    """Wrap a built module as a one-module design (testing helper)."""
-    module = builder.build()
-    return Design(name or module.name, top=module)

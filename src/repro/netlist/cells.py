@@ -20,10 +20,6 @@ class Direction(Enum):
     IN = "input"
     OUT = "output"
 
-    @property
-    def is_input(self) -> bool:
-        return self is Direction.IN
-
 
 class CellKind(Enum):
     """The three leaf-cell families the paper's graphs distinguish."""
@@ -105,9 +101,6 @@ class CellType:
             if p.name == name:
                 return p
         raise KeyError(f"cell {self.name} has no port {name!r}")
-
-    def has_port(self, name: str) -> bool:
-        return any(p.name == name for p in self.ports)
 
     def pin_as_drawn(self, pin: str, bit: int = 0) -> Tuple[float, float]:
         """Pin offset (orientation N) from the macro lower-left corner.

@@ -34,12 +34,6 @@ class Conn:
     net_lsb: int = 0
     pin_lsb: int = 0
 
-    def net_bits(self) -> range:
-        return range(self.net_lsb, self.net_lsb + self.width)
-
-    def pin_bits(self) -> range:
-        return range(self.pin_lsb, self.pin_lsb + self.width)
-
 
 class Net:
     """A named bus net inside one module."""
@@ -87,8 +81,6 @@ class Instance:
         return self.ref.name
 
     def port(self, name: str) -> PortDef:
-        if self.is_leaf:
-            return self.ref.port(name)
         return self.ref.port(name)
 
     def __repr__(self) -> str:

@@ -167,6 +167,11 @@ class _Parser:
     def peek(self) -> Optional[_Token]:
         return self.tokens[self.i] if self.i < len(self.tokens) else None
 
+    def at(self, text: str) -> bool:
+        """Whether the next token is ``text`` (False at end of input)."""
+        token = self.peek()
+        return token is not None and token.text == text
+
     def next(self) -> _Token:
         token = self.peek()
         if token is None:
@@ -199,7 +204,7 @@ class _Parser:
 
     def parse_range(self) -> int:
         """``[msb:lsb]`` -> width; absent range -> 1."""
-        if self.peek() and self.peek().text == "[":
+        if self.at("["):
             self.next()
             msb = self.expect_number()
             self.expect(":")
@@ -214,30 +219,29 @@ class _Parser:
         self.expect("module")
         ast = _ModuleAst(self.expect_ident())
         self.expect("(")
-        while self.peek() and self.peek().text != ")":
+        while self.peek() and not self.at(")"):
             direction = self.expect_ident()
             if direction not in ("input", "output"):
                 raise VerilogSyntaxError(
                     f"expected input/output, got {direction!r}")
             width = self.parse_range()
             ast.ports.append((self.expect_ident(), direction, width))
-            if self.peek() and self.peek().text == ",":
+            if self.at(","):
                 self.next()
         self.expect(")")
         self.expect(";")
-        while self.peek() and self.peek().text != "endmodule":
+        while self.peek() and not self.at("endmodule"):
             self.parse_item(ast)
         self.expect("endmodule")
         return ast
 
     def parse_item(self, ast: _ModuleAst) -> None:
-        token = self.peek()
-        if token.text == "wire":
+        if self.at("wire"):
             self.next()
             width = self.parse_range()
             while True:
                 ast.wires.append((self.expect_ident(), width))
-                if self.peek() and self.peek().text == ",":
+                if self.at(","):
                     self.next()
                     continue
                 break
@@ -248,28 +252,32 @@ class _Parser:
     def parse_instance(self, ast: _ModuleAst) -> None:
         inst = _InstAst(ref=self.expect_ident(), name=self.expect_ident())
         self.expect("(")
-        while self.peek() and self.peek().text != ")":
+        while self.peek() and not self.at(")"):
             self.expect(".")
             pin = self.expect_ident()
             self.expect("(")
-            if self.peek().text == ")":
+            if self.at(")"):
                 inst.pins.append(_PinAst(pin, None))
             else:
                 net = self.expect_ident()
                 lsb, width = 0, None
-                if self.peek().text == "[":
+                if self.at("["):
                     self.next()
                     first = self.expect_number()
-                    if self.peek().text == ":":
+                    if self.at(":"):
                         self.next()
                         lsb = self.expect_number()
+                        if lsb > first:
+                            raise VerilogSyntaxError(
+                                f"part select {net}[{first}:{lsb}] must "
+                                f"be [msb:lsb] with msb >= lsb")
                         width = first - lsb + 1
                     else:
                         lsb, width = first, 1
                     self.expect("]")
                 inst.pins.append(_PinAst(pin, net, lsb, width))
             self.expect(")")
-            if self.peek() and self.peek().text == ",":
+            if self.at(","):
                 self.next()
         self.expect(")")
         self.expect(";")
@@ -281,6 +289,27 @@ class _Parser:
 # ---------------------------------------------------------------------------
 
 
+def _instantiation_cycle(asts: List[_ModuleAst]) -> Optional[List[str]]:
+    """A module path that ends where it starts (``a b a``), or None."""
+    refs = {ast.name: [inst.ref for inst in ast.insts] for ast in asts}
+    done = set()
+    for root in refs:
+        stack = [(root, iter(refs[root]))]
+        while stack:
+            name, children = stack[-1]
+            child = next((c for c in children
+                          if c in refs and c not in done), None)
+            if child is None:
+                done.add(name)
+                stack.pop()
+                continue
+            path = [n for n, _ in stack]
+            if child in path:
+                return path[path.index(child):] + [child]
+            stack.append((child, iter(refs[child])))
+    return None
+
+
 def parse_verilog(text: str, library: Dict[str, CellType],
                   design_name: str = "design",
                   top: Optional[str] = None) -> Design:
@@ -288,7 +317,9 @@ def parse_verilog(text: str, library: Dict[str, CellType],
 
     ``library`` resolves leaf cell references; anything not in the
     library must be a module defined in ``text``.  Unless given, the top
-    module is the last one in the file (the writer's convention).
+    module is the last one in the file (the writer's convention).  Any
+    input the subset or the netlist model rejects raises
+    :class:`VerilogSyntaxError`.
     """
     parser = _Parser(_tokenize(text))
     asts: List[_ModuleAst] = []
@@ -296,7 +327,19 @@ def parse_verilog(text: str, library: Dict[str, CellType],
         asts.append(parser.parse_module())
     if not asts:
         raise VerilogSyntaxError("no modules found")
+    try:
+        return _link(asts, library, design_name, top or asts[-1].name)
+    except VerilogSyntaxError:
+        raise
+    except ValueError as exc:
+        # The netlist model's own checks: duplicate ports, instances or
+        # modules, nets redeclared with another width, slices out of
+        # range.
+        raise VerilogSyntaxError(str(exc)) from exc
 
+
+def _link(asts: List[_ModuleAst], library: Dict[str, CellType],
+          design_name: str, top: str) -> Design:
     design = Design(design_name)
     modules: Dict[str, Module] = {}
     for ast in asts:
@@ -310,6 +353,12 @@ def parse_verilog(text: str, library: Dict[str, CellType],
             module.add_net(name, width)
         modules[ast.name] = module
         design.add_module(module)
+    if top not in modules:
+        raise VerilogSyntaxError(f"unknown top module {top!r}")
+    cycle = _instantiation_cycle(asts)
+    if cycle is not None:
+        raise VerilogSyntaxError(
+            "instantiation cycle: " + " -> ".join(cycle))
 
     for ast in asts:
         module = modules[ast.name]
@@ -330,14 +379,19 @@ def parse_verilog(text: str, library: Dict[str, CellType],
                     raise VerilogSyntaxError(
                         f"module {ast.name}: undeclared net "
                         f"{pin_ast.net!r}")
+                try:
+                    port = ref.port(pin_ast.pin)
+                except KeyError:
+                    raise VerilogSyntaxError(
+                        f"module {ast.name}: instance {inst_ast.name!r} "
+                        f"of {inst_ast.ref!r} has no pin "
+                        f"{pin_ast.pin!r}") from None
                 net = module.nets[pin_ast.net]
-                port = (ref.port(pin_ast.pin) if isinstance(ref, CellType)
-                        else ref.port(pin_ast.pin))
                 width = pin_ast.width
                 if width is None:
                     width = min(net.width, port.width)
                 net.connect(inst_ast.name, pin_ast.pin, width,
                             net_lsb=pin_ast.lsb, pin_lsb=0)
 
-    design.set_top(top or asts[-1].name)
+    design.set_top(top)
     return design

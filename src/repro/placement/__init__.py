@@ -16,14 +16,13 @@ from repro.placement.cluster import (
     clustered_for,
 )
 from repro.placement.hpwl import hpwl_report, HpwlReport
-from repro.placement.stdcell import CellPlacement, PlacerConfig, place_cells
+from repro.placement.stdcell import CellPlacement, place_cells
 
 __all__ = [
     "CellPlacement",
     "Cluster",
     "ClusteredNetlist",
     "HpwlReport",
-    "PlacerConfig",
     "cluster_cells",
     "clustered_for",
     "hpwl_report",

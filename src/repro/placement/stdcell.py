@@ -35,19 +35,19 @@ from repro.placement.cluster import ClusteredNetlist, clustered_for
 #: Nets wider than this endpoint count get a weakened clique weight.
 _CLIQUE_CAP = 12
 
-
-@dataclass
-class PlacerConfig:
-    """Knobs for the quadratic + diffusion placer."""
-
-    bins: int = 24
-    diffusion_iters: int = 48
-    target_density: float = 0.82
-    cg_tol: float = 1e-6
-    cg_maxiter: int = 400
-    #: Weight pulling clusters toward their hierarchy block rectangle
-    #: center (a mild region constraint reflecting the floorplan).
-    region_pull: float = 0.04
+#: Diffusion grid bins per die side.
+BINS = 24
+#: Diffusion passes at most.
+DIFFUSION_ITERS = 48
+#: Share of a bin's free area the cells may fill.
+TARGET_DENSITY = 0.82
+#: Conjugate-gradient relative tolerance and iteration cap.
+CG_TOL = 1e-6
+CG_MAXITER = 400
+#: Weight pulling clusters toward their hierarchy block rectangle
+#: center (a mild region constraint reflecting the floorplan).  The
+#: numpy kernel reads this same constant.
+REGION_PULL = 0.04
 
 
 @dataclass
@@ -81,8 +81,7 @@ def _anchor_positions(flat: FlatDesign, placement: MacroPlacement,
 
 def _build_system(clustered: ClusteredNetlist, flat: FlatDesign,
                   placement: MacroPlacement,
-                  port_positions: Dict[str, Point],
-                  config: PlacerConfig):
+                  port_positions: Dict[str, Point]):
     """Assemble the Laplacian and fixed-anchor right-hand sides."""
     n = clustered.n_clusters
     macro_pos, port_pos = _anchor_positions(flat, placement, port_positions)
@@ -129,7 +128,7 @@ def _build_system(clustered: ClusteredNetlist, flat: FlatDesign,
             continue
         region = placement.region_of_cell(flat, cluster.cells[0])
         add_fixed(cluster.index, region.center,
-                  config.region_pull * max(1.0, cluster.area) ** 0.5)
+                  REGION_PULL * max(1.0, cluster.area) ** 0.5)
 
     # Guarantee non-singularity for isolated clusters.
     die_center = placement.die.center
@@ -144,7 +143,7 @@ def _build_system(clustered: ClusteredNetlist, flat: FlatDesign,
 
 def solve_quadratic_xy(laplacian, bx: np.ndarray, by: np.ndarray,
                        x0: np.ndarray, y0: np.ndarray, *,
-                       rtol: float = 1e-6, maxiter: int = 400):
+                       rtol: float = CG_TOL, maxiter: int = CG_MAXITER):
     """Solve the x and y quadratic systems with one paired CG loop.
 
     Both axes share the same SPD Laplacian, so each conjugate-gradient
@@ -206,14 +205,13 @@ def solve_quadratic_xy(laplacian, bx: np.ndarray, by: np.ndarray,
 
 
 def _diffuse(clustered: ClusteredNetlist, x: np.ndarray, y: np.ndarray,
-             die: Rect, macro_rects: List[Rect],
-             config: PlacerConfig) -> None:
+             die: Rect, macro_rects: List[Rect]) -> None:
     """Push cluster area out of overfull / blocked bins, in place."""
-    bins = config.bins
+    bins = BINS
     bw = die.w / bins
     bh = die.h / bins
 
-    capacity = np.full((bins, bins), bw * bh * config.target_density)
+    capacity = np.full((bins, bins), bw * bh * TARGET_DENSITY)
     for rect in macro_rects:
         i0 = max(0, int((rect.x - die.x) / bw))
         i1 = min(bins - 1, int((rect.x2 - die.x - 1e-9) / bw))
@@ -224,11 +222,11 @@ def _diffuse(clustered: ClusteredNetlist, x: np.ndarray, y: np.ndarray,
                 cell_bin = Rect(die.x + i * bw, die.y + j * bh, bw, bh)
                 free = cell_bin.area - cell_bin.intersection(rect).area
                 capacity[i, j] = min(capacity[i, j],
-                                     free * config.target_density)
+                                     free * TARGET_DENSITY)
 
     areas = np.array([c.area for c in clustered.clusters])
     n = len(areas)
-    for _ in range(config.diffusion_iters):
+    for _ in range(DIFFUSION_ITERS):
         np.clip(x, die.x + 1e-6, die.x2 - 1e-6, out=x)
         np.clip(y, die.y + 1e-6, die.y2 - 1e-6, out=y)
         bi = np.minimum(((x - die.x) / bw).astype(int), bins - 1)
@@ -258,7 +256,6 @@ def _diffuse(clustered: ClusteredNetlist, x: np.ndarray, y: np.ndarray,
 
 def place_cells(flat: FlatDesign, placement: MacroPlacement,
                 port_positions: Dict[str, Point],
-                config: Optional[PlacerConfig] = None,
                 clustered: Optional[ClusteredNetlist] = None,
                 backend=None) -> CellPlacement:
     """Place standard-cell clusters given a macro placement.
@@ -272,7 +269,6 @@ def place_cells(flat: FlatDesign, placement: MacroPlacement,
     """
     from repro.metrics import NumpyBackend
 
-    config = config or PlacerConfig()
     clustered = clustered if clustered is not None else clustered_for(flat)
     n = clustered.n_clusters
     die = placement.die
@@ -280,13 +276,11 @@ def place_cells(flat: FlatDesign, placement: MacroPlacement,
         return CellPlacement(clustered, np.zeros(0), np.zeros(0), die)
 
     laplacian, bx, by = (backend or NumpyBackend()).stdcell_system(
-        flat, placement, port_positions, config, clustered)
+        flat, placement, port_positions, clustered)
     x0 = np.full(n, die.center.x)
     y0 = np.full(n, die.center.y)
-    x, y = solve_quadratic_xy(laplacian, bx, by, x0, y0,
-                              rtol=config.cg_tol,
-                              maxiter=config.cg_maxiter)
+    x, y = solve_quadratic_xy(laplacian, bx, by, x0, y0)
 
     _diffuse(clustered, x, y, die,
-             [m.rect for m in placement.macros.values()], config)
+             [m.rect for m in placement.macros.values()])
     return CellPlacement(clustered, x, y, die)

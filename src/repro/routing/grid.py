@@ -170,12 +170,3 @@ class RoutingGrid:
         over = ((self.demand_h > self.capacity_h)
                 | (self.demand_v > self.capacity_v))
         return float(over.mean())
-
-    def utilization_map(self) -> np.ndarray:
-        """Demand / capacity per g-cell (max of the two directions)."""
-        with np.errstate(divide="ignore", invalid="ignore"):
-            uh = np.where(self.capacity_h > 1e-12,
-                          self.demand_h / self.capacity_h, 10.0)
-            uv = np.where(self.capacity_v > 1e-12,
-                          self.demand_v / self.capacity_v, 10.0)
-        return np.maximum(uh, uv)

@@ -167,48 +167,13 @@ class ShapeCurve:
         return best
 
     @property
-    def min_width(self) -> float:
-        """Width below which no box is feasible (0 for the trivial curve)."""
-        return self._points[0][0] if self._points else 0.0
-
-    @property
-    def min_height(self) -> float:
-        """Height below which no box is feasible (0 for the trivial curve)."""
-        return self._points[-1][1] if self._points else 0.0
-
-    @property
     def min_area(self) -> float:
         """Area of the smallest-area point on the curve."""
         if self.is_trivial:
             return 0.0
         return min(w * h for w, h in self._points)
 
-    def min_area_point(self) -> Optional[Pointwh]:
-        """The curve point with the smallest area (None when trivial)."""
-        if self.is_trivial:
-            return None
-        return min(self._points, key=lambda p: p[0] * p[1])
-
-    def best_point_for(self, w: float, h: float) -> Optional[Pointwh]:
-        """Feasible curve point closest in aspect ratio to a w-by-h box.
-
-        Used when a leaf block is finally assigned a rectangle and its
-        internal macro layout must pick a realizable shape.
-        """
-        feas = [(pw, ph) for pw, ph in self._points
-                if pw <= w + 1e-9 and ph <= h + 1e-9]
-        if not feas:
-            return None
-        target = h / w if w > 0 else float("inf")
-        return min(feas, key=lambda p: abs((p[1] / p[0]) - target))
-
     # -- transforms --------------------------------------------------------
-
-    def transposed(self) -> "ShapeCurve":
-        """Curve with width and height swapped (90-degree rotation)."""
-        if self.is_trivial:
-            return self
-        return ShapeCurve((h, w) for w, h in self._points)
 
     def with_rotations(self) -> "ShapeCurve":
         """Union of this curve and its transpose."""

@@ -33,6 +33,13 @@ from repro.slicing.anneal import AnnealConfig, Annealer
 from repro.slicing.polish import PolishExpression
 from repro.slicing.tree import EvalStats, SubtreeCache, slice_starts
 
+#: Target aspect ratios (h / w) of the annealing passes per node search.
+ASPECT_TARGETS = (0.35, 0.6, 1.0, 1.7, 2.9)
+#: Pareto-point cap of every composed curve during the search.
+COMPOSE_LIMIT = 10
+#: How strongly a pass's cost favours shapes near its aspect target.
+ASPECT_PENALTY = 0.22
+
 
 @dataclass
 class ShapeGenConfig:
@@ -44,11 +51,8 @@ class ShapeGenConfig:
     """
 
     seed: int = 0
-    aspect_targets: Sequence[float] = (0.35, 0.6, 1.0, 1.7, 2.9)
     anneal: AnnealConfig = None
-    compose_limit: int = 10
     max_leaves: int = 24
-    aspect_penalty: float = 0.22
     #: Reuse cached subtree compositions between cost evaluations
     #: (bit-identical to full re-evaluation; see module docstring).
     incremental: bool = True
@@ -60,21 +64,19 @@ class ShapeGenConfig:
                                        moves_per_temperature=24)
 
 
-def _curve_area_score(curve: ShapeCurve, log_target: float,
-                      penalty: float) -> float:
+def _curve_area_score(curve: ShapeCurve, log_target: float) -> float:
     """Smallest point area on ``curve``, biased toward the aspect target."""
     best = math.inf
     for w, h in curve.points:
         if w <= 0 or h <= 0:
             continue
-        bias = 1.0 + penalty * abs(math.log(h / w) - log_target)
+        bias = 1.0 + ASPECT_PENALTY * abs(math.log(h / w) - log_target)
         best = min(best, w * h * bias)
     return best if best < math.inf else 1e30
 
 
 def _area_cost(leaf_curves: List[ShapeCurve], ar_target: float,
-               limit: int, penalty: float, stats: EvalStats,
-               subtrees: Optional[SubtreeCache] = None
+               stats: EvalStats, subtrees: Optional[SubtreeCache] = None
                ) -> Callable[[PolishExpression], float]:
     """Cost = smallest root-curve area, softly biased toward ``ar_target``.
 
@@ -99,13 +101,13 @@ def _area_cost(leaf_curves: List[ShapeCurve], ar_target: float,
                 return cached
         walk = subtrees
         if walk is None:
-            walk = SubtreeCache(leaf_curves, limit)
+            walk = SubtreeCache(leaf_curves, COMPOSE_LIMIT)
         # The search has no budgeting step: the subtrees it composed
         # are its expansion work.
         composed = walk.stats.subtree_misses
         curve = walk.curve(key, slice_starts(key))
         stats.layout_nodes_expanded += walk.stats.subtree_misses - composed
-        value = _curve_area_score(curve, log_target, penalty)
+        value = _curve_area_score(curve, log_target)
         if memo is not None:
             memo.put(key, value)
         return value
@@ -152,17 +154,16 @@ def curve_for_macros(curves: Sequence[ShapeCurve],
     # and compose limit, so subtree compositions transfer across passes.
     subtrees = None
     if config.incremental:
-        subtrees = SubtreeCache(real, config.compose_limit, stats=stats)
+        subtrees = SubtreeCache(real, COMPOSE_LIMIT, stats=stats)
 
-    for ar_target in config.aspect_targets:
-        cost_fn = _area_cost(real, ar_target, config.compose_limit,
-                             config.aspect_penalty, stats, subtrees)
+    for ar_target in ASPECT_TARGETS:
+        cost_fn = _area_cost(real, ar_target, stats, subtrees)
         annealer = Annealer(cost_fn, config.anneal)
         initial = PolishExpression.initial(len(real), rng)
         result = annealer.run(initial)
         walk = subtrees
         if walk is None:
-            walk = SubtreeCache(real, config.compose_limit)
+            walk = SubtreeCache(real, COMPOSE_LIMIT)
         tokens = tuple(result.best.tokens)
         points.extend(walk.curve(tokens, slice_starts(tokens)).points)
 

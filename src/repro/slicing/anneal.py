@@ -28,6 +28,11 @@ from repro.slicing.polish import PolishExpression
 #: driven by the identical RNG stream as restart 0 of the next.
 RESTART_SEED_STRIDE = 0x9E3779B1
 
+#: Share of uphill moves the calibrated T0 accepts.
+INITIAL_ACCEPTANCE = 0.85
+#: The schedule stops at T0 times this ratio.
+MIN_TEMPERATURE_RATIO = 1e-4
+
 
 @dataclass
 class AnnealConfig:
@@ -41,9 +46,7 @@ class AnnealConfig:
     moves_per_block: int = 220
     min_moves: int = 400
     max_moves: int = 30000
-    initial_acceptance: float = 0.85
     moves_per_temperature: int = 40
-    min_temperature_ratio: float = 1e-4
     restarts: int = 1
     #: Random perturbations probed to pick T0.  Calibration is part of
     #: each restart's own RNG stream (see :meth:`Annealer.run`), so
@@ -57,10 +60,10 @@ class AnnealConfig:
 
     def cooling_rate(self, budget: int) -> float:
         """The geometric cooling rate that sweeps the temperature from
-        T0 down to T0 * ``min_temperature_ratio`` within ``budget``
+        T0 down to T0 * :data:`MIN_TEMPERATURE_RATIO` within ``budget``
         moves."""
         steps = max(2.0, budget / max(1, self.moves_per_temperature))
-        return self.min_temperature_ratio ** (1.0 / steps)
+        return MIN_TEMPERATURE_RATIO ** (1.0 / steps)
 
     def restart_seed(self, restart: int) -> int:
         """The child seed driving restart number ``restart``.
@@ -118,7 +121,8 @@ class Annealer:
 
     def _calibrate_temperature(self, expr: PolishExpression,
                                rng: random.Random) -> float:
-        """Pick T0 so ~initial_acceptance of uphill moves are accepted."""
+        """Pick T0 so ~:data:`INITIAL_ACCEPTANCE` of uphill moves are
+        accepted."""
         deltas = []
         probe = expr.copy()
         cost = self.cost_fn(probe)
@@ -134,8 +138,7 @@ class Annealer:
         # perturbation crosses into heavily-penalized illegal layouts.
         deltas.sort()
         typical_uphill = deltas[len(deltas) // 2]
-        accept = min(0.99, max(0.01, self.config.initial_acceptance))
-        return -typical_uphill / math.log(accept)
+        return -typical_uphill / math.log(INITIAL_ACCEPTANCE)
 
     def _run_once(self, initial: PolishExpression,
                   rng: random.Random) -> AnnealResult:
@@ -151,7 +154,7 @@ class Annealer:
             return AnnealResult(best, best_cost, initial_cost, 0, 0)
 
         t0 = temperature = self._calibrate_temperature(current, rng)
-        floor = temperature * self.config.min_temperature_ratio
+        floor = temperature * MIN_TEMPERATURE_RATIO
         budget = self.config.total_moves(n_blocks)
         cooling = self.config.cooling_rate(budget)
         tried = 0

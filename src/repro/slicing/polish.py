@@ -86,9 +86,6 @@ class PolishExpression:
     def operand_positions(self) -> List[int]:
         return [i for i, t in enumerate(self.tokens) if t != H and t != V]
 
-    def operator_positions(self) -> List[int]:
-        return [i for i, t in enumerate(self.tokens) if is_operator(t)]
-
     def operator_chains(self) -> List[Tuple[int, int]]:
         """Maximal operator runs as (start, end) inclusive index pairs."""
         chains: List[Tuple[int, int]] = []

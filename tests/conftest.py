@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import Optional
+
 import pytest
 
 from repro.gen.designs import build_design, die_for, suite_specs
@@ -29,6 +31,13 @@ def make_ram(name: str = "RAM8", width: int = 8, w: float = 6.0,
         PortDef("dout", Direction.OUT, width),
     ], pin_geometry={"din": PinGeometry(Side.WEST, 0.5),
                      "dout": PinGeometry(Side.EAST, 0.5)})
+
+
+def single_module_design(builder: ModuleBuilder,
+                         name: Optional[str] = None) -> Design:
+    """Wrap a built module as a one-module design."""
+    module = builder.build()
+    return Design(name or module.name, top=module)
 
 
 def make_stage(name: str, width: int = 8, ram=None):

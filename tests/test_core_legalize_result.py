@@ -1,10 +1,9 @@
-"""Tests for the legalizer and placement serialization."""
+"""Tests for the legalizer."""
 
 import pytest
 
 from repro.core.legalize import legalize_macros
 from repro.core.result import MacroPlacement, PlacedMacro
-from repro.geometry.orientation import Orientation
 from repro.geometry.rect import Rect
 
 
@@ -49,24 +48,3 @@ class TestLegalize:
         dims = sorted((p.rect.w, p.rect.h)
                       for p in placement.macros.values())
         assert dims == [(8, 8), (10, 6)]
-
-
-class TestPlacementJson:
-    def test_roundtrip(self):
-        placement = placement_with([Rect(1, 2, 3, 4), Rect(10, 0, 5, 5)])
-        placement.macros[0].orientation = Orientation.FS
-        placement.block_rects["sub"] = Rect(0, 0, 50, 50)
-        placement.runtime_seconds = 2.5
-        back = MacroPlacement.from_json(placement.to_json())
-        assert back.design_name == "d"
-        assert back.die == placement.die
-        assert back.macros[0].rect == Rect(1, 2, 3, 4)
-        assert back.macros[0].orientation is Orientation.FS
-        assert back.block_rects["sub"] == Rect(0, 0, 50, 50)
-        assert back.runtime_seconds == 2.5
-
-    def test_json_serializable(self):
-        import json
-        placement = placement_with([Rect(0, 0, 1, 1)])
-        text = json.dumps(placement.to_json())
-        assert "m0" in text

@@ -1,8 +1,8 @@
 """Tests for deterministic port placement."""
 
 
-from repro.core.ports import assign_port_positions, port_side
-from repro.geometry.rect import Point, Rect
+from repro.core.ports import assign_port_positions
+from repro.geometry.rect import Rect
 
 
 class TestPortPositions:
@@ -25,13 +25,6 @@ class TestPortPositions:
         a = assign_port_positions(two_stage_design, die)
         b = assign_port_positions(two_stage_design, die)
         assert a == b
-
-    def test_port_side(self):
-        die = Rect(0, 0, 10, 10)
-        assert port_side(die, Point(0, 5)) == "W"
-        assert port_side(die, Point(10, 5)) == "E"
-        assert port_side(die, Point(5, 0)) == "S"
-        assert port_side(die, Point(5, 10)) == "N"
 
     def test_many_ports_spread(self, tiny_c1):
         design, _truth, w, h = tiny_c1

@@ -6,10 +6,12 @@ from repro.core import HiDaP, HiDaPConfig
 from repro.core.config import Effort
 from repro.floorplan.blocks import Block
 from repro.geometry.rect import Rect
-from repro.netlist.builder import ModuleBuilder, single_module_design
+from repro.netlist.builder import ModuleBuilder
 from repro.netlist.core import Design, Module
 from repro.netlist.jsonio import DesignFormatError, design_from_json
 from repro.shapecurve.curve import ShapeCurve
+
+from tests.conftest import single_module_design
 
 
 class TestNetlistFailures:

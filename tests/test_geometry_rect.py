@@ -1,16 +1,9 @@
 """Unit + property tests for rectangles and points."""
 
-import math
-
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.geometry.rect import (
-    Point,
-    Rect,
-    bounding_box,
-    total_overlap_area,
-)
+from repro.geometry.rect import Point, Rect, total_overlap_area
 
 coords = st.floats(min_value=-1e4, max_value=1e4, allow_nan=False,
                    allow_infinity=False)
@@ -23,21 +16,10 @@ class TestPoint:
     def test_manhattan(self):
         assert Point(0, 0).manhattan(Point(3, 4)) == 7
 
-    def test_euclidean(self):
-        assert Point(0, 0).euclidean(Point(3, 4)) == pytest.approx(5.0)
-
-    def test_translated(self):
-        assert Point(1, 2).translated(2, -1) == Point(3, 1)
-
     @given(coords, coords, coords, coords)
     def test_manhattan_symmetric(self, x0, y0, x1, y1):
         a, b = Point(x0, y0), Point(x1, y1)
         assert a.manhattan(b) == pytest.approx(b.manhattan(a))
-
-    @given(coords, coords, coords, coords)
-    def test_manhattan_dominates_euclidean(self, x0, y0, x1, y1):
-        a, b = Point(x0, y0), Point(x1, y1)
-        assert a.manhattan(b) >= a.euclidean(b) - 1e-6
 
 
 class TestRect:
@@ -47,16 +29,12 @@ class TestRect:
         assert r.y2 == 6
         assert r.area == 12
         assert r.center == Point(2.5, 4.0)
-        assert r.aspect_ratio == pytest.approx(4 / 3)
 
     def test_negative_sides_rejected(self):
         with pytest.raises(ValueError):
             Rect(0, 0, -1, 5)
         with pytest.raises(ValueError):
             Rect(0, 0, 5, -0.1)
-
-    def test_zero_width_aspect(self):
-        assert Rect(0, 0, 0, 5).aspect_ratio == math.inf
 
     def test_contains_point(self):
         r = Rect(0, 0, 10, 10)
@@ -83,21 +61,6 @@ class TestRect:
         assert inter == Rect(2, 1, 2, 3)
         assert a.intersection(Rect(10, 10, 1, 1)).area == 0
 
-    def test_union_bbox(self):
-        a = Rect(0, 0, 1, 1)
-        b = Rect(5, 5, 1, 1)
-        assert a.union_bbox(b) == Rect(0, 0, 6, 6)
-
-    def test_translated_and_inset(self):
-        r = Rect(0, 0, 10, 8).translated(2, 3)
-        assert r == Rect(2, 3, 10, 8)
-        assert r.inset(1) == Rect(3, 4, 8, 6)
-        assert r.inset(100).area == 0          # clamped at zero
-
-    def test_corners(self):
-        c = Rect(0, 0, 2, 3).corners()
-        assert c == (Point(0, 0), Point(2, 0), Point(2, 3), Point(0, 3))
-
     @given(rects, rects)
     def test_intersection_within_both(self, a, b):
         inter = a.intersection(b)
@@ -106,26 +69,12 @@ class TestRect:
             assert b.contains_rect(inter, tol=1e-6)
 
     @given(rects, rects)
-    def test_union_contains_both(self, a, b):
-        u = a.union_bbox(b)
-        assert u.contains_rect(a, tol=1e-6)
-        assert u.contains_rect(b, tol=1e-6)
-
-    @given(rects, rects)
     def test_overlap_iff_positive_intersection(self, a, b):
         if a.overlaps(b):
             assert a.intersection(b).area > 0
 
 
 class TestHelpers:
-    def test_bounding_box(self):
-        box = bounding_box([Rect(0, 0, 1, 1), Rect(4, 5, 2, 2)])
-        assert box == Rect(0, 0, 6, 7)
-
-    def test_bounding_box_empty(self):
-        with pytest.raises(ValueError):
-            bounding_box([])
-
     def test_total_overlap_area(self):
         rects = [Rect(0, 0, 4, 4), Rect(2, 0, 4, 4), Rect(100, 0, 1, 1)]
         assert total_overlap_area(rects) == pytest.approx(8.0)

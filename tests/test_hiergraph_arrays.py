@@ -1,6 +1,6 @@
 """Tests for array-name clustering."""
 
-from repro.hiergraph.arrays import array_base, cluster_names
+from repro.hiergraph.arrays import array_base
 
 
 class TestArrayBase:
@@ -20,17 +20,3 @@ class TestArrayBase:
         base, index = array_base("r[1][2]")
         assert index == 2
         assert base == "r[1]"
-
-
-class TestClusterNames:
-    def test_groups(self):
-        groups = cluster_names(["a[0]", "a[1]", "b", "c_0", "c_1"])
-        assert groups == {"a": ["a[0]", "a[1]"], "b": ["b"],
-                          "c": ["c_0", "c_1"]}
-
-    def test_preserves_order(self):
-        groups = cluster_names(["x[1]", "x[0]"])
-        assert groups["x"] == ["x[1]", "x[0]"]
-
-    def test_empty(self):
-        assert cluster_names([]) == {}

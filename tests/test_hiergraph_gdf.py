@@ -128,15 +128,6 @@ class TestAffinity:
         mid = edge.affinity(0.5, 1.0)
         assert mid == pytest.approx(0.5 * block_score + 0.5 * macro_score)
 
-    def test_affinity_between_sums_directions(self, fig7_gseq):
-        gdf = build_gdf(fig7_gseq, fig7_groups())
-        forward = gdf.edge(0, 1).affinity(0.5, 1.0)
-        assert gdf.affinity_between(0, 1, 0.5, 1.0) \
-            == pytest.approx(forward)
-        assert gdf.affinity_between(1, 0, 0.5, 1.0) \
-            == pytest.approx(forward)
-
-
 class TestMaxLatency:
     def test_deep_paths_cut(self):
         """Paths longer than max_latency are not discovered."""

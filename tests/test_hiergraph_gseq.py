@@ -3,8 +3,10 @@
 
 from repro.hiergraph.gnet import build_gnet
 from repro.hiergraph.gseq import build_gseq
-from repro.netlist.builder import ModuleBuilder, single_module_design
+from repro.netlist.builder import ModuleBuilder
 from repro.netlist.flatten import flatten
+
+from tests.conftest import single_module_design
 
 
 def gseq_of(design, min_bits=1):

@@ -40,10 +40,6 @@ class TestHistogram:
         a.merge(b)
         assert a.bins == {1: 6, 3: 6}
 
-    def test_min_latency(self):
-        assert LatencyHistogram({3: 1, 2: 1}).min_latency == 2
-        assert LatencyHistogram().min_latency == 0
-
     def test_copy_independent(self):
         a = LatencyHistogram({1: 1})
         b = a.copy()

@@ -4,8 +4,10 @@ from hypothesis import given, settings, strategies as st
 
 from repro.hiergraph.gnet import build_gnet
 from repro.hiergraph.gseq import build_gseq
-from repro.netlist.builder import ModuleBuilder, single_module_design
+from repro.netlist.builder import ModuleBuilder
 from repro.netlist.flatten import flatten
+
+from tests.conftest import single_module_design
 
 
 def build_pipeline(widths, with_clouds):

@@ -19,11 +19,7 @@ from repro.metrics import NumpyBackend, PythonBackend
 from repro.netlist.flatten import FlatNet
 from repro.placement.cluster import clustered_for
 from repro.placement.hpwl import hpwl_reference, hpwl_report
-from repro.placement.stdcell import (
-    CellPlacement,
-    PlacerConfig,
-    place_cells,
-)
+from repro.placement.stdcell import CellPlacement, place_cells
 from repro.routing.congestion import (
     congestion_reference,
     estimate_congestion,
@@ -58,11 +54,8 @@ def _assert_congestion_identical(flat, placement, cells, ports):
 def _assert_stdcell_identical(flat, placement, ports):
     """Assembled systems and solved placements match bit for bit."""
     clustered = clustered_for(flat)
-    config = PlacerConfig()
-    ref = PythonBackend().stdcell_system(flat, placement, ports, config,
-                                         clustered)
-    new = NumpyBackend().stdcell_system(flat, placement, ports, config,
-                                        clustered)
+    ref = PythonBackend().stdcell_system(flat, placement, ports, clustered)
+    new = NumpyBackend().stdcell_system(flat, placement, ports, clustered)
     assert ref[0].shape == new[0].shape
     assert np.array_equal(ref[0].indptr, new[0].indptr)
     assert np.array_equal(ref[0].indices, new[0].indices)

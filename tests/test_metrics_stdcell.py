@@ -18,7 +18,7 @@ from repro.netlist.builder import ModuleBuilder
 from repro.netlist.core import Design
 from repro.netlist.flatten import flatten
 from repro.placement.cluster import cluster_cells, clustered_for
-from repro.placement.stdcell import PlacerConfig, place_cells
+from repro.placement.stdcell import CG_MAXITER, CG_TOL, place_cells
 
 from tests.conftest import make_ram
 
@@ -147,11 +147,10 @@ class TestDegenerateInputs:
         placement = MacroPlacement(design_name="two_stage",
                                    flow_name="degen", die=die)
         clustered = clustered_for(two_stage_flat)
-        config = PlacerConfig()
         ref = PythonBackend().stdcell_system(
-            two_stage_flat, placement, {}, config, clustered)
+            two_stage_flat, placement, {}, clustered)
         new = NumpyBackend().stdcell_system(
-            two_stage_flat, placement, {}, config, clustered)
+            two_stage_flat, placement, {}, clustered)
         assert np.array_equal(ref[0].toarray(), new[0].toarray())
         assert np.array_equal(ref[1], new[1])
         assert np.array_equal(ref[2], new[2])
@@ -173,19 +172,17 @@ class TestPairedCgSolver:
         placement = get_flow("indeda", seed=1).place(prepared)
         ports = assign_port_positions(flat.design, placement.die)
         clustered = clustered_for(flat)
-        config = PlacerConfig()
         laplacian, bx, by = NumpyBackend().stdcell_system(
-            flat, placement, ports, config, clustered)
+            flat, placement, ports, clustered)
         x0 = np.full(clustered.n_clusters, placement.die.center.x)
         y0 = np.full(clustered.n_clusters, placement.die.center.y)
 
-        ref_x, _ = cg(laplacian, bx, x0=x0, rtol=config.cg_tol,
-                      maxiter=config.cg_maxiter)
-        ref_y, _ = cg(laplacian, by, x0=y0, rtol=config.cg_tol,
-                      maxiter=config.cg_maxiter)
+        ref_x, _ = cg(laplacian, bx, x0=x0, rtol=CG_TOL,
+                      maxiter=CG_MAXITER)
+        ref_y, _ = cg(laplacian, by, x0=y0, rtol=CG_TOL,
+                      maxiter=CG_MAXITER)
         x, y = solve_quadratic_xy(laplacian, bx, by, x0, y0,
-                                  rtol=config.cg_tol,
-                                  maxiter=config.cg_maxiter)
+                                  rtol=CG_TOL, maxiter=CG_MAXITER)
         assert np.array_equal(ref_x, x)
         assert np.array_equal(ref_y, y)
 

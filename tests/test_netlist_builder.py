@@ -2,9 +2,11 @@
 
 import pytest
 
-from repro.netlist.builder import ModuleBuilder, single_module_design
+from repro.netlist.builder import ModuleBuilder
 from repro.netlist.cells import DEFAULT_COMB, Direction
 from repro.netlist.flatten import flatten
+
+from tests.conftest import single_module_design
 
 
 class TestBuilderBasics:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.netlist.cells import DEFAULT_FLOP, Direction
-from repro.netlist.core import Conn, Design, Module, Net
+from repro.netlist.core import Design, Module, Net
 
 
 class TestNet:
@@ -16,11 +16,6 @@ class TestNet:
         net.connect("i", "p", width=4, net_lsb=4)
         with pytest.raises(ValueError):
             net.connect("i", "p", width=4, net_lsb=5)
-
-    def test_conn_bit_ranges(self):
-        conn = Conn("i", "p", width=3, net_lsb=2, pin_lsb=1)
-        assert list(conn.net_bits()) == [2, 3, 4]
-        assert list(conn.pin_bits()) == [1, 2, 3]
 
 
 class TestModule:

@@ -2,10 +2,12 @@
 
 import pytest
 
-from repro.netlist.builder import ModuleBuilder, single_module_design
+from repro.netlist.builder import ModuleBuilder
 from repro.netlist.cells import DEFAULT_COMB
 from repro.netlist.core import Design
 from repro.netlist.flatten import flatten, net_driver
+
+from tests.conftest import single_module_design
 
 
 class TestFlattenBasics:

@@ -2,9 +2,11 @@
 
 import pytest
 
-from repro.netlist.builder import ModuleBuilder, single_module_design
+from repro.netlist.builder import ModuleBuilder
 from repro.netlist.cells import DEFAULT_COMB, DEFAULT_FLOP
 from repro.netlist.validate import assert_valid, validate_design
+
+from tests.conftest import single_module_design
 
 
 def errors(design):

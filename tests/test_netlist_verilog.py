@@ -1,6 +1,9 @@
 """Tests for the structural Verilog writer/parser."""
 
+import re
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.netlist.cells import DEFAULT_COMB, DEFAULT_FLOP
 from repro.netlist.flatten import flatten
@@ -10,6 +13,8 @@ from repro.netlist.verilog import (
     design_to_verilog,
     parse_verilog,
 )
+
+from tests.conftest import build_two_stage_design
 
 LIB = {"DFF": DEFAULT_FLOP, "COMB2": DEFAULT_COMB}
 
@@ -75,6 +80,49 @@ class TestParserErrors:
         with pytest.raises(VerilogSyntaxError, match="msb:0"):
             parse_verilog(text, LIB)
 
+    def test_unknown_pin(self):
+        text = "module m (input a);\n  DFF f (.nope(a));\nendmodule"
+        with pytest.raises(VerilogSyntaxError,
+                           match="module m: .*'f'.* no pin 'nope'"):
+            parse_verilog(text, LIB)
+
+    def test_unknown_top(self):
+        text = "module m (input a);\nendmodule"
+        with pytest.raises(VerilogSyntaxError,
+                           match="unknown top module 'ghost'"):
+            parse_verilog(text, LIB, top="ghost")
+
+    def test_self_instantiation(self):
+        text = "module m (input a);\n  m inner (.a(a));\nendmodule"
+        with pytest.raises(VerilogSyntaxError,
+                           match="instantiation cycle: m -> m"):
+            parse_verilog(text, LIB)
+
+    def test_longer_instantiation_cycle(self):
+        text = ("module a (input x);\n  b ib (.y(x));\nendmodule\n"
+                "module b (input y);\n  c ic (.z(y));\nendmodule\n"
+                "module c (input z);\n  a ia (.x(z));\nendmodule\n"
+                "module top (input p);\n  a i0 (.x(p));\nendmodule")
+        with pytest.raises(VerilogSyntaxError,
+                           match="instantiation cycle: a -> b -> c -> a"):
+            parse_verilog(text, LIB)
+
+    def test_slice_out_of_range(self):
+        text = ("module m (input [1:0] a);\n"
+                "  DFF f (.d(a[2]));\nendmodule")
+        with pytest.raises(VerilogSyntaxError, match="out of range"):
+            parse_verilog(text, LIB)
+
+    def test_reversed_part_select(self):
+        text = ("module m (input [3:0] a, output z);\n"
+                "  COMB2 g (.a0(a[0:1]), .a1(a), .z(z));\nendmodule")
+        with pytest.raises(VerilogSyntaxError, match="msb >= lsb"):
+            parse_verilog(text, LIB)
+
+    def test_truncated_instance(self):
+        with pytest.raises(VerilogSyntaxError, match="end of input"):
+            parse_verilog("module m (input a);\n  DFF f (.d(", LIB)
+
 
 class TestParserFeatures:
     def test_bit_and_part_selects(self):
@@ -109,3 +157,41 @@ class TestParserFeatures:
                 "module b (input y);\nendmodule")
         design = parse_verilog(text, LIB, top="a")
         assert design.top.name == "a"
+
+
+#: The writer's tokens: escaped names, identifiers, numbers, punctuation
+#: (comments are dropped).
+_TOKEN = re.compile(r"//[^\n]*|\\\S+|[A-Za-z_][A-Za-z0-9_$]*|\d+|[().,;:\[\]]")
+_FUZZ_DESIGN = build_two_stage_design(width=2)
+_FUZZ_LIBRARY = _FUZZ_DESIGN.cell_types()
+_FUZZ_TOKENS = [t for t in _TOKEN.findall(design_to_verilog(_FUZZ_DESIGN))
+                if not t.startswith("//")]
+_MUTATION = st.tuples(st.sampled_from(("drop", "duplicate", "swap")),
+                      st.integers(0, len(_FUZZ_TOKENS) - 1),
+                      st.integers(0, len(_FUZZ_TOKENS) - 1))
+
+
+class TestFuzz:
+    def test_unmutated_tokens_parse(self):
+        design = parse_verilog(" ".join(_FUZZ_TOKENS), _FUZZ_LIBRARY)
+        assert design_stats(design).cells == design_stats(_FUZZ_DESIGN).cells
+
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    @given(st.lists(_MUTATION, min_size=1, max_size=3))
+    def test_mutated_text_parses_or_raises_syntax_error(self, mutations):
+        """Dropped, duplicated or swapped tokens yield a design or a
+        :class:`VerilogSyntaxError`, never another exception."""
+        tokens = list(_FUZZ_TOKENS)
+        for op, i, j in mutations:
+            i %= len(tokens)
+            j %= len(tokens)
+            if op == "drop":
+                del tokens[i]
+            elif op == "duplicate":
+                tokens.insert(j, tokens[i])
+            else:
+                tokens[i], tokens[j] = tokens[j], tokens[i]
+        try:
+            parse_verilog(" ".join(tokens), _FUZZ_LIBRARY)
+        except VerilogSyntaxError:
+            pass

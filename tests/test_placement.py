@@ -123,10 +123,9 @@ class TestHpwl:
 
     def test_hand_computed_two_point_net(self):
         """A single net between one macro pin and one port."""
-        from repro.netlist.builder import ModuleBuilder, \
-            single_module_design
+        from repro.netlist.builder import ModuleBuilder
         from repro.netlist.flatten import flatten
-        from tests.conftest import make_ram
+        from tests.conftest import make_ram, single_module_design
         ram = make_ram(width=1, w=4.0, h=2.0)
         b = ModuleBuilder("m")
         b.input("a", 1)

@@ -48,12 +48,6 @@ class TestGrid:
         assert grid.overflow_total() == pytest.approx(3.0)
         assert grid.overflowed_gcell_fraction() == pytest.approx(0.25)
 
-    def test_utilization_map_shape(self):
-        grid = RoutingGrid.build(Rect(0, 0, 8, 8), [], bins=4)
-        util = grid.utilization_map()
-        assert util.shape == (4, 4)
-        assert (util >= 0).all()
-
 
 class TestCongestion:
     def test_congestion_of_placed_design(self, two_stage_flat,

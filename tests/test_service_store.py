@@ -149,11 +149,26 @@ def _truncate(entry_path, region):
     victim.write_bytes(victim.read_bytes()[:cut])
 
 
+#: The Table III flows a repaired entry must score like a fresh design.
+_TABLE3_FLOWS = ("indeda", "hidap-best3", "handfp")
+_FAST = RunOptions(seed=1, effort=Effort.FAST)
+
+
+@pytest.fixture(scope="module")
+def fresh_scores():
+    """Each Table III flow's scores on a freshly compiled c1."""
+    from repro.service.engine import execute_cell
+
+    return {flow: _scores(execute_cell(prepare_design(_spec()), flow,
+                                       _FAST))
+            for flow in _TABLE3_FLOWS}
+
+
 class TestCorruption:
     @pytest.mark.parametrize(
         "region", ["blob", "first-buffer", "last-buffer", "meta.json"])
     def test_truncated_entry_recompiles_with_warning(self, tmp_path,
-                                                     region):
+                                                     region, fresh_scores):
         """A warm entry with a truncated file is replaced by a fresh
         compile (with a warning naming the key), and the repaired
         entry scores the Table III flows exactly like a fresh design."""
@@ -170,11 +185,9 @@ class TestCorruption:
         # No temp or stale directory is left next to the entry.
         assert [p.name for p in entry.path.parent.iterdir()] == [key]
 
-        opts = RunOptions(seed=1, effort=Effort.FAST)
-        for flow in ("indeda", "hidap-best3", "handfp"):
-            repaired = execute_cell(entry.materialize(), flow, opts)
-            fresh = execute_cell(prepare_design(_spec()), flow, opts)
-            assert _scores(repaired) == _scores(fresh), flow
+        for flow in _TABLE3_FLOWS:
+            repaired = execute_cell(entry.materialize(), flow, _FAST)
+            assert _scores(repaired) == fresh_scores[flow], flow
 
 
 class TestSpans:

@@ -68,27 +68,15 @@ class TestQueries:
         assert self.curve.min_width_for_height(1) is None
 
     def test_extremes(self):
-        assert self.curve.min_width == 2
-        assert self.curve.min_height == 2
         assert self.curve.min_area == 16
-        assert self.curve.min_area_point() in {(2, 8), (4, 4), (8, 2)}
-
-    def test_best_point_for(self):
-        assert self.curve.best_point_for(4.5, 4.5) == (4, 4)
-        assert self.curve.best_point_for(1, 1) is None
 
     def test_trivial_queries(self):
         trivial = ShapeCurve.trivial()
         assert trivial.min_height_for_width(1) == 0.0
         assert trivial.min_area == 0.0
-        assert trivial.min_area_point() is None
 
 
 class TestTransforms:
-    def test_transposed(self):
-        curve = ShapeCurve([(2, 8)])
-        assert curve.transposed().points == ((8, 2),)
-
     def test_with_rotations(self):
         curve = ShapeCurve([(2, 8)]).with_rotations()
         assert set(curve.points) == {(2, 8), (8, 2)}

@@ -2,7 +2,11 @@
 
 import pytest
 
-from repro.slicing.anneal import AnnealConfig, Annealer
+from repro.slicing.anneal import (
+    MIN_TEMPERATURE_RATIO,
+    AnnealConfig,
+    Annealer,
+)
 from repro.slicing.polish import H, PolishExpression, V
 
 
@@ -57,12 +61,12 @@ class TestAnnealer:
         assert config.total_moves(100) == 400
 
     def test_adaptive_cooling_reaches_floor(self):
-        config = AnnealConfig(min_temperature_ratio=1e-4,
-                              moves_per_temperature=10)
+        config = AnnealConfig(moves_per_temperature=10)
         rate = config.cooling_rate(budget=1000)
         # After budget/moves_per_temperature steps, T ~ T0 * ratio.
         steps = 1000 / 10
-        assert rate ** steps == pytest.approx(1e-4, rel=0.05)
+        assert rate ** steps == pytest.approx(MIN_TEMPERATURE_RATIO,
+                                              rel=0.05)
 
     def test_restarts_keep_best(self):
         def cost(expr):

@@ -23,7 +23,11 @@ from repro.floorplan.blocks import Block
 from repro.floorplan.budget import block_subtrees, budgeted_layout
 from repro.geometry.rect import Rect
 from repro.shapecurve.curve import ShapeCurve, _downsample, _pareto_prune
-from repro.slicing.anneal import AnnealConfig, Annealer
+from repro.slicing.anneal import (
+    MIN_TEMPERATURE_RATIO,
+    AnnealConfig,
+    Annealer,
+)
 from repro.slicing.moves import (
     _MAX_TRIES,
     Move,
@@ -181,7 +185,7 @@ def _reference_run(annealer: Annealer, initial: PolishExpression):
         tried = accepted = 0
         if current.n_blocks >= 2:
             temperature = annealer._calibrate_temperature(current, rng)
-            floor = temperature * config.min_temperature_ratio
+            floor = temperature * MIN_TEMPERATURE_RATIO
             budget = config.total_moves(current.n_blocks)
             cooling = config.cooling_rate(budget)
             while tried < budget and temperature > floor:

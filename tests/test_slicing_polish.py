@@ -46,7 +46,6 @@ class TestPolishExpression:
         expr = PolishExpression([0, 1, V, 2, H])
         assert expr.operands() == [0, 1, 2]
         assert expr.operand_positions() == [0, 1, 3]
-        assert expr.operator_positions() == [2, 4]
 
     def test_operator_chains(self):
         expr = PolishExpression([0, 1, 2, V, H, 3, V])

@@ -208,10 +208,6 @@ class FunctionSummary:
     #: :func:`tools.analyze.dataflow.resource_release_report`.
     skeleton: List = field(default_factory=list)
 
-    @property
-    def is_method(self) -> bool:
-        return bool(self.params) and self.params[0] in _SELFISH
-
 
 @dataclass
 class ModuleSummary:
