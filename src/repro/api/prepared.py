@@ -4,7 +4,9 @@ The seed code rebuilt ``flatten`` / ``build_gnet`` / ``build_gseq`` in
 each flow and again in the referee.  A :class:`PreparedDesign` carries
 the design, its optional ground truth and die, and materialises the
 derived structures lazily, exactly once; flows and the referee all pull
-from the same cache.
+from the same cache.  :func:`prepare` flattens a design once and sizes
+its die from that flat, so a design is flattened exactly once from
+generation to a compiled store entry.
 """
 
 from __future__ import annotations
@@ -139,15 +141,37 @@ class PreparedDesign:
         return prepared
 
 
+def prepare(design: Design, truth: Optional[GroundTruth] = None,
+            spec: Optional[DesignSpec] = None,
+            die: Optional[Tuple[float, float]] = None) -> PreparedDesign:
+    """Wrap ``design``, flatten it once and size its die from that flat.
+
+    The flatten runs under the ``prepare.flat`` span and stays cached
+    on the result.  ``die`` overrides the size; otherwise the cells
+    fill the die at ``spec.utilization`` (:func:`die_for`'s default
+    without a spec).
+    """
+    prepared = PreparedDesign(design=design, die_w=0.0, die_h=0.0,
+                              truth=truth, spec=spec)
+    if die is None:
+        die = (die_for(prepared.flat) if spec is None else
+               die_for(prepared.flat, utilization=spec.utilization))
+    prepared.die_w, prepared.die_h = die
+    return prepared
+
+
 def prepare_design(spec: DesignSpec) -> PreparedDesign:
-    """Build one suite design, size its die, wrap it for caching."""
+    """Build one suite design, flatten it once, size its die.
+
+    ``prepare.design`` holds ``prepare.generate`` (:func:`build_design`)
+    and ``prepare.flat`` (the design's one flatten, which also sizes
+    the die).
+    """
     tracer = current_tracer()
     with tracer.span("prepare.design", design=spec.name):
         with tracer.span("prepare.generate"):
             design, truth = build_design(spec)
-        die_w, die_h = die_for(design, utilization=spec.utilization)
-    return PreparedDesign(design=design, die_w=die_w, die_h=die_h,
-                          truth=truth, spec=spec)
+        return prepare(design, truth, spec)
 
 
 def prepare_suite_design(name: str, scale: str = "bench") -> PreparedDesign:

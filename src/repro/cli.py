@@ -24,7 +24,6 @@ import sys
 
 from repro.api import (
     FlowError,
-    PreparedDesign,
     UnknownFlowError,
     available_flows,
     flow_descriptions,
@@ -32,9 +31,10 @@ from repro.api import (
     run_suite,
     split_flow_specs,
 )
+from repro.api.prepared import prepare
 from repro.core.config import Effort
 from repro.eval.tables import format_table2, format_table3
-from repro.gen.designs import build_design, die_for, suite_specs
+from repro.gen.designs import build_design, suite_specs
 from repro.netlist.jsonio import load_design, save_design
 from repro.netlist.stats import design_stats
 from repro.netlist.verilog import design_to_verilog
@@ -88,6 +88,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 def cmd_place(args: argparse.Namespace) -> int:
     from repro.obs import (
+        NULL_TRACER,
         Tracer,
         render_summary,
         use_tracer,
@@ -95,23 +96,17 @@ def cmd_place(args: argparse.Namespace) -> int:
     )
 
     design, truth = _load_design(args)
-    die_w, die_h = die_for(design) if args.die is None else args.die
 
     defaults = {"seed": args.seed, "effort": Effort(args.effort)}
     if args.lam is not None:
         # Offered to the flow factory; silently dropped for flows
         # whose signature has no lam (e.g. indeda).
         defaults["lam"] = args.lam
-    tracing = bool(args.trace or args.verbose)
-    tracer = Tracer("main") if tracing else None
+    tracer = Tracer("main") if args.trace or args.verbose else NULL_TRACER
     try:
         placer = get_flow(args.flow, **defaults)
-        prepared = PreparedDesign(design=design, die_w=die_w,
-                                  die_h=die_h, truth=truth)
-        if tracing:
-            with use_tracer(tracer):
-                placement = placer.place(prepared)
-        else:
+        with use_tracer(tracer):
+            prepared = prepare(design, truth, die=args.die)
             placement = placer.place(prepared)
     except UnknownFlowError as exc:
         return _fail(f"{exc} (see `hidap flows`)")
@@ -128,7 +123,7 @@ def cmd_place(args: argparse.Namespace) -> int:
     out = {
         "design": placement.design_name,
         "flow": placement.flow_name,
-        "die": [die_w, die_h],
+        "die": list(prepared.die),
         "macros": {
             placed.path: {
                 "x": placed.rect.x, "y": placed.rect.y,
@@ -266,11 +261,11 @@ def cmd_info(args: argparse.Namespace) -> int:
     design, _truth = _load_design(args)
     stats = design_stats(design)
     print(stats.summary())
-    prepared = PreparedDesign(design=design, die_w=0.0, die_h=0.0)
+    prepared = prepare(design)
     print(f"flat: {prepared.flat}")
     print(f"gnet: {prepared.gnet}")
     print(f"gseq: {prepared.gseq}")
-    print(f"die (55% util): {die_for(design)}")
+    print(f"die (55% util): {prepared.die}")
     return 0
 
 

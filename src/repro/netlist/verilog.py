@@ -3,8 +3,10 @@
 The subset covers what hierarchical macro-placement inputs need —
 modules with ANSI port lists, ``wire`` declarations with ranges, and
 named-pin instantiations whose pin expressions are identifiers, bit
-selects or part selects.  Escaped identifiers (``\\name[3] ``) are
-supported because register arrays use bracketed instance names.
+selects, part selects or a concatenation of them (``{hi, lo}``, most
+significant first: a pin connected in slices).  Escaped identifiers
+(``\\name[3] ``) are supported because register arrays use bracketed
+instance names.
 
 The parser is two-pass: module bodies are parsed into a light AST, then
 instance references are linked against parsed modules and a leaf-cell
@@ -15,7 +17,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.netlist.cells import CellType, Direction
 from repro.netlist.core import Design, Module
@@ -44,8 +46,32 @@ def _pin_expr(net_name: str, net_width: int, lsb: int, width: int) -> str:
     return f"{_vname(net_name)}[{lsb + width - 1}:{lsb}]"
 
 
+def _pin_concat(where: str, slices: List[Tuple[int, int, str]]) -> str:
+    """One pin's expression from its ``(pin_lsb, width, expr)`` slices:
+    the lone slice, or their concatenation, most significant first.
+
+    The slices must cover the pin's bits from 0 up without a gap or an
+    overlap; anything else has no concatenation.
+    """
+    slices.sort()
+    bit = 0
+    for lsb, width, _expr in slices:
+        if lsb != bit:
+            problem = (f"bits {bit}..{lsb - 1} unconnected" if lsb > bit
+                       else f"bit {lsb} connected twice")
+            raise VerilogWriteError(f"{where}: {problem}")
+        bit += width
+    if len(slices) == 1:
+        return slices[0][2]
+    return "{" + ", ".join(expr for _l, _w, expr in reversed(slices)) + "}"
+
+
 def module_to_verilog(module: Module) -> str:
-    """Render one module as structural Verilog."""
+    """Render one module as structural Verilog.
+
+    Raises :class:`VerilogWriteError` for a pin whose connections leave
+    a gap below its highest connected bit, or overlap.
+    """
     lines: List[str] = []
     port_decls = []
     for port in module.ports.values():
@@ -60,18 +86,21 @@ def module_to_verilog(module: Module) -> str:
             continue
         lines.append(f"  wire {_range(net.width)}{_vname(net.name)};")
 
-    # Group connections per instance to emit one statement per instance.
-    pins: Dict[str, List[Tuple[str, str]]] = {
-        name: [] for name in module.instances}
+    # Group connections per instance and pin: one statement per
+    # instance, one ``.pin(...)`` per pin.
+    pins: Dict[str, Dict[str, List[Tuple[int, int, str]]]] = {
+        name: {} for name in module.instances}
     for net in module.nets.values():
         for conn in net.conns:
             expr = _pin_expr(net.name, net.width, conn.net_lsb, conn.width)
-            pins[conn.inst].append((conn.pin, expr, conn.pin_lsb))
+            pins[conn.inst].setdefault(conn.pin, []).append(
+                (conn.pin_lsb, conn.width, expr))
 
     for inst in module.instances.values():
-        conns = sorted(pins[inst.name], key=lambda t: (t[0], t[2]))
-        body = ", ".join(f".{_vname(pin)}({expr})"
-                         for pin, expr, _lsb in conns)
+        body = ", ".join(
+            f".{_vname(pin)}("
+            f"{_pin_concat(f'{module.name}.{inst.name}.{pin}', slices)})"
+            for pin, slices in sorted(pins[inst.name].items()))
         lines.append(f"  {_vname(inst.ref_name)} {_vname(inst.name)} "
                      f"({body});")
     lines.append("endmodule")
@@ -96,7 +125,7 @@ _TOKEN_RE = re.compile(r"""
   | (?P<escaped>\\[^\s]+)
   | (?P<ident>[A-Za-z_][A-Za-z0-9_$]*)
   | (?P<number>\d+)
-  | (?P<punct>[().,;:\[\]])
+  | (?P<punct>[().,;:\[\]{}])
 """, re.VERBOSE | re.DOTALL)
 
 
@@ -131,17 +160,27 @@ class VerilogSyntaxError(ValueError):
     """Raised when the input does not fit the supported subset."""
 
 
+class VerilogWriteError(ValueError):
+    """Raised when a module's connections have no Verilog form here."""
+
+
 # ---------------------------------------------------------------------------
 # Parser (to a light AST)
 # ---------------------------------------------------------------------------
 
 
 @dataclass
-class _PinAst:
-    pin: str
-    net: Optional[str]          # None = unconnected ()
+class _SliceAst:
+    net: str
     lsb: int = 0
     width: Optional[int] = None  # None = full net width
+
+
+@dataclass
+class _PinAst:
+    pin: str
+    #: As written, most significant first; empty = unconnected ``()``.
+    slices: List[_SliceAst]
 
 
 @dataclass
@@ -249,33 +288,42 @@ class _Parser:
             return
         self.parse_instance(ast)
 
+    def parse_slice(self) -> _SliceAst:
+        """``net``, ``net[bit]`` or ``net[msb:lsb]``."""
+        net = self.expect_ident()
+        if not self.at("["):
+            return _SliceAst(net)
+        self.next()
+        first = self.expect_number()
+        lsb, width = first, 1
+        if self.at(":"):
+            self.next()
+            lsb = self.expect_number()
+            if lsb > first:
+                raise VerilogSyntaxError(
+                    f"part select {net}[{first}:{lsb}] must "
+                    f"be [msb:lsb] with msb >= lsb")
+            width = first - lsb + 1
+        self.expect("]")
+        return _SliceAst(net, lsb, width)
+
     def parse_instance(self, ast: _ModuleAst) -> None:
         inst = _InstAst(ref=self.expect_ident(), name=self.expect_ident())
         self.expect("(")
         while self.peek() and not self.at(")"):
             self.expect(".")
-            pin = self.expect_ident()
+            pin = _PinAst(self.expect_ident(), [])
             self.expect("(")
-            if self.at(")"):
-                inst.pins.append(_PinAst(pin, None))
-            else:
-                net = self.expect_ident()
-                lsb, width = 0, None
-                if self.at("["):
+            if self.at("{"):
+                self.next()
+                pin.slices.append(self.parse_slice())
+                while self.at(","):
                     self.next()
-                    first = self.expect_number()
-                    if self.at(":"):
-                        self.next()
-                        lsb = self.expect_number()
-                        if lsb > first:
-                            raise VerilogSyntaxError(
-                                f"part select {net}[{first}:{lsb}] must "
-                                f"be [msb:lsb] with msb >= lsb")
-                        width = first - lsb + 1
-                    else:
-                        lsb, width = first, 1
-                    self.expect("]")
-                inst.pins.append(_PinAst(pin, net, lsb, width))
+                    pin.slices.append(self.parse_slice())
+                self.expect("}")
+            elif not self.at(")"):
+                pin.slices.append(self.parse_slice())
+            inst.pins.append(pin)
             self.expect(")")
             if self.at(","):
                 self.next()
@@ -338,6 +386,36 @@ def parse_verilog(text: str, library: Dict[str, CellType],
         raise VerilogSyntaxError(str(exc)) from exc
 
 
+def _connect_pin(module: Module, where: str, inst_ast: _InstAst,
+                 ref: Union[Module, CellType], pin_ast: _PinAst) -> None:
+    """Connect one pin's slices, assigning pin offsets from the LSB
+    (the last slice written)."""
+    try:
+        port = ref.port(pin_ast.pin)
+    except KeyError:
+        raise VerilogSyntaxError(
+            f"{where} of {inst_ast.ref!r} has no pin "
+            f"{pin_ast.pin!r}") from None
+    offset = 0
+    for piece in reversed(pin_ast.slices):
+        net = module.nets.get(piece.net)
+        if net is None:
+            raise VerilogSyntaxError(
+                f"module {module.name}: undeclared net {piece.net!r}")
+        width = piece.width
+        if width is None:
+            # A lone full net fills what the pin has room for.
+            width = (net.width if len(pin_ast.slices) > 1
+                     else min(net.width, port.width))
+        if offset + width > port.width:
+            raise VerilogSyntaxError(
+                f"{where}: pin {pin_ast.pin!r} has {port.width} bits, "
+                f"connected {offset + width}")
+        net.connect(inst_ast.name, pin_ast.pin, width,
+                    net_lsb=piece.lsb, pin_lsb=offset)
+        offset += width
+
+
 def _link(asts: List[_ModuleAst], library: Dict[str, CellType],
           design_name: str, top: str) -> Design:
     design = Design(design_name)
@@ -372,26 +450,15 @@ def _link(asts: List[_ModuleAst], library: Dict[str, CellType],
                     f"module {ast.name}: unknown reference "
                     f"{inst_ast.ref!r} for instance {inst_ast.name!r}")
             module.add_instance(inst_ast.name, ref)
+            where = f"module {ast.name}: instance {inst_ast.name!r}"
+            seen = set()
             for pin_ast in inst_ast.pins:
-                if pin_ast.net is None:
-                    continue
-                if pin_ast.net not in module.nets:
+                if pin_ast.pin in seen:
                     raise VerilogSyntaxError(
-                        f"module {ast.name}: undeclared net "
-                        f"{pin_ast.net!r}")
-                try:
-                    port = ref.port(pin_ast.pin)
-                except KeyError:
-                    raise VerilogSyntaxError(
-                        f"module {ast.name}: instance {inst_ast.name!r} "
-                        f"of {inst_ast.ref!r} has no pin "
-                        f"{pin_ast.pin!r}") from None
-                net = module.nets[pin_ast.net]
-                width = pin_ast.width
-                if width is None:
-                    width = min(net.width, port.width)
-                net.connect(inst_ast.name, pin_ast.pin, width,
-                            net_lsb=pin_ast.lsb, pin_lsb=0)
+                        f"{where}: pin {pin_ast.pin!r} connected twice")
+                seen.add(pin_ast.pin)
+                if pin_ast.slices:
+                    _connect_pin(module, where, inst_ast, ref, pin_ast)
 
     design.set_top(top)
     return design

@@ -36,6 +36,17 @@ changing any of them silently invalidates old entries (they become
 unreachable keys, never wrong answers).  The ``*_arrays_for`` caches
 re-check their cheap shape fingerprints on first use.
 
+Compiling
+---------
+A miss compiles the design once: :func:`~repro.api.prepared.prepare_design`
+generates it, flattens it once (the flat also sizes the die) and
+:func:`compile_prepared` builds every graph and array from that flat.
+The compile and the save run with the cyclic garbage collector paused
+(:func:`_gc_paused`): they only build long-lived graphs, which every
+collection of the oldest generation would otherwise rescan for
+nothing.  The caller's collector state comes back afterwards, also
+when the compile raises.
+
 Writes are atomic (temp directory + ``os.replace``), so concurrent
 writers of the same key are safe: the first complete write wins and
 later ones, bit-identical by the determinism contract, are dropped.
@@ -46,6 +57,7 @@ the fresh write with a ``RuntimeWarning``.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import os
@@ -53,9 +65,10 @@ import pickle
 import shutil
 import tempfile
 import warnings
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -135,6 +148,22 @@ def compile_prepared(prepared: PreparedDesign) -> None:
     prepared.net_arrays
     prepared.stdcell_arrays
     prepared.timing_arrays
+
+
+@contextmanager
+def _gc_paused() -> Iterator[None]:
+    """Pause the cyclic garbage collector for the block.
+
+    Restores the caller's state in ``finally``: a collector that was
+    off stays off.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _aligned(offset: int) -> int:
@@ -317,6 +346,8 @@ class CompiledDesignStore:
 
         Emits ``store.hit`` / ``store.miss`` + ``store.compile`` spans;
         this is the primary seam the suite runner and the service use.
+        A miss compiles and saves with the collector paused
+        (:func:`_gc_paused`).
         """
         key = self.key_for_spec(spec)
         tracer = current_tracer()
@@ -328,8 +359,9 @@ class CompiledDesignStore:
             return entry
         with tracer.span("store.miss", key=key[:12], design=spec.name):
             pass
-        with tracer.span("store.compile", key=key[:12],
-                         design=spec.name):
-            prepared = prepare_design(spec)
-            compile_prepared(prepared)
-        return self.save(key, prepared)
+        with _gc_paused():
+            with tracer.span("store.compile", key=key[:12],
+                             design=spec.name):
+                prepared = prepare_design(spec)
+                compile_prepared(prepared)
+            return self.save(key, prepared)

@@ -5,16 +5,20 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.netlist.builder import ModuleBuilder
 from repro.netlist.cells import DEFAULT_COMB, DEFAULT_FLOP
+from repro.netlist.core import Conn
 from repro.netlist.flatten import flatten
 from repro.netlist.stats import design_stats
 from repro.netlist.verilog import (
     VerilogSyntaxError,
+    VerilogWriteError,
     design_to_verilog,
+    module_to_verilog,
     parse_verilog,
 )
 
-from tests.conftest import build_two_stage_design
+from tests.conftest import build_two_stage_design, make_ram, single_module_design
 
 LIB = {"DFF": DEFAULT_FLOP, "COMB2": DEFAULT_COMB}
 
@@ -34,7 +38,6 @@ class TestWriter:
 
 class TestRoundTrip:
     def test_two_stage_roundtrip(self, two_stage_design):
-        from tests.conftest import make_ram
         text = design_to_verilog(two_stage_design)
         lib = dict(LIB)
         lib["RAM8"] = make_ram()
@@ -54,6 +57,73 @@ class TestRoundTrip:
         parsed = parse_verilog(text, lib, "rt")
         assert design_stats(parsed).cells == design_stats(design).cells
         assert len(flatten(parsed).nets) == len(flatten(design).nets)
+
+
+def _sliced_ram_design(hi_lsb=4):
+    """A RAM8 whose ``din`` takes ``lo`` at bits 0-3 and ``hi`` at bits
+    ``hi_lsb``.. (4-7 by default)."""
+    ram = make_ram()
+    b = ModuleBuilder("top")
+    b.input("lo", 4)
+    b.input("hi", 4)
+    b.output("q", 8)
+    inst = b.instance(ram, "mem")
+    b.connect("lo", inst, "din", width=4, pin_lsb=0)
+    b.connect("hi", inst, "din", width=4, pin_lsb=hi_lsb)
+    b.connect_bus("q", inst, "dout")
+    return single_module_design(b), {"RAM8": ram}
+
+
+def _pin_conns(design, pin):
+    return sorted((c for net in design.top.nets.values() for c in net.conns
+                   if c.pin == pin), key=lambda c: c.pin_lsb)
+
+
+class TestSlicedPins:
+    def test_writer_emits_one_concatenation_msb_first(self):
+        design, _lib = _sliced_ram_design()
+        text = module_to_verilog(design.top)
+        assert ".din({hi, lo})" in text
+        assert text.count(".din(") == 1
+
+    def test_round_trip_keeps_pin_offsets(self):
+        design, lib = _sliced_ram_design()
+        parsed = parse_verilog(design_to_verilog(design), lib)
+        assert _pin_conns(parsed, "din") == [
+            Conn("mem", "din", 4, 0, 0), Conn("mem", "din", 4, 0, 4)]
+        assert _pin_conns(parsed, "din") == _pin_conns(design, "din")
+        assert len(flatten(parsed).nets) == len(flatten(design).nets)
+
+    def test_concatenation_of_selects(self):
+        text = ("module m (input [7:0] a, input b, output [7:0] q);\n"
+                "  RAM8 mem (.din({a[6:0], b}), .dout(q));\nendmodule")
+        parsed = parse_verilog(text, {"RAM8": make_ram()})
+        assert _pin_conns(parsed, "din") == [
+            Conn("mem", "din", 1, 0, 0), Conn("mem", "din", 7, 0, 1)]
+
+    def test_gap_is_a_write_error(self):
+        design, _lib = _sliced_ram_design(hi_lsb=5)
+        with pytest.raises(VerilogWriteError,
+                           match=r"top\.mem\.din: bits 4\.\.4 unconnected"):
+            design_to_verilog(design)
+
+    def test_overlap_is_a_write_error(self):
+        design, _lib = _sliced_ram_design(hi_lsb=2)
+        with pytest.raises(VerilogWriteError, match="bit 2 connected twice"):
+            design_to_verilog(design)
+
+    def test_pin_named_twice_is_rejected(self):
+        text = ("module m (input [3:0] lo, input [3:0] hi);\n"
+                "  RAM8 mem (.din(lo), .din(hi));\nendmodule")
+        with pytest.raises(VerilogSyntaxError,
+                           match="pin 'din' connected twice"):
+            parse_verilog(text, {"RAM8": make_ram()})
+
+    def test_concatenation_wider_than_the_pin(self):
+        text = ("module m (input [7:0] a, input b);\n"
+                "  RAM8 mem (.din({b, a}));\nendmodule")
+        with pytest.raises(VerilogSyntaxError, match="has 8 bits"):
+            parse_verilog(text, {"RAM8": make_ram()})
 
 
 class TestParserErrors:

@@ -188,8 +188,10 @@ class TestRunFlowTrace:
         tracer = Tracer("test")
         with use_tracer(tracer):
             prepare_design(spec)
+        # The design's one flatten (which also sizes the die) is part
+        # of preparing it.
         assert _span_names(tracer.payload(), "prepare.design") == [
-            ["prepare.generate"]]
+            ["prepare.flat", "prepare.generate"]]
 
 
 class TestSuiteTraceParity:
