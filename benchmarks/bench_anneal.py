@@ -97,8 +97,8 @@ def main() -> int:
     total_expanded = total_nodes = 0
     for name in names:
         design, _truth = build_design(specs[name])
+        die_w, die_h = die_for(design)
         flat = flatten(design)
-        die_w, die_h = die_for(flat)
 
         inc_key, inc_s, inc_counters = _place(
             flat, die_w, die_h, args.seed, effort, incremental=True)

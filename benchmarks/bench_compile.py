@@ -12,8 +12,9 @@ checkouts ("sides") of the program.  Per side it gathers:
 * a profile of one cold 8-design bench ``PlacementService`` set-up (the
   workload's set-up) under the program's own tracer, with the cyclic
   collector's passes timed through ``gc.callbacks`` (once per ``src``);
-* the sha256 of every compiled store entry of c1-c8 at tiny and bench
-  scale: the pickle blob and each out-of-band buffer.
+* per compiled store entry of c1-c8 at tiny and bench scale, the
+  sha256 of the pickle blob and every out-of-band buffer, the sha256 of
+  the buffers alone, and the blob's size.
 
 Both probes run in a fresh interpreter on the side's ``src/``.  Each
 ``--compare A B`` pairs the untraced runs of sides A and B by position
@@ -103,9 +104,14 @@ with tempfile.TemporaryDirectory() as tmp:
         for spec in suite_specs(scale):
             entry = store.ensure_spec(spec)
             digest = hashlib.sha256(entry.blob())
+            buffers = hashlib.sha256()
             for offset, size in entry.spans:
                 digest.update(entry.image[offset:offset + size])
-            out[f"{scale}/{spec.name}"] = digest.hexdigest()
+                buffers.update(entry.image[offset:offset + size])
+            out[f"{scale}/{spec.name}"] = {
+                "entry": digest.hexdigest(),
+                "buffers": buffers.hexdigest(),
+                "blob_bytes": len(entry.blob())}
 print(json.dumps(out))
 """
 
@@ -160,6 +166,11 @@ def side_record(src: str, files: List[str], probes: Dict) -> Dict:
     return record
 
 
+def _digests(side: Dict, kind: str) -> Dict[str, str]:
+    return {name: digest[kind]
+            for name, digest in side["entry_digests"].items()}
+
+
 def compare(before: Dict, after: Dict) -> Dict:
     pairs = list(zip(before["setup_s_samples"], after["setup_s_samples"]))
     spread = before["setup_s"]["q3"] - before["setup_s"]["q1"]
@@ -173,8 +184,13 @@ def compare(before: Dict, after: Dict) -> Dict:
         "before_iqr_s": spread,
         "claim_holds": (sum(b > a for b, a in pairs) * 10
                         >= 9 * len(pairs) and drop > spread),
-        "entry_digests_equal": (before["entry_digests"]
-                                == after["entry_digests"]),
+        "entry_digests_equal": _digests(before, "entry")
+        == _digests(after, "entry"),
+        "buffer_digests_equal": _digests(before, "buffers")
+        == _digests(after, "buffers"),
+        "blob_bytes_saved": sum(before["entry_digests"][name]["blob_bytes"]
+                                - after["entry_digests"][name]["blob_bytes"]
+                                for name in after["entry_digests"]),
         "entries_compared": len(after["entry_digests"]),
     }
 

@@ -37,7 +37,7 @@ def test_fig6_target_area_assignment(benchmark):
 
     glue_area = sum(flat.cells[i].ctype.area
                     for i in glue_cells_of(result))
-    die_w, die_h = die_for(flat)
+    die_w, die_h = die_for(design)
     targets = scale_targets([s.area(flat) for s in result.blocks],
                             absorbed, die_w * die_h)
 

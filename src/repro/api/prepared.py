@@ -4,9 +4,10 @@ The seed code rebuilt ``flatten`` / ``build_gnet`` / ``build_gseq`` in
 each flow and again in the referee.  A :class:`PreparedDesign` carries
 the design, its optional ground truth and die, and materialises the
 derived structures lazily, exactly once; flows and the referee all pull
-from the same cache.  :func:`prepare` flattens a design once and sizes
-its die from that flat, so a design is flattened exactly once from
-generation to a compiled store entry.
+from the same cache.  :func:`prepare_design` shares one flatten among
+the ground truth, the die size and :attr:`PreparedDesign.flat`
+(:func:`~repro.netlist.flatten.shared_flats`), so a design is flattened
+exactly once from generation to a compiled store entry.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from repro.hiergraph.gnet import Gnet, build_gnet
 from repro.hiergraph.gseq import Gseq, build_gseq
 from repro.hiergraph.hierarchy import HierTree, build_hierarchy
 from repro.netlist.core import Design
-from repro.netlist.flatten import FlatDesign, flatten
+from repro.netlist.flatten import FlatDesign, flatten, shared_flats
 from repro.obs import current_tracer
 
 @dataclass
@@ -144,18 +145,21 @@ class PreparedDesign:
 def prepare(design: Design, truth: Optional[GroundTruth] = None,
             spec: Optional[DesignSpec] = None,
             die: Optional[Tuple[float, float]] = None) -> PreparedDesign:
-    """Wrap ``design``, flatten it once and size its die from that flat.
+    """Wrap ``design``, flatten it once and size its die.
 
     The flatten runs under the ``prepare.flat`` span and stays cached
-    on the result.  ``die`` overrides the size; otherwise the cells
-    fill the die at ``spec.utilization`` (:func:`die_for`'s default
-    without a spec).
+    on the result; :func:`die_for` shares it
+    (:func:`~repro.netlist.flatten.shared_flats`).  ``die`` overrides
+    the size; otherwise the cells fill the die at ``spec.utilization``
+    (:func:`die_for`'s default without a spec).
     """
     prepared = PreparedDesign(design=design, die_w=0.0, die_h=0.0,
                               truth=truth, spec=spec)
-    if die is None:
-        die = (die_for(prepared.flat) if spec is None else
-               die_for(prepared.flat, utilization=spec.utilization))
+    with shared_flats():
+        prepared.flat
+        if die is None:
+            die = (die_for(design) if spec is None else
+                   die_for(design, utilization=spec.utilization))
     prepared.die_w, prepared.die_h = die
     return prepared
 
@@ -163,12 +167,13 @@ def prepare(design: Design, truth: Optional[GroundTruth] = None,
 def prepare_design(spec: DesignSpec) -> PreparedDesign:
     """Build one suite design, flatten it once, size its die.
 
-    ``prepare.design`` holds ``prepare.generate`` (:func:`build_design`)
-    and ``prepare.flat`` (the design's one flatten, which also sizes
-    the die).
+    ``prepare.design`` holds ``prepare.generate`` (:func:`build_design`,
+    whose ground truth comes from the design's one flatten) and
+    ``prepare.flat``, which shares that flat, as the die size does
+    (:func:`~repro.netlist.flatten.shared_flats`).
     """
     tracer = current_tracer()
-    with tracer.span("prepare.design", design=spec.name):
+    with tracer.span("prepare.design", design=spec.name), shared_flats():
         with tracer.span("prepare.generate"):
             design, truth = build_design(spec)
         return prepare(design, truth, spec)

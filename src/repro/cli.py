@@ -35,6 +35,7 @@ from repro.api.prepared import prepare
 from repro.core.config import Effort
 from repro.eval.tables import format_table2, format_table3
 from repro.gen.designs import build_design, suite_specs
+from repro.netlist.flatten import shared_flats
 from repro.netlist.jsonio import load_design, save_design
 from repro.netlist.stats import design_stats
 from repro.netlist.verilog import design_to_verilog
@@ -95,23 +96,25 @@ def cmd_place(args: argparse.Namespace) -> int:
         write_chrome_trace,
     )
 
-    design, truth = _load_design(args)
-
     defaults = {"seed": args.seed, "effort": Effort(args.effort)}
     if args.lam is not None:
         # Offered to the flow factory; silently dropped for flows
         # whose signature has no lam (e.g. indeda).
         defaults["lam"] = args.lam
     tracer = Tracer("main") if args.trace or args.verbose else NULL_TRACER
-    try:
-        placer = get_flow(args.flow, **defaults)
-        with use_tracer(tracer):
-            prepared = prepare(design, truth, die=args.die)
-            placement = placer.place(prepared)
-    except UnknownFlowError as exc:
-        return _fail(f"{exc} (see `hidap flows`)")
-    except FlowError as exc:
-        return _fail(str(exc))
+    # The ground truth, the die and the prepared design share one
+    # flatten.
+    with shared_flats():
+        design, truth = _load_design(args)
+        try:
+            placer = get_flow(args.flow, **defaults)
+            with use_tracer(tracer):
+                prepared = prepare(design, truth, die=args.die)
+                placement = placer.place(prepared)
+        except UnknownFlowError as exc:
+            return _fail(f"{exc} (see `hidap flows`)")
+        except FlowError as exc:
+            return _fail(str(exc))
 
     if args.trace:
         write_chrome_trace(args.trace, [tracer.payload()])
@@ -258,10 +261,11 @@ def cmd_flows(args: argparse.Namespace) -> int:
 
 
 def cmd_info(args: argparse.Namespace) -> int:
-    design, _truth = _load_design(args)
+    with shared_flats():
+        design, _truth = _load_design(args)
+        prepared = prepare(design)
     stats = design_stats(design)
     print(stats.summary())
-    prepared = prepare(design)
     print(f"flat: {prepared.flat}")
     print(f"gnet: {prepared.gnet}")
     print(f"gseq: {prepared.gseq}")

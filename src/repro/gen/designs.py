@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Dict, Iterator, List, Tuple, Union
+from typing import Dict, List, Tuple
 
 from repro.gen.macros import make_macro_library
 from repro.gen.patterns import BUILDERS
 from repro.gen.spec import DesignSpec, GroundTruth, SubsystemSpec
 from repro.netlist.builder import ModuleBuilder
-from repro.netlist.core import Design, Module
-from repro.netlist.flatten import PATH_SEP, FlatDesign, flatten
+from repro.netlist.core import Design
+from repro.netlist.flatten import flatten
 
 #: (name, paper cell count, paper macro count, subsystem plan)
 #: Every plan lists (kind, macro share, width, stages) per subsystem;
@@ -108,25 +108,16 @@ def _budget_filler(subsystems: List[SubsystemSpec],
         sub.filler_cells = int(leftover * w / total_w)
 
 
-def _macro_paths(module: Module, path: str) -> Iterator[str]:
-    """Instance paths of the macros below ``module`` (instantiated at
-    ``path``), in :func:`~repro.netlist.flatten.flatten`'s cell order."""
-    for inst in module.instances.values():
-        inst_path = path + PATH_SEP + inst.name
-        if not inst.is_leaf:
-            yield from _macro_paths(inst.ref, inst_path)
-        elif inst.ref.is_macro:
-            yield inst_path
-
-
 def build_design(spec: DesignSpec) -> Tuple[Design, GroundTruth]:
     """Compose the chip described by ``spec``.
 
     The top module chains the subsystems in order (the intended
     dataflow), adds the configured cross links, and exposes chip ports
     at both ends.  Returns the design plus its ground truth, whose
-    per-subsystem macro lists come from a walk of the instance
-    hierarchy, not a flatten: the caller flattens the design once.
+    per-subsystem macro lists come from a flatten of the design: inside
+    :func:`~repro.netlist.flatten.shared_flats` (as
+    :func:`~repro.api.prepared.prepare_design` calls it) that flat is
+    the design's one flatten.
     """
     rng = random.Random(spec.seed)
     design = Design(spec.name)
@@ -176,22 +167,19 @@ def build_design(spec: DesignSpec) -> Tuple[Design, GroundTruth]:
     design.add_module(top.build())
     design.set_top(f"{spec.name}_top")
 
-    truth = GroundTruth(
-        order=order, widths=widths,
-        subsystem_macros={inst.name: list(_macro_paths(inst.ref, inst.name))
-                          for inst, _sub in insts})
+    truth = GroundTruth(order=order, subsystem_macros={}, widths=widths)
+    flat = flatten(design)
+    for inst_name in order:
+        truth.subsystem_macros[inst_name] = [
+            cell.path for cell in flat.macros()
+            if cell.path.startswith(inst_name + "/")]
     return design, truth
 
 
-def die_for(design: Union[Design, FlatDesign], utilization: float = 0.55,
+def die_for(design: Design, utilization: float = 0.55,
             aspect: float = 1.0) -> Tuple[float, float]:
-    """Die dimensions for a design at the given core utilization.
-
-    Pass the :class:`~repro.netlist.flatten.FlatDesign` when one exists
-    (as :func:`~repro.api.prepared.prepare_design` does); a
-    :class:`~repro.netlist.core.Design` is flattened here.
-    """
-    flat = design if isinstance(design, FlatDesign) else flatten(design)
+    """Die dimensions for a design at the given core utilization."""
+    flat = flatten(design)
     area = flat.total_cell_area() / utilization
     width = math.sqrt(area / aspect)
     return (round(width, 2), round(area / width, 2))

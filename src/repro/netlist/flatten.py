@@ -10,8 +10,10 @@ tree.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.netlist.cells import CellType, Direction
 from repro.netlist.core import Design, Module
@@ -122,13 +124,49 @@ def _join(path: str, name: str) -> str:
     return name if not path else path + PATH_SEP + name
 
 
+#: The flats shared inside :func:`shared_flats`, by ``id`` of the design.
+_SHARED: ContextVar[Optional[Dict[int, FlatDesign]]] = ContextVar(
+    "shared_flats", default=None)
+
+
+@contextmanager
+def shared_flats() -> Iterator[None]:
+    """Flatten each design once inside the block.
+
+    Every :func:`flatten` of a design (without ``max_fanout``) in the
+    block returns the one :class:`FlatDesign` its first call built, so
+    code that flattens the same design in several places does the work
+    once.  The designs must not change inside the block.  A nested
+    block shares its enclosing block's flats.
+    """
+    if _SHARED.get() is not None:
+        yield
+        return
+    token = _SHARED.set({})
+    try:
+        yield
+    finally:
+        _SHARED.reset(token)
+
+
 def flatten(design: Design, max_fanout: Optional[int] = None) -> FlatDesign:
     """Flatten ``design`` into bit-level nets and leaf cells.
 
     ``max_fanout`` optionally drops nets with more endpoints than the
     bound (clock/reset-style global nets), which otherwise swamp the
-    netlist graph with meaningless adjacency.
+    netlist graph with meaningless adjacency.  Inside
+    :func:`shared_flats` a design is flattened once.
     """
+    shared = _SHARED.get()
+    if shared is None or max_fanout is not None:
+        return _flatten(design, max_fanout)
+    flat = shared.get(id(design))
+    if flat is None:
+        flat = shared[id(design)] = _flatten(design, None)
+    return flat
+
+
+def _flatten(design: Design, max_fanout: Optional[int]) -> FlatDesign:
     flat = FlatDesign(design)
     uf = _UnionFind()
     # Endpoints attached to each net-bit key (resolved to roots later).

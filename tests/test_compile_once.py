@@ -1,24 +1,27 @@
 """A cold compile does each piece of work once.
 
-``build_design`` lists the subsystem macros from the instance
-hierarchy, ``prepare_design`` flattens once and sizes the die from that
-flat, and a store miss compiles with the cyclic collector paused.
+``prepare_design`` shares one flatten among the ground truth, the die
+size and the prepared design's flat (``shared_flats``), and a store
+miss compiles with the cyclic collector paused.
 """
 
 import gc
 import importlib
 import json
 import math
-import sys
 
 import pytest
 
 from repro.api.prepared import prepare_design
-from repro.gen.designs import die_for, suite_specs
-from repro.netlist.flatten import flatten
+from repro.gen.designs import build_design, suite_specs
+from repro.netlist.flatten import flatten, shared_flats
 from repro.service import CompiledDesignStore
 from repro.service import store as store_mod
 from repro.service.store import compile_prepared
+
+# ``repro.netlist.flatten`` names the function on the package, so reach
+# the module through the import system.
+flatten_mod = importlib.import_module("repro.netlist.flatten")
 
 
 def _spec(name="c1"):
@@ -26,82 +29,107 @@ def _spec(name="c1"):
 
 
 def _flatten_truth(flat, order):
-    """The ground truth's macro lists as ``build_design`` derived them
-    before it walked the hierarchy: from a flatten."""
+    """The ground truth's macro lists, derived from a flatten."""
     return {inst_name: [cell.path for cell in flat.macros()
                         if cell.path.startswith(inst_name + "/")]
             for inst_name in order}
 
 
 def _flatten_die(flat, utilization):
-    """The die as ``die_for`` sized it from a flatten of the design."""
+    """The die as ``die_for`` sizes it from a flatten of the design."""
     area = flat.total_cell_area() / utilization
     width = math.sqrt(area / 1.0)
     return (round(width, 2), round(area / width, 2))
 
 
+def _shape(flat):
+    return ([(c.path, c.ctype.name, c.module_path) for c in flat.cells],
+            [(n.name, n.endpoints, n.top_ports) for n in flat.nets])
+
+
 @pytest.mark.parametrize("scale", ["tiny", "bench"])
-def test_truth_and_die_equal_the_flatten_oracle(scale):
+def test_truth_die_and_flat_equal_an_unshared_flatten(scale):
     for spec in suite_specs(scale):
         prepared = prepare_design(spec)
         oracle = flatten(prepared.design)
+        assert oracle is not prepared.flat
+        assert _shape(prepared.flat) == _shape(oracle)
         truth = prepared.truth
         assert truth.subsystem_macros == _flatten_truth(oracle, truth.order)
         assert sum(map(len, truth.subsystem_macros.values())) \
             == spec.total_macros
         assert prepared.die == _flatten_die(oracle, spec.utilization)
-        assert die_for(oracle, utilization=spec.utilization) \
-            == prepared.die
 
 
 @pytest.fixture
-def flatten_calls(monkeypatch):
-    """Wrap every module binding of ``flatten``; returns the call log."""
-    # Import every module that binds flatten before wrapping.
-    for name in ("repro.cli", "repro.service.engine"):
-        importlib.import_module(name)
+def flatten_work(monkeypatch):
+    """Log the design of every flatten that walks a design."""
     calls = []
+    real = flatten_mod._flatten
 
-    def counting(design, *args, **kwargs):
+    def counting(design, max_fanout):
         calls.append(design.name)
-        return flatten(design, *args, **kwargs)
+        return real(design, max_fanout)
 
-    wrapped = []
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "repro" \
-                and vars(module).get("flatten") is flatten:
-            monkeypatch.setattr(module, "flatten", counting)
-            wrapped.append(name)
-    assert {"repro.gen.designs", "repro.api.prepared",
-            "repro.api.pipeline"} <= set(wrapped)
+    monkeypatch.setattr(flatten_mod, "_flatten", counting)
     return calls
 
 
-def test_prepare_and_compile_flatten_once(flatten_calls):
+def test_prepare_and_compile_flatten_once(flatten_work):
     prepared = prepare_design(_spec())
     compile_prepared(prepared)
     prepared.info()
-    assert flatten_calls == ["c1"]
+    assert flatten_work == ["c1"]
 
 
-def test_store_miss_flattens_once(flatten_calls, tmp_path):
+def test_store_miss_flattens_once(flatten_work, tmp_path):
     CompiledDesignStore(tmp_path).ensure_spec(_spec("c2"))
-    assert flatten_calls == ["c2"]
+    assert flatten_work == ["c2"]
 
 
 @pytest.mark.parametrize("flow, die", [
     ("indeda", []), ("indeda", ["--die", "400", "300"]), ("hidap", [])])
-def test_hidap_place_flattens_once(flatten_calls, tmp_path, flow, die,
+def test_hidap_place_flattens_once(flatten_work, tmp_path, flow, die,
                                    capsys):
     from repro.cli import main
 
     out = tmp_path / "place.json"
     assert main(["place", "c1", "--scale", "tiny", "--flow", flow,
                  "--effort", "fast", "--out", str(out), *die]) == 0
-    assert flatten_calls == ["c1"]
+    assert flatten_work == ["c1"]
     if die:
         assert json.loads(out.read_text())["die"] == [400.0, 300.0]
     capsys.readouterr()
+
+
+class TestSharedFlats:
+    def test_one_flat_per_design_inside_the_block(self, flatten_work):
+        c1, _ = build_design(_spec("c1"))
+        c2, _ = build_design(_spec("c2"))
+        del flatten_work[:]
+        with shared_flats():
+            first = flatten(c1)
+            with shared_flats():
+                assert flatten(c1) is first
+            assert flatten(c1) is first
+            assert flatten(c2) is not first
+        assert flatten_work == ["c1", "c2"]
+
+    def test_nothing_shared_outside_the_block(self, flatten_work):
+        design, _ = build_design(_spec())
+        with shared_flats():
+            inside = flatten(design)
+        assert flatten(design) is not inside
+        assert flatten(design) is not flatten(design)
+
+    def test_max_fanout_is_never_shared(self, flatten_work):
+        design, _ = build_design(_spec())
+        with shared_flats():
+            full = flatten(design)
+            pruned = flatten(design, max_fanout=8)
+            assert pruned is not full
+            assert flatten(design, max_fanout=8) is not pruned
+            assert len(pruned.nets) < len(full.nets)
 
 
 class TestCollectorPausedOnMiss:
