@@ -21,8 +21,9 @@ from __future__ import annotations
 from typing import List, Tuple
 
 from repro.baselines.common import (
+    Box,
     macro_affinity_matrix,
-    pack_perimeter,
+    pack_boxes,
     refine_order,
 )
 from repro.core.ports import assign_port_positions
@@ -149,8 +150,8 @@ def place_handfp(design, truth: GroundTruth, die_w: float, die_h: float,
             continue
         order = list(strip_members)
 
-        def repack(current: List[int], _strip=strip) -> List[Rect]:
-            return pack_perimeter(_strip, [dims[m] for m in current])
+        def repack(current: List[int], _strip=strip) -> List[Box]:
+            return pack_boxes(_strip, [dims[m] for m in current])
 
         order, rects = refine_order(order, repack, matrix, port_pulls,
                                     passes=refinement_passes)

@@ -17,8 +17,9 @@ from __future__ import annotations
 from typing import List, Tuple
 
 from repro.baselines.common import (
+    Box,
     macro_affinity_matrix,
-    pack_perimeter,
+    pack_boxes,
     refine_order,
     to_placement,
 )
@@ -95,8 +96,8 @@ def place_indeda(design, die_w: float, die_h: float,
             for c in macro_cells]
     order = _connectivity_chain(n, matrix, port_pulls)
 
-    def repack(current_order: List[int]) -> List[Rect]:
-        return pack_perimeter(die, [dims[m] for m in current_order])
+    def repack(current_order: List[int]) -> List[Box]:
+        return pack_boxes(die, [dims[m] for m in current_order])
 
     # Commercial tools multi-start cheaply: rotate the chain around the
     # perimeter (and try it reversed) so the most port-bound macros can

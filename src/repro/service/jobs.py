@@ -32,7 +32,9 @@ bit-identical to serial ``run_suite`` rows for the same
 
 from __future__ import annotations
 
+import threading
 from concurrent.futures import Future, ProcessPoolExecutor, as_completed
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple, Union
@@ -162,6 +164,7 @@ class PlacementService:
         self._owners: Dict[str, SegmentOwner] = {}
         self._prepared: Dict[str, object] = {}
         self._pool: Optional[ProcessPoolExecutor] = None
+        self._pool_lock = threading.Lock()
         self._next_job = 0
         self._closed = False
 
@@ -172,10 +175,11 @@ class PlacementService:
             if workers is not None and workers > 1:
                 for name, entry in self._entries.items():
                     self._owners[name] = export_entry(entry)
-                self._pool = ProcessPoolExecutor(
+                self._pool_args = dict(
                     max_workers=workers,
                     initializer=engine.init_worker,
                     initargs=(engine.portable_flow_entries(),))
+                self._pool = ProcessPoolExecutor(**self._pool_args)
         except BaseException:
             # Unlink the segments already exported.
             self.close()
@@ -236,12 +240,35 @@ class PlacementService:
         if self._pool is not None:
             owner = self._owners.get(design)
             handoff = owner.handoff if owner is not None else None
-            future = self._pool.submit(
-                engine.run_cell, self.scale, design, flow, opts.seed,
-                opts.effort.value, bool(opts.trace), handoff)
+            job = (self.scale, design, flow, opts.seed,
+                   opts.effort.value, bool(opts.trace), handoff)
+            pool = self._pool
+            try:
+                future = pool.submit(engine.run_cell, *job)
+            except BrokenProcessPool:
+                future = self._replace_pool(pool).submit(
+                    engine.run_cell, *job)
         else:
             future = self._run_inline(design, flow, opts)
         return JobHandle(job_id, design, flow, opts, future)
+
+    def _replace_pool(self, broken: ProcessPoolExecutor
+                      ) -> ProcessPoolExecutor:
+        """Swap a pool that a dead worker broke for a fresh one.
+
+        A broken pool refuses every later job, so one crashed job would
+        fail the service for good.  The new pool is built with the
+        arguments of the first, and the exported segments stay, so its
+        workers attach to them as the old ones did.  Jobs that were in flight
+        in the broken pool stay failed.  Under concurrent submits only
+        the first caller replaces ``broken``; the others get its
+        replacement.
+        """
+        with self._pool_lock:
+            if self._pool is broken:
+                broken.shutdown(wait=True)
+                self._pool = ProcessPoolExecutor(**self._pool_args)
+            return self._pool
 
     def _run_inline(self, design: str, flow: str,
                     opts: RunOptions) -> Future:

@@ -13,12 +13,16 @@ The load-bearing assertions of the service layer:
   silently skipping — on unpicklable entries.
 """
 
+import os
 import pickle
+from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
 
-from repro.api import RunOptions, run_suite
+from repro.api import RunOptions, register_flow, run_suite, unregister_flow
+from repro.api.flows import BaseFlow
 from repro.core.config import Effort
 from repro.gen.designs import suite_specs
 from repro.obs import Tracer, iter_spans, use_tracer
@@ -286,6 +290,44 @@ class TestJobLifecycle:
             override = service.submit("c1", "indeda", seed=7)
             assert default.options.seed == 1
             assert override.options.seed == 7
+
+
+class _WorkerExitFlow(BaseFlow):
+    """A flow whose job kills the worker process running it."""
+
+    name = "worker-exit"
+
+    def place(self, prepared):
+        os._exit(3)
+
+
+class TestBrokenPool:
+    def test_later_submits_run_after_a_worker_dies(self, store_dir,
+                                                    serial):
+        # Two client threads submit into the broken pool at once, as
+        # perfbench's clients do: one replaces it, both get rows.
+        register_flow("worker-exit", _WorkerExitFlow,
+                      description="kills its worker on purpose")
+        try:
+            with PlacementService(scale="tiny", designs=("c1",),
+                                  store=store_dir, workers=2,
+                                  options=OPTS) as service:
+                culprit = service.submit("c1", "worker-exit")
+                with pytest.raises(BrokenProcessPool):
+                    culprit.result(timeout=120)
+                broken = service._pool
+                with ThreadPoolExecutor(max_workers=2) as clients:
+                    handles = list(clients.map(
+                        lambda flow: service.submit("c1", flow), FLOWS,
+                        timeout=120))
+                rows = [handle.result(timeout=120) for handle in handles]
+                assert service._pool is not broken
+        finally:
+            unregister_flow("worker-exit")
+        from repro.api import normalize_to_handfp
+        normalize_to_handfp(rows)
+        assert [_key_row(r) for r in rows] \
+            == [_key_row(r) for r in serial.rows if r.design == "c1"]
 
 
 class TestWorkerBootstrap:
