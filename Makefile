@@ -19,8 +19,8 @@ test-benchmarks:
 lint:
 	python tools/lint.py
 
-# Determinism & kernel-purity static analyzer (rules REP001-REP003 and
-# REP005-REP012; see ROADMAP "Static analysis contracts").  Self-hosts
+# Determinism & kernel-purity static analyzer (rules REP001-REP003,
+# REP005-REP009 and REP012; see ROADMAP "Static analysis contracts").  Self-hosts
 # over src/, benchmarks/, tools/ and perfbench/.
 # Exits 1 on any finding, a stale noqa included; the JSON report
 # (findings + per-phase timings) is uploaded by CI next to
@@ -35,7 +35,9 @@ analyze:
 # job runs exactly this): lint, the repro-analyze gate, tier-1 tests
 # (tests/ plus perfbench/test_perfbench.py, which proves every
 # perfbench PATCHES target still resolves; the benchmark reproductions
-# are excluded for speed), the API, trace and service smokes, the
+# are excluded for speed; tests/ already holds the three files
+# smoke-api runs, so check does not run them twice), the trace and
+# service smokes, the
 # referee benchmark — bit-identity between the python oracle and the
 # numpy kernels is the hard gate there; the >= 3x speedup gate warns
 # on loaded runners — and the annealing benchmark, which fails when
@@ -45,14 +47,14 @@ check:
 	$(MAKE) lint
 	$(MAKE) analyze
 	python -m pytest -x -q tests perfbench/test_perfbench.py
-	$(MAKE) smoke-api
 	$(MAKE) smoke-trace
 	$(MAKE) smoke-service
 	$(MAKE) bench-referee
 	$(MAKE) bench-anneal
 
 # Fast smoke of the unified repro.api surface (registry, HiDaP stages,
-# parallel suite).
+# parallel suite), for local use; check runs these files as part of
+# tests/.
 smoke-api:
 	python -m pytest -q tests/test_api_registry.py \
 	    tests/test_api_pipeline.py tests/test_api_suite.py
@@ -69,11 +71,11 @@ smoke-trace:
 
 # Placement-service smoke: cold 2-worker suite against a fresh
 # compiled-design store, then a traced warm run asserting zero
-# worker-side prepare.* spans (workers attach shared memory instead),
-# then corruption recovery through the pool (truncate the warm c1
-# entry file, rerun: one RuntimeWarning naming its key, cold rows,
-# and a following warm run again with zero worker prepare.* spans),
-# then a PlacementService submit/result round-trip asserting
+# worker-side prepare.* spans (workers map the store entry files
+# instead), then corruption recovery through the pool (truncate the
+# warm c1 entry file, rerun: one RuntimeWarning naming its key, cold
+# rows, and a following warm run again with zero worker prepare.*
+# spans), then a PlacementService submit/result round-trip asserting
 # bit-identical rows.
 smoke-service:
 	python tools/smoke_service.py

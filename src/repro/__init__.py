@@ -28,8 +28,8 @@ Run a whole comparison suite in parallel and print the paper's tables:
 >>> print(format_table2(result.rows))             # doctest: +SKIP
 
 Or run placement as a service: compiled designs persist in an on-disk
-store (``store=DIR`` also works on ``run_suite``), pool workers attach
-them through shared memory instead of recompiling, and jobs go through
+store (``store=DIR`` also works on ``run_suite``), pool workers map
+the store's entry files instead of recompiling, and jobs go through
 a submit/result API (each job a ``concurrent.futures.Future``):
 
 >>> from repro.api import PlacementService, RunOptions

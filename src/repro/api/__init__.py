@@ -24,7 +24,8 @@ This package is the single front door for every placement run:
 * **placement service** — :class:`PlacementService` (from
   :mod:`repro.service`, re-exported here) is the submit/result job
   front end (each job a ``concurrent.futures.Future``), with a
-  :class:`CompiledDesignStore` and shared-memory array handoff.
+  :class:`CompiledDesignStore` whose entry files workers map
+  zero-copy.
 * **tables** — :func:`format_table2` / :func:`format_table3` /
   :func:`normalize_to_handfp` / :func:`geomean` turn rows into the
   paper's tables.

@@ -42,6 +42,7 @@ class PreparedDesign:
     _gnet: Optional[Gnet] = field(default=None, repr=False)
     _gseq: Optional[Gseq] = field(default=None, repr=False)
     _tree: Optional[HierTree] = field(default=None, repr=False)
+    _info: Optional[str] = field(default=None, repr=False)
 
     @property
     def name(self) -> str:
@@ -125,12 +126,15 @@ class PreparedDesign:
         return timing_arrays_for(self.gseq, self.flat)
 
     def info(self) -> str:
-        """The suite table's design summary line."""
-        text = f"{len(self.flat.cells)} cells, {len(self.flat.macros())} macros"
-        if self.spec is not None:
-            text += (f" (paper: {self.spec.paper_cells} cells, "
-                     f"{self.spec.paper_macros} macros)")
-        return text
+        """The suite table's design summary line (built once)."""
+        if self._info is None:
+            flat = self.flat
+            text = f"{len(flat.cells)} cells, {len(flat.macros())} macros"
+            if self.spec is not None:
+                text += (f" (paper: {self.spec.paper_cells} cells, "
+                         f"{self.spec.paper_macros} macros)")
+            self._info = text
+        return self._info
 
     @classmethod
     def from_flat(cls, flat: FlatDesign, die_w: float, die_h: float,

@@ -11,7 +11,7 @@ identical to an inline one.
 ``store=`` names a :class:`repro.service.CompiledDesignStore` (or a
 directory for one): designs are then compiled at most once, ever — a
 warm store skips every ``prepare.*`` compile, and pooled workers
-attach the compiled arrays through shared memory instead of
+map the compiled arrays from the store's entry files instead of
 rebuilding.  Without a store every process builds its designs itself.
 """
 
@@ -79,8 +79,8 @@ def run_suite(scale: str = "bench",
     designs across runs and processes: cold entries are compiled once
     in the main process (``store.miss`` + ``store.compile`` spans),
     warm ones memory-map back (``store.hit``), and pooled workers
-    attach the arrays through shared memory (``store.attach``) with
-    zero ``prepare.*`` compile spans.  Rows are bit-identical with and
+    map the same entry files (``store.attach``) with zero
+    ``prepare.*`` compile spans.  Rows are bit-identical with and
     without a store.
 
     Tracing records the main process under one ``suite`` span (its

@@ -38,8 +38,7 @@ def corner_candidates(region: Rect, w: float, h: float) -> List[Rect]:
 
 
 def place_single_macro(region: Rect, macro_w: float, macro_h: float,
-                       attractions: Sequence[Attraction],
-                       allow_rotation: bool = True
+                       attractions: Sequence[Attraction]
                        ) -> Tuple[Rect, Orientation]:
     """Choose corner and rotation minimizing attraction-weighted distance.
 
@@ -50,7 +49,7 @@ def place_single_macro(region: Rect, macro_w: float, macro_h: float,
     options: List[Tuple[Rect, Orientation]] = [
         (rect, Orientation.N)
         for rect in corner_candidates(region, macro_w, macro_h)]
-    if allow_rotation and abs(macro_w - macro_h) > 1e-12:
+    if abs(macro_w - macro_h) > 1e-12:
         options.extend(
             (rect, Orientation.E)
             for rect in corner_candidates(region, macro_h, macro_w))

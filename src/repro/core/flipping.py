@@ -37,6 +37,10 @@ from repro.metrics.netarrays import (
 )
 from repro.netlist.flatten import FlatDesign
 
+#: Greedy sweeps over every macro; both :func:`flip_macros` and its
+#: oracle :func:`_flip_macros_loop` stop after this many.
+MAX_PASSES = 4
+
 
 @dataclass
 class _FlipNet:
@@ -86,8 +90,8 @@ def _net_hpwl(fn: _FlipNet, flat: FlatDesign,
 
 
 def _flip_macros_loop(flat: FlatDesign, placement: MacroPlacement,
-                      port_positions: Optional[Dict[str, Point]] = None,
-                      max_passes: int = 4) -> int:
+                      port_positions: Optional[Dict[str, Point]] = None
+                      ) -> int:
     """The per-net reference pass: the oracle :func:`flip_macros` must
     match decision for decision (kept for tests only)."""
     port_positions = port_positions or {}
@@ -98,7 +102,7 @@ def _flip_macros_loop(flat: FlatDesign, placement: MacroPlacement,
             nets_of_macro.setdefault(cell_index, []).append(fn)
 
     total_flips = 0
-    for _sweep in range(max_passes):
+    for _sweep in range(MAX_PASSES):
         changed = False
         for cell_index in sorted(placement.macros):
             incident = nets_of_macro.get(cell_index)
@@ -274,8 +278,8 @@ def _compile_macros(arrays: NetArrays, placement: MacroPlacement,
 
 
 def flip_macros(flat: FlatDesign, placement: MacroPlacement,
-                port_positions: Optional[Dict[str, Point]] = None,
-                max_passes: int = 4) -> int:
+                port_positions: Optional[Dict[str, Point]] = None
+                ) -> int:
     """Greedily flip macros to reduce incident-net HPWL.
 
     Mutates orientations in ``placement``; returns the number of
@@ -294,7 +298,7 @@ def flip_macros(flat: FlatDesign, placement: MacroPlacement,
                                             placed_slot, n_static)
 
     total_flips = 0
-    for _sweep in range(max_passes):
+    for _sweep in range(MAX_PASSES):
         changed = False
         for cell_index in sorted(placement.macros):
             m = by_cell.get(cell_index)

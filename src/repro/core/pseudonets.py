@@ -22,6 +22,11 @@ from repro.core.dataflow import TerminalSpec
 from repro.core.decluster import BlockSeed
 from repro.netlist.flatten import PATH_SEP
 
+#: Affinity of two one-macro blocks at the same hierarchy path; it
+#: halves per hop of tree distance, and terminals pull with a
+#: sixteenth of it.
+BASE_WEIGHT = 64.0
+
 
 def _depth(path: str) -> int:
     if not path:
@@ -57,8 +62,7 @@ def _seed_path(seed: BlockSeed) -> str:
 
 
 def pseudonet_affinity(seeds: Sequence[BlockSeed],
-                       terminals: Sequence[TerminalSpec],
-                       base_weight: float = 64.0
+                       terminals: Sequence[TerminalSpec]
                        ) -> List[List[float]]:
     """Affinity matrix from hierarchy closeness only.
 
@@ -75,12 +79,12 @@ def pseudonet_affinity(seeds: Sequence[BlockSeed],
     for i in range(n):
         for j in range(i + 1, n):
             distance = hierarchy_distance(paths[i], paths[j])
-            affinity = base_weight * (weights[i] * weights[j]) ** 0.5 \
+            affinity = BASE_WEIGHT * (weights[i] * weights[j]) ** 0.5 \
                 / (2.0 ** distance)
             matrix[i][j] = affinity
             matrix[j][i] = affinity
     for t in range(len(terminals)):
         for i in range(n):
-            matrix[i][n + t] = base_weight / 16.0
-            matrix[n + t][i] = base_weight / 16.0
+            matrix[i][n + t] = BASE_WEIGHT / 16.0
+            matrix[n + t][i] = BASE_WEIGHT / 16.0
     return matrix

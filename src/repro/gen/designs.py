@@ -53,6 +53,9 @@ _SUITE_PLAN = [
 #: the subsystem plans); filler glue tops the count up to the target.
 _SCALE_CELLS = {"tiny": 700.0, "bench": 4000.0, "full": 10000.0}
 
+#: Width-to-height ratio of every generated die.
+DIE_ASPECT = 1.0
+
 
 def suite_specs(scale: str = "bench") -> List[DesignSpec]:
     """Specs for the eight-circuit suite at the requested scale."""
@@ -176,10 +179,9 @@ def build_design(spec: DesignSpec) -> Tuple[Design, GroundTruth]:
     return design, truth
 
 
-def die_for(design: Design, utilization: float = 0.55,
-            aspect: float = 1.0) -> Tuple[float, float]:
+def die_for(design: Design, utilization: float = 0.55) -> Tuple[float, float]:
     """Die dimensions for a design at the given core utilization."""
     flat = flatten(design)
     area = flat.total_cell_area() / utilization
-    width = math.sqrt(area / aspect)
+    width = math.sqrt(area / DIE_ASPECT)
     return (round(width, 2), round(area / width, 2))

@@ -28,6 +28,10 @@ from repro.netlist.flatten import FlatDesign, PATH_SEP
 from repro.hiergraph.arrays import array_base
 from repro.hiergraph.gnet import Gnet, NodeKind
 
+#: Most combinational vertices one collapse BFS may visit (a safety
+#: valve against pathological clouds).
+MAX_CLOUD = 200000
+
 
 class SeqKind(Enum):
     """Vertex families of Gseq."""
@@ -114,14 +118,11 @@ def _reg_base(flat: FlatDesign, cell_index: int) -> Tuple[str, str]:
     return (cell.module_path, base)
 
 
-def build_gseq(gnet: Gnet, flat: FlatDesign, min_bits: int = 2,
-               max_cloud: int = 200000) -> Gseq:
+def build_gseq(gnet: Gnet, flat: FlatDesign, min_bits: int = 2) -> Gseq:
     """Construct Gseq from Gnet (see module docstring).
 
     ``min_bits`` is the array-width threshold of step 4; registers
-    narrower than it are dropped.  ``max_cloud`` bounds the number of
-    combinational vertices one collapse BFS may visit (a safety valve
-    against pathological clouds).
+    narrower than it are dropped.
     """
     nodes: List[SeqNode] = []
     cluster_of_gnode: Dict[int, int] = {}
@@ -180,7 +181,7 @@ def build_gseq(gnet: Gnet, flat: FlatDesign, min_bits: int = 2,
             nxt = queue.popleft()
             kind = gnet.kinds[nxt]
             if kind is NodeKind.COMB:
-                if nxt in visited_comb or len(visited_comb) >= max_cloud:
+                if nxt in visited_comb or len(visited_comb) >= MAX_CLOUD:
                     continue
                 visited_comb.add(nxt)
                 queue.extend(gnet.succ[nxt])

@@ -133,11 +133,11 @@ _SHARED: ContextVar[Optional[Dict[int, FlatDesign]]] = ContextVar(
 def shared_flats() -> Iterator[None]:
     """Flatten each design once inside the block.
 
-    Every :func:`flatten` of a design (without ``max_fanout``) in the
-    block returns the one :class:`FlatDesign` its first call built, so
-    code that flattens the same design in several places does the work
-    once.  The designs must not change inside the block.  A nested
-    block shares its enclosing block's flats.
+    Every :func:`flatten` of a design in the block returns the one
+    :class:`FlatDesign` its first call built, so code that flattens the
+    same design in several places does the work once.  The designs must
+    not change inside the block.  A nested block shares its enclosing
+    block's flats.
     """
     if _SHARED.get() is not None:
         yield
@@ -149,24 +149,21 @@ def shared_flats() -> Iterator[None]:
         _SHARED.reset(token)
 
 
-def flatten(design: Design, max_fanout: Optional[int] = None) -> FlatDesign:
+def flatten(design: Design) -> FlatDesign:
     """Flatten ``design`` into bit-level nets and leaf cells.
 
-    ``max_fanout`` optionally drops nets with more endpoints than the
-    bound (clock/reset-style global nets), which otherwise swamp the
-    netlist graph with meaningless adjacency.  Inside
-    :func:`shared_flats` a design is flattened once.
+    Inside :func:`shared_flats` a design is flattened once.
     """
     shared = _SHARED.get()
-    if shared is None or max_fanout is not None:
-        return _flatten(design, max_fanout)
+    if shared is None:
+        return _flatten(design)
     flat = shared.get(id(design))
     if flat is None:
-        flat = shared[id(design)] = _flatten(design, None)
+        flat = shared[id(design)] = _flatten(design)
     return flat
 
 
-def _flatten(design: Design, max_fanout: Optional[int]) -> FlatDesign:
+def _flatten(design: Design) -> FlatDesign:
     flat = FlatDesign(design)
     uf = _UnionFind()
     # Endpoints attached to each net-bit key (resolved to roots later).
@@ -223,13 +220,10 @@ def _flatten(design: Design, max_fanout: Optional[int]) -> FlatDesign:
     for key, port_bit in port_hits:
         net_for(uf.find(key)).top_ports.append(port_bit)
 
-    # Drop degenerate nets (single endpoint and no port) and, optionally,
-    # global high-fanout nets.
+    # Drop degenerate nets (single endpoint and no port).
     kept: List[FlatNet] = []
     for net in flat.nets:
         if net.fanout() < 2:
-            continue
-        if max_fanout is not None and net.fanout() > max_fanout:
             continue
         net.index = len(kept)
         kept.append(net)

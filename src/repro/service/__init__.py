@@ -14,9 +14,9 @@ package is the amortization layer:
   then every compiled array as an out-of-band buffer; a load
   memory-maps it and adopts the arrays zero-copy.
 * :mod:`repro.service.shm` — zero-copy handoff of a store entry to
-  worker processes: the entry's file image, copied verbatim into one
-  ``multiprocessing.shared_memory`` segment per design; workers
-  unpickle over read-only views of it instead of recompiling.
+  worker processes: a small descriptor naming the entry; workers map
+  the entry file read-only and unpickle over it instead of
+  recompiling.
 * :class:`PlacementService` — a submit/result job front end
   (``submit(design, flow) -> JobHandle``, whose ``future`` is a
   :class:`concurrent.futures.Future`) over a warm worker pool or

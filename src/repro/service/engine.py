@@ -5,7 +5,7 @@ One (design, flow) cell executes identically in every
 runs the flow through the registry and collapses the paper's hidap
 labels.  Inline jobs call it directly on the service's own prepared
 design; pooled jobs go through :func:`run_cell`, which first resolves
-a worker-local prepared design (worker cache → shared-memory handoff
+a worker-local prepared design (worker cache → store-entry handoff
 → rebuild).
 
 Worker bootstrap lives here too: :func:`init_worker` replays
@@ -31,7 +31,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 #: Per-process prepared-design cache (populated inside pool workers so
 #: every flow scheduled on the same worker reuses flat/gnet/gseq — and,
-#: with a store handoff, the attached compiled arrays).
+#: with a store handoff, the mapped compiled arrays).
 _PREPARED_CACHE: Dict[Tuple[str, str], PreparedDesign] = {}
 
 
@@ -96,8 +96,8 @@ def prepared_for(scale: str, name: str,
                  ) -> PreparedDesign:
     """This process's prepared design for ``(scale, name)``.
 
-    Resolution order: the process-local cache, then a shared-memory
-    ``handoff`` (attach compiled arrays + unpickle graphs — zero
+    Resolution order: the process-local cache, then a store-entry
+    ``handoff`` (map the entry file and unpickle over it — zero
     compile work), then a full rebuild via
     :func:`~repro.api.prepared.prepare_suite_design`.
     """
@@ -111,7 +111,7 @@ def prepared_for(scale: str, name: str,
         # Worker-local memo of the immutable PreparedDesign: filled
         # once per (scale, name) per process, never read across
         # processes, and the cached value is frozen — determinism does
-        # not depend on which worker compiled (or attached) it.
+        # not depend on which worker compiled (or mapped) it.
         _PREPARED_CACHE[key] = prepared  # repro: noqa[REP009] frozen memo
     return prepared
 

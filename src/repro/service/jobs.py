@@ -2,8 +2,9 @@
 
 ``PlacementService`` owns the three amortization layers end to end:
 a :class:`~repro.service.store.CompiledDesignStore` (compile each
-design once, ever), shared-memory handoffs (ship compiled arrays to
-workers zero-copy), and a worker pool (place many jobs concurrently).
+design once, ever), handoffs that name its entries to workers (each
+worker maps the entry file zero-copy), and a worker pool (place many
+jobs concurrently).
 ``run_suite`` is a client of this class in every mode (inline for
 ``workers`` <= 1, pooled otherwise); interactive clients use it
 directly::
@@ -45,7 +46,7 @@ from repro.gen.designs import suite_specs
 from repro.obs import current_tracer
 from repro.service import engine
 from repro.service.store import CompiledDesignStore, StoreEntry
-from repro.service.shm import SegmentOwner, export_entry
+from repro.service.shm import ShmHandoff, export_entry
 
 
 class JobHandle:
@@ -121,9 +122,9 @@ class PlacementService:
     designs:
         Suite design names to serve (``None`` → every design of the
         scale).  With a store, every named design is ensured (compiled
-        at most once, ever) at construction; with ``workers`` > 1 the
-        compiled entries are also exported to shared memory so workers
-        attach instead of recompiling.
+        at most once, ever) at construction; with ``workers`` > 1 each
+        job also carries a handoff naming its entry, so workers map the
+        entry file instead of recompiling.
     store:
         ``None`` (no persistence — every process builds its designs
         itself), a directory path, or a
@@ -161,29 +162,24 @@ class PlacementService:
                     f"unknown suite design(s) {unknown} for scale "
                     f"{scale!r} (known: {known})")
         self._entries: Dict[str, StoreEntry] = {}
-        self._owners: Dict[str, SegmentOwner] = {}
+        self._handoffs: Dict[str, ShmHandoff] = {}
         self._prepared: Dict[str, object] = {}
         self._pool: Optional[ProcessPoolExecutor] = None
         self._pool_lock = threading.Lock()
         self._next_job = 0
         self._closed = False
 
-        try:
-            if self.store is not None:
-                for name, spec in self._specs.items():
-                    self._entries[name] = self.store.ensure_spec(spec)
-            if workers is not None and workers > 1:
-                for name, entry in self._entries.items():
-                    self._owners[name] = export_entry(entry)
-                self._pool_args = dict(
-                    max_workers=workers,
-                    initializer=engine.init_worker,
-                    initargs=(engine.portable_flow_entries(),))
-                self._pool = ProcessPoolExecutor(**self._pool_args)
-        except BaseException:
-            # Unlink the segments already exported.
-            self.close()
-            raise
+        if self.store is not None:
+            for name, spec in self._specs.items():
+                self._entries[name] = self.store.ensure_spec(spec)
+        if workers is not None and workers > 1:
+            for name, entry in self._entries.items():
+                self._handoffs[name] = export_entry(entry)
+            self._pool_args = dict(
+                max_workers=workers,
+                initializer=engine.init_worker,
+                initargs=(engine.portable_flow_entries(),))
+            self._pool = ProcessPoolExecutor(**self._pool_args)
 
     @property
     def designs(self) -> Tuple[str, ...]:
@@ -199,16 +195,13 @@ class PlacementService:
         self.close()
 
     def close(self) -> None:
-        """Shut the pool down and release every shared-memory segment."""
+        """Shut the pool down."""
         if self._closed:
             return
         self._closed = True
         if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = None
-        for owner in self._owners.values():
-            owner.unlink()
-        self._owners.clear()
 
     # -- submit / jobs ------------------------------------------------------
 
@@ -238,10 +231,9 @@ class PlacementService:
                                    design=design, flow=flow):
             pass
         if self._pool is not None:
-            owner = self._owners.get(design)
-            handoff = owner.handoff if owner is not None else None
             job = (self.scale, design, flow, opts.seed,
-                   opts.effort.value, bool(opts.trace), handoff)
+                   opts.effort.value, bool(opts.trace),
+                   self._handoffs.get(design))
             pool = self._pool
             try:
                 future = pool.submit(engine.run_cell, *job)
@@ -258,11 +250,11 @@ class PlacementService:
 
         A broken pool refuses every later job, so one crashed job would
         fail the service for good.  The new pool is built with the
-        arguments of the first, and the exported segments stay, so its
-        workers attach to them as the old ones did.  Jobs that were in flight
-        in the broken pool stay failed.  Under concurrent submits only
-        the first caller replaces ``broken``; the others get its
-        replacement.
+        arguments of the first, and its workers map the same store
+        entries through the same handoffs as the old ones did.  Jobs
+        that were in flight in the broken pool stay failed.  Under
+        concurrent submits only the first caller replaces ``broken``;
+        the others get its replacement.
         """
         with self._pool_lock:
             if self._pool is broken:

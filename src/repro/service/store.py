@@ -21,9 +21,9 @@ blob followed by each buffer at a 64-byte-aligned offset;
 ``meta.json`` records the blob length and each buffer's
 ``[offset, size]``.  A load maps the file read-only (``np.memmap``)
 and unpickles the blob over uint8 views of the mapping, so every
-compiled array comes back read-only, aligned and zero-copy.  The
-shared-memory handoff (:mod:`repro.service.shm`) copies the same file
-image into a segment verbatim.
+compiled array comes back read-only, aligned and zero-copy.  Pool
+workers map the same file (:mod:`repro.service.shm`), through the same
+two steps: :func:`map_entry_file` and :func:`unpickle_entry`.
 
 Keying and versioning
 ---------------------
@@ -68,7 +68,7 @@ import warnings
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -208,14 +208,40 @@ class StoreEntry:
     def materialize(self) -> PreparedDesign:
         """Rebuild a fully warm :class:`PreparedDesign` from this entry.
 
-        Unpickles the blob over read-only views of the mapped buffers:
-        every compiled array is adopted zero-copy, and the result
-        evaluates placements with zero ``prepare.*`` compile spans.
+        Every compiled array is adopted zero-copy (see
+        :func:`unpickle_entry`), and the result evaluates placements
+        with zero ``prepare.*`` compile spans.
         """
-        buffers = [self.image[offset:offset + size]
-                   for offset, size in self.spans]
-        return pickle.loads(self.image[:self.blob_size],
-                            buffers=buffers)
+        return unpickle_entry(self.image, self.blob_size, self.spans)
+
+
+def map_entry_file(path: Path, blob_size: int,
+                   spans: Sequence[Sequence[int]]) -> np.ndarray:
+    """Map entry directory ``path``'s data file read-only.
+
+    ``blob_size`` and ``spans`` are the entry's ``meta.json`` layout.
+    Raises :class:`OSError` when the file is not exactly as long as
+    that layout says (the last buffer's end, or the blob length when
+    there is no buffer): a truncated file would unpickle garbage.
+    """
+    size = spans[-1][0] + spans[-1][1] if spans else blob_size
+    data = path / ENTRY_FILE
+    actual = data.stat().st_size
+    if actual != size:
+        raise OSError(f"{data} holds {actual} bytes; its meta.json "
+                      f"layout says {size}")
+    return np.memmap(data, mode="r")
+
+
+def unpickle_entry(image: np.ndarray, blob_size: int,
+                   spans: Sequence[Sequence[int]]) -> PreparedDesign:
+    """Unpickle an entry's blob over read-only views of its buffers.
+
+    ``image`` is the mapped data file (:func:`map_entry_file`); every
+    compiled array comes back read-only, aligned and zero-copy.
+    """
+    buffers = [image[offset:offset + size] for offset, size in spans]
+    return pickle.loads(image[:blob_size], buffers=buffers)
 
 
 class CompiledDesignStore:
@@ -252,9 +278,8 @@ class CompiledDesignStore:
     def load(self, key: str) -> Optional[StoreEntry]:
         """Load entry ``key``, or ``None`` on a miss / stale entry.
 
-        An entry whose data file is not exactly as long as
-        ``meta.json`` says (the last buffer's end, or the blob length
-        when there is no buffer) does not load either, so a truncated
+        An entry whose data file does not match ``meta.json``
+        (:func:`map_entry_file`) does not load either, so a truncated
         entry is a miss that :meth:`save` replaces.
         """
         path = self._entry_path(key)
@@ -265,13 +290,8 @@ class CompiledDesignStore:
             meta = json.loads(meta_path.read_text())
             if meta.get("version") != store_version():
                 return None
-            spans = meta["buffers"]
-            size = (spans[-1][0] + spans[-1][1] if spans
-                    else meta["blob_size"])
-            data = path / ENTRY_FILE
-            if data.stat().st_size != size:
-                return None
-            image = np.memmap(data, mode="r")
+            image = map_entry_file(path, meta["blob_size"],
+                                   meta["buffers"])
         except (OSError, KeyError, ValueError):
             return None
         return StoreEntry(key=key, path=path, meta=meta, image=image)

@@ -1,1 +1,1 @@
-"""Clean resource fixtures: every REP010-REP012 idiom done right."""
+"""Clean resource fixtures: every REP012 idiom done right."""

@@ -1,8 +1,9 @@
 """A cold compile does each piece of work once.
 
 ``prepare_design`` shares one flatten among the ground truth, the die
-size and the prepared design's flat (``shared_flats``), and a store
-miss compiles with the cyclic collector paused.
+size and the prepared design's flat (``shared_flats``), a store miss
+compiles with the cyclic collector paused, and a prepared design
+builds its summary line once.
 """
 
 import gc
@@ -14,7 +15,7 @@ import pytest
 
 from repro.api.prepared import prepare_design
 from repro.gen.designs import build_design, suite_specs
-from repro.netlist.flatten import flatten, shared_flats
+from repro.netlist.flatten import FlatDesign, flatten, shared_flats
 from repro.service import CompiledDesignStore
 from repro.service import store as store_mod
 from repro.service.store import compile_prepared
@@ -67,9 +68,9 @@ def flatten_work(monkeypatch):
     calls = []
     real = flatten_mod._flatten
 
-    def counting(design, max_fanout):
+    def counting(design):
         calls.append(design.name)
-        return real(design, max_fanout)
+        return real(design)
 
     monkeypatch.setattr(flatten_mod, "_flatten", counting)
     return calls
@@ -102,6 +103,22 @@ def test_hidap_place_flattens_once(flatten_work, tmp_path, flow, die,
     capsys.readouterr()
 
 
+def test_info_line_is_built_once(monkeypatch):
+    prepared = prepare_design(_spec())
+    text = "3744 cells, 32 macros (paper: 520k cells, 32 macros)"
+    assert prepared.info() == text
+    scans = []
+    real = FlatDesign.macros
+
+    def counting(flat):
+        scans.append(flat)
+        return real(flat)
+
+    monkeypatch.setattr(FlatDesign, "macros", counting)
+    assert prepared.info() == text
+    assert scans == []
+
+
 class TestSharedFlats:
     def test_one_flat_per_design_inside_the_block(self, flatten_work):
         c1, _ = build_design(_spec("c1"))
@@ -121,15 +138,6 @@ class TestSharedFlats:
             inside = flatten(design)
         assert flatten(design) is not inside
         assert flatten(design) is not flatten(design)
-
-    def test_max_fanout_is_never_shared(self, flatten_work):
-        design, _ = build_design(_spec())
-        with shared_flats():
-            full = flatten(design)
-            pruned = flatten(design, max_fanout=8)
-            assert pruned is not full
-            assert flatten(design, max_fanout=8) is not pruned
-            assert len(pruned.nets) < len(full.nets)
 
 
 class TestCollectorPausedOnMiss:

@@ -1,11 +1,11 @@
-"""PlacementService, shared-memory handoff, and worker-engine replay.
+"""PlacementService, store-entry handoff, and worker-engine replay.
 
 The load-bearing assertions of the service layer:
 
 * rows are bit-identical serial vs cold-store vs warm-store vs pooled
   vs ``PlacementService.submit`` (c1–c3);
 * a warm-store pooled run records **zero** worker-side ``prepare.*``
-  compile spans (the whole point of the store + shm handoff);
+  compile spans (the whole point of the store + handoff);
 * a job is a ``concurrent.futures.Future`` whose lifecycle is recorded
   only as ``job.queued`` → ``job.done``/``job.failed`` spans in the
   caller's tracer, inline and pooled alike;
@@ -17,6 +17,7 @@ import os
 import pickle
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from repro.obs import Tracer, iter_spans, use_tracer
 from repro.service import CompiledDesignStore, PlacementService
 from repro.service import engine
 from repro.service.shm import export_entry
+from repro.service.store import ENTRY_FILE
 
 DESIGNS = ("c1", "c2", "c3")
 FLOWS = ("indeda", "handfp-strip")
@@ -67,7 +69,7 @@ def cold_pooled(store_dir, serial):
 
 @pytest.fixture(scope="module")
 def warm_pooled(store_dir, cold_pooled):
-    # Second store run: every design loads warm, workers attach shm.
+    # Second store run: every design loads warm, workers map entries.
     return run_suite(scale="tiny", designs=list(DESIGNS), flows=FLOWS,
                      options=TRACE_OPTS, workers=2, store=store_dir)
 
@@ -142,87 +144,78 @@ class TestWarmStoreSpans:
             for _d, span in iter_spans(payload))
 
 
+def _entry(store_dir, name="c1"):
+    return CompiledDesignStore(store_dir).ensure_spec(
+        next(s for s in suite_specs("tiny") if s.name == name))
+
+
+def _mapping(array):
+    """The first ``np.memmap`` in ``array``'s base chain."""
+    while not isinstance(array, np.memmap):
+        array = array.base
+    return array
+
+
 class TestShmHandoff:
+    def test_pickled_handoff_carries_no_array_bytes(self, store_dir):
+        buffers = []
+        blob = pickle.dumps(export_entry(_entry(store_dir)), protocol=5,
+                            buffer_callback=buffers.append)
+        assert len(blob) < 1024
+        assert buffers == []
+
     def test_export_materialize_roundtrip(self, store_dir):
-        store = CompiledDesignStore(store_dir)
-        entry = store.ensure_spec(
-            next(s for s in suite_specs("tiny") if s.name == "c1"))
-        owner = export_entry(entry)
-        try:
-            handoff = pickle.loads(pickle.dumps(owner.handoff))
-            prepared = handoff.materialize()
-            segment = np.ndarray((entry.image.nbytes,), dtype=np.uint8,
-                                 buffer=handoff._shm.buf)
-            np.testing.assert_array_equal(segment, entry.image)
-            for record in (prepared.net_arrays, prepared.stdcell_arrays,
-                           prepared.timing_arrays):
-                arrays = [value for value in vars(record).values()
-                          if isinstance(value, np.ndarray)]
-                assert arrays, record
-                for array in arrays:
-                    assert not array.flags.writeable
-                    assert np.shares_memory(array, segment)
-            handoff.close()
-        finally:
-            owner.unlink()
+        entry = _entry(store_dir)
+        handoff = pickle.loads(pickle.dumps(export_entry(entry)))
+        assert handoff.key == entry.key
+        prepared = handoff.materialize()
+        inline = entry.materialize()
+        for record, expected in (
+                (prepared.net_arrays, inline.net_arrays),
+                (prepared.stdcell_arrays, inline.stdcell_arrays),
+                (prepared.timing_arrays, inline.timing_arrays)):
+            arrays = {name: value for name, value in vars(record).items()
+                      if isinstance(value, np.ndarray)}
+            assert arrays, record
+            for name, array in arrays.items():
+                assert not array.flags.writeable
+                mapping = _mapping(array)
+                assert Path(mapping.filename) == entry.path / ENTRY_FILE
+                assert np.shares_memory(array, mapping)
+                np.testing.assert_array_equal(array,
+                                              getattr(expected, name))
 
     def test_views_survive_handoff_garbage_collection(self, store_dir):
-        # numpy views over shm.buf keep the mmap as their base
-        # WITHOUT a buffer export, so nothing but the _ATTACHED pin
-        # stops GC of the handoff's SharedMemory from unmapping the
-        # pages under a cached prepared design.  This exact sequence
-        # (materialize, drop the handoff, collect, then run a
-        # referee-touching flow) used to segfault the worker.
+        # The adopted arrays must keep their mapping alive on their
+        # own: materialize, drop the handoff, collect, then run a
+        # referee-touching flow.
         import gc
 
-        store = CompiledDesignStore(store_dir)
-        entry = store.ensure_spec(
-            next(s for s in suite_specs("tiny") if s.name == "c1"))
-        owner = export_entry(entry)
-        try:
-            handoff = pickle.loads(pickle.dumps(owner.handoff))
-            prepared = handoff.materialize()
-            del handoff
-            gc.collect()
-            row = engine.execute_cell(prepared, "indeda", OPTS)
-            assert row.design == "c1"
-        finally:
-            from repro.service.shm import _ATTACHED
-            pinned = _ATTACHED.pop(owner.handoff.segment, None)
-            if pinned is not None:
-                pinned.close()
-            owner.unlink()
+        handoff = export_entry(_entry(store_dir))
+        prepared = handoff.materialize()
+        del handoff
+        gc.collect()
+        row = engine.execute_cell(prepared, "indeda", OPTS)
+        assert row.design == "c1"
 
-    def test_unlink_is_idempotent(self, store_dir):
-        store = CompiledDesignStore(store_dir)
-        entry = store.ensure_spec(
-            next(s for s in suite_specs("tiny") if s.name == "c1"))
-        owner = export_entry(entry)
-        owner.unlink()
-        owner.unlink()
-
-
-class TestServiceConstruction:
-    def test_failed_export_unlinks_earlier_segments(self, store_dir,
-                                                     monkeypatch):
-        from repro.service import jobs
-        from repro.service.shm import _attach
-
-        exported = []
-
-        def export_once(entry):
-            if exported:
-                raise RuntimeError("export failed")
-            exported.append(export_entry(entry))
-            return exported[-1]
-
-        monkeypatch.setattr(jobs, "export_entry", export_once)
-        with pytest.raises(RuntimeError, match="export failed"):
-            PlacementService(scale="tiny", designs=("c1", "c2"),
-                             store=store_dir, workers=2)
-        assert len(exported) == 1
-        with pytest.raises(FileNotFoundError):
-            _attach(exported[0].handoff.segment)
+    def test_truncated_entry_fails_only_its_own_jobs(self, tmp_path,
+                                                     serial):
+        with PlacementService(scale="tiny", designs=("c1", "c2"),
+                              store=tmp_path, workers=2,
+                              options=OPTS) as service:
+            entry = service._entries["c1"]
+            with open(entry.path / ENTRY_FILE, "r+b") as handle:
+                handle.truncate(entry.blob_size)
+            broken = service.submit("c1", "indeda")
+            healthy = service.submit("c2", "indeda")
+            with pytest.raises(OSError, match=entry.key):
+                broken.result(timeout=120)
+            rows = [healthy.result(timeout=120),
+                    service.submit("c2", "indeda").result(timeout=120)]
+        expected = next(r for r in serial.rows
+                        if r.design == "c2" and r.flow == "indeda")
+        assert [_key_row(r)[:6] for r in rows] \
+            == [_key_row(expected)[:6]] * 2
 
 
 def _root_names(tracer):

@@ -24,20 +24,13 @@ graph:
   argument arrays — the bit-identity contract, proven statically;
 * **REP009** executor-worker-reachable writes to module-level state,
   and unpicklable submit payloads;
-* **REP010** ndarray views over ``SharedMemory.buf``/mmap buffers that
-  escape their function while the owning handle is neither pinned in a
-  process-lifetime registry nor kept alongside the views (the
-  GC-closes-mapping-under-live-views segfault, proven statically);
-* **REP011** escaping shared-buffer views not locked with
-  ``flags.writeable = False``, service-reachable code flipping
-  writeability back on, and any mutation through such a view;
 * **REP012** resource acquire/release discipline: acquisitions
   (``SharedMemory``, ``open``, ``mkdtemp``, executors) must release on
   every non-exception path or be pinned/``with``-managed, monkeypatched
   module attributes must be restored in a ``finally``, and owner
   handles escaping into a class need a reachable release method.
 
-REP007-REP012 run over a whole-program call graph assembled from
+REP007-REP009 and REP012 run over a whole-program call graph assembled from
 per-function effect summaries (:mod:`tools.analyze.effects`,
 :mod:`tools.analyze.callgraph`, :mod:`tools.analyze.dataflow`).
 
@@ -68,7 +61,7 @@ from tools.analyze.rules import (  # noqa: E402
     register_rule,
 )
 from tools.analyze import visitors  # noqa: E402,F401 - registers rules
-from tools.analyze import interproc  # noqa: E402,F401 - registers REP007-12
+from tools.analyze import interproc  # noqa: E402,F401 - registers REP007-9, REP012
 from tools.analyze.driver import analyze_paths, main  # noqa: E402
 from tools.analyze.reporting import (  # noqa: E402
     Report,

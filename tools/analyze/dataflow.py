@@ -17,7 +17,7 @@ order so repeated runs emit byte-identical findings):
   opaque one (REP007 seed provenance).
 * :func:`resource_release_report` — intraprocedural all-paths
   must-release interpretation of one function's resource skeleton
-  (REP010/REP012 resource lifetime).
+  (REP012 resource lifetime).
 """
 
 from __future__ import annotations

@@ -4,7 +4,7 @@
 ``benchmarks``, ``tools``, ``perfbench``) parses every ``*.py`` under
 the targets, runs each registered AST rule in its scope, assembles
 per-function effect summaries into a whole-program call graph and runs
-the interprocedural rules (REP007-REP012) over it, applies inline
+the interprocedural rules (REP007-REP009, REP012) over it, applies inline
 ``# repro: noqa[REPxxx]`` suppressions (matched against the flagged
 statement's full line span), and exits 1 on any finding.  A noqa
 that matches no finding is itself a REP000 finding, so stale waivers
@@ -170,7 +170,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         prog="python -m tools.analyze",
         description="repro-analyze: determinism & kernel-purity "
                     "static analyzer (rules REP001-REP003, "
-                    "REP005-REP012)")
+                    "REP005-REP009, REP012)")
     parser.add_argument("targets", nargs="*",
                         default=list(DEFAULT_TARGETS),
                         help="files or directories (default: "

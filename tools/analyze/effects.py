@@ -58,7 +58,7 @@ _SEED_TRANSPARENT_CALLS = {"int", "abs", "hash", "str"}
 _SELFISH = ("self", "cls")
 
 #: Resource-acquiring constructors, canonical dotted name -> kind
-#: (REP010/REP012).  ``open`` as a bare builtin is special-cased in
+#: (REP012).  ``open`` as a bare builtin is special-cased in
 #: :meth:`_FunctionScanner._resource_kind`.
 RESOURCE_CTORS = {
     "multiprocessing.shared_memory.SharedMemory": "shm",
@@ -84,9 +84,6 @@ RELEASE_METHODS = {"close", "unlink", "shutdown", "cleanup",
 #: Module functions that release the resource passed as first
 #: argument (``shutil.rmtree(tmp)``, ``os.replace(tmp, dst)``).
 RELEASE_ARG_CALLS = {"rmtree", "replace", "remove", "rmdir", "unlink"}
-
-#: ndarray-view constructors that can wrap a foreign buffer.
-VIEW_CTORS = {"numpy.ndarray", "numpy.frombuffer"}
 
 
 def is_seed_name(name: str) -> bool:
@@ -134,7 +131,7 @@ class ArgInfo:
     is_lambda: bool = False
     #: Raw dotted path of the argument expression (``"shm"``,
     #: ``"self._shm"``) — unlike ``alias`` this survives for plain
-    #: locals, which is what resource/view tracking needs.
+    #: locals, which is what resource tracking needs.
     base: Optional[str] = None
 
 
@@ -175,7 +172,8 @@ class FunctionSummary:
     rng: List[List] = field(default_factory=list)
     calls: List[CallSite] = field(default_factory=list)
     #: ``[kind, name, line, col]`` payloads of ``.submit(...)`` calls;
-    #: kind is ``lambda`` / ``nested`` / ``name`` / ``dotted``.
+    #: kind is ``lambda`` / ``nested`` / ``name`` / ``dotted`` /
+    #: ``opaque`` (a starred or call expression).
     submits: List[List] = field(default_factory=list)
     #: ``[kind, var|None, line, col, owner, managed]`` resource
     #: acquisitions; ``owner`` marks creating (``create=True``)
@@ -184,26 +182,10 @@ class FunctionSummary:
     #: ``[base, line]`` release calls (``X.close()``,
     #: ``shutil.rmtree(X)``) by receiver/argument path.
     releases: List[List] = field(default_factory=list)
-    #: ``[var, registry, line]`` stores into a module-level registry
-    #: (``_ATTACHED[name] = shm``) — process-lifetime pins.
-    pins: List[List] = field(default_factory=list)
     #: ``[target, line, col, restored]`` monkeypatch assignments to
     #: imported-module attributes; ``restored`` = re-assigned inside a
     #: ``finally`` suite.
     patches: List[List] = field(default_factory=list)
-    #: ``[var, source, line]`` plain reads of an attribute chain into a
-    #: local (``shm = self._shm``) — handle provenance for REP010.
-    binds: List[List] = field(default_factory=list)
-    #: ``[var, handle, line, col, readonly, escapes]`` ndarray views
-    #: over a shared buffer; ``escapes`` lists ``return`` / ``store`` /
-    #: ``arg`` / ``yield``.
-    views: List[List] = field(default_factory=list)
-    #: ``[base, line, col]`` assignments flipping
-    #: ``X.flags.writeable`` back to writable.
-    flips: List[List] = field(default_factory=list)
-    #: ``[[names...], line]`` per ``return`` statement: every bare
-    #: name appearing in the returned expression.
-    returns: List[List] = field(default_factory=list)
     #: Nested control/resource skeleton interpreted by
     #: :func:`tools.analyze.dataflow.resource_release_report`.
     skeleton: List = field(default_factory=list)
@@ -628,6 +610,11 @@ class _FunctionScanner:
             if dotted is not None:
                 self.summary.submits.append(["dotted", dotted, line,
                                              col])
+        elif isinstance(payload, (ast.Starred, ast.Call)):
+            # ``submit(*job)`` / ``submit(partial(f, ...))``: the
+            # callable is only known at run time.
+            self.summary.submits.append(["opaque", ast.unparse(payload),
+                                         line, col])
 
     @staticmethod
     def _target_spec(func: ast.AST, modules_map,
@@ -642,7 +629,7 @@ class _FunctionScanner:
             return ("method", base or "", func.attr)
         return None
 
-    # -- resource lifetime / shared-buffer events (REP010-REP012) -----------
+    # -- resource lifetime events (REP012) ----------------------------------
 
     def _resource_kind(self, node: ast.Call) -> Optional[str]:
         dotted = _canonical_call(node.func, self.module.modules_map,
@@ -705,115 +692,35 @@ class _FunctionScanner:
             if var is not None:
                 ops.append(["bind", var, line])
 
-        # Shared-buffer views (``np.ndarray(..., buffer=shm.buf)``).
-        for node in calls:
-            dotted = _canonical_call(node.func, mm, nm)
-            if dotted not in VIEW_CTORS:
-                continue
-            buf = None
-            for kw in node.keywords:
-                if kw.arg == "buffer":
-                    buf = kw.value
-            if buf is None and node.args:
-                if dotted.endswith("frombuffer"):
-                    buf = node.args[0]
-                elif len(node.args) >= 3:
-                    buf = node.args[2]
-            path = attr_path(buf) if buf is not None else None
-            if path is None:
-                continue
-            if path.endswith(".buf"):
-                handle = path[:-len(".buf")]
-            elif acq_kinds.get(path) == "mmap":
-                handle = path
-            else:
-                continue
-            var = self.bind_of.get(id(node))
-            if var is not None:
-                self.summary.views.append(
-                    [var, handle, node.lineno, node.col_offset,
-                     False, []])
-
-        # Statement-level events: pins, patches, writeability, stores.
-        readonly: Set[str] = set()
-        stored: Set[str] = set()
-        arg_names: Set[str] = set()
-        yield_names: Set[str] = set()
+        # Statement-level events: registry pins and module patches.
         raw_patches: List[Tuple[str, int, int, bool]] = []
         for node in _own_nodes(self.fn):
-            if isinstance(node, ast.Assign) and len(node.targets) == 1:
-                target = node.targets[0]
-                if isinstance(target, ast.Subscript):
-                    if isinstance(target.value, ast.Name) \
-                            and target.value.id \
-                            in self.module.module_level_names \
-                            and isinstance(node.value, ast.Name):
-                        self.summary.pins.append(
-                            [node.value.id, target.value.id,
-                             node.lineno])
-                        stmt_ops.setdefault(id(node), []).append(
-                            ["pin", node.value.id, node.lineno])
-                    elif isinstance(node.value, ast.Name):
-                        stored.add(node.value.id)
-                elif isinstance(target, ast.Attribute):
-                    if target.attr == "writeable" \
-                            and isinstance(target.value,
-                                           ast.Attribute) \
-                            and target.value.attr == "flags":
-                        base = attr_path(target.value.value)
-                        if base is not None:
-                            if isinstance(node.value, ast.Constant) \
-                                    and node.value.value is False:
-                                readonly.add(base)
-                            else:
-                                self.summary.flips.append(
-                                    [base, node.lineno,
-                                     node.col_offset])
-                        continue
-                    base = base_name(target)
-                    if base is not None \
-                            and base not in self.summary.params \
-                            and (base in nm or base in mm):
-                        path = attr_path(target)
-                        if path is not None:
-                            raw_patches.append(
-                                (path, node.lineno, node.col_offset,
-                                 id(node) in self._final_ids))
-                    if isinstance(node.value, ast.Name):
-                        stored.add(node.value.id)
-            elif isinstance(node, ast.Assign):
-                # ``shm = self._shm`` style reads feed REP010's handle
-                # provenance; multi-target assigns are not tracked.
-                pass
-            elif isinstance(node, ast.Return) \
-                    and node.value is not None:
-                names = sorted({sub.id
-                                for sub in ast.walk(node.value)
-                                if isinstance(sub, ast.Name)})
-                self.summary.returns.append([names, node.lineno])
-            elif isinstance(node, (ast.Yield, ast.YieldFrom)) \
-                    and node.value is not None:
-                yield_names.update(
-                    sub.id for sub in ast.walk(node.value)
-                    if isinstance(sub, ast.Name))
-            elif isinstance(node, ast.Call):
-                for arg in node.args:
-                    if isinstance(arg, ast.Name):
-                        arg_names.add(arg.id)
-                for kw in node.keywords:
-                    if isinstance(kw.value, ast.Name):
-                        arg_names.add(kw.value.id)
-
-        # Plain attribute reads into locals: handle provenance.
-        for node in _own_nodes(self.fn):
-            if isinstance(node, ast.Assign) \
-                    and len(node.targets) == 1 \
-                    and isinstance(node.targets[0], ast.Name) \
-                    and isinstance(node.value, ast.Attribute):
-                path = attr_path(node.value)
-                if path is not None:
-                    self.summary.binds.append(
-                        [node.targets[0].id, path, node.lineno])
+            if not isinstance(node, ast.Assign) \
+                    or len(node.targets) != 1:
+                continue
+            target = node.targets[0]
+            if isinstance(target, ast.Subscript):
+                # ``_PINS[name] = shm``: a process-lifetime pin.
+                if isinstance(target.value, ast.Name) \
+                        and target.value.id \
+                        in self.module.module_level_names \
+                        and isinstance(node.value, ast.Name):
+                    stmt_ops.setdefault(id(node), []).append(
+                        ["pin", node.value.id, node.lineno])
+            elif isinstance(target, ast.Attribute):
+                if target.attr == "writeable" \
+                        and isinstance(target.value, ast.Attribute) \
+                        and target.value.attr == "flags":
+                    continue    # an ndarray flag, not a module patch
+                base = base_name(target)
+                if base is not None \
+                        and base not in self.summary.params \
+                        and (base in nm or base in mm):
+                    path = attr_path(target)
+                    if path is not None:
+                        raw_patches.append(
+                            (path, node.lineno, node.col_offset,
+                             id(node) in self._final_ids))
 
         final_targets = {path for path, _l, _c, fin in raw_patches
                          if fin}
@@ -821,21 +728,6 @@ class _FunctionScanner:
             if not fin:
                 self.summary.patches.append(
                     [path, line, col, path in final_targets])
-
-        # View escape classification.
-        return_names = {name for names, _line in self.summary.returns
-                        for name in names}
-        for view in self.summary.views:
-            var = view[0]
-            view[4] = var in readonly
-            if var in return_names:
-                view[5].append("return")
-            if var in stored:
-                view[5].append("store")
-            if var in arg_names:
-                view[5].append("arg")
-            if var in yield_names:
-                view[5].append("yield")
 
         # Escape ops: tracked handles passed as bare call arguments.
         tracked = set(acq_kinds) | set(self.bind_of.values())

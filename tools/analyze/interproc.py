@@ -1,4 +1,4 @@
-"""Interprocedural rules REP007-REP012 over the call graph.
+"""Interprocedural rules REP007-REP009 and REP012 over the call graph.
 
 Each rule is a :class:`~tools.analyze.rules.Rule` with
 ``graph_rule = True``: the driver assembles every analyzed file's
@@ -13,8 +13,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Set, Tuple
 
-from tools.analyze.callgraph import (FunctionId, Program, fid,
-                                     map_args_to_params)
+from tools.analyze.callgraph import FunctionId, Program
 from tools.analyze.dataflow import (chain_to_root,
                                     propagate_param_taint,
                                     propagate_seed_demands,
@@ -173,6 +172,14 @@ def _submit_roots(program: Program) -> Tuple[
                     f"{_label(program, function)} is unpicklable "
                     f"under spawn; submit a module-level function"))
                 continue
+            if kind == "opaque":
+                findings.append(Finding(
+                    "REP009", relpath, line, col,
+                    f"executor payload {name!r} submitted from "
+                    f"{_label(program, function)} cannot be followed, "
+                    f"so nothing it reaches is checked; submit a "
+                    f"module-level function by name"))
+                continue
             if kind == "nested":
                 findings.append(Finding(
                     "REP009", relpath, line, col,
@@ -225,51 +232,22 @@ class Rep009ProcessSafety(Rule):
         return findings
 
 
-def _resource_profiles(program: Program) -> Tuple[
-        Set[FunctionId], Dict[FunctionId, str]]:
-    """Ownership facts per function from the pinless base reports.
+def _returned_resources(program: Program) -> Dict[FunctionId, str]:
+    """Functions that hand an *unpinned* handle to their caller, mapped
+    onto the resource kind.
 
-    ``pins_ret`` holds functions using the sanctioned pin-and-return
-    attach idiom (park the handle in a process-lifetime registry,
-    then return it); ``returns_res`` maps functions that hand an
-    *unpinned* handle to their caller onto the resource kind.
+    A function using the pin-and-return attach idiom (park the handle
+    in a process-lifetime registry, then return it) keeps ownership
+    and is left out.
     """
-    pins_ret: Set[FunctionId] = set()
     returns_res: Dict[FunctionId, str] = {}
     for function in program.sorted_functions():
         summary = program.summary(function)
         report = resource_release_report(
             summary, module_scope=summary.qualname == "<module>")
-        if report.pinned_returns:
-            pins_ret.add(function)
-        elif report.returned:
+        if report.returned and not report.pinned_returns:
             returns_res[function] = sorted(report.returned.values())[0]
-    return pins_ret, returns_res
-
-
-def _class_member_fids(program: Program,
-                       function: FunctionId) -> List[FunctionId]:
-    """Every analyzed method of ``function``'s enclosing class."""
-    module_name, summary = program.functions[function]
-    if "." not in summary.qualname:
-        return []
-    classname = summary.qualname.split(".", 1)[0]
-    module = program.modules[module_name]
-    return [fid(module_name, qualname)
-            for qualname in sorted(module.functions)
-            if "." in qualname
-            and qualname.split(".", 1)[0] == classname]
-
-
-def _attr_bind_pinned(program: Program, function: FunctionId,
-                      attr: str, pins_ret: Set[FunctionId]) -> bool:
-    """Does any method of the class bind ``attr`` from a pinning
-    attach helper (``self._shm = _attach(...)``)?"""
-    for member in _class_member_fids(program, function):
-        for callee, _bound, site in program.edges.get(member, ()):
-            if site.bind == attr and callee in pins_ret:
-                return True
-    return False
+    return returns_res
 
 
 def _class_releases(program: Program, module_name: str,
@@ -292,245 +270,6 @@ def _class_releases(program: Program, module_name: str,
     return False
 
 
-class Rep010SharedBufferLifetime(Rule):
-    """Escaping shm/mmap views need a pinned (or traveling) handle."""
-
-    code = "REP010"
-    title = "escaping shared-buffer view without pinned handle"
-    graph_rule = True
-
-    def check_program(self, program: Program) -> List[Finding]:
-        findings: List[Finding] = []
-        pins_ret, _returns_res = _resource_profiles(program)
-        for function in program.sorted_functions():
-            summary = program.summary(function)
-            for var, handle, line, col, _ro, escapes in summary.views:
-                if not escapes:
-                    continue
-                findings.extend(self._check_view(
-                    program, function, var, handle, line, col,
-                    pins_ret))
-        findings.sort(key=lambda f: (f.path, f.line, f.col, f.message))
-        return findings
-
-    def _check_view(self, program: Program, function: FunctionId,
-                    var: str, handle: str, line: int, col: int,
-                    pins_ret: Set[FunctionId]) -> List[Finding]:
-        summary = program.summary(function)
-        relpath = program.relpath_of(function)
-        prefix = (f"ndarray view {var!r} over shared buffer "
-                  f"{handle!r} escapes "
-                  f"{_label(program, function)} ")
-        if "." in handle:
-            if _attr_bind_pinned(program, function, handle, pins_ret):
-                return []
-            return [Finding(
-                self.code, relpath, line, col,
-                prefix + f"but {handle!r} is never bound from a "
-                f"pin-and-return attach helper; an unpinned "
-                f"SharedMemory is garbage-collected and unmaps the "
-                f"pages under every live view")]
-        if handle in summary.params:
-            return self._demand(program, function, handle, var,
-                                pins_ret)
-        return self._local_handle(program, function, var, handle,
-                                  line, col, pins_ret, prefix)
-
-    def _local_handle(self, program: Program, function: FunctionId,
-                      var: str, handle: str, line: int, col: int,
-                      pins_ret: Set[FunctionId],
-                      prefix: str) -> List[Finding]:
-        summary = program.summary(function)
-        relpath = program.relpath_of(function)
-        if any(pin[0] == handle for pin in summary.pins):
-            return []
-        for callee, _bound, site in program.edges.get(function, ()):
-            if site.bind == handle and callee in pins_ret:
-                return []
-        src = next((bind[1] for bind in summary.binds
-                    if bind[0] == handle and "." in bind[1]), None)
-        if src is not None:
-            if _attr_bind_pinned(program, function, src, pins_ret):
-                return []
-            return [Finding(
-                self.code, relpath, line, col,
-                prefix + f"but {src!r} (read into {handle!r}) is "
-                f"never bound from a pin-and-return attach helper; "
-                f"pin the attachment in a process-lifetime registry")]
-        travels = any(handle in names and var in names
-                      for names, _line in summary.returns)
-        if travels:
-            return []
-        known = (any(res[1] == handle for res in summary.resources)
-                 or any(site.bind == handle for _c, _b, site
-                        in program.edges.get(function, ())))
-        if known:
-            return [Finding(
-                self.code, relpath, line, col,
-                prefix + f"while the owning handle {handle!r} is "
-                f"neither pinned in a process-lifetime registry nor "
-                f"returned alongside the view; an unpinned "
-                f"SharedMemory is garbage-collected and unmaps the "
-                f"pages under every live view")]
-        return []
-
-    def _demand(self, program: Program, root: FunctionId,
-                param: str, view_var: str,
-                pins_ret: Set[FunctionId]) -> List[Finding]:
-        """Backward demand: every call site feeding the handle param
-        must keep the handle alive past the returned views."""
-        findings: List[Finding] = []
-        seen: Set[Tuple[FunctionId, str]] = {(root, param)}
-        worklist: List[Tuple[FunctionId, str]] = [(root, param)]
-        while worklist:
-            function, param = worklist.pop(0)
-            callers = sorted(
-                program.callers.get(function, ()),
-                key=lambda entry: (program.relpath_of(entry[0]),
-                                   entry[2].line, entry[2].col))
-            for caller, bound, site in callers:
-                mapping = map_args_to_params(
-                    program.summary(function), bound, site)
-                arg = mapping.get(param)
-                base = getattr(arg, "base", None)
-                if base is None:
-                    continue       # expression argument: no verdict
-                csum = program.summary(caller)
-                crel = program.relpath_of(caller)
-
-                def bad(detail: str) -> Finding:
-                    return Finding(
-                        self.code, crel, site.line, site.col,
-                        f"shared-buffer views built by "
-                        f"{_label(program, root)} over handle "
-                        f"parameter {param!r} escape, and "
-                        f"{_label(program, caller)} {detail}; an "
-                        f"unpinned SharedMemory is garbage-collected "
-                        f"and unmaps the pages under every live view")
-
-                if "." in base:
-                    if not _attr_bind_pinned(program, caller, base,
-                                             pins_ret):
-                        findings.append(bad(
-                            f"feeds it {base!r}, which is never bound "
-                            f"from a pin-and-return attach helper"))
-                    continue
-                if any(pin[0] == base for pin in csum.pins):
-                    continue
-                if any(s.bind == base and callee in pins_ret
-                       for callee, _b, s
-                       in program.edges.get(caller, ())):
-                    continue
-                src = next((bind[1] for bind in csum.binds
-                            if bind[0] == base and "." in bind[1]),
-                           None)
-                if src is not None:
-                    if not _attr_bind_pinned(program, caller, src,
-                                             pins_ret):
-                        findings.append(bad(
-                            f"feeds it {src!r} (read into {base!r}), "
-                            f"which is never bound from a "
-                            f"pin-and-return attach helper"))
-                    continue
-                if base in csum.params:
-                    if (caller, base) not in seen:
-                        seen.add((caller, base))
-                        worklist.append((caller, base))
-                    continue
-                if any(res[1] == base for res in csum.resources):
-                    result = site.bind
-                    travels = any(
-                        base in names
-                        and (result in names if result else False)
-                        for names, _line in csum.returns)
-                    if not travels:
-                        findings.append(bad(
-                            f"feeds it local handle {base!r}, which "
-                            f"is neither pinned nor kept alongside "
-                            f"the returned views"))
-                    continue
-                # Unknown provenance: under-approximate, no verdict.
-        return findings
-
-
-class Rep011ReadOnlySharedViews(Rule):
-    """Escaping shared views stay read-only, and stay unmutated."""
-
-    code = "REP011"
-    title = "writable or mutated shared-buffer view"
-    graph_rule = True
-
-    def check_program(self, program: Program) -> List[Finding]:
-        findings: List[Finding] = []
-        # (a) Escaping views must be locked before they escape.
-        for function in program.sorted_functions():
-            summary = program.summary(function)
-            relpath = program.relpath_of(function)
-            for var, _h, line, col, readonly, escapes in summary.views:
-                if escapes and not readonly:
-                    findings.append(Finding(
-                        self.code, relpath, line, col,
-                        f"shared-buffer view {var!r} escapes "
-                        f"{_label(program, function)} without "
-                        f"flags.writeable = False; lock escaping shm "
-                        f"views read-only before sharing them"))
-        # (b) No service-reachable code may flip writeability back on.
-        roots = [function for function in program.sorted_functions()
-                 if program.functions[function][0].startswith(
-                     "repro.service")]
-        submit_roots, _ignored = _submit_roots(program)
-        roots.extend(root for root, _payload in submit_roots)
-        parents = reachable_from(program, roots)
-        for function in program.sorted_functions():
-            summary = program.summary(function)
-            if not summary.flips or function not in parents:
-                continue
-            relpath = program.relpath_of(function)
-            chain = chain_to_root(parents, function)
-            via = ("" if len(chain) == 1 else
-                   f" [reached via {_chain_label(program, chain)}]")
-            for base, line, col in summary.flips:
-                findings.append(Finding(
-                    self.code, relpath, line, col,
-                    f"writeability of shared view {base!r} is "
-                    f"flipped back on in service-reachable code"
-                    f"{via}; read-only shared views must stay "
-                    f"read-only"))
-        # (c) Nothing may mutate through a locked or escaping view.
-        for function in program.sorted_functions():
-            summary = program.summary(function)
-            for var, _h, line, col, readonly, escapes in summary.views:
-                if not (readonly or escapes):
-                    continue
-                for callee, bound, site in program.edges.get(
-                        function, ()):
-                    mapping = map_args_to_params(
-                        program.summary(callee), bound, site)
-                    tainted = [p for p, arg in sorted(mapping.items())
-                               if getattr(arg, "base", None) == var]
-                    if not tainted:
-                        continue
-                    for hit in propagate_param_taint(program, callee,
-                                                     tainted):
-                        where = ("" if len(hit.chain) == 1 else
-                                 f" [call chain: "
-                                 f"{_chain_label(program, hit.chain)}]")
-                        findings.append(Finding(
-                            self.code,
-                            program.relpath_of(hit.function),
-                            hit.line, hit.col,
-                            f"shared read-only view {var!r} (built "
-                            f"at {program.relpath_of(function)}:"
-                            f"{line}) is mutated via {hit.detail}"
-                            f"{where}"))
-        findings.sort(key=lambda f: (f.path, f.line, f.col, f.message))
-        deduped: List[Finding] = []
-        for finding in findings:
-            if not deduped or finding != deduped[-1]:
-                deduped.append(finding)
-        return deduped
-
-
 class Rep012ResourceDiscipline(Rule):
     """Acquisitions release on all paths; patches restore; owners
     expose unlink."""
@@ -541,7 +280,7 @@ class Rep012ResourceDiscipline(Rule):
 
     def check_program(self, program: Program) -> List[Finding]:
         findings: List[Finding] = []
-        pins_ret, returns_res = _resource_profiles(program)
+        returns_res = _returned_resources(program)
         for function in program.sorted_functions():
             summary = program.summary(function)
             relpath = program.relpath_of(function)
@@ -623,6 +362,4 @@ class Rep012ResourceDiscipline(Rule):
 register_rule(Rep007SeedProvenance())
 register_rule(Rep008KernelPurity())
 register_rule(Rep009ProcessSafety())
-register_rule(Rep010SharedBufferLifetime())
-register_rule(Rep011ReadOnlySharedViews())
 register_rule(Rep012ResourceDiscipline())

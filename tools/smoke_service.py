@@ -8,8 +8,8 @@ every build:
    store (compiles + persists every design in the main process);
 2. a second, traced 2-worker run against the now-warm store —
    asserting the workers record **zero** ``prepare.*`` compile spans
-   (they attach shared memory instead) and the main process saw only
-   store hits;
+   (they map the store's entry files instead) and the main process
+   saw only store hits;
 3. corruption recovery through the pool: truncate the warm c1 entry
    file, rerun the 2-worker suite and assert exactly one
    ``RuntimeWarning`` naming the entry's key and rows equal to the
@@ -64,13 +64,13 @@ def _warm_run(store_dir, cold) -> None:
         f"warm-store workers must compile nothing, saw "
         f"{compile_spans}")
     assert "store.attach" in worker_names, \
-        "warm-store workers must attach shared memory"
+        "warm-store workers must map the store entry files"
     main_names = {span["name"]
                   for _depth, span in iter_spans(warm.trace[0])}
     assert "store.hit" in main_names, "warm run must hit the store"
     assert "store.miss" not in main_names, \
         "warm run must not miss the store"
-    print(f"  workers attached shm; zero prepare.* spans "
+    print(f"  workers mapped store entries; zero prepare.* spans "
           f"({len(worker_names)} distinct worker span names)")
 
 
