@@ -69,10 +69,12 @@ smoke-trace:
 	python tools/trace_summary.py \
 	    benchmarks/artifacts/TRACE_smoke.json --top 12
 
-# Placement-service smoke: cold 2-worker suite against a fresh
-# compiled-design store, then a traced warm run asserting zero
-# worker-side prepare.* spans (workers map the store entry files
-# instead), then corruption recovery through the pool (truncate the
+# Placement-service smoke: traced cold 2-worker suite against a fresh
+# compiled-design store asserting each design compiled exactly once
+# (in a compile process of its own), then a traced warm run asserting
+# rows equal to the cold run's and zero worker-side prepare.* spans
+# (workers map the store entry files instead), then corruption
+# recovery through the pool (truncate the
 # warm c1 entry file, rerun: one RuntimeWarning naming its key, cold
 # rows, and a following warm run again with zero worker prepare.*
 # spans), then a PlacementService submit/result round-trip asserting

@@ -10,11 +10,17 @@ checkouts ("sides") of the program.  Per side it gathers:
   untraced run, the medians of the other end-to-end metrics, and from
   ``--trace 1`` runs the busy time and calls of the compile layers;
 * a profile of one cold 8-design bench ``PlacementService`` set-up (the
-  workload's set-up) under the program's own tracer, with the cyclic
-  collector's passes timed through ``gc.callbacks`` (once per ``src``);
+  workload's set-up) under the program's own tracer: span seconds
+  summed over the main process and, where the program compiles in
+  processes of its own, the payloads those return
+  (``PlacementService.compile_payloads``), with the main process's
+  cyclic collector passes timed through ``gc.callbacks`` (once per
+  ``src``);
 * per compiled store entry of c1-c8 at tiny and bench scale, the
   sha256 of the pickle blob and every out-of-band buffer, the sha256 of
-  the buffers alone, and the blob's size.
+  the buffers alone, and the blob's size.  Where the program has
+  ``CompiledDesignStore.ensure_specs``, each scale is compiled through
+  it with 2 workers, so those entries come from compile processes.
 
 Both probes run in a fresh interpreter on the side's ``src/``.  Each
 ``--compare A B`` pairs the untraced runs of sides A and B by position
@@ -80,12 +86,15 @@ with tempfile.TemporaryDirectory() as tmp:
     setup = time.perf_counter() - start
     gc.callbacks.remove(timed)
     service.close()
+payloads = [tracer.payload()] + getattr(service, "compile_payloads", [])
 spans = {}
-for _depth, span in iter_spans(tracer.payload()):
-    spans[span["name"]] = spans.get(span["name"], 0.0) \
-        + span["t1"] - span["t0"]
+for payload in payloads:
+    for _depth, span in iter_spans(payload):
+        spans[span["name"]] = spans.get(span["name"], 0.0) \
+            + span["t1"] - span["t0"]
 print(json.dumps({
     "setup_s": setup, "spans_s": spans,
+    "compile_processes": len(payloads) - 1,
     "gc_s": sum(row[1] for row in passes.values()),
     "gc_passes": {str(gen): row[0] for gen, row in passes.items()},
     "gc_gen2_s": passes[2][1]}))
@@ -101,8 +110,13 @@ out = {}
 with tempfile.TemporaryDirectory() as tmp:
     store = CompiledDesignStore(tmp)
     for scale in ("tiny", "bench"):
-        for spec in suite_specs(scale):
-            entry = store.ensure_spec(spec)
+        specs = suite_specs(scale)
+        if hasattr(store, "ensure_specs"):
+            entries = store.ensure_specs(specs, 2)[0]
+        else:
+            entries = {spec.name: store.ensure_spec(spec) for spec in specs}
+        for spec in specs:
+            entry = entries[spec.name]
             digest = hashlib.sha256(entry.blob())
             buffers = hashlib.sha256()
             for offset, size in entry.spans:
@@ -192,6 +206,10 @@ def compare(before: Dict, after: Dict) -> Dict:
                                 - after["entry_digests"][name]["blob_bytes"]
                                 for name in after["entry_digests"]),
         "entries_compared": len(after["entry_digests"]),
+        "setup_profile_spans_s": {
+            name: [before["setup_profile"]["spans_s"][name],
+                   after["setup_profile"]["spans_s"][name]]
+            for name in SPANS},
     }
 
 

@@ -10,9 +10,10 @@ identical to an inline one.
 
 ``store=`` names a :class:`repro.service.CompiledDesignStore` (or a
 directory for one): designs are then compiled at most once, ever — a
-warm store skips every ``prepare.*`` compile, and pooled workers
-map the compiled arrays from the store's entry files instead of
-rebuilding.  Without a store every process builds its designs itself.
+warm store skips every ``prepare.*`` compile, a pooled run compiles a
+cold store's missing designs in parallel, and pooled workers map the
+compiled arrays from the store's entry files instead of rebuilding.
+Without a store every process builds its designs itself.
 """
 
 from __future__ import annotations
@@ -46,8 +47,9 @@ class SuiteResult:
     rows: List["FlowMetrics"] = field(default_factory=list)
     design_info: Dict[str, str] = field(default_factory=dict)
     total_seconds: float = 0.0
-    #: Tracer payloads (the main process first, then one per pooled
-    #: cell in serial task order) when ``options.trace`` was set;
+    #: Tracer payloads (the main process first, then one per process
+    #: that compiled a missing store entry, then one per pooled cell
+    #: in serial task order) when ``options.trace`` was set;
     #: ``None`` otherwise.  Timing-only — excluded from every
     #: row/table comparison.
     trace: Optional[List[Dict[str, Any]]] = None
@@ -77,19 +79,22 @@ def run_suite(scale: str = "bench",
     ``store`` (a directory path or a
     :class:`repro.service.CompiledDesignStore`) persists compiled
     designs across runs and processes: cold entries are compiled once
-    in the main process (``store.miss`` + ``store.compile`` spans),
-    warm ones memory-map back (``store.hit``), and pooled workers
-    map the same entry files (``store.attach``) with zero
-    ``prepare.*`` compile spans.  Rows are bit-identical with and
-    without a store.
+    (``store.miss`` + ``store.compile`` spans) — in the main process
+    for an inline run or a single miss, otherwise in parallel in
+    ``workers`` short-lived compile processes, after which the main
+    process loads each entry as a ``store.hit`` — warm ones
+    memory-map back (``store.hit``), and pooled workers map the same
+    entry files (``store.attach``) with zero ``prepare.*`` compile
+    spans.  Rows are bit-identical with and without a store.
 
     Tracing records the main process under one ``suite`` span (its
     ``scale`` attribute names the suite scale) plus every (design,
     flow) cell, each under a ``suite.task`` span.  Inline cells record
     into the main payload; pooled cells' span trees ride back on the
-    pool's result path.  Payloads land on ``SuiteResult.trace``, main
-    process first.  Tracing never changes rows (asserted in
-    ``tests/test_obs_determinism.py``).
+    pool's result path, and each compile process's on its compile
+    pool's.  Payloads land on ``SuiteResult.trace``: the main process
+    first, then the compile processes, then the cells.  Tracing never
+    changes rows (asserted in ``tests/test_obs_determinism.py``).
     """
     opts = options if options is not None else RunOptions()
     start = perf_seconds()
@@ -124,7 +129,7 @@ def run_suite(scale: str = "bench",
     normalize_to_handfp(result.rows)
     result.total_seconds = perf_seconds() - start
     if tracer is not None:
-        result.trace = [tracer.payload()] + [
+        result.trace = [tracer.payload()] + service.compile_payloads + [
             h.trace_payload for h in handles
             if h.trace_payload is not None]
         if opts.trace_path is not None:

@@ -22,15 +22,26 @@ from repro.netlist.flatten import FlatDesign
 
 def macro_affinity_matrix(gseq: Gseq, flat: FlatDesign, lam: float,
                           latency_k: float
-                          ) -> Tuple[List[int], List[List[float]],
-                                     List[str]]:
+                          ) -> Tuple[Tuple[int, ...],
+                                     Tuple[Tuple[float, ...], ...],
+                                     Tuple[str, ...]]:
     """Affinity between individual macros (and ports) via Gdf.
 
     Each macro is its own Gdf group, every port its own terminal group.
     Returns (macro cell indices, symmetric matrix over macros+ports,
     port names).  ``lam`` / ``latency_k`` control the blend exactly as
     in HiDaP, letting each baseline choose how much dataflow it sees.
+
+    The result depends only on ``gseq``, ``lam`` and ``latency_k``, so
+    it is built once per ``(lam, latency_k)`` and cached on ``gseq``,
+    as tuples that no caller can mutate.
     """
+    cache = getattr(gseq, "_affinity", None)
+    if cache is None:
+        cache = gseq._affinity = {}
+    cached = cache.get((lam, latency_k))
+    if cached is not None:
+        return cached
     macro_cells: List[int] = []
     groups: List[GdfNode] = []
     for node in gseq.nodes:
@@ -50,7 +61,10 @@ def macro_affinity_matrix(gseq: Gseq, flat: FlatDesign, lam: float,
     for (i, j), edge in gdf.edges.items():
         a = edge.affinity(lam, latency_k)
         matrix[i][j] += a
-    return macro_cells, matrix, port_names
+    result = (tuple(macro_cells), tuple(map(tuple, matrix)),
+              tuple(port_names))
+    cache[(lam, latency_k)] = result
+    return result
 
 
 #: A packed item as a plain ``(x, y, w, h)`` box, lower-left anchored

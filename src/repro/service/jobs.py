@@ -2,9 +2,11 @@
 
 ``PlacementService`` owns the three amortization layers end to end:
 a :class:`~repro.service.store.CompiledDesignStore` (compile each
-design once, ever), handoffs that name its entries to workers (each
-worker maps the entry file zero-copy), and a worker pool (place many
-jobs concurrently).
+design once, ever; a pooled service compiles a cold store's missing
+designs in parallel, in short-lived processes of their own),
+handoffs that name its entries to workers (each worker maps the
+entry file zero-copy), and a worker pool (place many jobs
+concurrently).
 ``run_suite`` is a client of this class in every mode (inline for
 ``workers`` <= 1, pooled otherwise); interactive clients use it
 directly::
@@ -38,7 +40,8 @@ from concurrent.futures import Future, ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple, Union
+from typing import (Any, Dict, Iterable, Iterator, List, Optional,
+                    Sequence, Tuple, Union)
 
 from repro.api.prepared import prepare_design
 from repro.api.run import FlowMetrics, RunOptions
@@ -122,9 +125,12 @@ class PlacementService:
     designs:
         Suite design names to serve (``None`` → every design of the
         scale).  With a store, every named design is ensured (compiled
-        at most once, ever) at construction; with ``workers`` > 1 each
-        job also carries a handoff naming its entry, so workers map the
-        entry file instead of recompiling.
+        at most once, ever) at construction; with ``workers`` > 1 the
+        missing designs compile in parallel in a pool of their own
+        (:meth:`~repro.service.store.CompiledDesignStore.ensure_specs`),
+        shut down before the job pool starts, and each job carries a
+        handoff naming its entry, so workers map the entry file
+        instead of recompiling.
     store:
         ``None`` (no persistence — every process builds its designs
         itself), a directory path, or a
@@ -139,6 +145,10 @@ class PlacementService:
         controls pooled workers' span recording (the payloads land on
         each handle's ``trace_payload``); inline jobs always record
         into the caller's current tracer.
+
+    When the constructing process's tracer records, the span payload
+    of each process that compiled a missing design lands on
+    :attr:`compile_payloads` (empty when every compile ran here).
     """
 
     def __init__(self, scale: str = "bench",
@@ -168,10 +178,11 @@ class PlacementService:
         self._pool_lock = threading.Lock()
         self._next_job = 0
         self._closed = False
+        self.compile_payloads: List[Dict[str, Any]] = []
 
         if self.store is not None:
-            for name, spec in self._specs.items():
-                self._entries[name] = self.store.ensure_spec(spec)
+            self._entries, self.compile_payloads = self.store.ensure_specs(
+                list(self._specs.values()), workers or 1)
         if workers is not None and workers > 1:
             for name, entry in self._entries.items():
                 self._handoffs[name] = export_entry(entry)
@@ -283,12 +294,18 @@ class PlacementService:
         return future
 
     def _prepared_inline(self, design: str):
-        """Inline-mode prepared design: store-warm, cached per service."""
+        """Inline-mode prepared design: store-warm, cached per service.
+
+        A store entry is mapped afresh on first use, through the
+        handoff a pooled worker uses: a file truncated since
+        construction fails this job with an :class:`OSError` naming
+        its key instead of killing the process with ``SIGBUS``.
+        """
         prepared = self._prepared.get(design)
         if prepared is None:
             entry = self._entries.get(design)
             if entry is not None:
-                prepared = entry.materialize()
+                prepared = export_entry(entry).materialize()
             else:
                 prepared = prepare_design(self._specs[design])
             self._prepared[design] = prepared

@@ -47,6 +47,18 @@ collection of the oldest generation would otherwise rescan for
 nothing.  The caller's collector state comes back afterwards, also
 when the compile raises.
 
+:meth:`CompiledDesignStore.ensure_specs` ensures many designs at once.
+With ``workers`` > 1 and more than one miss it compiles the misses in
+a dedicated pool of ``min(workers, misses)`` short-lived processes,
+each saving its entry through the same atomic write, and shuts that
+pool down before it returns; the caller then loads every entry as a
+hit.  A child is handed the parent's :func:`store_version` salt and
+the entry key, so it computes neither.  When the caller's tracer
+records, each child returns its own span payload (``store.compile``,
+``store.save``, ``prepare.*``), and a warning raised in a child is
+raised again in the caller.  One miss, or ``workers`` <= 1, compiles
+in the calling process; a warm store starts no process.
+
 Writes are atomic (temp directory + ``os.replace``), so concurrent
 writers of the same key are safe: the first complete write wins and
 later ones, bit-identical by the determinism contract, are dropped.
@@ -65,16 +77,19 @@ import pickle
 import shutil
 import tempfile
 import warnings
+from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import (Any, Dict, Iterator, List, Optional, Sequence, Tuple,
+                    Union)
 
 import numpy as np
 
 from repro.api.prepared import PreparedDesign, prepare_design
 from repro.gen.spec import DesignSpec
-from repro.obs import current_tracer, wall_seconds
+from repro.obs import (NULL_TRACER, Tracer, current_tracer, use_tracer,
+                       wall_seconds)
 
 #: The entry's one data file: pickle blob, then out-of-band buffers.
 ENTRY_FILE = "prepared.pkl"
@@ -282,13 +297,17 @@ class CompiledDesignStore:
         (:func:`map_entry_file`) does not load either, so a truncated
         entry is a miss that :meth:`save` replaces.
         """
+        return self._load(key, store_version())
+
+    def _load(self, key: str, version: str) -> Optional[StoreEntry]:
+        """:meth:`load` against the salt ``version``."""
         path = self._entry_path(key)
         meta_path = path / "meta.json"
         if not meta_path.exists():
             return None
         try:
             meta = json.loads(meta_path.read_text())
-            if meta.get("version") != store_version():
+            if meta.get("version") != version:
                 return None
             image = map_entry_file(path, meta["blob_size"],
                                    meta["buffers"])
@@ -302,6 +321,11 @@ class CompiledDesignStore:
         Pickling leaves the caller's live caches untouched.  The write
         is atomic.
         """
+        return self._save(key, prepared, store_version())
+
+    def _save(self, key: str, prepared: PreparedDesign,
+              version: str) -> StoreEntry:
+        """:meth:`save` under the salt ``version``."""
         with current_tracer().span("store.save", key=key[:12],
                                    design=prepared.name):
             compile_prepared(prepared)
@@ -326,7 +350,7 @@ class CompiledDesignStore:
                         end = offset + raw.nbytes
                 meta = {
                     "key": key,
-                    "version": store_version(),
+                    "version": version,
                     "design": prepared.name,
                     "blob_size": len(blob),
                     "buffers": spans,
@@ -334,32 +358,36 @@ class CompiledDesignStore:
                 }
                 (tmp / "meta.json").write_text(
                     json.dumps(meta, indent=1, sort_keys=True))
-                if not path.exists():
+                try:
+                    # Fails when ``path`` is a directory with files in
+                    # it: an entry is already there.
                     os.replace(tmp, path)
-                elif self.load(key) is not None:
-                    # Concurrent writer won the race with bit-identical
-                    # content; keep theirs.
-                    shutil.rmtree(tmp, ignore_errors=True)
-                else:
-                    # A corrupted entry (truncated or missing file):
-                    # move it aside, install the fresh one, drop it.
-                    warnings.warn(
-                        f"store entry {key} does not load; replacing it "
-                        "with a fresh compile", RuntimeWarning,
-                        stacklevel=2)
-                    stale = tmp.with_name(tmp.name + "-stale")
-                    os.replace(path, stale)
-                    os.replace(tmp, path)
-                    shutil.rmtree(stale, ignore_errors=True)
+                except OSError:
+                    if self._load(key, version) is not None:
+                        # A concurrent writer won the race with
+                        # bit-identical content; keep theirs.
+                        shutil.rmtree(tmp, ignore_errors=True)
+                    else:
+                        # A corrupted entry (truncated or missing
+                        # file): move it aside, install the fresh one,
+                        # drop it.
+                        warnings.warn(
+                            f"store entry {key} does not load; "
+                            "replacing it with a fresh compile",
+                            RuntimeWarning, stacklevel=2)
+                        stale = tmp.with_name(tmp.name + "-stale")
+                        os.replace(path, stale)
+                        os.replace(tmp, path)
+                        shutil.rmtree(stale, ignore_errors=True)
             except BaseException:
                 shutil.rmtree(tmp, ignore_errors=True)
                 raise
-        entry = self.load(key)
+        entry = self._load(key, version)
         if entry is None:
             raise OSError(f"store entry {key} does not load after save")
         return entry
 
-    # -- the one-call front door -------------------------------------------
+    # -- the front doors ----------------------------------------------------
 
     def ensure_spec(self, spec: DesignSpec) -> StoreEntry:
         """Load the entry for ``spec``, compiling and saving on a miss.
@@ -379,9 +407,92 @@ class CompiledDesignStore:
             return entry
         with tracer.span("store.miss", key=key[:12], design=spec.name):
             pass
+        return self._compile(spec, key, store_version())
+
+    def _compile(self, spec: DesignSpec, key: str,
+                 version: str) -> StoreEntry:
+        """Compile ``spec`` and save it as ``key`` under ``version``."""
         with _gc_paused():
-            with tracer.span("store.compile", key=key[:12],
-                             design=spec.name):
+            with current_tracer().span("store.compile", key=key[:12],
+                                       design=spec.name):
                 prepared = prepare_design(spec)
                 compile_prepared(prepared)
-            return self.save(key, prepared)
+            return self._save(key, prepared, version)
+
+    def ensure_specs(self, specs: Sequence[DesignSpec], workers: int = 1
+                     ) -> Tuple[Dict[str, StoreEntry],
+                                List[Dict[str, Any]]]:
+        """:meth:`ensure_spec` every spec, compiling misses in parallel.
+
+        With ``workers`` > 1 and more than one miss, the misses are
+        compiled first in a pool of ``min(workers, misses)`` processes
+        (``store.miss`` spans here, the compile spans in the children),
+        which is shut down before this returns; every spec then loads
+        as a hit.  Otherwise this is :meth:`ensure_spec` in a loop.
+        Returns the entries by design name and, when the current
+        tracer records, one span payload per compiled miss (empty
+        otherwise).  An error raised in a child is raised here.
+        """
+        payloads: List[Dict[str, Any]] = []
+        if workers > 1:
+            version = store_version()
+            keys = [(spec, self.key_for_spec(spec)) for spec in specs]
+            missing = [(spec, key) for spec, key in keys
+                       if self._load(key, version) is None]
+            if len(missing) > 1:
+                tracer = current_tracer()
+                for spec, key in missing:
+                    with tracer.span("store.miss", key=key[:12],
+                                     design=spec.name):
+                        pass
+                payloads = self._compile_in_children(
+                    missing, version, workers, tracer.enabled)
+        return {spec.name: self.ensure_spec(spec) for spec in specs}, \
+            payloads
+
+    def _compile_in_children(self, missing: Sequence[Tuple[DesignSpec,
+                                                           str]],
+                             version: str, workers: int, trace: bool
+                             ) -> List[Dict[str, Any]]:
+        """Compile ``(spec, key)`` pairs in a dedicated process pool.
+
+        The pool starts its processes the way the job pool does (the
+        platform's default start method), and everything a child needs
+        travels as an argument, so a fresh interpreter works as well as
+        a forked one.  A failed compile cancels the compiles not yet
+        started.
+        """
+        with ProcessPoolExecutor(min(workers, len(missing))) as pool:
+            futures = [pool.submit(_compile_in_child, str(self.root),
+                                   spec, key, version, trace)
+                       for spec, key in missing]
+            try:
+                results = [future.result() for future in futures]
+            except BaseException:
+                pool.shutdown(cancel_futures=True)
+                raise
+        payloads = []
+        for payload, caught in results:
+            for category, message in caught:
+                warnings.warn(message, category, stacklevel=3)
+            if payload is not None:
+                payloads.append(payload)
+        return payloads
+
+
+def _compile_in_child(root: str, spec: DesignSpec, key: str,
+                      version: str, trace: bool
+                      ) -> Tuple[Optional[Dict[str, Any]],
+                                 List[Tuple[type, str]]]:
+    """One compile process's job: compile ``spec``, save it as ``key``.
+
+    Returns this process's span payload (``None`` unless ``trace``)
+    and the warnings the compile raised, as ``(category, message)``.
+    """
+    tracer = Tracer(f"compile-{os.getpid()}") if trace else NULL_TRACER
+    with use_tracer(tracer), warnings.catch_warnings(record=True) \
+            as caught:
+        warnings.simplefilter("always")
+        CompiledDesignStore(root)._compile(spec, key, version)
+    return (tracer.payload() if trace else None,
+            [(w.category, str(w.message)) for w in caught])

@@ -61,6 +61,35 @@ class TestMacroAffinity:
         # Macro flow connects the two memories (latency 3 path).
         assert matrix[0][1] + matrix[1][0] > 0
 
+    def test_second_call_reuses_the_gdf(self, two_stage_flat,
+                                        monkeypatch):
+        from repro.baselines import common
+
+        gseq = build_gseq(build_gnet(two_stage_flat), two_stage_flat)
+        first = macro_affinity_matrix(gseq, two_stage_flat, lam=0.5,
+                                      latency_k=1.0)
+        builds = []
+        real = common.build_gdf
+        monkeypatch.setattr(
+            common, "build_gdf",
+            lambda *args: builds.append(args) or real(*args))
+        second = macro_affinity_matrix(gseq, two_stage_flat, lam=0.5,
+                                       latency_k=1.0)
+        assert builds == []
+        assert second == first
+        # Another blend is its own entry, with a Gdf of its own.
+        macro_affinity_matrix(gseq, two_stage_flat, lam=0.5,
+                              latency_k=2.0)
+        assert len(builds) == 1
+
+    def test_cached_result_cannot_be_mutated(self, two_stage_flat):
+        gseq = build_gseq(build_gnet(two_stage_flat), two_stage_flat)
+        cells, matrix, ports = macro_affinity_matrix(
+            gseq, two_stage_flat, lam=0.5, latency_k=1.0)
+        for part in (cells, matrix, matrix[0], ports):
+            with pytest.raises(TypeError):
+                part[0] = part[0]
+
 
 class TestIndEDA:
     def test_legal_placement(self, tiny_c1_flat, tiny_c1):

@@ -13,10 +13,14 @@ The load-bearing assertions of the service layer:
   silently skipping — on unpicklable entries.
 """
 
+import multiprocessing
 import os
 import pickle
+import subprocess
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -26,9 +30,10 @@ from repro.api import RunOptions, register_flow, run_suite, unregister_flow
 from repro.api.flows import BaseFlow
 from repro.core.config import Effort
 from repro.gen.designs import suite_specs
+from repro.gen.spec import SubsystemSpec
 from repro.obs import Tracer, iter_spans, use_tracer
 from repro.service import CompiledDesignStore, PlacementService
-from repro.service import engine
+from repro.service import engine, jobs
 from repro.service.shm import export_entry
 from repro.service.store import ENTRY_FILE
 
@@ -127,11 +132,27 @@ class TestWarmStoreSpans:
         assert "store.miss" not in main_names
         assert {"job.queued", "job.done"} <= main_names
 
-    def test_cold_run_compiled_in_main(self, cold_pooled):
-        main_names = {span["name"] for _d, span
-                      in iter_spans(cold_pooled.trace[0])}
-        assert {"store.miss", "store.compile", "store.save"} \
-            <= main_names
+    def test_cold_run_compiled_once_per_design(self, cold_pooled):
+        # Three misses and two workers: the misses compile in compile
+        # processes of their own, one payload per miss, and the main
+        # process then loads every entry as a hit.
+        main, *others = cold_pooled.trace
+        compiles = [p for p in others
+                    if p["label"].startswith("compile-")]
+        workers = [p for p in others if p["label"].startswith("worker-")]
+        assert len(compiles) == len(DESIGNS)
+        assert len(compiles) + len(workers) == len(others)
+
+        def designs(payloads, name):
+            return sorted(span["attrs"]["design"]
+                          for payload in payloads
+                          for _d, span in iter_spans(payload)
+                          if span["name"] == name)
+
+        for name in ("store.compile", "store.save"):
+            assert designs(cold_pooled.trace, name) == sorted(DESIGNS)
+            assert designs(workers, name) == []
+        assert designs([main], "store.hit") == sorted(DESIGNS)
 
     def test_legacy_no_store_workers_still_compile(self):
         # The pre-store behaviour is pinned: without a store, worker
@@ -144,6 +165,52 @@ class TestWarmStoreSpans:
             for _d, span in iter_spans(payload))
 
 
+def _live_children():
+    return {child.pid for child in multiprocessing.active_children()}
+
+
+def _broken_specs(scale):
+    """c1, plus a design whose generator raises ``KeyError``."""
+    c1, c2 = suite_specs(scale)[:2]
+    return [c1, replace(c2, subsystems=[SubsystemSpec(
+        kind="no-such-kind", name="x", macros=1, width=8)])]
+
+
+class TestColdCompile:
+    def test_no_compile_process_outlives_construction(self, tmp_path):
+        before = _live_children()
+        tracer = Tracer("t")
+        with use_tracer(tracer), PlacementService(
+                scale="tiny", designs=("c1", "c2"), store=tmp_path,
+                workers=2, options=OPTS) as service:
+            compiled = {p["pid"] for p in service.compile_payloads}
+            assert len(compiled) == 2
+            assert not compiled & _live_children()
+            assert _live_children() - before \
+                <= set(service._pool._processes)
+            for pid in compiled:
+                with pytest.raises(ProcessLookupError):
+                    os.kill(pid, 0)
+        assert _live_children() <= before
+
+    def test_compile_error_in_a_child_reaches_the_caller(
+            self, tmp_path, monkeypatch):
+        # Both designs miss, so both compile in child processes; the
+        # main process records the misses and compiles neither.
+        monkeypatch.setattr(jobs, "suite_specs", _broken_specs)
+        before = _live_children()
+        tracer = Tracer("t")
+        with use_tracer(tracer), pytest.raises(KeyError,
+                                               match="no-such-kind"):
+            PlacementService(scale="tiny", designs=("c1", "c2"),
+                             store=tmp_path, workers=2, options=OPTS)
+        names = [span["name"]
+                 for _d, span in iter_spans(tracer.payload())]
+        assert names.count("store.miss") == 2
+        assert "store.compile" not in names
+        assert _live_children() <= before
+
+
 def _entry(store_dir, name="c1"):
     return CompiledDesignStore(store_dir).ensure_spec(
         next(s for s in suite_specs("tiny") if s.name == name))
@@ -154,6 +221,26 @@ def _mapping(array):
     while not isinstance(array, np.memmap):
         array = array.base
     return array
+
+
+_TRUNCATE_INLINE = """
+import sys
+from repro.api import RunOptions
+from repro.service import PlacementService
+from repro.service.store import ENTRY_FILE
+
+with PlacementService(scale="tiny", designs=("c1", "c2"),
+                      store=sys.argv[1],
+                      options=RunOptions(seed=1, effort="fast")) as service:
+    entry = service._entries["c1"]
+    with open(entry.path / ENTRY_FILE, "r+b") as handle:
+        handle.truncate(entry.blob_size)
+    try:
+        service.submit("c1", "indeda").result()
+    except OSError as exc:
+        print("failed", entry.key in str(exc))
+    print("served", service.submit("c2", "indeda").result().design)
+"""
 
 
 class TestShmHandoff:
@@ -216,6 +303,18 @@ class TestShmHandoff:
                         if r.design == "c2" and r.flow == "indeda")
         assert [_key_row(r)[:6] for r in rows] \
             == [_key_row(expected)[:6]] * 2
+
+    def test_truncated_entry_fails_only_its_own_inline_jobs(self,
+                                                            tmp_path):
+        # In a subprocess: reading past the end of a truncated mapping
+        # is SIGBUS, which would end pytest itself.
+        src = Path(engine.__file__).resolve().parents[2]
+        done = subprocess.run(
+            [sys.executable, "-c", _TRUNCATE_INLINE, str(tmp_path)],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["failed", "True", "served", "c2"]
 
 
 def _root_names(tracer):

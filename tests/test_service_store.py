@@ -1,8 +1,10 @@
 """CompiledDesignStore: keys, versioning, mmap loads, materialize."""
 
 import json
+import multiprocessing
 import pickletools
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -222,3 +224,96 @@ class TestSpans:
             prepared.timing_arrays
         names = [s["name"] for _d, s in iter_spans(tracer.payload())]
         assert not any(n.startswith("prepare.") for n in names), names
+
+
+def _ensure_at_barrier(barrier, root, spec):
+    barrier.wait()
+    CompiledDesignStore(root).ensure_spec(spec)
+
+
+def _entry_bytes(entry):
+    return (entry.path / ENTRY_FILE).read_bytes()
+
+
+class TestParallelCompile:
+    def test_concurrent_compiles_leave_one_entry(self, tmp_path):
+        # Two processes miss the same entry at once and both compile
+        # it: one loadable entry results, byte-identical to an inline
+        # compile, and no temp or stale directory is left.
+        context = multiprocessing.get_context()
+        barrier = context.Barrier(2)
+        racers = [context.Process(target=_ensure_at_barrier,
+                                  args=(barrier, tmp_path / "race",
+                                        _spec()))
+                  for _ in range(2)]
+        for racer in racers:
+            racer.start()
+        for racer in racers:
+            racer.join(300)
+        assert [racer.exitcode for racer in racers] == [0, 0]
+        store = CompiledDesignStore(tmp_path / "race")
+        key = store.key_for_spec(_spec())
+        entry = store.load(key)
+        assert entry is not None
+        inline = CompiledDesignStore(tmp_path / "inline")
+        assert _entry_bytes(entry) == _entry_bytes(inline.ensure_spec(
+            _spec()))
+        assert [p.name for p in store.root.iterdir()] == [key[:2]]
+        assert [p.name for p in entry.path.parent.iterdir()] == [key]
+
+    def test_second_writer_keeps_the_first_entry(self, warm_store):
+        store, entry = warm_store
+        first = _entry_bytes(entry)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            again = store.save(entry.key, entry.materialize())
+        assert _entry_bytes(again) == first
+        assert [p.name for p in entry.path.parent.iterdir()] \
+            == [entry.key]
+
+    def test_children_write_the_bytes_of_an_inline_compile(self,
+                                                           tmp_path):
+        specs = [_spec("c1"), _spec("c2")]
+        tracer = Tracer("test")
+        with use_tracer(tracer):
+            entries, payloads = CompiledDesignStore(
+                tmp_path / "pooled").ensure_specs(specs, workers=2)
+        assert [p["label"].split("-")[0] for p in payloads] \
+            == ["compile", "compile"]
+        inline = CompiledDesignStore(tmp_path / "inline")
+        for spec in specs:
+            assert _entry_bytes(entries[spec.name]) \
+                == _entry_bytes(inline.ensure_spec(spec))
+
+    def test_one_miss_or_a_warm_store_starts_no_pool(self, tmp_path,
+                                                     monkeypatch):
+        def no_pool(*_args, **_kwargs):
+            raise AssertionError("a compile pool was started")
+
+        monkeypatch.setattr(store_mod, "ProcessPoolExecutor", no_pool)
+        store = CompiledDesignStore(tmp_path)
+        specs = [_spec("c1"), _spec("c2")]
+        tracer = Tracer("test")
+        with use_tracer(tracer):
+            store.ensure_specs(specs, workers=1)       # inline service
+            store.ensure_specs(specs, workers=2)       # warm store
+            entries, payloads = store.ensure_specs(    # one miss
+                specs + [_spec("c3")], workers=2)
+        assert sorted(entries) == ["c1", "c2", "c3"]
+        assert payloads == []
+        names = [s["name"] for _d, s in iter_spans(tracer.payload())]
+        assert names.count("store.compile") == 3
+        assert names.count("store.miss") == 3
+
+    def test_child_warnings_reach_the_caller(self, tmp_path):
+        store = CompiledDesignStore(tmp_path)
+        specs = [_spec("c1"), _spec("c2")]
+        keys = []
+        for spec in specs:
+            entry = store.ensure_spec(spec)
+            keys.append(entry.key)
+            _truncate(entry.path, "blob")
+        with pytest.warns(RuntimeWarning) as caught:
+            store.ensure_specs(specs, workers=2)
+        messages = " ".join(str(w.message) for w in caught)
+        assert all(key in messages for key in keys)

@@ -4,12 +4,14 @@
 End-to-end check of the service layer that ``make check`` runs on
 every build:
 
-1. a cold 2-worker ``run_suite`` against a fresh compiled-design
-   store (compiles + persists every design in the main process);
+1. a cold, traced 2-worker ``run_suite`` against a fresh
+   compiled-design store — asserting each design was compiled and
+   saved exactly once, in a compile process of its own, and that the
+   main process then loaded every entry as a hit;
 2. a second, traced 2-worker run against the now-warm store —
-   asserting the workers record **zero** ``prepare.*`` compile spans
-   (they map the store's entry files instead) and the main process
-   saw only store hits;
+   asserting rows equal to the cold run's, **zero** worker-side
+   ``prepare.*`` compile spans (workers map the store's entry files
+   instead) and only store hits in the main process;
 3. corruption recovery through the pool: truncate the warm c1 entry
    file, rerun the 2-worker suite and assert exactly one
    ``RuntimeWarning`` naming the entry's key and rows equal to the
@@ -47,6 +49,35 @@ def _key_rows(rows):
              r.wns_percent, r.tns, r.wl_norm) for r in rows]
 
 
+def _designs_with(payloads, name):
+    """Sorted design attributes of every ``name`` span in ``payloads``."""
+    return sorted(span["attrs"]["design"] for payload in payloads
+                  for _depth, span in iter_spans(payload)
+                  if span["name"] == name)
+
+
+def _cold_run(store_dir):
+    """A traced cold 2-worker suite: each design compiled once."""
+    trace_opts = RunOptions(seed=1, effort=Effort.FAST, trace=True)
+    cold = run_suite(scale="tiny", designs=list(DESIGNS), flows=FLOWS,
+                     options=trace_opts, workers=2, store=store_dir)
+    compiles = [payload for payload in cold.trace[1:]
+                if payload["label"].startswith("compile-")]
+    for name in ("store.compile", "store.save"):
+        assert _designs_with(cold.trace, name) == sorted(DESIGNS), (
+            f"a cold run must record one {name} per design, saw "
+            f"{_designs_with(cold.trace, name)}")
+        assert _designs_with(compiles, name) == sorted(DESIGNS), (
+            f"a cold 2-worker run must record {name} in its compile "
+            "processes")
+    assert _designs_with(cold.trace[:1], "store.hit") \
+        == sorted(DESIGNS), \
+        "the main process must load every compiled entry as a hit"
+    print(f"  {len(compiles)} compile processes compiled each design "
+          f"once; the main process loaded every entry as a hit")
+    return cold
+
+
 def _warm_run(store_dir, cold) -> None:
     """A traced warm 2-worker suite: cold rows, zero worker compiles."""
     trace_opts = RunOptions(seed=1, effort=Effort.FAST, trace=True)
@@ -78,10 +109,9 @@ def main() -> int:
     opts = RunOptions(seed=1, effort=Effort.FAST)
     with tempfile.TemporaryDirectory(prefix="hidap-smoke-store-") \
             as store_dir:
-        print(f"cold 2-worker suite (populating store {store_dir})")
-        cold = run_suite(scale="tiny", designs=list(DESIGNS),
-                         flows=FLOWS, options=opts, workers=2,
-                         store=store_dir)
+        print(f"cold 2-worker suite (traced, populating store "
+              f"{store_dir})")
+        cold = _cold_run(store_dir)
 
         print("warm 2-worker suite (traced)")
         _warm_run(store_dir, cold)
