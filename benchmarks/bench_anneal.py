@@ -29,6 +29,7 @@ import time
 from repro.core.config import Effort, HiDaPConfig
 from repro.core.hidap import HiDaP
 from repro.gen.designs import build_design, die_for, suite_specs
+from repro.hiergraph.hierarchy import build_hierarchy
 from repro.netlist.flatten import flatten
 
 
@@ -60,12 +61,12 @@ def _noop_span_overhead_ns(iterations: int = 200_000) -> float:
     return (time.perf_counter() - start) * 1e9 / iterations
 
 
-def _place(flat, die_w, die_h, seed, effort, incremental):
+def _place(flat, tree, die_w, die_h, seed, effort, incremental):
     config = HiDaPConfig(seed=seed, effort=effort,
                          incremental=incremental)
     placer = HiDaP(config)
     start = time.perf_counter()
-    placement = placer.place(flat, die_w, die_h)
+    placement = placer.place(flat, die_w, die_h, tree=tree)
     seconds = time.perf_counter() - start
     return (_placement_key(placement), seconds,
             dict(placer.artifacts.eval_counters))
@@ -99,11 +100,12 @@ def main() -> int:
         design, _truth = build_design(specs[name])
         die_w, die_h = die_for(design)
         flat = flatten(design)
+        tree = build_hierarchy(design, flat)
 
         inc_key, inc_s, inc_counters = _place(
-            flat, die_w, die_h, args.seed, effort, incremental=True)
+            flat, tree, die_w, die_h, args.seed, effort, incremental=True)
         full_key, full_s, full_counters = _place(
-            flat, die_w, die_h, args.seed, effort, incremental=False)
+            flat, tree, die_w, die_h, args.seed, effort, incremental=False)
 
         identical = inc_key == full_key
         all_identical = all_identical and identical

@@ -6,19 +6,23 @@ checkouts ("sides") of the program.  Per side it gathers:
 
 * perfbench's own result files for ``service-baselines`` (copies of
   ``.perfbench/results/service-baselines-seed<N>-trace<T>.json``, one
-  per run, given in run order): the ``jobs_per_s`` value of every
-  untraced run, the medians of all end-to-end metrics, and from
-  ``--trace 1`` runs the busy time and calls of the baseline placers
-  (``baselines.indeda``, ``baselines.handfp``) and of the referee
-  (``referee.*``);
+  per run, given in run order): the ``jobs_per_s``, ``peak_rss_mb``
+  and ``setup_s`` values of every untraced run, the medians of all
+  end-to-end metrics, and from ``--trace 1`` runs (one round, the
+  first after set-up) the busy time and calls of the baseline placers
+  (``baselines.indeda``, ``baselines.handfp``), of the referee
+  (``referee.*``) and of the workers' entry loads (``shm.attach``,
+  perfbench's name for the ``store.attach`` span);
 * the row of each of the 16 bench jobs (c1-c8 x ``indeda`` /
   ``handfp-strip``, seed 1, run inline on a fresh store) as a sha256
   of its deterministic fields, and one sha256 over all 16.
 
 The row probe runs in a fresh interpreter on the side's ``src/``.
 Each ``--compare A B`` pairs the untraced runs of sides A and B by
-position (run them alternately) and counts the pairs B wins on
-``jobs_per_s``.
+position (run them alternately) and counts the pairs B wins on each of
+``jobs_per_s``, ``peak_rss_mb`` and ``setup_s``; a metric's gain
+``holds`` when B wins at least nine pairs in ten and its median gain
+exceeds A's interquartile range.
 
 Not collected by pytest (the file is not ``test_*``); run from the
 repository root, after running perfbench in each checkout:
@@ -43,7 +47,10 @@ OUT = Path(__file__).resolve().parent / "artifacts" / "BENCH_baselines.json"
 #: perfbench layers that a baseline job exercises.
 LAYERS = ("baselines.indeda", "baselines.handfp", "referee",
           "referee.stdcell", "referee.timing", "referee.hpwl",
-          "referee.congestion")
+          "referee.congestion", "shm.attach")
+
+#: Metrics compared run by run, and whether higher is better.
+PAIRED = {"jobs_per_s": True, "peak_rss_mb": False, "setup_s": False}
 
 #: perfbench's end-to-end metrics.
 END_TO_END = ("jobs_per_s", "wall_s", "job_p90_s", "setup_s",
@@ -85,14 +92,15 @@ def side_record(src: str, files: List[str], probes: Dict) -> Dict:
         "python": env["python"],
         "runs": len(untraced),
         "failed_ops": sum(r["failed"] for r in untraced),
-        "jobs_per_s_runs": [r["metrics"]["jobs_per_s"]["value"]
-                            for r in untraced],
         "end_to_end_median": {
             name: statistics.median(r["metrics"][name]["value"]
                                     for r in untraced)
             for name in END_TO_END},
     }
-    record["jobs_per_s"] = _quartiles(record["jobs_per_s_runs"])
+    for name in PAIRED:
+        runs = [r["metrics"][name]["value"] for r in untraced]
+        record[f"{name}_runs"] = runs
+        record[name] = _quartiles(runs)
     if traced:
         metrics = traced[-1]["metrics"]
         record["trace"] = {
@@ -106,20 +114,27 @@ def side_record(src: str, files: List[str], probes: Dict) -> Dict:
     return record
 
 
+def paired(before: Dict, after: Dict, name: str) -> Dict:
+    """``after`` against ``before`` on metric ``name``, run by run."""
+    sign = 1.0 if PAIRED[name] else -1.0
+    pairs = list(zip(before[f"{name}_runs"], after[f"{name}_runs"]))
+    spread = before[name]["q3"] - before[name]["q1"]
+    gain = sign * (after[name]["median"] - before[name]["median"])
+    won = sum(sign * (a - b) > 0 for b, a in pairs)
+    return {
+        "pairs": len(pairs),
+        "pairs_won": won,
+        "median_gain": gain,
+        "median_gain_pct": 100.0 * gain / before[name]["median"],
+        "before_iqr": spread,
+        "holds": won * 10 >= 9 * len(pairs) and gain > spread,
+    }
+
+
 def compare(before: Dict, after: Dict) -> Dict:
-    pairs = list(zip(before["jobs_per_s_runs"], after["jobs_per_s_runs"]))
-    spread = before["jobs_per_s"]["q3"] - before["jobs_per_s"]["q1"]
-    gain = after["jobs_per_s"]["median"] - before["jobs_per_s"]["median"]
-    won = sum(a > b for b, a in pairs)
     medians = before["end_to_end_median"], after["end_to_end_median"]
     return {
-        "jobs_per_s_pairs": len(pairs),
-        "jobs_per_s_pairs_won": won,
-        "jobs_per_s_median_gain": gain,
-        "jobs_per_s_median_gain_pct": 100.0 * gain
-        / before["jobs_per_s"]["median"],
-        "before_iqr": spread,
-        "claim_holds": won * 10 >= 9 * len(pairs) and gain > spread,
+        "metrics": {name: paired(before, after, name) for name in PAIRED},
         "quality_equal": all(medians[0][name] == medians[1][name]
                              for name in ("hpwl_m", "delay_pct")),
         "bench_rows_equal": before["bench_rows"] == after["bench_rows"],

@@ -24,7 +24,10 @@ checkouts ("sides") of the program.  Per side it gathers:
 
 Both probes run in a fresh interpreter on the side's ``src/``.  Each
 ``--compare A B`` pairs the untraced runs of sides A and B by position
-(run them alternately) and counts the pairs B wins on ``setup_s``.
+(run them alternately), counts the pairs B wins on ``setup_s``
+(``setup_s_gain_holds``: at least nine pairs in ten and a median drop
+above A's interquartile range) and lists each entry's blob bytes on
+both sides.
 
 Not collected by pytest (the file is not ``test_*``); run from the
 repository root, after running perfbench in each checkout:
@@ -196,8 +199,8 @@ def compare(before: Dict, after: Dict) -> Dict:
         "setup_s_median_drop_pct": 100.0 * drop
         / before["setup_s"]["median"],
         "before_iqr_s": spread,
-        "claim_holds": (sum(b > a for b, a in pairs) * 10
-                        >= 9 * len(pairs) and drop > spread),
+        "setup_s_gain_holds": (sum(b > a for b, a in pairs) * 10
+                               >= 9 * len(pairs) and drop > spread),
         "entry_digests_equal": _digests(before, "entry")
         == _digests(after, "entry"),
         "buffer_digests_equal": _digests(before, "buffers")
@@ -205,6 +208,10 @@ def compare(before: Dict, after: Dict) -> Dict:
         "blob_bytes_saved": sum(before["entry_digests"][name]["blob_bytes"]
                                 - after["entry_digests"][name]["blob_bytes"]
                                 for name in after["entry_digests"]),
+        "blob_bytes": {
+            name: [before["entry_digests"][name]["blob_bytes"],
+                   after["entry_digests"][name]["blob_bytes"]]
+            for name in after["entry_digests"]},
         "entries_compared": len(after["entry_digests"]),
         "setup_profile_spans_s": {
             name: [before["setup_profile"]["spans_s"][name],

@@ -113,7 +113,7 @@ def _bench_design(name: str, scale: str, flow: str, seed: int,
     prepared = prepare_suite_design(name, scale)
     flat = prepared.flat
     placement = get_flow(flow, seed=seed).place(prepared)
-    ports = assign_port_positions(flat.design, placement.die)
+    ports = assign_port_positions(flat.top, placement.die)
 
     t0 = time.perf_counter()
     arrays = net_arrays_for(flat)

@@ -30,7 +30,8 @@ def test_ablation_affinity_source(benchmark):
             for mode in ("dataflow", "pseudonet"):
                 config = HiDaPConfig(seed=SEED, affinity_mode=mode,
                                      effort=EFFORT)
-                placement = HiDaP(config).place(flat, die_w, die_h)
+                placement = HiDaP(config).place(
+                    flat, die_w, die_h, tree=prepared.tree)
                 results[(name, mode)] = evaluate_placement(flat,
                                                            placement)
         return results

@@ -11,7 +11,6 @@ from repro.core import HiDaP, HiDaPConfig
 from repro.core.decluster import decluster
 from repro.api import evaluate_placement, prepare_design
 from repro.gen.designs import suite_specs
-from repro.hiergraph.hierarchy import build_hierarchy
 
 VARIANTS = (
     ("paper (1% / 40%)", 0.01, 0.40),
@@ -41,7 +40,7 @@ def test_ablation_decluster_thresholds(benchmark):
     prepared = prepare_design(spec)
     flat, _truth, die_w, die_h = (prepared.flat, prepared.truth,
                                   prepared.die_w, prepared.die_h)
-    tree = build_hierarchy(flat)
+    tree = prepared.tree
 
     results = {}
 
@@ -52,7 +51,8 @@ def test_ablation_decluster_thresholds(benchmark):
             config = HiDaPConfig(seed=SEED, min_area_frac=min_frac,
                                  open_area_frac=open_frac,
                                  effort=EFFORT)
-            placement = HiDaP(config).place(flat, die_w, die_h)
+            placement = HiDaP(config).place(flat, die_w, die_h,
+                                               tree=tree)
             metrics = evaluate_placement(flat, placement)
             results[label] = (n_blocks, n_glue, metrics)
         return results

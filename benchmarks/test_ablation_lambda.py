@@ -22,10 +22,10 @@ def test_ablation_lambda_sweep(benchmark):
         for name in CIRCUITS:
             spec = next(s for s in suite_specs(SCALE) if s.name == name)
             prepared = prepare_design(spec)
-            flat, truth, die_w, die_h = (prepared.flat, prepared.truth,
-                                          prepared.die_w, prepared.die_h)
+            design, truth, die_w, die_h = (prepared.design, prepared.truth,
+                                           prepared.die_w, prepared.die_h)
             for lam in LAMBDAS:
-                metrics = run_flow(flat, truth, f"hidap:lam={lam}", die_w,
+                metrics = run_flow(design, truth, f"hidap:lam={lam}", die_w,
                                    die_h, options=RunOptions(
                                        seed=SEED, effort=EFFORT))
                 results[(name, lam)] = metrics.wl_meters

@@ -26,7 +26,8 @@ def test_ablation_latency_exponent(benchmark):
         for k in KS:
             config = HiDaPConfig(seed=SEED, lam=0.5, latency_k=k,
                                  effort=EFFORT)
-            placement = HiDaP(config).place(flat, die_w, die_h)
+            placement = HiDaP(config).place(flat, die_w, die_h,
+                                               tree=prepared.tree)
             results[k] = evaluate_placement(flat, placement)
         return results
 

@@ -27,7 +27,8 @@ def test_ablation_flipping(benchmark):
             for flipping in (False, True):
                 config = HiDaPConfig(seed=SEED, flipping=flipping,
                                      effort=EFFORT)
-                placement = HiDaP(config).place(flat, die_w, die_h)
+                placement = HiDaP(config).place(
+                    flat, die_w, die_h, tree=prepared.tree)
                 metrics = evaluate_placement(flat, placement)
                 results[(name, flipping)] = (placement, metrics)
         return results

@@ -96,7 +96,7 @@ def build_fig2_design():
 def test_fig2_block_vs_macro_flow(benchmark):
     design = build_fig2_design()
     flat = flatten(design)
-    tree = build_hierarchy(flat)
+    tree = build_hierarchy(design, flat)
     gnet = build_gnet(flat)
     gseq = build_gseq(gnet, flat)
     result = decluster(tree.root, flat, 0.005, 0.60)

@@ -24,7 +24,7 @@ def test_fig5_hierarchical_declustering(benchmark):
     spec = suite_specs(SCALE)[0]
     design, _truth = build_design(spec)
     flat = flatten(design)
-    tree = build_hierarchy(flat)
+    tree = build_hierarchy(design, flat)
 
     def run():
         return decluster(tree.root, flat, MIN_AREA_FRAC, OPEN_AREA_FRAC)

@@ -26,7 +26,7 @@ def test_fig6_target_area_assignment(benchmark):
     spec = suite_specs(SCALE)[0]
     design, _truth = build_design(spec)
     flat = flatten(design)
-    tree = build_hierarchy(flat)
+    tree = build_hierarchy(design, flat)
     gnet = build_gnet(flat)
     result = decluster(tree.root, flat, 0.01, 0.40)
 

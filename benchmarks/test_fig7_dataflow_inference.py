@@ -61,7 +61,7 @@ def build_fig7_design():
 def test_fig7_dataflow_inference(benchmark):
     design, (name_p, name_q) = build_fig7_design()
     flat = flatten(design)
-    tree = build_hierarchy(flat)
+    tree = build_hierarchy(design, flat)
     gseq = build_gseq(build_gnet(flat), flat)
     result = decluster(tree.root, flat, 0.002, 0.9)
     by_name = {s.name: i for i, s in enumerate(result.blocks)}

@@ -22,7 +22,6 @@ from repro.core.ports import assign_port_positions
 from repro.api import prepare_design
 from repro.gen.designs import suite_specs
 from repro.geometry.rect import Rect
-from repro.hiergraph.hierarchy import build_hierarchy
 from repro.placement.stdcell import place_cells
 from repro.viz.density import density_map, density_stats
 from repro.viz.dfgraph import svg_dataflow
@@ -57,17 +56,18 @@ def test_fig9_density_maps(benchmark, artifacts_dir):
     prepared = prepare_design(spec)
     flat, truth, die_w, die_h = (prepared.flat, prepared.truth,
                                   prepared.die_w, prepared.die_h)
-    ports = assign_port_positions(flat.design,
+    ports = assign_port_positions(flat.top,
                                   Rect(0, 0, die_w, die_h))
 
     placements = {}
 
     def place_all():
         placements["indeda"] = place_indeda(flat, die_w, die_h)
-        placements["handfp"] = place_handfp(flat, truth, die_w, die_h)
+        placements["handfp"] = place_handfp(flat, truth, die_w, die_h,
+                                            tree=prepared.tree)
         placements["hidap"] = HiDaP(
             HiDaPConfig(seed=SEED, lam=0.5, effort=EFFORT)).place(
-                flat, die_w, die_h, flow_name="hidap")
+                flat, die_w, die_h, flow_name="hidap", tree=prepared.tree)
         return placements
 
     pedantic(benchmark, place_all)
@@ -93,7 +93,7 @@ def test_fig9_density_maps(benchmark, artifacts_dir):
 
     # Fig. 9d: the top-level Gdf block floorplan from HiDaP.
     placement = placements["hidap"]
-    tree = build_hierarchy(flat)
+    tree = prepared.tree
     from repro.hiergraph.gnet import build_gnet
     from repro.hiergraph.gseq import build_gseq
     gseq = build_gseq(build_gnet(flat), flat)

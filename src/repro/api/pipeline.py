@@ -50,7 +50,7 @@ def _stage_flatten(artifacts: RunArtifacts) -> None:
 def _stage_graphs(artifacts: RunArtifacts) -> None:
     flat = artifacts.flat
     if artifacts.tree is None:
-        artifacts.tree = build_hierarchy(flat)
+        artifacts.tree = build_hierarchy(artifacts.design, flat)
     if artifacts.gnet is None:
         artifacts.gnet = build_gnet(flat)
     if artifacts.gseq is None:
@@ -91,7 +91,7 @@ def _stage_shape_curves(artifacts: RunArtifacts) -> None:
 
 def _stage_floorplan(artifacts: RunArtifacts) -> None:
     artifacts.port_positions = assign_port_positions(
-        artifacts.flat.design, artifacts.die)
+        artifacts.flat.top, artifacts.die)
     floorplanner = RecursiveFloorplanner(
         flat=artifacts.flat, gnet=artifacts.gnet, gseq=artifacts.gseq,
         tree=artifacts.tree, curves=artifacts.curves,

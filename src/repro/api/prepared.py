@@ -8,6 +8,13 @@ from the same cache.  :func:`prepare_design` shares one flatten among
 the ground truth, the die size and :attr:`PreparedDesign.flat`
 (:func:`~repro.netlist.flatten.shared_flats`), so a design is flattened
 exactly once from generation to a compiled store entry.
+
+The hierarchical design is read only while a prepared design compiles:
+to flatten it and to build its hierarchy tree.  Once those exist, every
+consumer reads the flat design and its
+:class:`~repro.netlist.flatten.TopInterface`, and the pickled state of
+a prepared design (a compiled store entry) carries no hierarchical
+design at all.
 """
 
 from __future__ import annotations
@@ -31,9 +38,15 @@ class PreparedDesign:
     ``flat``, ``gnet``, ``gseq`` and ``tree`` are built on first access
     and cached, so ``flatten``/``build_gnet``/``build_gseq`` run once
     per design instead of once per consumer (flow, referee, figure).
+
+    ``design``, the hierarchical design, is kept only to build ``flat``
+    and ``tree``: pickling drops it, so a compiled store entry holds
+    the flat design, its graphs, tree and compiled arrays, and no
+    module, instance or net of the hierarchy.  :attr:`name` comes from
+    the flat design's top interface.
     """
 
-    design: Design
+    design: Optional[Design]
     die_w: float
     die_h: float
     truth: Optional[GroundTruth] = None
@@ -44,9 +57,15 @@ class PreparedDesign:
     _tree: Optional[HierTree] = field(default=None, repr=False)
     _info: Optional[str] = field(default=None, repr=False)
 
+    def __getstate__(self):
+        """The pickled state: everything but the hierarchical design."""
+        state = dict(self.__dict__)
+        state["design"] = None
+        return state
+
     @property
     def name(self) -> str:
-        return self.design.name
+        return self.flat.top.name
 
     @property
     def die(self) -> Tuple[float, float]:
@@ -63,25 +82,22 @@ class PreparedDesign:
     @property
     def gnet(self) -> Gnet:
         if self._gnet is None:
-            with current_tracer().span("prepare.gnet",
-                                       design=self.design.name):
+            with current_tracer().span("prepare.gnet", design=self.name):
                 self._gnet = build_gnet(self.flat)
         return self._gnet
 
     @property
     def gseq(self) -> Gseq:
         if self._gseq is None:
-            with current_tracer().span("prepare.gseq",
-                                       design=self.design.name):
+            with current_tracer().span("prepare.gseq", design=self.name):
                 self._gseq = build_gseq(self.gnet, self.flat)
         return self._gseq
 
     @property
     def tree(self) -> HierTree:
         if self._tree is None:
-            with current_tracer().span("prepare.tree",
-                                       design=self.design.name):
-                self._tree = build_hierarchy(self.flat)
+            with current_tracer().span("prepare.tree", design=self.name):
+                self._tree = build_hierarchy(self.design, self.flat)
         return self._tree
 
     @property
@@ -139,8 +155,13 @@ class PreparedDesign:
     @classmethod
     def from_flat(cls, flat: FlatDesign, die_w: float, die_h: float,
                   truth: Optional[GroundTruth] = None) -> "PreparedDesign":
-        """Wrap an already-flattened design."""
-        prepared = cls(design=flat.design, die_w=die_w, die_h=die_h,
+        """Wrap an already-flattened design.
+
+        The result has no hierarchical design, so it cannot build the
+        hierarchy tree that the HiDaP and handFP flows read: wrap the
+        design with :func:`prepare` for those.
+        """
+        prepared = cls(design=None, die_w=die_w, die_h=die_h,
                        truth=truth)
         prepared._flat = flat
         return prepared

@@ -33,6 +33,7 @@ from repro.core.result import MacroPlacement
 from repro.gen.spec import GroundTruth
 from repro.hiergraph.gnet import build_gnet
 from repro.hiergraph.gseq import build_gseq
+from repro.netlist.core import Design
 from repro.netlist.flatten import FlatDesign
 from repro.obs import current_tracer
 from repro.placement.stdcell import place_cells
@@ -133,7 +134,7 @@ def evaluate_placement(flat: FlatDesign, placement: MacroPlacement,
     from repro.metrics import NumpyBackend, locate_endpoints, net_arrays_for
 
     die = placement.die
-    port_positions = assign_port_positions(flat.design, die)
+    port_positions = assign_port_positions(flat.top, die)
     if gseq is None:
         gseq = build_gseq(build_gnet(flat), flat)
 
@@ -141,7 +142,7 @@ def evaluate_placement(flat: FlatDesign, placement: MacroPlacement,
     kernels = backend or NumpyBackend()
     arrays = net_arrays_for(flat) if kernels.uses_net_arrays else None
 
-    with tracer.span("referee", design=flat.design.name,
+    with tracer.span("referee", design=flat.top.name,
                      flow=placement.flow_name, backend=kernels.name):
         with tracer.span("referee.stdcell"):
             cells = place_cells(flat, placement, port_positions,
@@ -166,7 +167,7 @@ def evaluate_placement(flat: FlatDesign, placement: MacroPlacement,
                                     clock_period=clock_period,
                                     backend=kernels)
     return FlowMetrics(
-        design=flat.design.name,
+        design=flat.top.name,
         flow=placement.flow_name,
         wl_meters=wl.meters,
         grc_percent=congestion.grc_percent,
@@ -176,11 +177,12 @@ def evaluate_placement(flat: FlatDesign, placement: MacroPlacement,
         macro_overlap=placement.macro_overlap_area())
 
 
-def run_flow(flat: FlatDesign, truth: Optional[GroundTruth],
+def run_flow(design: Union[Design, FlatDesign],
+             truth: Optional[GroundTruth],
              flow: str, die_w: float, die_h: float,
              options: Optional[RunOptions] = None,
              clock_period: Optional[float] = None) -> FlowMetrics:
-    """Place with ``flow`` and evaluate with the shared referee.
+    """Place ``design`` with ``flow`` and evaluate with the shared referee.
 
     A thin shim over the flow registry (:mod:`repro.api.registry`):
     ``flow`` is any registered name or parameterized spec —
@@ -191,13 +193,21 @@ def run_flow(flat: FlatDesign, truth: Optional[GroundTruth],
     ``options`` carries the run knobs (:class:`RunOptions`: seed,
     effort, trace — see the module docstring for the one trace
     semantics).
+
+    ``design`` is the hierarchical design or its flattened view.  A
+    flat design serves only the flows that need no hierarchy tree
+    (``indeda``): it keeps nothing of the hierarchy but its top
+    interface.
     """
     from repro.api import get_flow
-    from repro.api.prepared import PreparedDesign
+    from repro.api.prepared import PreparedDesign, prepare
 
     opts = options if options is not None else RunOptions()
-    prepared = PreparedDesign.from_flat(flat, die_w=die_w, die_h=die_h,
-                                        truth=truth)
+    if isinstance(design, FlatDesign):
+        prepared = PreparedDesign.from_flat(design, die_w=die_w,
+                                            die_h=die_h, truth=truth)
+    else:
+        prepared = prepare(design, truth, die=(die_w, die_h))
     placer = get_flow(flow, seed=opts.seed, effort=opts.effort)
     if not opts.tracing:
         return placer.evaluate(prepared, clock_period=clock_period)
@@ -206,7 +216,7 @@ def run_flow(flat: FlatDesign, truth: Optional[GroundTruth],
 
     tracer = Tracer("run_flow")
     with use_tracer(tracer):
-        with tracer.span("flow.place", design=flat.design.name,
+        with tracer.span("flow.place", design=prepared.name,
                          flow=flow):
             metrics = placer.evaluate(prepared,
                                       clock_period=clock_period)

@@ -87,7 +87,9 @@ def place_handfp(design, truth: GroundTruth, die_w: float, die_h: float,
 
     ``gnet``/``gseq``/``tree`` accept pre-built structures (e.g. from
     a :class:`repro.api.prepared.PreparedDesign`) to avoid rebuilding
-    them; they must belong to the same flattened design.
+    them; they must belong to the same flattened design.  A flattened
+    ``design`` needs its ``tree``: only the hierarchical design can
+    build one.
     """
     start = perf_seconds()
     flat = design if isinstance(design, FlatDesign) else flatten(design)
@@ -97,8 +99,8 @@ def place_handfp(design, truth: GroundTruth, die_w: float, die_h: float,
     if gseq is None:
         gseq = build_gseq(gnet, flat)
     if tree is None:
-        tree = build_hierarchy(flat)
-    port_positions = assign_port_positions(flat.design, die)
+        tree = build_hierarchy(design, flat)
+    port_positions = assign_port_positions(flat.top, die)
 
     macro_cells, matrix, port_names = macro_affinity_matrix(
         gseq, flat, lam=_LAM, latency_k=_LATENCY_K)
@@ -140,7 +142,7 @@ def place_handfp(design, truth: GroundTruth, die_w: float, die_h: float,
     dims = [(flat.cells[c].ctype.width, flat.cells[c].ctype.height)
             for c in macro_cells]
 
-    placement = MacroPlacement(design_name=flat.design.name,
+    placement = MacroPlacement(design_name=flat.top.name,
                                flow_name="handfp", die=die)
     placement.block_rects[""] = die
     for strip, strip_members, inst_name in zip(strips, members,

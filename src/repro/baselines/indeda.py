@@ -79,7 +79,7 @@ def place_indeda(design, die_w: float, die_h: float,
         gnet = build_gnet(flat)
     if gseq is None:
         gseq = build_gseq(gnet, flat)
-    port_positions = assign_port_positions(flat.design, die)
+    port_positions = assign_port_positions(flat.top, die)
 
     macro_cells, matrix, port_names = macro_affinity_matrix(
         gseq, flat, lam=_LAM, latency_k=_LATENCY_K)
@@ -112,6 +112,6 @@ def place_indeda(design, die_w: float, die_h: float,
     order, rects = refine_order(order, repack, matrix, port_pulls,
                                 passes=refinement_passes)
     placement = to_placement(flat, die, order, rects, macro_cells,
-                             "indeda", flat.design.name)
+                             "indeda", flat.top.name)
     placement.runtime_seconds = perf_seconds() - start
     return placement

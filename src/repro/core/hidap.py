@@ -56,7 +56,10 @@ class HiDaP:
         ``gnet``/``gseq``/``tree`` may be passed to reuse pre-built
         structures (e.g. from a
         :class:`repro.api.prepared.PreparedDesign` cache); the graphs
-        stage then skips reconstruction.  Likewise ``curves`` (the
+        stage then skips reconstruction.  A flattened ``design`` needs
+        its ``tree`` (:func:`~repro.hiergraph.hierarchy.build_hierarchy`
+        over the hierarchical design): a flat design keeps nothing of
+        the hierarchy but its top interface.  Likewise ``curves`` (the
         ``curves`` of an earlier run on the same ``tree`` whose config
         had an equal ``shapegen_config()``) makes the shape-curves stage
         skip its search.
@@ -69,12 +72,12 @@ class HiDaP:
         flat = design if isinstance(design, FlatDesign) else None
         artifacts = RunArtifacts(
             die=die, config=self.config, flow_name=flow_name,
-            design=design.design if flat is not None else design,
+            design=None if flat is not None else design,
             flat=flat, gnet=gnet, gseq=gseq, tree=tree, curves=curves)
         # Expose the record before running so partially filled
         # artifacts stay inspectable if a stage raises.
         self.artifacts = artifacts
-        design_name = artifacts.design.name if artifacts.design else "?"
+        design_name = flat.top.name if flat is not None else design.name
         tracer = current_tracer()
         with tracer.span("place", design=design_name, flow=flow_name,
                          lam=self.config.lam):

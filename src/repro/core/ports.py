@@ -15,7 +15,7 @@ from typing import Dict, List
 
 from repro.geometry.rect import Point, Rect
 from repro.netlist.cells import Direction
-from repro.netlist.core import Design
+from repro.netlist.flatten import TopInterface
 
 
 def _perimeter_point(die: Rect, t: float) -> Point:
@@ -35,17 +35,19 @@ def _perimeter_point(die: Rect, t: float) -> Point:
     return Point(die.x, die.y2 - s)
 
 
-def assign_port_positions(design: Design, die: Rect) -> Dict[str, Point]:
+def assign_port_positions(top: TopInterface, die: Rect
+                          ) -> Dict[str, Point]:
     """Deterministic port placement on the die boundary.
 
     Inputs are spread over the left half of the perimeter walk
     (west/south edges first), outputs over the right half, mirroring the
     data-enters-left / data-leaves-right convention of the synthetic
-    designs.
+    designs.  ``top`` is the flat design's
+    :class:`~repro.netlist.flatten.TopInterface`.
     """
     inputs: List[str] = []
     outputs: List[str] = []
-    for port in design.top.ports.values():
+    for port in top.ports:
         if port.direction is Direction.IN:
             inputs.append(port.name)
         else:

@@ -63,7 +63,7 @@ class RecursiveFloorplanner:
     def run(self, die: Rect, flow_name: str = "hidap") -> MacroPlacement:
         """Place all macros of the design inside ``die``."""
         self.placement = MacroPlacement(
-            design_name=self.flat.design.name, flow_name=flow_name, die=die)
+            design_name=self.flat.top.name, flow_name=flow_name, die=die)
         self.placement.block_rects[""] = die
         port_terms = self._port_terminals()
         self._place_level(self.tree.root, die, port_terms, depth=0)

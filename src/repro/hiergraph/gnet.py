@@ -96,12 +96,12 @@ def build_gnet(flat: FlatDesign) -> Gnet:
             kind = NodeKind.COMB
         node_of_cell[cell.index] = add_node(kind, cell.index, None)
 
-    top_ports = flat.design.top.ports
-    for port in top_ports.values():
+    for port in flat.top.ports:
         for bit in range(port.width):
             key = (port.name, bit)
             node_of_port[key] = add_node(NodeKind.PORT, -1, key)
 
+    port_direction = flat.top.directions()
     succ: List[List[int]] = [[] for _ in range(len(kinds))]
     pred: List[List[int]] = [[] for _ in range(len(kinds))]
 
@@ -117,7 +117,7 @@ def build_gnet(flat: FlatDesign) -> Gnet:
                 loads.append(node)
         for port_name, bit in net.top_ports:
             node = node_of_port[(port_name, bit)]
-            if top_ports[port_name].direction is Direction.IN:
+            if port_direction[port_name] is Direction.IN:
                 drivers.append(node)     # input ports drive inward
             else:
                 loads.append(node)

@@ -87,13 +87,17 @@ def _join(path: str, name: str) -> str:
     return name if not path else path + PATH_SEP + name
 
 
-def build_hierarchy(flat: FlatDesign) -> HierTree:
-    """Construct HT for a flattened design.
+def build_hierarchy(design: Design, flat: FlatDesign) -> HierTree:
+    """Construct HT for ``design`` and its flattened view ``flat``.
 
     The tree mirrors module instantiation: one node per module instance.
-    Aggregates are accumulated bottom-up in a single walk.
+    Aggregates are accumulated bottom-up in a single walk.  The
+    hierarchical design is read only here, at compile time: a flat
+    design keeps nothing of the hierarchy but its top interface.
     """
-    design: Design = flat.design
+    if not isinstance(design, Design):
+        raise TypeError(f"build_hierarchy needs the hierarchical Design "
+                        f"of {flat.top.name}, not {type(design).__name__}")
 
     def visit(module: Module, path: str,
               parent: Optional[HierNode]) -> HierNode:

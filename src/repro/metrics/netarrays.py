@@ -147,8 +147,13 @@ def compile_net_arrays(flat: FlatDesign) -> NetArrays:
         port_names=tuple(port_slots))
 
 
-def _fingerprint(flat: FlatDesign) -> Tuple[int, int, int]:
-    """Cheap staleness check for the per-design compile cache."""
+def flat_fingerprint(flat: FlatDesign) -> Tuple[int, int, int]:
+    """Staleness check for the caches kept on a flat design.
+
+    ``(cells, nets, endpoint rows)``: the compiled arrays here and the
+    clustered netlist (:func:`repro.placement.cluster.clustered_for`)
+    are rebuilt when any of the three changes.
+    """
     rows = sum(  # repro: noqa[REP003] integer count, exact in any order
         len(net.endpoints) + len(net.top_ports) for net in flat.nets)
     return (len(flat.cells), len(flat.nets), rows)
@@ -167,12 +172,12 @@ def net_arrays_for(flat: FlatDesign) -> NetArrays:
     """
     from repro.obs import current_tracer
 
-    fingerprint = _fingerprint(flat)
+    fingerprint = flat_fingerprint(flat)
     cached = getattr(flat, "_net_arrays", None)
     if cached is not None and cached[0] == fingerprint:
         return cached[1]
     with current_tracer().span("prepare.net_arrays",
-                               design=flat.design.name):
+                               design=flat.top.name):
         arrays = compile_net_arrays(flat)
     flat._net_arrays = (fingerprint, arrays)
     return arrays

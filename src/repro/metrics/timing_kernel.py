@@ -175,7 +175,7 @@ def timing_arrays_for(gseq: "Gseq", flat: "FlatDesign") -> TimingArrays:
     if cached is not None and cached[0] == fingerprint:
         return cached[1]
     with current_tracer().span("prepare.timing_arrays",
-                               design=flat.design.name):
+                               design=flat.top.name):
         arrays = compile_timing_arrays(gseq, flat)
     gseq._timing_arrays = (fingerprint, arrays)
     return arrays

@@ -22,7 +22,8 @@ from repro.netlist.cells import (
 )
 from repro.netlist.core import Conn, Design, Instance, Module, Net
 from repro.netlist.builder import ModuleBuilder
-from repro.netlist.flatten import FlatCell, FlatDesign, FlatNet, flatten
+from repro.netlist.flatten import (FlatCell, FlatDesign, FlatNet,
+                                   TopInterface, flatten)
 from repro.netlist.validate import ValidationIssue, validate_design
 from repro.netlist.stats import DesignStats, design_stats
 
@@ -41,6 +42,7 @@ __all__ = [
     "ModuleBuilder",
     "Net",
     "PortDef",
+    "TopInterface",
     "ValidationIssue",
     "comb_cell",
     "design_stats",

@@ -5,7 +5,10 @@ Flattening resolves every hierarchy boundary with a union-find over
 whose endpoints are leaf-cell pins and top-level port bits.  The result
 feeds ``Gnet`` construction; each flat cell remembers the hierarchy path
 of its enclosing module so cells can be mapped back onto the hierarchy
-tree.
+tree.  Of the hierarchical design itself a flat keeps only its
+:class:`TopInterface`: the name and the ordered top ports, which is all
+that placement, the graphs and the referee read once a design is
+flattened.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from contextvars import ContextVar
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from repro.netlist.cells import CellType, Direction
+from repro.netlist.cells import CellType, Direction, PortDef
 from repro.netlist.core import Design, Module
 
 PATH_SEP = "/"
@@ -86,11 +89,31 @@ class _UnionFind:
             self.parent[rb] = ra
 
 
-class FlatDesign:
-    """The flattened view of a hierarchical design."""
+@dataclass(frozen=True)
+class TopInterface:
+    """A design's name and its top ports in declaration order."""
 
-    def __init__(self, design: Design):
-        self.design = design
+    name: str
+    ports: Tuple[PortDef, ...]
+
+    @classmethod
+    def of(cls, design: Design) -> "TopInterface":
+        return cls(design.name, tuple(design.top.ports.values()))
+
+    def directions(self) -> Dict[str, Direction]:
+        """Each top port's direction, by port name."""
+        return {port.name: port.direction for port in self.ports}
+
+
+class FlatDesign:
+    """The flattened view of a hierarchical design.
+
+    ``top`` is all it keeps of the design: a compiled store entry holds
+    no module, instance or net of the hierarchy.
+    """
+
+    def __init__(self, top: TopInterface):
+        self.top = top
         self.cells: List[FlatCell] = []
         self.nets: List[FlatNet] = []
         self.cell_index_by_path: Dict[str, int] = {}
@@ -116,7 +139,7 @@ class FlatDesign:
         return sum(c.ctype.area for c in self.cells if c.is_macro)
 
     def __repr__(self) -> str:
-        return (f"FlatDesign({self.design.name}: {len(self.cells)} cells, "
+        return (f"FlatDesign({self.top.name}: {len(self.cells)} cells, "
                 f"{len(self.nets)} bit-nets)")
 
 
@@ -164,7 +187,7 @@ def flatten(design: Design) -> FlatDesign:
 
 
 def _flatten(design: Design) -> FlatDesign:
-    flat = FlatDesign(design)
+    flat = FlatDesign(TopInterface.of(design))
     uf = _UnionFind()
     # Endpoints attached to each net-bit key (resolved to roots later).
     pin_hits: List[Tuple[NetKey, Endpoint]] = []

@@ -53,7 +53,7 @@ def _check_hierarchy(design: Design, issues: List[ValidationIssue]) -> None:
 
 
 def _check_drivers(flat: FlatDesign, issues: List[ValidationIssue]) -> None:
-    top_ports = flat.design.top.ports
+    port_direction = flat.top.directions()
     for net in flat.nets:
         drivers = 0
         for cell_index, pin, _bit in net.endpoints:
@@ -61,7 +61,7 @@ def _check_drivers(flat: FlatDesign, issues: List[ValidationIssue]) -> None:
             if cell.ctype.port(pin).direction is Direction.OUT:
                 drivers += 1
         for port_name, _bit in net.top_ports:
-            if top_ports[port_name].direction is Direction.IN:
+            if port_direction[port_name] is Direction.IN:
                 drivers += 1
         if drivers > 1:
             issues.append(ValidationIssue(

@@ -135,24 +135,21 @@ def cluster_cells(flat: FlatDesign) -> ClusteredNetlist:
                             cluster_of_cell=cluster_of_cell, nets=nets)
 
 
-def _fingerprint(flat: FlatDesign) -> Tuple[int, int, int]:
-    """Cheap staleness check for the per-design clustering cache."""
-    rows = sum(len(net.endpoints) + len(net.top_ports)
-               for net in flat.nets)
-    return (len(flat.cells), len(flat.nets), rows)
-
-
 def clustered_for(flat: FlatDesign) -> ClusteredNetlist:
     """The clustered netlist for ``flat``, built once and cached on it.
 
     Clustering is a pure function of the flat netlist (no placement, no
     RNG), so every referee evaluation of the same design can share one
     :class:`ClusteredNetlist` — the same sharing discipline as
-    :func:`repro.metrics.net_arrays_for`.  The cache is invalidated when
-    the design's cell/net counts change; deeper mutations require
-    dropping ``flat._clustered`` manually.
+    :func:`repro.metrics.net_arrays_for`, and the same staleness check
+    (:func:`~repro.metrics.netarrays.flat_fingerprint`): the cache is
+    invalidated when the design's cell, net or endpoint counts change;
+    deeper mutations require dropping ``flat._clustered`` manually.
     """
-    fingerprint = _fingerprint(flat)
+    # Imported here: repro.metrics imports this module.
+    from repro.metrics.netarrays import flat_fingerprint
+
+    fingerprint = flat_fingerprint(flat)
     cached = getattr(flat, "_clustered", None)
     if cached is not None and cached[0] == fingerprint:
         return cached[1]

@@ -11,6 +11,13 @@ three compiled referee array records
 ``*_arrays_for`` caches.  A warm process skips design generation,
 flattening, graph construction and array compilation entirely.
 
+An entry holds what a job reads and nothing of the hierarchical
+:class:`~repro.netlist.core.Design` it was compiled from: the flat
+design keeps only its top interface (the design name and ordered top
+ports, :class:`~repro.netlist.flatten.TopInterface`), and pickling a
+prepared design drops its ``design``.  The hierarchy itself survives as
+the compiled hierarchy tree.
+
 Entry format
 ------------
 This module is the only one that knows it.  An entry is a directory

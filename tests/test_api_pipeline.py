@@ -13,6 +13,7 @@ from repro.api import (
 from repro.core.config import Effort, HiDaPConfig
 from repro.core.hidap import HiDaP
 from repro.geometry.rect import Rect
+from repro.hiergraph.hierarchy import build_hierarchy
 from repro.obs import Tracer, use_tracer
 
 
@@ -112,10 +113,20 @@ class TestPreparedCaching:
         assert placer.artifacts.gseq is gseq
         assert placer.artifacts.tree is tree
 
-    def test_pipeline_skips_preset_flat(self, two_stage_flat):
+    def test_pipeline_skips_preset_flat(self, two_stage_design,
+                                        two_stage_flat):
         placer = HiDaP(HiDaPConfig(seed=2, effort=Effort.FAST))
-        placer.place(two_stage_flat, 40.0, 40.0)
+        placer.place(two_stage_flat, 40.0, 40.0,
+                     tree=build_hierarchy(two_stage_design,
+                                          two_stage_flat))
         assert placer.artifacts.flat is two_stage_flat
+
+    def test_flat_without_tree_is_rejected(self, two_stage_flat):
+        """A flat design keeps only its top interface, so it cannot
+        build the hierarchy tree the placer needs."""
+        placer = HiDaP(HiDaPConfig(seed=2, effort=Effort.FAST))
+        with pytest.raises(TypeError, match="hierarchical Design"):
+            placer.place(two_stage_flat, 40.0, 40.0)
 
 
 class TestFailingStage:

@@ -121,24 +121,23 @@ class TestIndEDA:
 
 
 class TestHandFP:
-    def test_legal_placement(self, tiny_c1_flat, tiny_c1):
-        _design, truth, die_w, die_h = tiny_c1
-        placement = place_handfp(tiny_c1_flat, truth, die_w, die_h)
+    def test_legal_placement(self, tiny_c1):
+        design, truth, die_w, die_h = tiny_c1
+        placement = place_handfp(design, truth, die_w, die_h)
         assert len(placement.macros) == 32
         assert placement.macro_overlap_area() == pytest.approx(0.0)
         assert placement.macros_inside_die()
 
-    def test_strips_follow_ground_truth_order(self, tiny_c1_flat,
-                                              tiny_c1):
-        _design, truth, die_w, die_h = tiny_c1
-        placement = place_handfp(tiny_c1_flat, truth, die_w, die_h)
+    def test_strips_follow_ground_truth_order(self, tiny_c1):
+        design, truth, die_w, die_h = tiny_c1
+        placement = place_handfp(design, truth, die_w, die_h)
         # Strip rects are recorded per subsystem, ordered left→right.
         xs = [placement.block_rects[name].x for name in truth.order]
         assert xs == sorted(xs)
 
     def test_macros_in_their_strips(self, tiny_c1_flat, tiny_c1):
-        _design, truth, die_w, die_h = tiny_c1
-        placement = place_handfp(tiny_c1_flat, truth, die_w, die_h)
+        design, truth, die_w, die_h = tiny_c1
+        placement = place_handfp(design, truth, die_w, die_h)
         for inst_name in truth.order:
             strip = placement.block_rects[inst_name]
             for path in truth.subsystem_macros[inst_name]:

@@ -52,9 +52,10 @@ def _shape(flat):
 def test_truth_die_and_flat_equal_an_unshared_flatten(scale):
     for spec in suite_specs(scale):
         prepared = prepare_design(spec)
-        oracle = flatten(prepared.design)
+        oracle = flatten(build_design(spec)[0])
         assert oracle is not prepared.flat
         assert _shape(prepared.flat) == _shape(oracle)
+        assert prepared.flat.top == oracle.top
         truth = prepared.truth
         assert truth.subsystem_macros == _flatten_truth(oracle, truth.order)
         assert sum(map(len, truth.subsystem_macros.values())) \

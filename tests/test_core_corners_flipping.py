@@ -203,7 +203,7 @@ class TestFlipEquivalence:
                     coord(), coord(), rng.uniform(1.0, 80.0),
                     rng.uniform(1.0, 80.0))
         ports = {name: Point(coord(), coord())
-                 for name in sorted(flat.design.top.ports)
+                 for name in sorted(port.name for port in flat.top.ports)
                  if rng.random() < 0.7}
         array, loop = _flip_both(flat, placement, ports)
         assert array == loop

@@ -11,10 +11,10 @@ from repro.hiergraph.hierarchy import build_hierarchy
 
 
 @pytest.fixture(scope="module")
-def two_stage_ctx(two_stage_flat):
+def two_stage_ctx(two_stage_design, two_stage_flat):
     gnet = build_gnet(two_stage_flat)
     gseq = build_gseq(gnet, two_stage_flat)
-    tree = build_hierarchy(two_stage_flat)
+    tree = build_hierarchy(two_stage_design, two_stage_flat)
     return two_stage_flat, gnet, gseq, tree
 
 

@@ -68,7 +68,7 @@ def build_mixed_design():
 def mixed():
     design = build_mixed_design()
     flat = flatten(design)
-    tree = build_hierarchy(flat)
+    tree = build_hierarchy(design, flat)
     return flat, tree
 
 
@@ -109,8 +109,9 @@ class TestDecluster:
         assert "big/ga" in names
         assert "big/gb" in names
 
-    def test_direct_macros_become_pseudo_blocks(self, two_stage_flat):
-        tree = build_hierarchy(two_stage_flat)
+    def test_direct_macros_become_pseudo_blocks(self, two_stage_design,
+                                                two_stage_flat):
+        tree = build_hierarchy(two_stage_design, two_stage_flat)
         sa = tree.node("sa")
         result = decluster(sa, two_stage_flat, 0.01, 0.40)
         macro_seeds = [b for b in result.blocks if b.is_macro_seed]
@@ -118,16 +119,16 @@ class TestDecluster:
         assert macro_seeds[0].name == "sa/mem"
         assert macro_seeds[0].macro_count() == 1
 
-    def test_loose_glue_collected(self, two_stage_flat):
-        tree = build_hierarchy(two_stage_flat)
+    def test_loose_glue_collected(self, two_stage_design, two_stage_flat):
+        tree = build_hierarchy(two_stage_design, two_stage_flat)
         sa = tree.node("sa")
         result = decluster(sa, two_stage_flat, 0.01, 0.40)
         # sa's 16 flops (8-bit in_reg + out_reg) are direct cells of an
         # opened node -> loose glue.
         assert len(result.loose_glue_cells) == 16
 
-    def test_seed_accessors(self, two_stage_flat):
-        tree = build_hierarchy(two_stage_flat)
+    def test_seed_accessors(self, two_stage_design, two_stage_flat):
+        tree = build_hierarchy(two_stage_design, two_stage_flat)
         result = decluster(tree.root, two_stage_flat, 0.01, 0.40)
         for seed in result.blocks:
             assert seed.area(two_stage_flat) > 0
@@ -156,7 +157,7 @@ class TestOpenSingleBlock:
         design.add_module(top.build())
         design.set_top("top")
         flat = flatten(design)
-        tree = build_hierarchy(flat)
+        tree = build_hierarchy(design, flat)
         result = open_single_block(tree.root, flat, 0.01, 0.40)
         # Descended past 'w' and into 'w/u', exposing the macro.
         assert any(b.is_macro_seed for b in result.blocks)

@@ -28,7 +28,7 @@ def legalized_placement(request):
     design, _truth = build_design(spec)
     die_w, die_h = die_for(design)
     config = HiDaPConfig(seed=1, effort=Effort.FAST, legalize=True)
-    placement = HiDaP(config).place(flatten(design), die_w, die_h)
+    placement = HiDaP(config).place(design, die_w, die_h)
     return request.param, placement
 
 

@@ -32,18 +32,18 @@ class TestHierarchyDistance:
 
 
 class TestPseudonetAffinity:
-    def seeds(self, two_stage_flat):
-        tree = build_hierarchy(two_stage_flat)
+    def seeds(self, two_stage_design, two_stage_flat):
+        tree = build_hierarchy(two_stage_design, two_stage_flat)
         return decluster(tree.root, two_stage_flat, 0.01, 0.40).blocks
 
-    def test_matrix_shape(self, two_stage_flat):
-        seeds = self.seeds(two_stage_flat)
+    def test_matrix_shape(self, two_stage_design, two_stage_flat):
+        seeds = self.seeds(two_stage_design, two_stage_flat)
         terms = [TerminalSpec("pin", Point(0, 0), [])]
         matrix = pseudonet_affinity(seeds, terms)
         assert len(matrix) == len(seeds) + 1
 
-    def test_symmetric_nonnegative(self, two_stage_flat):
-        seeds = self.seeds(two_stage_flat)
+    def test_symmetric_nonnegative(self, two_stage_design, two_stage_flat):
+        seeds = self.seeds(two_stage_design, two_stage_flat)
         matrix = pseudonet_affinity(seeds, [])
         n = len(seeds)
         for i in range(n):

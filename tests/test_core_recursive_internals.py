@@ -18,9 +18,9 @@ from repro.shapecurve.curve import ShapeCurve
 
 
 @pytest.fixture()
-def floorplanner(two_stage_flat):
+def floorplanner(two_stage_design, two_stage_flat):
     flat = two_stage_flat
-    tree = build_hierarchy(flat)
+    tree = build_hierarchy(two_stage_design, flat)
     gnet = build_gnet(flat)
     gseq = build_gseq(gnet, flat)
 

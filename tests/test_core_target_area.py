@@ -19,9 +19,9 @@ from repro.hiergraph.hierarchy import build_hierarchy
 
 
 class TestAssignment:
-    def test_area_conservation(self, tiny_c1_flat):
+    def test_area_conservation(self, tiny_c1, tiny_c1_flat):
         """All glue area ends up absorbed by some block."""
-        tree = build_hierarchy(tiny_c1_flat)
+        tree = build_hierarchy(tiny_c1[0], tiny_c1_flat)
         gnet = build_gnet(tiny_c1_flat)
         result = decluster(tree.root, tiny_c1_flat, 0.01, 0.40)
         glue = glue_cells_of(result)
@@ -30,8 +30,8 @@ class TestAssignment:
         assert sum(absorbed) == pytest.approx(glue_area, rel=1e-6)
         assert all(a >= 0 for a in absorbed)
 
-    def test_no_glue_no_absorption(self, two_stage_flat):
-        tree = build_hierarchy(two_stage_flat)
+    def test_no_glue_no_absorption(self, two_stage_design, two_stage_flat):
+        tree = build_hierarchy(two_stage_design, two_stage_flat)
         gnet = build_gnet(two_stage_flat)
         # Cut at root with huge min_area: both stages are blocks (they
         # hold macros), nothing is glue.
@@ -40,10 +40,10 @@ class TestAssignment:
         absorbed = assign_target_areas(two_stage_flat, gnet, result)
         assert absorbed == [0.0] * len(result.blocks)
 
-    def test_graph_proximity_wins(self, two_stage_flat):
+    def test_graph_proximity_wins(self, two_stage_design, two_stage_flat):
         """Glue flops of sa must be absorbed by sa's macro block, not
         sb's."""
-        tree = build_hierarchy(two_stage_flat)
+        tree = build_hierarchy(two_stage_design, two_stage_flat)
         gnet = build_gnet(two_stage_flat)
         sa = tree.node("sa")
         result = decluster(sa, two_stage_flat, 0.01, 0.40)

@@ -70,35 +70,35 @@ class TestTables:
 class TestRunFlow:
     @pytest.fixture(scope="class")
     def ctx(self, tiny_c1, tiny_c1_flat):
-        _design, truth, die_w, die_h = tiny_c1
-        return tiny_c1_flat, truth, die_w, die_h
+        design, truth, die_w, die_h = tiny_c1
+        return design, tiny_c1_flat, truth, die_w, die_h
 
     def test_indeda_flow(self, ctx):
-        flat, truth, w, h = ctx
+        _design, flat, truth, w, h = ctx
         metrics = run_flow(flat, truth, "indeda", w, h)
         assert metrics.flow == "indeda"
         assert metrics.wl_meters > 0
         assert metrics.macro_overlap == pytest.approx(0.0)
 
     def test_hidap_single_lambda(self, ctx):
-        flat, truth, w, h = ctx
-        metrics = run_flow(flat, truth, "hidap:lam=0.5", w, h,
+        design, _flat, truth, w, h = ctx
+        metrics = run_flow(design, truth, "hidap:lam=0.5", w, h,
                            options=RunOptions(seed=1, effort=Effort.FAST))
         assert metrics.lam == 0.5
         assert metrics.wl_meters > 0
 
     def test_handfp_strip_flow(self, ctx):
-        flat, truth, w, h = ctx
-        metrics = run_flow(flat, truth, "handfp-strip", w, h)
+        design, _flat, truth, w, h = ctx
+        metrics = run_flow(design, truth, "handfp-strip", w, h)
         assert metrics.flow == "handfp"
         assert metrics.wl_meters > 0
 
     def test_unknown_flow_rejected(self, ctx):
-        flat, truth, w, h = ctx
+        _design, flat, truth, w, h = ctx
         with pytest.raises(ValueError):
             run_flow(flat, truth, "magic", w, h)
 
     def test_handfp_requires_truth(self, ctx):
-        flat, _truth, w, h = ctx
+        design, _flat, _truth, w, h = ctx
         with pytest.raises(ValueError):
-            run_flow(flat, None, "handfp", w, h)
+            run_flow(design, None, "handfp", w, h)

@@ -23,25 +23,24 @@ class TestRefereeDeterminism:
         assert a.wns_percent == b.wns_percent
         assert a.tns == b.tns
 
-    def test_run_flow_seeded_reproducible(self, tiny_c1_flat, tiny_c1):
-        _design, truth, die_w, die_h = tiny_c1
+    def test_run_flow_seeded_reproducible(self, tiny_c1):
+        design, truth, die_w, die_h = tiny_c1
         opts = RunOptions(seed=7, effort=Effort.FAST)
-        a = run_flow(tiny_c1_flat, truth, "hidap:lam=0.5", die_w, die_h,
+        a = run_flow(design, truth, "hidap:lam=0.5", die_w, die_h,
                      options=opts)
-        b = run_flow(tiny_c1_flat, truth, "hidap:lam=0.5", die_w, die_h,
+        b = run_flow(design, truth, "hidap:lam=0.5", die_w, die_h,
                      options=opts)
         assert a.wl_meters == b.wl_meters
 
 
 class TestBestOfThree:
-    def test_best3_no_worse_than_default_lambda(self, tiny_c1_flat,
-                                                tiny_c1):
+    def test_best3_no_worse_than_default_lambda(self, tiny_c1):
         """The paper's protocol: best WL over λ ∈ {0.2, 0.5, 0.8}."""
-        _design, truth, die_w, die_h = tiny_c1
+        design, truth, die_w, die_h = tiny_c1
         opts = RunOptions(seed=1, effort=Effort.FAST)
-        best3 = run_flow(tiny_c1_flat, truth, "hidap-best3", die_w,
+        best3 = run_flow(design, truth, "hidap-best3", die_w,
                          die_h, options=opts)
-        single = run_flow(tiny_c1_flat, truth, "hidap:lam=0.5", die_w,
+        single = run_flow(design, truth, "hidap:lam=0.5", die_w,
                           die_h, options=opts)
         assert best3.lam in HIDAP_LAMBDAS
         assert best3.wl_meters <= single.wl_meters + 1e-12

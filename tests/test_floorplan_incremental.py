@@ -27,6 +27,7 @@ from repro.floorplan.engine import (
 )
 from repro.gen.designs import build_design, suite_specs
 from repro.geometry.rect import Point, Rect, total_overlap_area
+from repro.hiergraph.hierarchy import build_hierarchy
 from repro.netlist.flatten import flatten
 from repro.shapecurve.curve import ShapeCurve
 from repro.shapecurve.generation import ShapeGenConfig, curve_for_macros
@@ -308,13 +309,15 @@ class TestReportIdentity:
 
 class TestFlowEquivalence:
     def test_hidap_placements_identical(self, tiny_c1, tiny_c1_flat):
-        _design, _truth, die_w, die_h = tiny_c1
+        design, _truth, die_w, die_h = tiny_c1
 
         def run(incremental):
             config = HiDaPConfig(seed=1, effort=Effort.FAST,
                                  incremental=incremental)
             placer = HiDaP(config)
-            placement = placer.place(tiny_c1_flat, die_w, die_h)
+            placement = placer.place(
+                tiny_c1_flat, die_w, die_h,
+                tree=build_hierarchy(design, tiny_c1_flat))
             key = sorted(
                 (idx, (m.rect.x, m.rect.y, m.rect.w, m.rect.h),
                  m.orientation)

@@ -6,6 +6,7 @@ from repro.baselines.handfp import place_handfp
 from repro.baselines.indeda import place_indeda
 from repro.core import HiDaP, HiDaPConfig
 from repro.core.config import Effort
+from repro.hiergraph.hierarchy import build_hierarchy
 from repro.api import (
     evaluate_placement,
     format_table2,
@@ -20,14 +21,16 @@ class TestThreeFlowComparison:
 
     @pytest.fixture(scope="class")
     def metrics(self, tiny_c1, tiny_c1_flat):
-        _design, truth, die_w, die_h = tiny_c1
+        design, truth, die_w, die_h = tiny_c1
         flat = tiny_c1_flat
+        tree = build_hierarchy(design, flat)
         flows = {}
         flows["indeda"] = place_indeda(flat, die_w, die_h)
-        flows["handfp"] = place_handfp(flat, truth, die_w, die_h)
+        flows["handfp"] = place_handfp(flat, truth, die_w, die_h,
+                                       tree=tree)
         flows["hidap"] = HiDaP(
             HiDaPConfig(seed=1, effort=Effort.FAST)).place(
-                flat, die_w, die_h, flow_name="hidap")
+                flat, die_w, die_h, flow_name="hidap", tree=tree)
         return {name: evaluate_placement(flat, placement)
                 for name, placement in flows.items()}
 

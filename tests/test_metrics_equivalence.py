@@ -108,7 +108,7 @@ class TestSuiteRows:
         prepared = prepare_suite_design(name, "tiny")
         flat = prepared.flat
         placement = get_flow("indeda", seed=1).place(prepared)
-        ports = assign_port_positions(flat.design, placement.die)
+        ports = assign_port_positions(flat.top, placement.die)
         cells = place_cells(flat, placement, ports)
         _assert_hpwl_identical(flat, placement, cells, ports)
         _assert_congestion_identical(flat, placement, cells, ports)
@@ -119,7 +119,7 @@ class TestSuiteRows:
         prepared = prepare_suite_design(name, "tiny")
         flat = prepared.flat
         placement = get_flow("indeda", seed=1).place(prepared)
-        ports = assign_port_positions(flat.design, placement.die)
+        ports = assign_port_positions(flat.top, placement.die)
         cells = _assert_stdcell_identical(flat, placement, ports)
         _assert_timing_identical(flat, prepared.gseq, placement, cells,
                                  ports)
@@ -133,7 +133,7 @@ class TestRandomizedPlacements:
 
     def _random_context(self, flat, die_w, die_h, rng):
         die = Rect(0.0, 0.0, die_w, die_h)
-        placement = MacroPlacement(design_name=flat.design.name,
+        placement = MacroPlacement(design_name=flat.top.name,
                                    flow_name="rand", die=die)
         orientations = list(Orientation)
         for cell in flat.macros():
@@ -146,7 +146,7 @@ class TestRandomizedPlacements:
                 Rect(rng.uniform(-2.0, die_w - w),
                      rng.uniform(-2.0, die_h - h), w, h),
                 orientation=rng.choice(orientations))
-        ports = assign_port_positions(flat.design, die)
+        ports = assign_port_positions(flat.top, die)
         ports = {name: pos for name, pos in ports.items()
                  if rng.random() > 0.1}
         return placement, ports
@@ -155,7 +155,7 @@ class TestRandomizedPlacements:
         _design, _truth, die_w, die_h = tiny_c1
         flat = tiny_c1_flat
         die = Rect(0.0, 0.0, die_w, die_h)
-        base_placement = MacroPlacement(design_name=flat.design.name,
+        base_placement = MacroPlacement(design_name=flat.top.name,
                                         flow_name="seed", die=die)
         for k, cell in enumerate(flat.macros()):
             base_placement.macros[cell.index] = PlacedMacro(
@@ -163,7 +163,7 @@ class TestRandomizedPlacements:
                 Rect(1.0 + (3.0 * k) % max(die_w - 8.0, 1.0),
                      1.0 + (5.0 * k) % max(die_h - 8.0, 1.0),
                      cell.ctype.width, cell.ctype.height))
-        ports0 = assign_port_positions(flat.design, die)
+        ports0 = assign_port_positions(flat.top, die)
         base_cells = place_cells(flat, base_placement, ports0)
 
         rng = random.Random(20260729)
@@ -213,7 +213,7 @@ class TestDegenerateNets:
 
         flat = flatten(two_stage_design)
         die = Rect(0, 0, 40, 40)
-        placement = MacroPlacement(design_name=flat.design.name,
+        placement = MacroPlacement(design_name=flat.top.name,
                                    flow_name="degen", die=die)
         macros = flat.macros()
         # One macro is never placed: nets reaching only it degenerate.
@@ -221,7 +221,7 @@ class TestDegenerateNets:
             placement.macros[cell.index] = PlacedMacro(
                 cell.index, cell.path,
                 Rect(4.0, 5.0, cell.ctype.width, cell.ctype.height))
-        ports = assign_port_positions(flat.design, die)
+        ports = assign_port_positions(flat.top, die)
         cells = place_cells(flat, placement, ports)
         # Hand-append degenerate nets of every flavour (flatten drops
         # these, but stress generators and by-hand designs can carry

@@ -19,7 +19,7 @@ from repro.placement.stdcell import place_cells
 
 
 def _place_macros(flat, die, orientation=Orientation.N):
-    placement = MacroPlacement(design_name=flat.design.name,
+    placement = MacroPlacement(design_name=flat.top.name,
                                flow_name="test", die=die)
     for k, cell in enumerate(flat.macros()):
         placement.macros[cell.index] = PlacedMacro(
@@ -95,7 +95,7 @@ class TestLocate:
                                         orientation):
         die = Rect(0, 0, 40, 40)
         placement = _place_macros(two_stage_flat, die, orientation)
-        ports = assign_port_positions(two_stage_flat.design, die)
+        ports = assign_port_positions(two_stage_flat.top, die)
         cells = place_cells(two_stage_flat, placement, ports)
         arrays = net_arrays_for(two_stage_flat)
         x, y, located, macro_located = locate_endpoints(
@@ -130,7 +130,7 @@ class TestLocate:
         placement = _place_macros(two_stage_flat, die)
         dropped = next(iter(placement.macros))
         del placement.macros[dropped]
-        ports = assign_port_positions(two_stage_flat.design, die)
+        ports = assign_port_positions(two_stage_flat.top, die)
         cells = place_cells(two_stage_flat, placement, ports)
         missing_port = next(iter(ports))
         ports = {k: v for k, v in ports.items() if k != missing_port}

@@ -102,13 +102,13 @@ class TestDegenerateInputs:
     def macro_only(self):
         flat = flatten(build_macro_only_design())
         die = Rect(0.0, 0.0, 30.0, 20.0)
-        placement = MacroPlacement(design_name=flat.design.name,
+        placement = MacroPlacement(design_name=flat.top.name,
                                    flow_name="degen", die=die)
         macro = flat.macros()[0]
         placement.macros[macro.index] = PlacedMacro(
             macro.index, macro.path,
             Rect(8.0, 6.0, macro.ctype.width, macro.ctype.height))
-        ports = assign_port_positions(flat.design, die)
+        ports = assign_port_positions(flat.top, die)
         return flat, placement, ports
 
     @pytest.mark.parametrize("backend", BACKENDS)
@@ -170,7 +170,7 @@ class TestPairedCgSolver:
         prepared = prepare_suite_design(name, "tiny")
         flat = prepared.flat
         placement = get_flow("indeda", seed=1).place(prepared)
-        ports = assign_port_positions(flat.design, placement.die)
+        ports = assign_port_positions(flat.top, placement.die)
         clustered = clustered_for(flat)
         laplacian, bx, by = NumpyBackend().stdcell_system(
             flat, placement, ports, clustered)

@@ -81,7 +81,7 @@ class TestDegenerateGraphs:
             placement.macros[cell.index] = PlacedMacro(
                 cell.index, cell.path,
                 Rect(5.0, 5.0, cell.ctype.width, cell.ctype.height))
-        ports = assign_port_positions(two_stage_flat.design, die)
+        ports = assign_port_positions(two_stage_flat.top, die)
         cells = place_cells(two_stage_flat, placement, ports)
         return placement, cells, ports
 

@@ -48,10 +48,15 @@ def _key_rows(result):
     return [_key_row(row) for row in result.rows]
 
 
-def _flat_and_die(name):
+def _design_and_die(name):
     spec = next(s for s in suite_specs("tiny") if s.name == name)
     design, truth = build_design(spec)
     die_w, die_h = die_for(design)
+    return design, truth, die_w, die_h
+
+
+def _flat_and_die(name):
+    design, truth, die_w, die_h = _design_and_die(name)
     return flatten(design), truth, die_w, die_h
 
 
@@ -100,9 +105,10 @@ class TestAnnealerConvergence:
         """Each restart span records T0, the final temperature, the
         move that found the best state and the cost gained, and
         recording them leaves the rows as they were."""
-        flat, truth, die_w, die_h = _flat_and_die("c1")
-        plain = run_flow(flat, truth, "hidap", die_w, die_h, options=OPTS)
-        traced = run_flow(flat, truth, "hidap", die_w, die_h,
+        design, truth, die_w, die_h = _design_and_die("c1")
+        plain = run_flow(design, truth, "hidap", die_w, die_h,
+                         options=OPTS)
+        traced = run_flow(design, truth, "hidap", die_w, die_h,
                           options=TRACE_OPTS)
         assert _key_row(traced) == _key_row(plain)
         restarts = [span["attrs"] for payload in traced.trace
@@ -172,9 +178,9 @@ class TestRunFlowTrace:
         assert not any(name.startswith("prepare.") for name in inside)
 
     def test_hidap_counters_reach_the_chrome_trace(self, tmp_path):
-        flat, truth, die_w, die_h = _flat_and_die("c1")
+        design, truth, die_w, die_h = _design_and_die("c1")
         path = tmp_path / "trace.json"
-        row = run_flow(flat, truth, "hidap", die_w, die_h,
+        row = run_flow(design, truth, "hidap", die_w, die_h,
                        options=RunOptions(seed=1, effort=Effort.FAST,
                                           trace=str(path)))
         doc = json.loads(path.read_text())

@@ -5,6 +5,7 @@ import pytest
 from repro.core.ports import assign_port_positions
 from repro.core.result import MacroPlacement, PlacedMacro
 from repro.geometry.rect import Point, Rect
+from repro.netlist.flatten import TopInterface
 from repro.placement.cluster import cluster_cells
 from repro.placement.hpwl import hpwl_report
 from repro.placement.stdcell import place_cells
@@ -27,7 +28,7 @@ def manual_placement(two_stage_flat):
 
 @pytest.fixture(scope="module")
 def placed_cells(two_stage_flat, manual_placement, two_stage_design):
-    ports = assign_port_positions(two_stage_design,
+    ports = assign_port_positions(TopInterface.of(two_stage_design),
                                   manual_placement.die)
     cells = place_cells(two_stage_flat, manual_placement, ports)
     return cells, ports
@@ -101,7 +102,7 @@ class TestPlaceCells:
 
     def test_deterministic(self, two_stage_flat, manual_placement,
                            two_stage_design):
-        ports = assign_port_positions(two_stage_design,
+        ports = assign_port_positions(TopInterface.of(two_stage_design),
                                       manual_placement.die)
         a = place_cells(two_stage_flat, manual_placement, ports)
         b = place_cells(two_stage_flat, manual_placement, ports)
@@ -149,7 +150,7 @@ class TestHpwl:
                                        two_stage_design):
         """Swapping the two macros against the dataflow lengthens WL."""
         die = Rect(0, 0, 60, 30)
-        ports = assign_port_positions(two_stage_design, die)
+        ports = assign_port_positions(TopInterface.of(two_stage_design), die)
 
         def wl(ax, bx):
             placement = MacroPlacement("two_stage", "t", die)

@@ -6,6 +6,7 @@ import pytest
 from repro.core.ports import assign_port_positions
 from repro.core.result import MacroPlacement, PlacedMacro
 from repro.geometry.rect import Rect
+from repro.netlist.flatten import TopInterface
 from repro.placement.stdcell import place_cells
 from repro.routing.congestion import estimate_congestion
 from repro.routing.grid import MACRO_POROSITY, RoutingGrid
@@ -61,7 +62,7 @@ class TestCongestion:
             mem_a.index, mem_a.path, Rect(5, 12, 6, 4))
         placement.macros[mem_b.index] = PlacedMacro(
             mem_b.index, mem_b.path, Rect(45, 12, 6, 4))
-        ports = assign_port_positions(two_stage_design, die)
+        ports = assign_port_positions(TopInterface.of(two_stage_design), die)
         cells = place_cells(two_stage_flat, placement, ports)
         report = estimate_congestion(two_stage_flat, placement, cells,
                                      ports, bins=16)
@@ -75,7 +76,7 @@ class TestCongestion:
         import math
         design, _truth, die_w, die_h = tiny_c1
         die = Rect(0, 0, die_w, die_h)
-        ports = assign_port_positions(design, die)
+        ports = assign_port_positions(TopInterface.of(design), die)
         macros = tiny_c1_flat.macros()
         n = len(macros)
         cols = int(math.ceil(math.sqrt(n)))

@@ -12,10 +12,14 @@ import pytest
 
 from repro.api import RunOptions, prepare_design
 from repro.core.config import Effort
-from repro.gen.designs import suite_specs
+from repro.core.ports import assign_port_positions
+from repro.gen.designs import build_design, suite_specs
+from repro.geometry.rect import Rect
+from repro.netlist.flatten import TopInterface
 from repro.obs import Tracer, iter_spans, use_tracer
 from repro.service import CompiledDesignStore, store_version
 from repro.service import store as store_mod
+from repro.service.shm import export_entry
 from repro.service.store import ENTRY_FILE, compile_prepared
 
 
@@ -57,21 +61,41 @@ class TestKeys:
     def test_salt_covers_every_pickled_module(self, tmp_path):
         """Every ``repro`` module an entry's pickle references is a
         salted source, and every salted source exists: an unsalted
-        module would let a stale entry unpickle into wrong objects."""
+        module would let a stale entry unpickle into wrong objects.
+
+        No entry references the hierarchical netlist model
+        (``repro.netlist.core``): a compiled design keeps only the top
+        interface, and both loads (inline and pool worker) give back
+        the generated design's name and ordered top ports, which place
+        the ports exactly as the generated design does."""
         src_root = Path(store_mod.__file__).resolve().parents[2]
         for relpath in store_mod._VERSION_SOURCES:
             assert (src_root / relpath).is_file(), relpath
         store = CompiledDesignStore(tmp_path)
+        die = Rect(0.0, 0.0, 120.0, 90.0)
         for spec in suite_specs("tiny"):
-            blob = store.ensure_spec(spec).blob()
-            modules = {arg for _op, arg, _pos in pickletools.genops(blob)
+            entry = store.ensure_spec(spec)
+            modules = {arg for _op, arg, _pos
+                       in pickletools.genops(entry.blob())
                        if isinstance(arg, str)
                        and re.fullmatch(r"repro(\.\w+)+", arg)}
             assert "repro.api.prepared" in modules, spec.name
+            assert "repro.netlist.core" not in modules, spec.name
             for module in modules:
                 relpath = module.replace(".", "/") + ".py"
                 assert relpath in store_mod._VERSION_SOURCES, \
                     (spec.name, module)
+            design, _truth = build_design(spec)
+            expected = assign_port_positions(TopInterface.of(design), die)
+            for prepared in (entry.materialize(),
+                             export_entry(entry).materialize()):
+                assert prepared.design is None, spec.name
+                top = prepared.flat.top
+                assert top.name == prepared.name == design.name
+                assert top.ports == tuple(design.top.ports.values())
+                positions = assign_port_positions(top, die)
+                assert list(positions.items()) \
+                    == list(expected.items()), spec.name
 
 
 class TestRoundTrip:

@@ -7,6 +7,7 @@ from repro.core.result import MacroPlacement, PlacedMacro
 from repro.geometry.rect import Rect
 from repro.hiergraph.gnet import build_gnet
 from repro.hiergraph.gseq import build_gseq
+from repro.netlist.flatten import TopInterface
 from repro.placement.stdcell import place_cells
 from repro.timing.delay import DelayModel
 from repro.timing.sta import analyze_timing, default_clock_period
@@ -55,7 +56,8 @@ def _placement(flat, good: bool):
 class TestSta:
     def test_report_fields(self, two_stage_flat, two_stage_design):
         placement = _placement(two_stage_flat, good=True)
-        ports = assign_port_positions(two_stage_design, placement.die)
+        ports = assign_port_positions(TopInterface.of(two_stage_design),
+                                      placement.die)
         gseq = build_gseq(build_gnet(two_stage_flat), two_stage_flat)
         cells = place_cells(two_stage_flat, placement, ports)
         report = analyze_timing(two_stage_flat, gseq, placement, cells,
@@ -71,7 +73,7 @@ class TestSta:
         results = {}
         for good in (True, False):
             placement = _placement(two_stage_flat, good)
-            ports = assign_port_positions(two_stage_design,
+            ports = assign_port_positions(TopInterface.of(two_stage_design),
                                           placement.die)
             cells = place_cells(two_stage_flat, placement, ports)
             results[good] = analyze_timing(
@@ -83,7 +85,8 @@ class TestSta:
     def test_generous_clock_closes_timing(self, two_stage_flat,
                                           two_stage_design):
         placement = _placement(two_stage_flat, good=True)
-        ports = assign_port_positions(two_stage_design, placement.die)
+        ports = assign_port_positions(TopInterface.of(two_stage_design),
+                                      placement.die)
         gseq = build_gseq(build_gnet(two_stage_flat), two_stage_flat)
         cells = place_cells(two_stage_flat, placement, ports)
         report = analyze_timing(two_stage_flat, gseq, placement, cells,
@@ -95,7 +98,8 @@ class TestSta:
     def test_impossible_clock_fails_everything(self, two_stage_flat,
                                                two_stage_design):
         placement = _placement(two_stage_flat, good=True)
-        ports = assign_port_positions(two_stage_design, placement.die)
+        ports = assign_port_positions(TopInterface.of(two_stage_design),
+                                      placement.die)
         gseq = build_gseq(build_gnet(two_stage_flat), two_stage_flat)
         cells = place_cells(two_stage_flat, placement, ports)
         report = analyze_timing(two_stage_flat, gseq, placement, cells,
